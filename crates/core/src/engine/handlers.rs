@@ -937,6 +937,7 @@ impl Cluster {
                 xfer_len,
                 blocks,
                 next_block: 0,
+                first_hole: 0,
                 ioat_pending: 0,
                 frames_placed: 0,
                 frames_total,
@@ -1205,6 +1206,7 @@ impl Cluster {
         let Some(x) = self.xfers.recv.get_mut(&pull) else {
             return;
         };
+        x.advance_first_hole();
         // Block finished -> keep the pipeline full.
         if x.blocks[block as usize].complete() {
             let (node, proc, xfer) = (x.node, x.proc, x.xfer);
@@ -1229,19 +1231,13 @@ impl Cluster {
         // Optimistic re-request (§4.3): receiving a frame of block `b`
         // while an *earlier* block still has holes and has not been
         // re-requested recently means those frames were dropped.
-        let guard = self.rerequest_guard();
+        let (guard, now) = (self.rerequest_guard(), self.now);
         let mut rerequests = Vec::new();
         if self.cfg.optimistic_rerequest {
             if let Some(x) = self.xfers.recv.get(&pull) {
-                for (i, blk) in x.blocks.iter().enumerate() {
-                    if (i as u32) < block
-                        && blk.requested
-                        && !blk.complete()
-                        && self.now.saturating_duration_since(blk.requested_at) > guard
-                    {
-                        rerequests.push(i as u32);
-                    }
-                }
+                rerequests.extend(x.holes_below(block).filter(|&i| {
+                    now.saturating_duration_since(x.blocks[i as usize].requested_at) > guard
+                }));
             }
         }
         for b in rerequests {
@@ -1303,7 +1299,7 @@ impl Cluster {
                 // Region was invalidated mid-copy: treat the frame as lost.
                 n.counters.bump("ioat_landing_miss");
                 if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                    x.blocks[copy.block as usize].received &= !(1u64 << copy.frame);
+                    x.unreceive(copy.block, copy.frame);
                 }
             }
         }
@@ -2323,12 +2319,7 @@ impl Cluster {
                 // Re-request everything outstanding.
                 let stalled: Vec<u32> = {
                     let x = &self.xfers.recv[&pull];
-                    x.blocks
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, b)| b.requested && !b.complete())
-                        .map(|(i, _)| i as u32)
-                        .collect()
+                    x.holes_below(x.next_block).collect()
                 };
                 for b in stalled {
                     self.rerequest_block(pull, b);

@@ -1,6 +1,7 @@
 //! In-flight transfer state machines.
 //!
-//! These are plain data; all transitions live in the engine's handlers.
+//! These are plain data apart from `RecvXfer`'s first-hole cursor; all
+//! protocol transitions live in the engine's handlers.
 //! Tables are `BTreeMap`s so iteration order (and therefore the whole
 //! simulation) is deterministic.
 
@@ -118,8 +119,14 @@ pub(crate) struct RecvXfer {
     /// Bytes actually transferred (min of sent and posted length).
     pub xfer_len: u64,
     pub blocks: Vec<Block>,
-    /// Next block index to request for the first time.
+    /// Next block index to request for the first time. Blocks at or
+    /// above it were never requested.
     pub next_block: u32,
+    /// Lowest block index that is not complete: every block below it is.
+    /// Moves forward in [`RecvXfer::advance_first_hole`] and back only in
+    /// [`RecvXfer::unreceive`], so per-frame scans start here instead of
+    /// at block 0.
+    pub first_hole: u32,
     /// I/OAT copies still in flight.
     pub ioat_pending: u32,
     /// Frames fully placed in memory.
@@ -130,9 +137,39 @@ pub(crate) struct RecvXfer {
 }
 
 impl RecvXfer {
-    /// All frames received (masks full)?
+    /// Move `first_hole` past the blocks that are now complete. Amortized
+    /// O(1) per frame: the cursor crosses each block once per rewind.
+    pub fn advance_first_hole(&mut self) {
+        while self
+            .blocks
+            .get(self.first_hole as usize)
+            .is_some_and(Block::complete)
+        {
+            self.first_hole += 1;
+        }
+    }
+
+    /// Forget that `frame` of `block` arrived (its copy never landed),
+    /// rewinding the cursor if the block was below it.
+    pub fn unreceive(&mut self, block: u32, frame: u32) {
+        self.blocks[block as usize].received &= !(1u64 << frame);
+        self.first_hole = self.first_hole.min(block);
+    }
+
+    /// Requested but incomplete blocks below `limit`, in index order: the
+    /// re-request candidates. Only `first_hole..limit` is scanned.
+    pub fn holes_below(&self, limit: u32) -> impl Iterator<Item = u32> + '_ {
+        let end = limit.min(self.blocks.len() as u32);
+        (self.first_hole..end).filter(|&i| {
+            let b = &self.blocks[i as usize];
+            b.requested && !b.complete()
+        })
+    }
+
+    /// All frames received (masks full)? Valid once the cursor has been
+    /// advanced past the latest arrival.
     pub fn all_received(&self) -> bool {
-        self.blocks.iter().all(Block::complete)
+        self.first_hole as usize == self.blocks.len()
     }
 
     /// Transfer is done when everything is received *and* placed.
@@ -290,5 +327,147 @@ mod tests {
         };
         assert!(!b.complete());
         assert_eq!(b.missing_mask(), 1);
+    }
+
+    fn recv_xfer(frames_per_block: &[u32]) -> RecvXfer {
+        let blocks = frames_per_block
+            .iter()
+            .map(|&frames| Block {
+                frames,
+                received: 0,
+                requested: false,
+                requested_at: SimTime::ZERO,
+                rerequested: false,
+            })
+            .collect();
+        RecvXfer {
+            req: RequestId(0),
+            xfer: XferId(0),
+            proc: ProcId(0),
+            peer: EndpointAddr {
+                proc: ProcId(0),
+                incarnation: 0,
+            },
+            msg: MsgId(0),
+            region: RegionId(0),
+            node: 0,
+            owned: false,
+            xfer_len: 0,
+            blocks,
+            next_block: 0,
+            first_hole: 0,
+            ioat_pending: 0,
+            frames_placed: 0,
+            frames_total: 0,
+            stall_timer: None,
+            retries: 0,
+        }
+    }
+
+    fn fill(x: &mut RecvXfer, block: usize) {
+        x.blocks[block].received |= x.blocks[block].missing_mask();
+    }
+
+    #[test]
+    fn cursor_advances_over_completed_prefix_and_stops_at_first_hole() {
+        let mut x = recv_xfer(&[2, 2, 2, 2]);
+        fill(&mut x, 0);
+        fill(&mut x, 2);
+        x.advance_first_hole();
+        assert_eq!(x.first_hole, 1);
+        assert!(!x.all_received());
+        x.blocks[1].received = 0b01;
+        x.advance_first_hole();
+        assert_eq!(x.first_hole, 1, "a partial block is still a hole");
+        fill(&mut x, 1);
+        x.advance_first_hole();
+        assert_eq!(x.first_hole, 3, "skips the block completed earlier");
+        fill(&mut x, 3);
+        x.advance_first_hole();
+        assert_eq!(x.first_hole, 4);
+        assert!(x.all_received());
+    }
+
+    #[test]
+    fn cursor_rewinds_when_a_received_bit_is_cleared() {
+        let mut x = recv_xfer(&[2, 2, 2]);
+        for b in 0..3 {
+            fill(&mut x, b);
+        }
+        x.advance_first_hole();
+        assert!(x.all_received());
+        x.unreceive(1, 1);
+        assert_eq!(x.first_hole, 1);
+        assert_eq!(x.blocks[1].received, 0b01);
+        assert!(!x.all_received());
+        // Clearing above the cursor leaves it where it is.
+        x.unreceive(2, 0);
+        assert_eq!(x.first_hole, 1);
+        x.blocks[1].received = 0b11;
+        x.advance_first_hole();
+        assert_eq!(x.first_hole, 2);
+    }
+
+    #[test]
+    fn zero_block_transfer_is_all_received() {
+        let mut x = recv_xfer(&[]);
+        assert!(x.all_received());
+        x.advance_first_hole();
+        assert!(x.all_received());
+        assert_eq!(x.holes_below(5).count(), 0);
+    }
+
+    /// The cursor-range candidates equal what a scan of every block
+    /// yields, over random request/receive/unreceive histories.
+    #[test]
+    fn cursor_range_candidates_match_full_scan() {
+        for seed in 0..50 {
+            let mut rng = simcore::SimRng::new(seed);
+            let frames: Vec<u32> = (0..1 + rng.below(12))
+                .map(|_| 1 + rng.below(64) as u32)
+                .collect();
+            let mut x = recv_xfer(&frames);
+            for _ in 0..400 {
+                let n = x.blocks.len() as u64;
+                match rng.below(8) {
+                    0 if (x.next_block as u64) < n => {
+                        x.blocks[x.next_block as usize].requested = true;
+                        x.next_block += 1;
+                    }
+                    1 => {
+                        let b = rng.below(n) as u32;
+                        let f = rng.below(x.blocks[b as usize].frames as u64) as u32;
+                        x.unreceive(b, f);
+                    }
+                    _ if x.next_block > 0 => {
+                        let b = rng.below(x.next_block as u64) as usize;
+                        let f = rng.below(x.blocks[b].frames as u64);
+                        x.blocks[b].received |= 1 << f;
+                    }
+                    _ => {}
+                }
+                x.advance_first_hole();
+                assert_eq!(x.all_received(), x.blocks.iter().all(Block::complete));
+                for limit in [0, x.next_block, rng.below(n + 1) as u32] {
+                    let full: Vec<u32> = (0..x.blocks.len() as u32)
+                        .filter(|&i| {
+                            let b = &x.blocks[i as usize];
+                            i < limit && b.requested && !b.complete()
+                        })
+                        .collect();
+                    let fast: Vec<u32> = x.holes_below(limit).collect();
+                    assert_eq!(fast, full, "seed {seed} limit {limit}");
+                }
+                // The stall scan's range: nothing at or above next_block
+                // was ever requested.
+                let all: Vec<u32> = (0..x.blocks.len() as u32)
+                    .filter(|&i| {
+                        let b = &x.blocks[i as usize];
+                        b.requested && !b.complete()
+                    })
+                    .collect();
+                assert_eq!(x.holes_below(x.next_block).collect::<Vec<_>>(), all);
+            }
+        }
     }
 }
