@@ -6,7 +6,7 @@
 use openmx_bench::microbench::{black_box, Bench};
 use openmx_core::cache::{CacheOutcome, RegionCache};
 use openmx_core::driver::Driver;
-use openmx_core::region::Segment;
+use openmx_core::region::{DriverRegion, Segment};
 use openmx_core::RegionId;
 use simcore::{CpuCore, EventQueue, Priority, SimDuration, SimTime, Work};
 use simmem::{Memory, Prot, VirtAddr, PAGE_SIZE};
@@ -135,6 +135,39 @@ fn bench_pin_path(b: &Bench) {
     }
 }
 
+/// One pull reply's byte path: the sender captures two pinned pages, the
+/// receiver lands them in its own pinned pages (separate `Memory`s, as on
+/// two nodes), walking a 64-page buffer frame by frame.
+fn bench_pull_reply(b: &Bench) {
+    const PAGES: u64 = 64;
+    const FRAME: u64 = 2 * PAGE_SIZE;
+    let pinned = |fill: u8| {
+        let mut mem = Memory::new(PAGES as usize + 16, 0);
+        let space = mem.create_space();
+        let addr = mem.mmap(space, PAGES * PAGE_SIZE, Prot::ReadWrite).unwrap();
+        mem.write(space, addr, &vec![fill; (PAGES * PAGE_SIZE) as usize])
+            .unwrap();
+        let mut region = DriverRegion::new(
+            space,
+            &[Segment {
+                addr,
+                len: PAGES * PAGE_SIZE,
+            }],
+        );
+        region.pin_next_chunk(&mut mem, PAGES).unwrap();
+        (mem, region)
+    };
+    let (src_mem, src) = pinned(0x5a);
+    let (mut dst_mem, dst) = pinned(0);
+    let mut offset = 0;
+    b.bench("pull-reply 8 KiB capture+land", || {
+        let data = src.capture(&src_mem, offset, FRAME).unwrap();
+        dst.land(&mut dst_mem, offset, &data).unwrap();
+        offset = (offset + FRAME) % (PAGES * PAGE_SIZE);
+        black_box(data.len())
+    });
+}
+
 fn bench_cpu_core(b: &Bench) {
     b.bench("cpu_core submit/complete 1k mixed", || {
         let mut core = CpuCore::new();
@@ -183,5 +216,6 @@ fn main() {
     bench_event_queue(&b);
     bench_region_cache(&b);
     bench_pin_path(&b);
+    bench_pull_reply(&b);
     bench_cpu_core(&b);
 }

@@ -357,6 +357,26 @@ impl OpenMxConfig {
                 self.retransmit_min, self.retransmit_timeout
             ));
         }
+        if self.pull_block == 0 {
+            return Err("pull_block must be > 0".to_string());
+        }
+        if self.net.mtu <= simnet::frame::MXOE_HEADER {
+            return Err(format!(
+                "mtu = {} leaves no payload after the {}-byte MXoE header",
+                self.net.mtu,
+                simnet::frame::MXOE_HEADER
+            ));
+        }
+        // A pull request names the frames of one block in a 64-bit mask.
+        let frames = self
+            .pull_block
+            .div_ceil(simnet::frame::max_payload(self.net.mtu));
+        if frames > 64 {
+            return Err(format!(
+                "pull_block = {} needs {frames} frames at mtu {}; the frame mask holds 64",
+                self.pull_block, self.net.mtu
+            ));
+        }
         if let Some(q) = self.pin_quota {
             if q.soft_share < 1 {
                 return Err("pin_quota.soft_share must be >= 1".to_string());
@@ -443,6 +463,18 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
         c.net.loss_probability = 2.0;
+        assert!(c.validate().is_err());
+        let mut c = OpenMxConfig::paper_default();
+        c.pull_block = 0;
+        assert!(c.validate().is_err());
+        let mut c = OpenMxConfig::paper_default();
+        c.net.mtu = simnet::frame::MXOE_HEADER;
+        assert!(c.validate().is_err());
+        // 64 full frames fit the mask; one byte more needs a 65th.
+        let mut c = OpenMxConfig::paper_default();
+        c.pull_block = 64 * simnet::frame::max_payload(c.net.mtu);
+        assert!(c.validate().is_ok());
+        c.pull_block += 1;
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
         c.pin_quota = Some(crate::PinQuota {

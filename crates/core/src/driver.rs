@@ -1183,16 +1183,15 @@ mod tests {
         }
         // Deferred: the stale pages must already be invisible, or a read
         // here would see the *old* frames ("first").
-        let mut buf = [0u8; 6];
-        assert!(d.region(r).read(&mem, 0, &mut buf).is_err());
+        assert!(d.region(r).capture(&mem, 0, 6).is_err());
         let again = mem.mmap(space, 2 * PAGE_SIZE, Prot::ReadWrite).unwrap();
         assert_eq!(again, addr);
         mem.write(space, addr, b"second").unwrap();
 
         // The driver repins on next use and reads the *new* data.
         d.region_mut(r).pin_next_chunk(&mut mem, 100).unwrap();
-        d.region(r).read(&mem, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"second");
+        let snap = d.region(r).capture(&mem, 0, 6).unwrap();
+        assert_eq!(snap.to_vec(), b"second");
         // The repin beat the drain: the pending unpin dissolves.
         let (released, cancelled) = d.drain_deferred(&mut mem);
         assert!(released.is_empty());
@@ -1634,10 +1633,10 @@ mod tests {
                             break;
                         }
                     }
-                    let mut via_a = vec![0u8; (PAGES * PAGE_SIZE) as usize];
-                    let mut via_b = vec![0u8; (PAGES * PAGE_SIZE) as usize];
-                    da.region(ids_a[i]).read(&mem_a, 0, &mut via_a).unwrap();
-                    db.region(ids_b[i]).read(&mem_b, 0, &mut via_b).unwrap();
+                    let len = PAGES * PAGE_SIZE;
+                    let via_a = da.region(ids_a[i]).capture(&mem_a, 0, len).unwrap();
+                    let via_b = db.region(ids_b[i]).capture(&mem_b, 0, len).unwrap();
+                    let (via_a, via_b) = (via_a.to_vec(), via_b.to_vec());
                     assert_eq!(via_a, via_b, "driver reads diverged at round {round}");
                 }
                 // Epoch close in the deferred world.

@@ -2,7 +2,7 @@
 //! overlap-miss recovery, and completion plumbing.
 
 use simcore::{Priority, SimDuration};
-use simmem::VirtAddr;
+use simmem::{PageSnapshot, VirtAddr};
 
 use super::xfer::{
     Block, EagerRxMatched, EagerTx, NotifyPending, PendingCopy, PinAction, PinPlan, PinWaiter,
@@ -720,9 +720,8 @@ impl Cluster {
                 }
                 let off = block_base + f as u64 * chunk;
                 let flen = chunk.min(limit - off);
-                let mut data = vec![0u8; flen as usize];
-                match r.read(&n.mem, off, &mut data) {
-                    Ok(()) => replies.push((f, off, data)),
+                match r.capture(&n.mem, off, flen) {
+                    Ok(data) => replies.push((f, off, data)),
                     Err(_) => {
                         // Sender-side overlap miss: the pull request beat
                         // the pin cursor. Drop this frame; the receiver
@@ -1117,7 +1116,7 @@ impl Cluster {
         block: u32,
         frame: u32,
         offset: u64,
-        data: Vec<u8>,
+        data: PageSnapshot,
     ) {
         let Some(x) = self.xfers.recv.get_mut(&pull) else {
             // Stale: the transfer already finished (e.g. a duplicated or
@@ -1139,7 +1138,7 @@ impl Cluster {
             return; // duplicate frame
         }
         let (node, region, proc, xfer_len, xfer) = (x.node, x.region, x.proc, x.xfer_len, x.xfer);
-        let len = data.len() as u64;
+        let len = data.len();
 
         // The decisive check of the overlapped design: has the pin cursor
         // passed the touched pages? If not, drop the packet (§3.3) and let
@@ -1190,7 +1189,7 @@ impl Cluster {
         } else {
             let n = &mut self.nodes[node];
             let r = n.driver.region(region);
-            r.write(&mut n.mem, offset, &data).expect("pinned write");
+            r.land(&mut n.mem, offset, &data).expect("pinned write");
             if let Some(x) = self.xfers.recv.get_mut(&pull) {
                 x.blocks[block as usize].received |= bit;
                 x.frames_placed += 1;
@@ -1289,7 +1288,7 @@ impl Cluster {
         let pull = copy.pull;
         let n = &mut self.nodes[node];
         let r = n.driver.region(region);
-        match r.write(&mut n.mem, copy.offset, &copy.data) {
+        match r.land(&mut n.mem, copy.offset, &copy.data) {
             Ok(()) => {
                 if let Some(x) = self.xfers.recv.get_mut(&pull) {
                     x.frames_placed += 1;
@@ -1388,7 +1387,7 @@ impl Cluster {
                     + if self.cfg.use_ioat {
                         self.nodes[node].ioat.submit_cost()
                     } else {
-                        p.memcpy_cost(data.len() as u64)
+                        p.memcpy_cost(data.len())
                     }
             }
             _ => p.pkt_processing,

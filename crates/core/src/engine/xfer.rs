@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use simcore::{EventId, SimTime};
-use simmem::VirtAddr;
+use simmem::{PageSnapshot, VirtAddr};
 
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, RequestId};
@@ -194,7 +194,7 @@ pub(crate) struct PendingCopy {
     pub block: u32,
     pub frame: u32,
     pub offset: u64,
-    pub data: Vec<u8>,
+    pub data: PageSnapshot,
 }
 
 /// What to do when a region's pin cursor reaches a threshold.

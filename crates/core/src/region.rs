@@ -7,14 +7,16 @@
 //! order, which is what makes overlapped pinning possible: the in-order
 //! data transfer only ever needs the pages behind the *pin cursor*.
 //!
-//! Accessors take the byte-offset view: `read`/`write` at a region offset
+//! Accessors take the byte-offset view: `capture`/`land` at a region offset
 //! translate to physical frames of the pinned pages, and fail with
 //! [`RegionAccessError::NotPinned`] when the cursor has not reached the
 //! touched pages — the overlap-miss case the engine turns into a packet
 //! drop.
 
 use simcore::SimTime;
-use simmem::{AsId, MemError, Memory, NotifierEvent, Pfn, VirtAddr, Vpn, VpnRange, PAGE_SIZE};
+use simmem::{
+    AsId, MemError, Memory, NotifierEvent, PageSnapshot, Pfn, VirtAddr, Vpn, VpnRange, PAGE_SIZE,
+};
 
 use crate::engine::ProcId;
 
@@ -516,39 +518,58 @@ impl DriverRegion {
         last < self.valid_pages()
     }
 
-    /// Driver read of region bytes into `buf` (pull-reply construction on
-    /// the send side). Fails if the range is not pinned yet.
-    pub fn read(&self, mem: &Memory, offset: u64, buf: &mut [u8]) -> Result<(), RegionAccessError> {
-        if !self.pinned_through(offset, buf.len() as u64) {
+    /// Driver capture of region bytes `[offset, offset+len)` (pull-reply
+    /// construction on the send side). The snapshot references the pinned
+    /// pages instead of copying them, and keeps the bytes they hold now
+    /// whatever is written to them later. Fails if the range is not pinned
+    /// yet.
+    pub fn capture(
+        &self,
+        mem: &Memory,
+        offset: u64,
+        len: u64,
+    ) -> Result<PageSnapshot, RegionAccessError> {
+        if !self.pinned_through(offset, len) {
             return Err(RegionAccessError::NotPinned);
         }
-        let mut cursor = 0usize;
+        let mut snap = PageSnapshot::with_capacity((len / PAGE_SIZE + 2) as usize);
         self.layout
-            .for_each_chunk(offset, buf.len() as u64, |idx, _vpn, page_off, n| {
-                let pfn = self.pfns[idx as usize];
-                mem.read_phys(pfn, page_off, &mut buf[cursor..cursor + n as usize]);
-                cursor += n as usize;
+            .for_each_chunk(offset, len, |idx, _vpn, page_off, n| {
+                snap.push(mem.share_phys(self.pfns[idx as usize]), page_off, n);
             });
-        Ok(())
+        Ok(snap)
     }
 
-    /// Driver write of `data` into region bytes (pull-reply landing on the
-    /// receive side). Fails if the range is not pinned yet.
-    pub fn write(
+    /// Driver landing of `data` at region offset `offset` (pull-reply
+    /// placement on the receive side). A destination page that `data`
+    /// covers with one whole captured page takes that page by reference;
+    /// every other piece is copied. Fails if the range is not pinned yet.
+    pub fn land(
         &self,
         mem: &mut Memory,
         offset: u64,
-        data: &[u8],
+        data: &PageSnapshot,
     ) -> Result<(), RegionAccessError> {
-        if !self.pinned_through(offset, data.len() as u64) {
+        if !self.pinned_through(offset, data.len()) {
             return Err(RegionAccessError::NotPinned);
         }
-        let mut cursor = 0usize;
+        let mut src = data.reader();
         self.layout
-            .for_each_chunk(offset, data.len() as u64, |idx, _vpn, page_off, n| {
+            .for_each_chunk(offset, data.len(), |idx, _vpn, page_off, n| {
                 let pfn = self.pfns[idx as usize];
-                mem.write_phys(pfn, page_off, &data[cursor..cursor + n as usize]);
-                cursor += n as usize;
+                if n == PAGE_SIZE {
+                    if let Some(page) = src.whole_page() {
+                        mem.install_phys(pfn, page);
+                        return;
+                    }
+                }
+                let mut done = 0;
+                while done < n {
+                    let bytes = src.bytes(n - done);
+                    assert!(!bytes.is_empty(), "snapshot shorter than its span");
+                    mem.write_phys(pfn, page_off + done, bytes);
+                    done += bytes.len() as u64;
+                }
             });
         Ok(())
     }
@@ -557,7 +578,9 @@ impl DriverRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimRng;
     use simmem::Prot;
+    use std::sync::Arc;
 
     fn setup(pages: u64) -> (Memory, AsId, VirtAddr) {
         let mut mem = Memory::new(4096, 0);
@@ -653,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn read_write_roundtrip_through_pins() {
+    fn capture_land_roundtrip_through_pins() {
         let (mut mem, space, addr) = setup(4);
         let mut r = DriverRegion::new(
             space,
@@ -664,10 +687,10 @@ mod tests {
         );
         r.pin_next_chunk(&mut mem, 100).unwrap();
         let data: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 253) as u8).collect();
-        r.write(&mut mem, 0, &data).unwrap();
-        let mut back = vec![0u8; data.len()];
-        r.read(&mem, 0, &mut back).unwrap();
-        assert_eq!(back, data);
+        r.land(&mut mem, 0, &PageSnapshot::from_bytes(&data))
+            .unwrap();
+        let back = r.capture(&mem, 0, data.len() as u64).unwrap();
+        assert_eq!(back.to_vec(), data);
         // And the application sees it through its own page tables.
         let mut app = vec![0u8; data.len()];
         mem.read(space, addr.add(64), &mut app).unwrap();
@@ -685,16 +708,15 @@ mod tests {
             }],
         );
         r.pin_next_chunk(&mut mem, 2).unwrap();
-        let mut buf = [0u8; 16];
         // Inside the cursor: fine.
-        r.read(&mem, PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(r.capture(&mem, PAGE_SIZE, 16).unwrap().len(), 16);
         // Beyond: miss.
         assert_eq!(
-            r.read(&mem, 3 * PAGE_SIZE, &mut buf),
-            Err(RegionAccessError::NotPinned)
+            r.capture(&mem, 3 * PAGE_SIZE, 16).err(),
+            Some(RegionAccessError::NotPinned)
         );
         assert_eq!(
-            r.write(&mut mem, 7 * PAGE_SIZE, &[0; 8]),
+            r.land(&mut mem, 7 * PAGE_SIZE, &PageSnapshot::from_bytes(&[0; 8])),
             Err(RegionAccessError::NotPinned)
         );
         r.unpin_all(&mut mem);
@@ -823,23 +845,109 @@ mod tests {
         assert!(r.fully_pinned());
         for offset in [u64::MAX, u64::MAX - 1, u64::MAX - 4 * PAGE_SIZE + 1] {
             assert!(!r.pinned_through(offset, 2), "offset {offset:#x} wrapped");
-            let mut buf = [0u8; 16];
             assert_eq!(
-                r.read(&mem, offset, &mut buf),
-                Err(RegionAccessError::NotPinned)
+                r.capture(&mem, offset, 16).err(),
+                Some(RegionAccessError::NotPinned)
             );
             assert_eq!(
-                r.write(&mut mem, offset, &[0; 16]),
+                r.land(&mut mem, offset, &PageSnapshot::from_bytes(&[0; 16])),
                 Err(RegionAccessError::NotPinned)
             );
         }
         // A wrapping length is rejected the same way.
-        let mut huge = vec![0u8; 32];
         assert_eq!(
-            r.read(&mem, u64::MAX - 8, &mut huge),
-            Err(RegionAccessError::NotPinned)
+            r.capture(&mem, u64::MAX - 8, 32).err(),
+            Some(RegionAccessError::NotPinned)
         );
         r.unpin_all(&mut mem);
+    }
+
+    /// A fully pinned region over `segs`, given as `(page, byte offset,
+    /// len)` relative to a fresh 32-page mapping in its own memory, filled
+    /// with `fill`.
+    fn pinned_region(segs: &[(u64, u64, u64)], fill: u8) -> (Memory, AsId, DriverRegion) {
+        let (mut mem, space, addr) = setup(32);
+        mem.write(space, addr, &[fill; 32 * PAGE_SIZE as usize])
+            .unwrap();
+        let segs: Vec<Segment> = segs
+            .iter()
+            .map(|&(page, off, len)| Segment {
+                addr: addr.add(page * PAGE_SIZE + off),
+                len,
+            })
+            .collect();
+        let mut r = DriverRegion::new(space, &segs);
+        r.pin_next_chunk(&mut mem, 1000).unwrap();
+        assert!(r.fully_pinned());
+        (mem, space, r)
+    }
+
+    /// Overwrite every byte of `r` through the application's page tables
+    /// with a position- and `round`-dependent pattern; returns the region's
+    /// new bytes in region order.
+    fn scribble(mem: &mut Memory, space: AsId, r: &DriverRegion, round: u64) -> Vec<u8> {
+        let bytes: Vec<u8> = (0..r.layout.total_len())
+            .map(|i| (i * 7 + round * 13 + i / PAGE_SIZE) as u8)
+            .collect();
+        let mut at = 0;
+        for seg in r.layout.segments() {
+            mem.write(space, seg.addr, &bytes[at..at + seg.len as usize])
+                .unwrap();
+            at += seg.len as usize;
+        }
+        bytes
+    }
+
+    #[test]
+    fn capture_land_matches_a_byte_copy() {
+        const LEN: u64 = 6 * PAGE_SIZE;
+        // Source and destination shapes of LEN bytes each: page-aligned
+        // (the only case whole pages can move by reference), unaligned,
+        // and vectorial, with page offsets differing between the sides.
+        let aligned = vec![(0, 0, LEN)];
+        let vector_aligned = vec![(2, 0, 2 * PAGE_SIZE), (8, 0, 4 * PAGE_SIZE)];
+        let unaligned = vec![(1, 100, LEN)];
+        let vector_odd = vec![(0, 3000, 5000), (10, 17, LEN - 5000 - 700), (20, 64, 700)];
+        let shapes = [&aligned, &vector_aligned, &unaligned, &vector_odd];
+        let mut rng = SimRng::new(42);
+        let (mut installed, mut copied) = (0u64, 0u64);
+        for src_shape in shapes {
+            for dst_shape in shapes {
+                let (mut smem, sspace, src) = pinned_region(src_shape, 0x11);
+                let (mut dmem, _, dst) = pinned_region(dst_shape, 0x22);
+                let mut model = vec![0x22u8; LEN as usize];
+                let mut src_bytes = scribble(&mut smem, sspace, &src, 0);
+                for round in 1..=40u64 {
+                    let off = rng.below(LEN);
+                    let len = 1 + rng.below(LEN - off);
+                    let span = off as usize..(off + len) as usize;
+                    let snap = src.capture(&smem, off, len).unwrap();
+                    dst.land(&mut dmem, off, &snap).unwrap();
+                    model[span.clone()].copy_from_slice(&src_bytes[span]);
+                    // Classify each destination page the landing touched.
+                    let src_pages: Vec<Arc<[u8]>> = src
+                        .pinned_pfns()
+                        .iter()
+                        .map(|&p| smem.share_phys(p))
+                        .collect();
+                    dst.layout.for_each_chunk(off, len, |idx, _, _, n| {
+                        let page = dmem.share_phys(dst.pinned_pfns()[idx as usize]);
+                        if src_pages.iter().any(|s| Arc::ptr_eq(s, &page)) {
+                            assert_eq!(n, PAGE_SIZE, "only whole pages install");
+                            installed += 1;
+                        } else {
+                            copied += 1;
+                        }
+                    });
+                    // Overwrite the source; nothing already landed may change.
+                    src_bytes = scribble(&mut smem, sspace, &src, round);
+                    let got = dst.capture(&dmem, 0, LEN).unwrap().to_vec();
+                    assert!(got == model, "landed bytes differ from the byte copy");
+                }
+            }
+        }
+        assert!(installed > 0, "the install branch never ran");
+        assert!(copied > 0, "the copy branch never ran");
     }
 
     /// Differential harness: drive the batched and per-page pin paths over

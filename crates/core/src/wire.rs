@@ -2,12 +2,17 @@
 //!
 //! Message types follow the paper's Figure 2 vocabulary: small messages go
 //! *eager*; large messages do `rndv` → `pull` → `pull reply` → `notify`.
-//! Frames carry their payload bytes (`Vec<u8>`), which is what lets the
-//! test suite verify end-to-end data integrity through every pinning mode.
+//! Frames carry their payload bytes, which is what lets the test suite
+//! verify end-to-end data integrity through every pinning mode. Eager
+//! fragments own a `Vec<u8>` copied out of the eager buffers; pull replies
+//! carry a [`PageSnapshot`] that references the sender's pinned pages and
+//! keeps the bytes they held when the reply was cut.
 //!
 //! Reliability: eager messages and notifies are acked explicitly; pull
 //! replies are recovered by re-requesting missing frames (optimistically on
 //! out-of-order arrival, else on the 1 s retransmission timeout) — §4.3.
+
+use simmem::PageSnapshot;
 
 use crate::endpoint::EndpointAddr;
 
@@ -99,8 +104,8 @@ pub enum WireMsg {
         frame: u32,
         /// Byte offset of this frame within the whole message.
         offset: u64,
-        /// Frame payload.
-        data: Vec<u8>,
+        /// Frame payload, captured from the sender's pages at send time.
+        data: PageSnapshot,
     },
     /// Transfer complete: receiver tells sender to release resources.
     Notify {
@@ -122,7 +127,8 @@ impl WireMsg {
     /// Application payload bytes carried (for fabric accounting).
     pub fn payload_len(&self) -> u64 {
         match self {
-            WireMsg::Eager { data, .. } | WireMsg::PullReply { data, .. } => data.len() as u64,
+            WireMsg::Eager { data, .. } => data.len() as u64,
+            WireMsg::PullReply { data, .. } => data.len(),
             _ => 0,
         }
     }

@@ -531,3 +531,79 @@ fn control_frame_loss_recovery_matrix() {
         assert_eq!(cl.counters().get("requests_failed"), 0, "drop_first={n}");
     }
 }
+
+/// Pull replies carry the sender's bytes as of the moment each frame was
+/// cut, even though they reference the sender's pages instead of copying
+/// them: overwriting the send buffer while the first replies are on the
+/// wire must not change what those replies deliver.
+///
+/// On a clean fabric with a non-overlapped mode there are no overlap misses
+/// and no retransmissions, pull replies are the only frames with a
+/// payload, and the sender cuts one whole block per pull request, in block
+/// order. The first instant with payload on the wire has cut exactly the
+/// first block, and every later block lands after it.
+#[test]
+fn pull_replies_keep_the_bytes_of_their_send_time() {
+    const LEN: u64 = 512 * 1024;
+    const OLD: u8 = 0xaa;
+    const NEW: u8 = 0x55;
+    let cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+    let block = cfg.pull_block;
+    let mut cl = Cluster::new(cfg, 2);
+    let tx = cl.add_process(0, proc_of(|_| {}, |_, _| {}));
+    let rx = cl.add_process(1, proc_of(|_| {}, |_, _| {}));
+    cl.step_until(simcore::SimTime::ZERO);
+    let recv_buf = cl.drive(rx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.irecv(5, !0, buf, LEN);
+        buf
+    });
+    let send_buf = cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.write_buf(buf, &vec![OLD; LEN as usize]);
+        ctx.isend(rx, 5, buf, LEN);
+        buf
+    });
+    // Step to the first instant at which pull replies have been cut.
+    let cut = loop {
+        let t = cl
+            .next_event_time()
+            .expect("transfer ended before any pull reply");
+        cl.step_until(t);
+        let cut = cl.net_stats().payload_bytes_delivered;
+        if cut > 0 {
+            break cut;
+        }
+    };
+    // One block's frames; its last frame is a full frame and runs past
+    // the block end.
+    assert!(
+        (block..2 * block).contains(&cut),
+        "cut {cut} bytes, not one block"
+    );
+    assert!(
+        cl.read_proc(rx, recv_buf, cut).iter().all(|&b| b == 0),
+        "replies cut at this instant must still be in flight"
+    );
+    cl.drive(tx, |ctx| ctx.write_buf(send_buf, &vec![NEW; LEN as usize]));
+    cl.run(None);
+    let c = cl.counters();
+    for resend in [
+        "overlap_miss_tx",
+        "overlap_miss_rx",
+        "pull_rereq_optimistic",
+    ] {
+        assert_eq!(c.get(resend), 0, "{resend}: no frame may be cut twice");
+    }
+    let got = cl.read_proc(rx, recv_buf, LEN);
+    let (before, after) = got.split_at(block as usize);
+    assert!(
+        before.iter().all(|&b| b == OLD),
+        "a reply cut before the overwrite delivered the new bytes"
+    );
+    assert!(
+        after.iter().all(|&b| b == NEW),
+        "a reply cut after the overwrite delivered the old bytes"
+    );
+    assert_eq!(cl.inflight_xfers(), 0);
+}

@@ -25,6 +25,7 @@ pub mod addr;
 pub mod error;
 pub mod frame;
 pub mod heap;
+pub mod snapshot;
 pub mod space;
 pub mod vma;
 
@@ -32,5 +33,6 @@ pub use addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange, PAGE_SHIFT, PAGE_SIZE}
 pub use error::MemError;
 pub use frame::FrameAllocator;
 pub use heap::SimHeap;
+pub use snapshot::{PageSnapshot, SnapshotReader};
 pub use space::{AsId, InvalidateCause, Memory, NotifierEvent, PartialPin};
 pub use vma::{Prot, Vma, VmaSet};

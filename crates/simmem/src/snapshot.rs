@@ -1,0 +1,197 @@
+//! Payload bytes held by reference to the pages they came from.
+//!
+//! A [`PageSnapshot`] is an ordered list of byte ranges of shared pages
+//! (see [`FrameAllocator::share`](crate::FrameAllocator::share)). Taking
+//! one copies no bytes, yet it keeps the bytes its pages held when it was
+//! taken: a write to a shared page copies the page first.
+
+use std::fmt;
+use std::sync::Arc;
+
+use crate::addr::PAGE_SIZE;
+
+#[derive(Clone)]
+struct Piece {
+    page: Arc<[u8]>,
+    start: usize,
+    len: usize,
+}
+
+impl Piece {
+    fn bytes(&self) -> &[u8] {
+        &self.page[self.start..self.start + self.len]
+    }
+}
+
+/// Bytes captured from one or more pages, in order, by reference.
+#[derive(Clone, Default)]
+pub struct PageSnapshot {
+    pieces: Vec<Piece>,
+    len: u64,
+}
+
+impl PageSnapshot {
+    /// An empty snapshot with room for `pieces` page ranges.
+    pub fn with_capacity(pieces: usize) -> Self {
+        PageSnapshot {
+            pieces: Vec::with_capacity(pieces),
+            len: 0,
+        }
+    }
+
+    /// Append bytes `[start, start + len)` of `page`.
+    ///
+    /// # Panics
+    /// Panics if `page` is not one page long or the range does not lie
+    /// within it.
+    pub fn push(&mut self, page: Arc<[u8]>, start: u64, len: u64) {
+        assert_eq!(
+            page.len(),
+            PAGE_SIZE as usize,
+            "snapshot piece of a non-page"
+        );
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= PAGE_SIZE),
+            "snapshot piece {start}+{len} outside its page"
+        );
+        self.pieces.push(Piece {
+            page,
+            start: start as usize,
+            len: len as usize,
+        });
+        self.len += len;
+    }
+
+    /// A snapshot of fresh pages holding a copy of `bytes`.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        let mut snap = Self::with_capacity(bytes.len().div_ceil(PAGE_SIZE as usize));
+        for chunk in bytes.chunks(PAGE_SIZE as usize) {
+            let mut page = vec![0u8; PAGE_SIZE as usize];
+            page[..chunk.len()].copy_from_slice(chunk);
+            snap.push(page.into(), 0, chunk.len() as u64);
+        }
+        snap
+    }
+
+    /// Total bytes held.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True if the snapshot holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes, as contiguous slices in order.
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.pieces.iter().map(Piece::bytes)
+    }
+
+    /// The bytes copied into one vector.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.chunks().collect::<Vec<_>>().concat()
+    }
+
+    /// A cursor that consumes the bytes front to back.
+    pub fn reader(&self) -> SnapshotReader<'_> {
+        SnapshotReader {
+            pieces: &self.pieces,
+            piece: 0,
+            at: 0,
+        }
+    }
+}
+
+impl fmt::Debug for PageSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageSnapshot")
+            .field("len", &self.len)
+            .field("pieces", &self.pieces.len())
+            .finish()
+    }
+}
+
+/// Front-to-back cursor over a [`PageSnapshot`].
+pub struct SnapshotReader<'a> {
+    pieces: &'a [Piece],
+    piece: usize,
+    /// Bytes of `pieces[piece]` already consumed.
+    at: usize,
+}
+
+impl<'a> SnapshotReader<'a> {
+    /// If the cursor is at the start of a piece that is one whole page,
+    /// consume it and return the page; otherwise consume nothing.
+    pub fn whole_page(&mut self) -> Option<Arc<[u8]>> {
+        let p = self.pieces.get(self.piece)?;
+        if self.at != 0 || p.start != 0 || p.len != PAGE_SIZE as usize {
+            return None;
+        }
+        self.piece += 1;
+        Some(Arc::clone(&p.page))
+    }
+
+    /// Consume and return up to `max` contiguous bytes (fewer at the end of
+    /// a piece; empty once the snapshot is exhausted).
+    pub fn bytes(&mut self, max: u64) -> &'a [u8] {
+        let Some(p) = self.pieces.get(self.piece) else {
+            return &[];
+        };
+        let rest = &p.bytes()[self.at..];
+        let n = rest.len().min(max as usize);
+        self.at += n;
+        if self.at == p.len {
+            self.piece += 1;
+            self.at = 0;
+        }
+        &rest[..n]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn page(fill: u8) -> Arc<[u8]> {
+        vec![fill; PAGE_SIZE as usize].into()
+    }
+
+    #[test]
+    fn pieces_concatenate_in_order() {
+        let mut s = PageSnapshot::default();
+        assert!(s.is_empty());
+        s.push(page(1), 10, 3);
+        s.push(page(2), 0, 2);
+        assert_eq!(s.len(), 5);
+        assert_eq!(s.to_vec(), [1, 1, 1, 2, 2]);
+        assert_eq!(s.chunks().count(), 2);
+        let bytes: Vec<u8> = (0..2 * PAGE_SIZE + 5).map(|i| i as u8).collect();
+        let s = PageSnapshot::from_bytes(&bytes);
+        assert_eq!(s.chunks().count(), 3);
+        assert_eq!(s.to_vec(), bytes);
+    }
+
+    #[test]
+    fn reader_yields_whole_pages_only_at_a_piece_start() {
+        let mut s = PageSnapshot::default();
+        s.push(page(7), 0, PAGE_SIZE);
+        s.push(page(8), 0, PAGE_SIZE);
+        s.push(page(9), 1, 4);
+        let mut r = s.reader();
+        assert_eq!(r.whole_page().unwrap()[0], 7);
+        assert_eq!(r.bytes(16), &[8u8; 16][..]);
+        assert!(r.whole_page().is_none(), "mid-piece");
+        assert_eq!(r.bytes(u64::MAX).len(), PAGE_SIZE as usize - 16);
+        assert!(r.whole_page().is_none(), "partial piece");
+        assert_eq!(r.bytes(u64::MAX), &[9u8; 4][..]);
+        assert!(r.bytes(1).is_empty());
+        assert!(r.whole_page().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its page")]
+    fn piece_past_the_page_is_rejected() {
+        PageSnapshot::default().push(page(0), PAGE_SIZE - 1, 2);
+    }
+}

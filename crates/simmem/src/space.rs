@@ -25,8 +25,9 @@
 //! by `get_user_pages` do.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange, PAGE_SIZE};
+use crate::addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange};
 use crate::error::MemError;
 use crate::frame::FrameAllocator;
 use crate::vma::{Prot, VmaSet};
@@ -78,8 +79,10 @@ struct AddressSpace {
     limit: Vpn,
 }
 
+/// Swap slots hold the swapped-out page by reference (see
+/// [`FrameAllocator::share`]); swap-out and swap-in copy no bytes.
 struct SwapSpace {
-    slots: Vec<Option<Box<[u8]>>>,
+    slots: Vec<Option<Arc<[u8]>>>,
     free: Vec<u32>,
     used: usize,
 }
@@ -93,14 +96,14 @@ impl SwapSpace {
         }
     }
 
-    fn store(&mut self, data: Box<[u8]>) -> Result<u32, MemError> {
+    fn store(&mut self, data: Arc<[u8]>) -> Result<u32, MemError> {
         let slot = self.free.pop().ok_or(MemError::OutOfSwap)?;
         self.slots[slot as usize] = Some(data);
         self.used += 1;
         Ok(slot)
     }
 
-    fn load(&mut self, slot: u32) -> Box<[u8]> {
+    fn load(&mut self, slot: u32) -> Arc<[u8]> {
         let data = self.slots[slot as usize]
             .take()
             .expect("load from free swap slot");
@@ -359,7 +362,7 @@ impl Memory {
             Some(Pte::Swapped { slot }) => {
                 let data = self.swap.load(slot);
                 let pfn = self.frames.alloc()?;
-                self.frames.write(pfn, 0, &data);
+                self.frames.install(pfn, data);
                 self.space_mut(id)?
                     .ptes
                     .insert(vpn.0, Pte::Resident { pfn, cow: false });
@@ -529,9 +532,7 @@ impl Memory {
                     // Shared COW pages stay resident in this simple model.
                     return Err(MemError::PagePinned(vpn.base()));
                 }
-                let mut data = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
-                self.frames.read(pfn, 0, &mut data);
-                let slot = self.swap.store(data)?;
+                let slot = self.swap.store(self.frames.share(pfn))?;
                 self.frames.put(pfn);
                 self.space_mut(id)?
                     .ptes
@@ -667,6 +668,18 @@ impl Memory {
         self.frames.write(pfn, offset, data);
     }
 
+    /// Direct physical capture of a frame's page by reference (see
+    /// [`FrameAllocator::share`]).
+    pub fn share_phys(&self, pfn: Pfn) -> Arc<[u8]> {
+        self.frames.share(pfn)
+    }
+
+    /// Direct physical whole-page write by reference (see
+    /// [`FrameAllocator::install`]).
+    pub fn install_phys(&mut self, pfn: Pfn, page: Arc<[u8]>) {
+        self.frames.install(pfn, page);
+    }
+
     /// Access to frame-pool statistics.
     pub fn frames(&self) -> &FrameAllocator {
         &self.frames
@@ -681,6 +694,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
 
     fn memory() -> Memory {
         Memory::new(1024, 256)
@@ -831,6 +845,28 @@ mod tests {
         let mut buf = [0u8; 6];
         m.read(a, addr, &mut buf).unwrap();
         assert_eq!(&buf, b"moving");
+    }
+
+    #[test]
+    fn migrate_and_swap_move_pages_by_reference_without_leaks() {
+        let mut m = memory();
+        let a = m.create_space();
+        let addr = m.mmap(a, PAGE_SIZE, Prot::ReadWrite).unwrap();
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 249) as u8).collect();
+        m.write(a, addr, &bytes).unwrap();
+        let held = m.share_phys(m.resident_pfn(a, addr.vpn()).unwrap());
+        m.migrate(a, addr.vpn()).unwrap();
+        m.swap_out(a, addr.vpn()).unwrap();
+        let mut back = vec![0u8; PAGE_SIZE as usize];
+        m.read(a, addr, &mut back).unwrap(); // swap-in
+        assert_eq!(back, bytes);
+        m.swap_out(a, addr.vpn()).unwrap();
+        let child = m.fork_space(a).unwrap(); // duplicates the swap slot
+        m.write(a, addr.add(8), b"parent").unwrap();
+        m.read(child, addr, &mut back).unwrap();
+        assert_eq!(back, bytes, "duplicated slot saw the parent's write");
+        assert_eq!(&*held, &bytes[..], "held page saw a later write");
+        assert_eq!(m.frames().pinned_pages(), 0);
     }
 
     #[test]

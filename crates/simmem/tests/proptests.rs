@@ -3,8 +3,8 @@
 //! Strategy: drive [`simmem`] with random operation sequences and check it
 //! against trivially-correct reference models (a `HashMap<u64, u8>` for
 //! byte contents). The substrate must agree with the reference regardless
-//! of interleaving, and global invariants (frame accounting, pin balance)
-//! must hold at every step.
+//! of interleaving, and global invariants (frame accounting, pin balance,
+//! the bytes of every held [`PageSnapshot`]) must hold at every step.
 //!
 //! Sequences are generated from a fixed-seed [`simcore::SimRng`], so every
 //! run explores the same inputs — failures reproduce by case index.
@@ -12,7 +12,10 @@
 use std::collections::HashMap;
 
 use simcore::SimRng;
-use simmem::{InvalidateCause, MemError, Memory, Prot, VirtAddr, PAGE_SIZE};
+use simmem::{
+    page_chunks, AsId, InvalidateCause, MemError, Memory, PageSnapshot, Prot, VirtAddr, Vpn,
+    PAGE_SIZE,
+};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -45,10 +48,24 @@ enum Op {
         alloc_idx: usize,
         page: u64,
     },
+    /// Capture bytes by reference, as a pull reply does.
+    Snapshot {
+        alloc_idx: usize,
+        offset: u64,
+        len: u64,
+    },
+    /// Capture one whole page and install it over another, as a pull
+    /// reply landing does.
+    Install {
+        from_idx: usize,
+        from_page: u64,
+        to_idx: usize,
+        to_page: u64,
+    },
 }
 
 fn random_op(rng: &mut SimRng) -> Op {
-    match rng.below(8) {
+    match rng.below(10) {
         0 => Op::Mmap {
             pages: rng.range_inclusive(1, 15),
         },
@@ -74,11 +91,36 @@ fn random_op(rng: &mut SimRng) -> Op {
             alloc_idx: rng.next_u64() as usize,
             page: rng.below(16),
         },
-        _ => Op::Migrate {
+        7 => Op::Migrate {
             alloc_idx: rng.next_u64() as usize,
             page: rng.below(16),
         },
+        8 => Op::Snapshot {
+            alloc_idx: rng.next_u64() as usize,
+            offset: rng.below(8192),
+            len: rng.range_inclusive(1, 3 * PAGE_SIZE),
+        },
+        _ => Op::Install {
+            from_idx: rng.next_u64() as usize,
+            from_page: rng.below(16),
+            to_idx: rng.next_u64() as usize,
+            to_page: rng.below(16),
+        },
     }
+}
+
+/// The resident frame behind `vpn`, faulting it in (a read fault, which
+/// changes no bytes) if it is absent or swapped out.
+fn resident(mem: &mut Memory, space: AsId, vpn: Vpn) -> simmem::Pfn {
+    mem.read(space, vpn.base(), &mut [0u8; 1]).unwrap();
+    mem.resident_pfn(space, vpn).unwrap()
+}
+
+/// The reference model's bytes at `[addr, addr+len)`.
+fn model_bytes(reference: &HashMap<u64, u8>, addr: u64, len: u64) -> Vec<u8> {
+    (addr..addr + len)
+        .map(|b| reference.get(&b).copied().unwrap_or(0))
+        .collect()
 }
 
 struct Alloc {
@@ -108,6 +150,8 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
     // Reference: absolute byte address -> value (unwritten bytes are 0).
     let mut reference: HashMap<u64, u8> = HashMap::new();
     let mut pins: Vec<Vec<simmem::Pfn>> = Vec::new();
+    // Snapshots taken so far, each with the model's bytes at capture time.
+    let mut snapshots: Vec<(PageSnapshot, Vec<u8>)> = Vec::new();
 
     for op in ops {
         match op {
@@ -215,10 +259,64 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                     Err(e) => panic!("case {case}: unexpected migrate error {e}"),
                 }
             }
+            Op::Snapshot {
+                alloc_idx,
+                offset,
+                len,
+            } => {
+                if allocs.is_empty() {
+                    continue;
+                }
+                let a = &allocs[alloc_idx % allocs.len()];
+                let size = a.pages * PAGE_SIZE;
+                let offset = offset % size;
+                let len = len.min(size - offset);
+                let start = a.addr.add(offset);
+                let mut snap = PageSnapshot::default();
+                for (vpn, off, n) in page_chunks(start, len) {
+                    let pfn = resident(&mut mem, space, vpn);
+                    snap.push(mem.share_phys(pfn), off, n);
+                }
+                snapshots.push((snap, model_bytes(&reference, start.0, len)));
+            }
+            Op::Install {
+                from_idx,
+                from_page,
+                to_idx,
+                to_page,
+            } => {
+                if allocs.is_empty() {
+                    continue;
+                }
+                let from = &allocs[from_idx % allocs.len()];
+                let from = from.addr.add(from_page % from.pages * PAGE_SIZE);
+                let to = &allocs[to_idx % allocs.len()];
+                let to = to.addr.add(to_page % to.pages * PAGE_SIZE);
+                let pfn = resident(&mut mem, space, from.vpn());
+                let page = mem.share_phys(pfn);
+                let bytes = model_bytes(&reference, from.0, PAGE_SIZE);
+                let mut snap = PageSnapshot::default();
+                snap.push(page.clone(), 0, PAGE_SIZE);
+                snapshots.push((snap, bytes.clone()));
+                // Land it where the engine does: in a pinned frame.
+                let (pfns, _) = mem.pin_user_pages(space, to, PAGE_SIZE).unwrap();
+                mem.install_phys(pfns[0], page);
+                mem.unpin_pages(&pfns);
+                for (i, &b) in bytes.iter().enumerate() {
+                    reference.insert(to.0 + i as u64, b);
+                }
+                let mut back = vec![0u8; PAGE_SIZE as usize];
+                mem.read(space, to, &mut back).unwrap();
+                assert_eq!(back, bytes, "case {case}: installed page differs");
+            }
         }
         // Invariant: pinned page count equals the pins we hold.
         let held: usize = pins.iter().map(Vec::len).sum();
         assert_eq!(mem.frames().pinned_pages(), held, "case {case}");
+        // Invariant: no later operation changes a snapshot's bytes.
+        for (i, (snap, want)) in snapshots.iter().enumerate() {
+            assert!(snap.to_vec() == *want, "case {case}: snapshot {i} changed");
+        }
     }
 
     // Teardown: release pins, unmap everything; all frames return.

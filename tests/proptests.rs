@@ -11,7 +11,7 @@ use common::cfg;
 use openmx_core::region::{DriverRegion, RegionLayout, Segment};
 use openmx_core::PinningMode;
 use simcore::SimRng;
-use simmem::{Memory, Prot, PAGE_SIZE};
+use simmem::{Memory, PageSnapshot, Prot, PAGE_SIZE};
 
 /// Any message size in [1, 2 MiB], any mode, I/OAT on or off: the bytes
 /// arrive intact and nothing fails or leaks pins.
@@ -97,9 +97,10 @@ fn region_geometry_and_roundtrip() {
         let mut region = DriverRegion::new(space, &segments);
         region.pin_next_chunk(&mut mem, 10_000).unwrap();
         let data: Vec<u8> = (0..len).map(|i| (i % 241) as u8).collect();
-        region.write(&mut mem, offset, &data).unwrap();
-        let mut back = vec![0u8; len as usize];
-        region.read(&mem, offset, &mut back).unwrap();
+        region
+            .land(&mut mem, offset, &PageSnapshot::from_bytes(&data))
+            .unwrap();
+        let back = region.capture(&mem, offset, len).unwrap().to_vec();
         assert_eq!(&back, &data, "case {case}");
 
         // The application sees the same bytes through its page tables.
