@@ -37,24 +37,38 @@ fn bench_event_queue(b: &Bench) {
         }
         black_box(n)
     });
-    {
-        // The pull-reply pattern: every frame pops one event, then pushes
-        // the transfer's stall timer out (cancel the armed one, arm anew).
-        // Cancelled timers stay in the heap until their time comes, as in
-        // the engine.
-        const DEPTH: u64 = 20;
-        const STALL: SimDuration = SimDuration::from_nanos(100_000);
-        let gap = |v: u64| SimDuration::from_nanos((v * 7919) % 20_000 + 1);
+    // The pull-reply pattern: every frame pops one event, then pushes the
+    // transfer's stall timer out, either by cancelling the armed timer and
+    // arming anew or by moving it in place as the engine does.
+    const DEPTH: u64 = 20;
+    const STALL: SimDuration = SimDuration::from_nanos(100_000);
+    let gap = |v: u64| SimDuration::from_nanos((v * 7919) % 20_000 + 1);
+    let primed = || {
         let mut q = EventQueue::new();
         for v in 0..DEPTH {
             q.schedule(SimTime::ZERO + gap(v), v);
         }
-        let mut timer = q.schedule(SimTime::ZERO + STALL, u64::MAX);
+        let timer = q.schedule(SimTime::ZERO + STALL, u64::MAX);
+        (q, timer)
+    };
+    {
+        let (mut q, mut timer) = primed();
         b.bench("event_queue stall re-arm", || {
             let (t, v) = q.pop().expect("queue keeps its depth");
             q.schedule(t + gap(v + 1), v + 1);
             q.cancel(timer);
             timer = q.schedule(t + STALL, u64::MAX);
+            black_box(v)
+        });
+    }
+    {
+        let (mut q, mut timer) = primed();
+        b.bench("event_queue reschedule", || {
+            let (t, v) = q.pop().expect("queue keeps its depth");
+            q.schedule(t + gap(v + 1), v + 1);
+            timer = q
+                .reschedule(timer, t + STALL)
+                .expect("the timer never fires");
             black_box(v)
         });
     }

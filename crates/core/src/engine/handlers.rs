@@ -141,7 +141,12 @@ impl Cluster {
     ) {
         let len: u64 = segments.iter().map(|s| s.len).sum();
         let src_node = self.procs[proc.0 as usize].node;
-        let dst_node = self.procs[peer.0 as usize].node;
+        let Some(dst) = self.procs.get(peer.0 as usize) else {
+            self.nodes[src_node].counters.bump("requests_failed");
+            self.notify_app(proc, AppEvent::Failed(req, "no such peer"));
+            return;
+        };
+        let dst_node = dst.node;
         if src_node == dst_node {
             self.start_shm_send(proc, req, peer, match_info, &segments, len);
         } else if len < self.cfg.eager_threshold {
@@ -688,9 +693,8 @@ impl Cluster {
         let old = x.rndv_timer.take();
         let (node, region, proc, peer, total_len, xfer) =
             (x.node, x.region, x.proc, x.peer, x.total_len, x.xfer);
-        self.cancel_timer(old);
         let timeout = self.retrans_timeout(node, RetransKind::Rndv, msg.0, xfer, 0);
-        let t = self.arm_timer(timeout, TimerToken::RndvRetrans(msg));
+        let t = self.rearm_timer(old, timeout, TimerToken::RndvRetrans(msg));
         if let Some(x) = self.xfers.send.get_mut(&msg) {
             x.rndv_timer = Some(t);
         } else {
@@ -1263,9 +1267,8 @@ impl Cluster {
         };
         let t = x.stall_timer.take();
         let (node, xfer) = (x.node, x.xfer);
-        self.cancel_timer(t);
         let timeout = self.retrans_timeout(node, RetransKind::PullStall, pull.0, xfer, 0);
-        let timer = self.arm_timer(timeout, TimerToken::PullStall(pull));
+        let timer = self.rearm_timer(t, timeout, TimerToken::PullStall(pull));
         let Some(x) = self.xfers.recv.get_mut(&pull) else {
             self.queue.cancel(timer);
             return;

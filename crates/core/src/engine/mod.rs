@@ -429,7 +429,7 @@ impl Cluster {
 
     /// Timestamp of the next pending event, if any — `None` means the
     /// simulation is quiescent.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -1164,6 +1164,21 @@ impl Cluster {
     /// Arm a protocol timer.
     pub(crate) fn arm_timer(&mut self, after: SimDuration, token: TimerToken) -> EventId {
         self.queue.schedule(self.now + after, Event::Timer(token))
+    }
+
+    /// Push a pending timer out to `after` from now, or arm a fresh one
+    /// for `token` if `old` is gone. `old`, when pending, must carry
+    /// `token`: moving it is then the same as cancelling it and arming
+    /// anew.
+    pub(crate) fn rearm_timer(
+        &mut self,
+        old: Option<EventId>,
+        after: SimDuration,
+        token: TimerToken,
+    ) -> EventId {
+        let at = self.now + after;
+        old.and_then(|id| self.queue.reschedule(id, at))
+            .unwrap_or_else(|| self.queue.schedule(at, Event::Timer(token)))
     }
 
     /// Disarm a timer if still pending.

@@ -607,3 +607,31 @@ fn pull_replies_keep_the_bytes_of_their_send_time() {
     );
     assert_eq!(cl.inflight_xfers(), 0);
 }
+
+#[test]
+fn send_to_a_missing_peer_fails_cleanly() {
+    // One process, sending to a ProcId the cluster never created: the
+    // request fails with an error instead of bringing down the engine.
+    let failed: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
+    let failed2 = failed.clone();
+    let mut cl = cluster(PinningMode::Cached, 2);
+    cl.add_process(
+        0,
+        proc_of(
+            |ctx| {
+                let buf = ctx.malloc(4096);
+                ctx.isend(ProcId(7), 1, buf, 4096);
+            },
+            move |ctx, ev| {
+                if let AppEvent::Failed(_, reason) = ev {
+                    failed2.borrow_mut().push(reason);
+                    ctx.stop();
+                }
+            },
+        ),
+    );
+    cl.run(None);
+    assert_eq!(*failed.borrow(), vec!["no such peer"]);
+    assert_eq!(cl.counters().get("requests_failed"), 1);
+    assert_eq!(cl.inflight_xfers(), 0);
+}

@@ -4,7 +4,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time with nanosecond resolution,
 //! * [`Bandwidth`] — byte-rate arithmetic for link/copy-engine models,
-//! * [`EventQueue`] — a stable, cancellable priority queue of timed events,
+//! * [`EventQueue`] — a stable priority queue of timed events whose pending
+//!   entries can be cancelled or moved in place,
 //! * [`SimRng`] — a seedable, reproducible random number generator,
 //! * [`CpuCore`] — a two-priority-level run queue modelling a host core
 //!   (bottom-half interrupt work runs ahead of queued task work, as in Linux),

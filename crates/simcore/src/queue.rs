@@ -1,76 +1,74 @@
 //! The event queue at the heart of the simulator.
 //!
-//! A binary heap of `(time, sequence)`-ordered entries. The sequence number
-//! makes ordering *stable*: two events scheduled for the same instant pop in
-//! the order they were scheduled, which keeps simulations deterministic.
+//! An indexed binary min-heap ordered by `(time, sequence)`. The sequence
+//! number makes ordering *stable*: two events scheduled for the same
+//! instant pop in the order they were scheduled, which keeps simulations
+//! deterministic.
 //!
-//! Events can be cancelled by [`EventId`] (used for retransmission timers
-//! that are disarmed when the ack arrives). Cancellation is lazy — the entry
-//! stays in the heap and is skipped on pop — which keeps `cancel` O(1).
+//! The heap holds only small `(time, seq, slot)` keys; each event's payload
+//! sits in a *slot* of a `Vec` and moves twice in its life, once in
+//! [`EventQueue::schedule`] and once out of [`EventQueue::pop`]. Each slot
+//! records the sequence number of its occupant and the heap position of
+//! its key, and every sift keeps that position current. An [`EventId`] is
+//! the pair `(slot, seq)`, so [`EventQueue::cancel`] finds its key with no
+//! search and removes it at once: the heap holds live events only, and a
+//! cancelled event's slot is free for the next schedule. Because the
+//! sequence number must match, an id whose event already fired or was
+//! cancelled can never touch a later occupant of the same slot.
 //!
-//! Liveness is tracked without hashing. Every heap entry owns a *slot* in
-//! a `Vec`, and the slot records the sequence number of its live occupant
-//! (or [`VACANT`] once that occupant is cancelled). An [`EventId`] is the
-//! pair `(slot, seq)`, so cancelling is an indexed compare-and-clear, and
-//! an id whose event already fired or was cancelled can never match a later
-//! occupant of the same slot. A slot goes back on the free list only when
-//! its entry leaves the heap, through [`EventQueue::pop`] or
-//! [`EventQueue::peek_time`].
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventQueue::reschedule`] moves a pending event to a new time in place
+//! — the retransmission timers that every unit of progress pushes out —
+//! and is indistinguishable from cancelling it and scheduling its payload
+//! anew.
 
 use crate::time::SimTime;
 
-/// Identifies a scheduled event so it can be cancelled later.
+/// Identifies a scheduled event so it can be cancelled or rescheduled.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventId {
     slot: u32,
     seq: u64,
 }
 
-/// Slot value meaning "no live event": the occupant fired or was cancelled.
-/// Sequence numbers count up from zero and never reach it.
+/// Slot sequence number meaning "no live event": the occupant fired or was
+/// cancelled. Sequence numbers count up from zero and never reach it.
 const VACANT: u64 = u64::MAX;
 
-struct Entry<T> {
+/// A heap entry: the ordering key of one live event and the slot holding
+/// its payload.
+#[derive(Clone, Copy)]
+struct Key {
     time: SimTime,
     seq: u64,
     slot: u32,
-    payload: T,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Key {
+    /// Whether `self` pops before `other`.
+    fn before(&self, other: &Key) -> bool {
+        self.rank() < other.rank()
     }
-}
-impl<T> Eq for Entry<T> {}
 
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+    /// `(time, seq)` as one number, compared without branches.
+    fn rank(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+struct Slot<T> {
+    /// Sequence number of the live occupant, or [`VACANT`].
+    seq: u64,
+    /// Heap index of the occupant's key; meaningless while vacant.
+    pos: u32,
+    payload: Option<T>,
 }
 
 /// A time-ordered, stable, cancellable event queue.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    /// Per heap entry: the sequence number of its live event, or
-    /// [`VACANT`] if it was cancelled.
-    slots: Vec<u64>,
-    /// Slots whose entry has left the heap.
+    heap: Vec<Key>,
+    slots: Vec<Slot<T>>,
+    /// Vacant slots, reused last-freed first.
     free: Vec<u32>,
-    live: usize,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -85,46 +83,41 @@ impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
     }
 
     /// Schedule `payload` to fire at `time`. Returns an id usable with
-    /// [`EventQueue::cancel`].
+    /// [`EventQueue::cancel`] and [`EventQueue::reschedule`].
     ///
     /// # Panics
     /// Panics if `time` is earlier than the last popped event: the
     /// simulation may not schedule into its own past.
     pub fn schedule(&mut self, time: SimTime, payload: T) -> EventId {
-        assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time:?} < {:?}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.check_not_past(time);
+        let seq = self.take_seq();
+        let pos = u32::try_from(self.heap.len()).expect("event queue overflow");
+        let occupant = Slot {
+            seq,
+            pos,
+            payload: Some(payload),
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = seq;
+                self.slots[slot as usize] = occupant;
                 slot
             }
             None => {
-                self.slots.push(seq);
+                self.slots.push(occupant);
                 u32::try_from(self.slots.len() - 1).expect("event queue slot overflow")
             }
         };
-        self.live += 1;
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            payload,
-        });
+        self.heap.push(Key { time, seq, slot });
+        sift_up(&mut self.heap, &mut self.slots, pos as usize);
         EventId { slot, seq }
     }
 
@@ -132,62 +125,59 @@ impl<T> EventQueue<T> {
     /// still pending (not yet popped or cancelled). Cancelling an already
     /// fired event is a harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(occupant) if *occupant == id.seq => {
-                *occupant = VACANT;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+        let Some(pos) = self.pending_pos(id) else {
+            return false;
+        };
+        self.remove_key(pos);
+        self.release(id.slot);
+        true
     }
 
-    /// Take `entry`, just removed from the heap, out of its slot. Returns
-    /// whether it was live (not cancelled).
-    fn release(&mut self, entry: &Entry<T>) -> bool {
-        let occupant = std::mem::replace(&mut self.slots[entry.slot as usize], VACANT);
-        self.free.push(entry.slot);
-        occupant == entry.seq
+    /// Move a pending event to `time`, keeping its payload. Exactly
+    /// equivalent to cancelling it and scheduling the same payload at
+    /// `time`: the event takes a fresh sequence number, so it pops after
+    /// every event already scheduled for `time`. Returns the event's new
+    /// id, or `None` (changing nothing) if `id` no longer names a pending
+    /// event.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the last popped event, like
+    /// [`EventQueue::schedule`].
+    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> Option<EventId> {
+        self.check_not_past(time);
+        let pos = self.pending_pos(id)?;
+        let seq = self.take_seq();
+        self.slots[id.slot as usize].seq = seq;
+        let key = &mut self.heap[pos];
+        key.time = time;
+        key.seq = seq;
+        self.restore(pos);
+        Some(EventId { slot: id.slot, seq })
     }
 
-    /// Remove and return the earliest pending event, skipping cancelled ones.
+    /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.release(&entry) {
-                continue;
-            }
-            self.live -= 1;
-            self.last_popped = entry.time;
-            return Some((entry.time, entry.payload));
+        if self.heap.is_empty() {
+            return None;
         }
-        None
+        let key = self.remove_key(0);
+        self.last_popped = key.time;
+        Some((key.time, self.release(key.slot)))
     }
 
-    /// The timestamp of the next pending (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize] == entry.seq {
-                return Some(entry.time);
-            }
-            let entry = self.heap.pop().expect("peeked entry vanished");
-            self.release(&entry);
-        }
-        None
+    /// The timestamp of the next pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|key| key.time)
     }
 
-    /// Number of pending entries, *including* lazily cancelled ones.
-    pub fn raw_len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Number of live (non-cancelled) pending events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True if no live events remain.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// The timestamp of the most recently popped event — the queue's notion
@@ -195,6 +185,128 @@ impl<T> EventQueue<T> {
     pub fn now(&self) -> SimTime {
         self.last_popped
     }
+
+    fn check_not_past(&self, time: SimTime) {
+        assert!(
+            time >= self.last_popped,
+            "scheduling into the past: {time:?} < {:?}",
+            self.last_popped
+        );
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Heap position of the event `id` names, if it is still pending.
+    fn pending_pos(&self, id: EventId) -> Option<usize> {
+        match self.slots.get(id.slot as usize) {
+            Some(s) if s.seq == id.seq => Some(s.pos as usize),
+            _ => None,
+        }
+    }
+
+    /// Vacate `slot`, whose key has left the heap, and return its payload.
+    fn release(&mut self, slot: u32) -> T {
+        let s = &mut self.slots[slot as usize];
+        s.seq = VACANT;
+        self.free.push(slot);
+        s.payload.take().expect("occupied slot holds a payload")
+    }
+
+    /// Take the key at `pos` out of the heap, filling the hole with the
+    /// last key and sifting that into place.
+    fn remove_key(&mut self, pos: usize) -> Key {
+        let key = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            self.restore(pos);
+        }
+        key
+    }
+
+    /// Sift the key at `pos`, whose ordering just changed, to where it
+    /// belongs.
+    fn restore(&mut self, pos: usize) {
+        let (heap, slots) = (&mut self.heap[..], &mut self.slots[..]);
+        if pos > 0 && heap[pos].before(&heap[(pos - 1) / 2]) {
+            sift_up(heap, slots, pos);
+        } else {
+            sift_down(heap, slots, pos);
+        }
+    }
+
+    /// Assert the structure's invariants: heap order, every key's slot
+    /// pointing back at it, and vacant slots holding nothing.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        for (i, key) in self.heap.iter().enumerate() {
+            if i > 0 {
+                assert!(
+                    !key.before(&self.heap[(i - 1) / 2]),
+                    "heap order broken at {i}"
+                );
+            }
+            let s = &self.slots[key.slot as usize];
+            assert_eq!(s.pos as usize, i, "slot {} lost its key", key.slot);
+            assert_eq!(s.seq, key.seq, "slot {} holds another event", key.slot);
+        }
+        let occupied = self.slots.iter().filter(|s| s.seq != VACANT).count();
+        assert_eq!(occupied, self.len(), "occupied slots vs pending events");
+        for s in &self.slots {
+            assert_eq!(s.payload.is_some(), s.seq != VACANT, "payload vs occupancy");
+        }
+        for &f in &self.free {
+            assert_eq!(
+                self.slots[f as usize].seq, VACANT,
+                "free slot {f} is occupied"
+            );
+        }
+        assert_eq!(self.free.len() + occupied, self.slots.len(), "free list");
+    }
+}
+
+// The sift helpers take the heap and the slots as two slices, since every
+// key they move writes its new index into its slot.
+
+/// Write `key` at heap index `pos` and record that index in its slot.
+fn place<T>(heap: &mut [Key], slots: &mut [Slot<T>], pos: usize, key: Key) {
+    heap[pos] = key;
+    slots[key.slot as usize].pos = pos as u32;
+}
+
+fn sift_up<T>(heap: &mut [Key], slots: &mut [Slot<T>], mut pos: usize) {
+    let key = heap[pos];
+    while pos > 0 {
+        let parent = (pos - 1) / 2;
+        if !key.before(&heap[parent]) {
+            break;
+        }
+        place(heap, slots, pos, heap[parent]);
+        pos = parent;
+    }
+    place(heap, slots, pos, key);
+}
+
+fn sift_down<T>(heap: &mut [Key], slots: &mut [Slot<T>], mut pos: usize) {
+    let key = heap[pos];
+    let len = heap.len();
+    loop {
+        let mut child = 2 * pos + 1;
+        if child >= len {
+            break;
+        }
+        if child + 1 < len && heap[child + 1].before(&heap[child]) {
+            child += 1;
+        }
+        if !heap[child].before(&key) {
+            break;
+        }
+        place(heap, slots, pos, heap[child]);
+        pos = child;
+    }
+    place(heap, slots, pos, key);
 }
 
 #[cfg(test)]
@@ -246,7 +358,6 @@ mod tests {
         let a = q.schedule(t(1), "a");
         assert_eq!(q.pop(), Some((t(1), "a")));
         assert!(!q.cancel(a));
-        // Re-scheduling still works and the tombstone set stays clean.
         q.schedule(t(2), "b");
         assert_eq!(q.pop(), Some((t(2), "b")));
     }
@@ -280,18 +391,38 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_slot_is_reused_only_after_its_entry_leaves_the_heap() {
+    fn cancelled_slot_is_reused_at_once() {
         let mut q = EventQueue::new();
+        q.schedule(t(9), "z");
         let a = q.schedule(t(5), "a");
         assert!(q.cancel(a));
+        assert_eq!(q.len(), 1);
         let b = q.schedule(t(6), "b");
-        assert_ne!(b.slot, a.slot, "a's entry is still in the heap");
-        assert_eq!(q.peek_time(), Some(t(6)));
-        let c = q.schedule(t(7), "c");
-        assert_eq!(c.slot, a.slot, "peek_time discarded a's entry");
-        assert!(!q.cancel(a));
+        assert_eq!(b.slot, a.slot, "a's slot was freed by the cancel");
+        assert!(
+            !q.cancel(a),
+            "a stale id cannot cancel the slot's new occupant"
+        );
+        assert!(q.reschedule(a, t(7)).is_none());
         assert_eq!(q.pop(), Some((t(6), "b")));
-        assert_eq!(q.pop(), Some((t(7), "c")));
+        assert_eq!(q.pop(), Some((t(9), "z")));
+    }
+
+    #[test]
+    fn reschedule_moves_the_event_either_way() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
+        q.schedule(t(3), "c");
+        let a = q.reschedule(a, t(4)).expect("a is pending");
+        let a = q.reschedule(a, t(2)).expect("a is still pending");
+        assert_eq!(q.len(), 3);
+        // A fresh sequence number: a now ties after b.
+        assert_eq!(q.pop(), Some((t(2), "b")));
+        assert_eq!(q.pop(), Some((t(2), "a")));
+        assert!(q.reschedule(a, t(5)).is_none(), "a already fired");
+        assert_eq!(q.pop(), Some((t(3), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     /// The queue's contract, kept as plainly as possible: a list of live
@@ -325,6 +456,12 @@ mod tests {
         fn peek_time(&self) -> Option<SimTime> {
             self.earliest().map(|i| self.live[i].0)
         }
+        /// Cancel plus schedule of the same payload.
+        fn reschedule(&mut self, seq: u64, time: SimTime) -> Option<u64> {
+            let i = self.live.iter().position(|&(_, s, _)| s == seq)?;
+            let (_, _, payload) = self.live.remove(i);
+            Some(self.schedule(time, payload))
+        }
     }
 
     #[test]
@@ -337,7 +474,7 @@ mod tests {
             // so stale cancels are exercised too.
             let mut ids: Vec<(EventId, u64)> = Vec::new();
             for step in 0..2_000u64 {
-                match rng.below(10) {
+                match rng.below(12) {
                     0..=3 => {
                         let at = q.now() + SimDuration::from_nanos(rng.below(50));
                         let id = q.schedule(at, step);
@@ -347,16 +484,31 @@ mod tests {
                         let (id, seq) = ids[rng.below(ids.len() as u64) as usize];
                         assert_eq!(q.cancel(id), model.cancel(seq), "seed {seed} step {step}");
                     }
-                    6..=8 => assert_eq!(q.pop(), model.pop(), "seed {seed} step {step}"),
+                    6..=7 if !ids.is_empty() => {
+                        let (id, seq) = ids[rng.below(ids.len() as u64) as usize];
+                        let at = q.now() + SimDuration::from_nanos(rng.below(50));
+                        let moved = q.reschedule(id, at);
+                        let moved_seq = model.reschedule(seq, at);
+                        assert_eq!(
+                            moved.is_some(),
+                            moved_seq.is_some(),
+                            "seed {seed} step {step}"
+                        );
+                        if let (Some(id), Some(seq)) = (moved, moved_seq) {
+                            ids.push((id, seq));
+                        }
+                    }
+                    8..=10 => assert_eq!(q.pop(), model.pop(), "seed {seed} step {step}"),
                     _ => assert_eq!(q.peek_time(), model.peek_time(), "seed {seed} step {step}"),
                 }
+                q.check_invariants();
                 assert_eq!(q.len(), model.live.len(), "seed {seed} step {step}");
             }
             while let Some(ev) = q.pop() {
                 assert_eq!(Some(ev), model.pop(), "seed {seed} drain");
             }
             assert_eq!(model.pop(), None);
-            assert_eq!(q.raw_len(), 0);
+            q.check_invariants();
         }
     }
 
