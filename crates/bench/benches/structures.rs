@@ -120,6 +120,25 @@ fn bench_pin_path(b: &Bench) {
         });
     }
     {
+        // The realloc-churn cycle in memory alone: a fresh buffer is
+        // pinned (faulting every page in), freed while pinned, and its
+        // pins dropped after the notifier fired.
+        let mut mem = Memory::new(512, 0);
+        let space = mem.create_space();
+        mem.register_notifier(space).unwrap();
+        let first = mem.mmap(space, 64 * PAGE_SIZE, Prot::ReadWrite).unwrap();
+        mem.munmap(space, first, 64 * PAGE_SIZE).unwrap();
+        b.bench("mmap+pin+munmap 64 pages (realloc churn)", || {
+            let addr = mem.mmap(space, 64 * PAGE_SIZE, Prot::ReadWrite).unwrap();
+            assert_eq!(addr, first, "the freed range is handed out again");
+            let (pfns, _) = mem.pin_user_pages(space, addr, 64 * PAGE_SIZE).unwrap();
+            let evs = mem.munmap(space, addr, 64 * PAGE_SIZE).unwrap();
+            assert_eq!(evs.len(), 1);
+            mem.unpin_pages(&pfns);
+            black_box(pfns.len())
+        });
+    }
+    {
         let mut mem = Memory::new(512, 0);
         let space = mem.create_space();
         mem.register_notifier(space).unwrap();

@@ -25,6 +25,7 @@ pub mod addr;
 pub mod error;
 pub mod frame;
 pub mod heap;
+mod pagetable;
 pub mod snapshot;
 pub mod space;
 pub mod vma;

@@ -14,6 +14,16 @@
 //!   virtual→physical association returns [`NotifierEvent`]s when a notifier
 //!   is registered on the space.
 //!
+//! ## Page tables and range walks
+//!
+//! Each space maps virtual pages to frames or swap slots through a
+//! two-level radix [`PageTable`]. Operations over a page range (`read`,
+//! `write`, `pin_user_pages_partial`) look up each VMA once and then fault
+//! its pages in one after another; `munmap` drains the table range of each
+//! removed VMA and releases every frame and swap slot inline. Every walk
+//! runs in ascending page order, so frames return to the free list, and
+//! are handed out again, in a fixed order.
+//!
 //! ## Notifier semantics
 //!
 //! Linux invokes `invalidate_range_start` synchronously, inside the mm
@@ -24,12 +34,12 @@
 //! survive `munmap` until the driver drops its pins, exactly as pages held
 //! by `get_user_pages` do.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange};
 use crate::error::MemError;
 use crate::frame::FrameAllocator;
+use crate::pagetable::{PageTable, Pte};
 use crate::vma::{Prot, VmaSet};
 
 /// Identifies one address space within a [`Memory`].
@@ -63,15 +73,9 @@ pub struct NotifierEvent {
     pub cause: InvalidateCause,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Pte {
-    Resident { pfn: Pfn, cow: bool },
-    Swapped { slot: u32 },
-}
-
 struct AddressSpace {
     vmas: VmaSet,
-    ptes: BTreeMap<u64, Pte>,
+    ptes: PageTable,
     notifier: bool,
     /// Lowest page considered by the gap search; keeps user mappings away
     /// from page 0 so null-ish addresses fault.
@@ -182,7 +186,7 @@ impl Memory {
     pub fn create_space(&mut self) -> AsId {
         let space = AddressSpace {
             vmas: VmaSet::new(),
-            ptes: BTreeMap::new(),
+            ptes: PageTable::default(),
             notifier: false,
             base: Vpn(0x100),
             limit: Vpn(1 << 36), // 48-bit VA, way beyond any workload here
@@ -199,18 +203,16 @@ impl Memory {
     /// Destroy an address space, dropping every mapping. Returns the
     /// `Release` notifier event if one was registered.
     pub fn destroy_space(&mut self, id: AsId) -> Result<Vec<NotifierEvent>, MemError> {
-        let space = self.space_mut(id)?;
-        let notifier = space.notifier;
-        let ptes = std::mem::take(&mut space.ptes);
-        let full = VpnRange::new(Vpn(0), space.limit);
-        self.spaces[id.0 as usize] = None;
-        for (_, pte) in ptes {
-            match pte {
-                Pte::Resident { pfn, .. } => self.frames.put(pfn),
-                Pte::Swapped { slot } => self.swap.drop_slot(slot),
-            }
+        let space = self
+            .spaces
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .ok_or(MemError::NoSuchSpace)?;
+        for (_, pte) in space.ptes.iter() {
+            release(&mut self.frames, &mut self.swap, pte);
         }
-        Ok(if notifier {
+        let full = VpnRange::new(Vpn(0), space.limit);
+        Ok(if space.notifier {
             vec![NotifierEvent {
                 space: id,
                 range: full,
@@ -242,10 +244,21 @@ impl Memory {
     }
 
     fn space_mut(&mut self, id: AsId) -> Result<&mut AddressSpace, MemError> {
-        self.spaces
+        Ok(self.parts(id)?.0)
+    }
+
+    /// Split borrows of space `id`, the frame pool and swap, for walks
+    /// that update all three.
+    fn parts(
+        &mut self,
+        id: AsId,
+    ) -> Result<(&mut AddressSpace, &mut FrameAllocator, &mut SwapSpace), MemError> {
+        let space = self
+            .spaces
             .get_mut(id.0 as usize)
             .and_then(Option::as_mut)
-            .ok_or(MemError::NoSuchSpace)
+            .ok_or(MemError::NoSuchSpace)?;
+        Ok((space, &mut self.frames, &mut self.swap))
     }
 
     /// Map `len` bytes (rounded up to pages) of zeroed anonymous memory.
@@ -292,31 +305,17 @@ impl Memory {
     ) -> Result<Vec<NotifierEvent>, MemError> {
         let range = VpnRange::covering(addr.page_floor(), len + addr.page_offset());
         let mut events = Vec::new();
-        let mut dropped: Vec<Pte> = Vec::new();
-        {
-            let space = self.space_mut(id)?;
-            let notifier = space.notifier;
-            let removed = space.vmas.remove(range);
-            for sub in removed {
-                let vpns: Vec<u64> = space.ptes.range(sub.as_raw()).map(|(k, _)| *k).collect();
-                for vpn in vpns {
-                    if let Some(pte) = space.ptes.remove(&vpn) {
-                        dropped.push(pte);
-                    }
-                }
-                if notifier {
-                    events.push(NotifierEvent {
-                        space: id,
-                        range: sub,
-                        cause: InvalidateCause::Unmap,
-                    });
-                }
-            }
-        }
-        for pte in dropped {
-            match pte {
-                Pte::Resident { pfn, .. } => self.frames.put(pfn),
-                Pte::Swapped { slot } => self.swap.drop_slot(slot),
+        let (space, frames, swap) = self.parts(id)?;
+        for sub in space.vmas.remove(range) {
+            space
+                .ptes
+                .drain_range(sub.as_raw(), |_, pte| release(frames, swap, pte));
+            if space.notifier {
+                events.push(NotifierEvent {
+                    space: id,
+                    range: sub,
+                    cause: InvalidateCause::Unmap,
+                });
             }
         }
         Ok(events)
@@ -330,78 +329,44 @@ impl Memory {
         }
     }
 
-    /// Handle a (simulated) page fault at `vpn`. Returns the resident frame.
-    /// With `write == true` this breaks COW, possibly emitting a `CowBreak`
-    /// notifier event into `events`.
-    fn fault(
+    /// Fault in every page of `range` in ascending order, handing each
+    /// page's frame to `each`. Each VMA is looked up once and its pages
+    /// walked; the walk stops at the first page that fails, with the same
+    /// error a fault on that page alone would give. With `write == true`
+    /// this breaks COW, possibly emitting `CowBreak` events into `events`.
+    fn fault_range(
         &mut self,
         id: AsId,
-        vpn: Vpn,
+        range: VpnRange,
         write: bool,
         events: &mut Vec<NotifierEvent>,
-    ) -> Result<Pfn, MemError> {
-        let space = self.space(id)?;
-        let vma = space
-            .vmas
-            .find(vpn)
-            .ok_or(MemError::BadAddress(vpn.base()))?;
-        if write && !vma.prot.writable() {
-            return Err(MemError::ProtectionFault(vpn.base()));
+        mut each: impl FnMut(&mut FrameAllocator, Pfn),
+    ) -> Result<(), MemError> {
+        if range.is_empty() {
+            return Ok(());
         }
-        let notifier = space.notifier;
-        let pte = space.ptes.get(&vpn.0).copied();
-        match pte {
-            None => {
-                // Demand-zero fault.
-                let pfn = self.frames.alloc()?;
-                self.space_mut(id)?
-                    .ptes
-                    .insert(vpn.0, Pte::Resident { pfn, cow: false });
-                Ok(pfn)
+        let (space, frames, swap) = self.parts(id)?;
+        let mut vpn = range.start;
+        while vpn < range.end {
+            let vma = space
+                .vmas
+                .find(vpn)
+                .ok_or(MemError::BadAddress(vpn.base()))?;
+            if write && !vma.prot.writable() {
+                return Err(MemError::ProtectionFault(vpn.base()));
             }
-            Some(Pte::Swapped { slot }) => {
-                let data = self.swap.load(slot);
-                let pfn = self.frames.alloc()?;
-                self.frames.install(pfn, data);
-                self.space_mut(id)?
-                    .ptes
-                    .insert(vpn.0, Pte::Resident { pfn, cow: false });
-                Ok(pfn)
-            }
-            Some(Pte::Resident { pfn, cow }) => {
-                if write && cow {
-                    if self.frames.refcount(pfn) > 1 {
-                        // Shared: copy to a private frame.
-                        let new = self.frames.alloc()?;
-                        self.frames.copy_frame(pfn, new);
-                        self.frames.put(pfn);
-                        self.space_mut(id)?.ptes.insert(
-                            vpn.0,
-                            Pte::Resident {
-                                pfn: new,
-                                cow: false,
-                            },
-                        );
-                        if notifier {
-                            events.push(NotifierEvent {
-                                space: id,
-                                range: VpnRange::new(vpn, vpn.next()),
-                                cause: InvalidateCause::CowBreak,
-                            });
-                        }
-                        Ok(new)
-                    } else {
-                        // Sole owner: just drop the COW bit.
-                        self.space_mut(id)?
-                            .ptes
-                            .insert(vpn.0, Pte::Resident { pfn, cow: false });
-                        Ok(pfn)
-                    }
-                } else {
-                    Ok(pfn)
-                }
+            let end = vma.range.end.min(range.end);
+            while vpn < end {
+                let pfn = match space.ptes.get(vpn.0) {
+                    // Resident and needing no COW break: the common case.
+                    Some(Pte::Resident { pfn, cow }) if !(write && cow) => pfn,
+                    pte => fault_in(id, space, frames, swap, vpn, pte, events)?,
+                };
+                each(frames, pfn);
+                vpn = vpn.next();
             }
         }
+        Ok(())
     }
 
     /// Application write through the page tables. Faults pages in and
@@ -412,27 +377,41 @@ impl Memory {
         addr: VirtAddr,
         data: &[u8],
     ) -> Result<Vec<NotifierEvent>, MemError> {
+        let len = data.len() as u64;
         let mut events = Vec::new();
+        let mut chunks = page_chunks(addr, len);
         let mut cursor = 0usize;
-        for (vpn, off, n) in page_chunks(addr, data.len() as u64) {
-            let pfn = self.fault(id, vpn, true, &mut events)?;
-            self.frames
-                .write(pfn, off, &data[cursor..cursor + n as usize]);
-            cursor += n as usize;
-        }
+        self.fault_range(
+            id,
+            VpnRange::covering(addr, len),
+            true,
+            &mut events,
+            |frames, pfn| {
+                let (_, off, n) = chunks.next().expect("one chunk per page");
+                frames.write(pfn, off, &data[cursor..cursor + n as usize]);
+                cursor += n as usize;
+            },
+        )?;
         Ok(events)
     }
 
     /// Application read through the page tables.
     pub fn read(&mut self, id: AsId, addr: VirtAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        let len = buf.len() as u64;
         let mut events = Vec::new();
+        let mut chunks = page_chunks(addr, len);
         let mut cursor = 0usize;
-        for (vpn, off, n) in page_chunks(addr, buf.len() as u64) {
-            let pfn = self.fault(id, vpn, false, &mut events)?;
-            self.frames
-                .read(pfn, off, &mut buf[cursor..cursor + n as usize]);
-            cursor += n as usize;
-        }
+        self.fault_range(
+            id,
+            VpnRange::covering(addr, len),
+            false,
+            &mut events,
+            |frames, pfn| {
+                let (_, off, n) = chunks.next().expect("one chunk per page");
+                frames.read(pfn, off, &mut buf[cursor..cursor + n as usize]);
+                cursor += n as usize;
+            },
+        )?;
         debug_assert!(events.is_empty(), "read faults never invalidate");
         Ok(())
     }
@@ -476,25 +455,16 @@ impl Memory {
         let range = VpnRange::covering(addr, len);
         let mut events = Vec::new();
         let mut pinned = Vec::with_capacity(range.len() as usize);
-        for vpn in range.iter() {
-            match self.fault(id, vpn, true, &mut events) {
-                Ok(pfn) => {
-                    self.frames.pin(pfn);
-                    pinned.push(pfn);
-                }
-                Err(e) => {
-                    return PartialPin {
-                        pfns: pinned,
-                        events,
-                        error: Some(e),
-                    };
-                }
-            }
-        }
+        let error = self
+            .fault_range(id, range, true, &mut events, |frames, pfn| {
+                frames.pin(pfn);
+                pinned.push(pfn);
+            })
+            .err();
         PartialPin {
             pfns: pinned,
             events,
-            error: None,
+            error,
         }
     }
 
@@ -522,7 +492,7 @@ impl Memory {
     pub fn swap_out(&mut self, id: AsId, vpn: Vpn) -> Result<Vec<NotifierEvent>, MemError> {
         let space = self.space(id)?;
         let notifier = space.notifier;
-        let pte = space.ptes.get(&vpn.0).copied();
+        let pte = space.ptes.get(vpn.0);
         match pte {
             Some(Pte::Resident { pfn, cow }) => {
                 if self.frames.is_pinned(pfn) {
@@ -556,7 +526,7 @@ impl Memory {
     pub fn migrate(&mut self, id: AsId, vpn: Vpn) -> Result<Vec<NotifierEvent>, MemError> {
         let space = self.space(id)?;
         let notifier = space.notifier;
-        let pte = space.ptes.get(&vpn.0).copied();
+        let pte = space.ptes.get(vpn.0);
         match pte {
             Some(Pte::Resident { pfn, cow }) => {
                 if self.frames.is_pinned(pfn) {
@@ -586,43 +556,45 @@ impl Memory {
     /// copy-on-write. Swapped pages are duplicated. (Linux fires no
     /// notifier on fork itself; hazards surface at the later COW breaks.)
     pub fn fork_space(&mut self, parent: AsId) -> Result<AsId, MemError> {
-        let (vmas, ptes) = {
-            let p = self.space(parent)?;
-            (p.vmas.clone(), p.ptes.clone())
-        };
-        let child = self.create_space();
-        let mut child_ptes = BTreeMap::new();
-        for (vpn, pte) in &ptes {
-            match *pte {
-                Pte::Resident { pfn, .. } => {
-                    self.frames.get(pfn);
-                    child_ptes.insert(*vpn, Pte::Resident { pfn, cow: true });
+        let p = self.space(parent)?;
+        // Check swap up front so a failed fork leaves nothing behind.
+        let swapped = p
+            .ptes
+            .iter()
+            .filter(|(_, pte)| matches!(pte, Pte::Swapped { .. }))
+            .count();
+        if swapped > self.swap.free.len() {
+            return Err(MemError::OutOfSwap);
+        }
+        let (vmas, mut ptes) = (p.vmas.clone(), p.ptes.clone());
+        for pte in ptes.values_mut() {
+            match pte {
+                Pte::Resident { pfn, cow } => {
+                    self.frames.get(*pfn);
+                    *cow = true;
                 }
                 Pte::Swapped { slot } => {
-                    let dup = self.swap.duplicate(slot)?;
-                    child_ptes.insert(*vpn, Pte::Swapped { slot: dup });
+                    *slot = self.swap.duplicate(*slot).expect("free slots counted");
                 }
             }
         }
         // Mark the parent's resident pages COW as well.
-        {
-            let p = self.space_mut(parent)?;
-            for pte in p.ptes.values_mut() {
-                if let Pte::Resident { cow, .. } = pte {
-                    *cow = true;
-                }
+        for pte in self.space_mut(parent)?.ptes.values_mut() {
+            if let Pte::Resident { cow, .. } = pte {
+                *cow = true;
             }
         }
+        let child = self.create_space();
         let c = self.space_mut(child)?;
         c.vmas = vmas;
-        c.ptes = child_ptes;
+        c.ptes = ptes;
         Ok(child)
     }
 
     /// The resident frame backing `vpn`, if any (driver-side lookup).
     pub fn resident_pfn(&self, id: AsId, vpn: Vpn) -> Option<Pfn> {
-        match self.space(id).ok()?.ptes.get(&vpn.0)? {
-            Pte::Resident { pfn, .. } => Some(*pfn),
+        match self.space(id).ok()?.ptes.get(vpn.0)? {
+            Pte::Resident { pfn, .. } => Some(pfn),
             Pte::Swapped { .. } => None,
         }
     }
@@ -653,7 +625,7 @@ impl Memory {
             .ptes
             .range(range.as_raw())
             .filter(|(_, pte)| matches!(pte, Pte::Resident { .. }))
-            .map(|(&vpn, _)| Vpn(vpn))
+            .map(|(vpn, _)| Vpn(vpn))
             .collect()
     }
 
@@ -689,6 +661,59 @@ impl Memory {
     pub fn swap_used(&self) -> usize {
         self.swap.used
     }
+}
+
+/// Return a dropped page's frame reference or swap slot.
+fn release(frames: &mut FrameAllocator, swap: &mut SwapSpace, pte: Pte) {
+    match pte {
+        Pte::Resident { pfn, .. } => frames.put(pfn),
+        Pte::Swapped { slot } => swap.drop_slot(slot),
+    }
+}
+
+/// The slow path of a fault on `vpn` of `space`, whose VMA the caller has
+/// already checked (present, and writable for a write) and whose entry
+/// `pte` does not map a frame the access may use as it is. The page is
+/// zero-filled or swapped in, or, for a write to a COW page, the COW bit
+/// is dropped if the frame has no other mapping and the page is copied to
+/// a private frame otherwise, which emits a `CowBreak` event into
+/// `events` when a notifier is registered. Returns the resident frame.
+fn fault_in(
+    id: AsId,
+    space: &mut AddressSpace,
+    frames: &mut FrameAllocator,
+    swap: &mut SwapSpace,
+    vpn: Vpn,
+    pte: Option<Pte>,
+    events: &mut Vec<NotifierEvent>,
+) -> Result<Pfn, MemError> {
+    let pfn = match pte {
+        // Demand-zero fault.
+        None => frames.alloc()?,
+        Some(Pte::Swapped { slot }) => {
+            let pfn = frames.alloc()?;
+            frames.install(pfn, swap.load(slot));
+            pfn
+        }
+        // Sole owner: just drop the COW bit.
+        Some(Pte::Resident { pfn, .. }) if frames.refcount(pfn) == 1 => pfn,
+        Some(Pte::Resident { pfn, .. }) => {
+            // Shared: copy to a private frame.
+            let new = frames.alloc()?;
+            frames.copy_frame(pfn, new);
+            frames.put(pfn);
+            if space.notifier {
+                events.push(NotifierEvent {
+                    space: id,
+                    range: VpnRange::new(vpn, vpn.next()),
+                    cause: InvalidateCause::CowBreak,
+                });
+            }
+            new
+        }
+    };
+    space.ptes.insert(vpn.0, Pte::Resident { pfn, cow: false });
+    Ok(pfn)
 }
 
 #[cfg(test)]
@@ -867,6 +892,44 @@ mod tests {
         assert_eq!(back, bytes, "duplicated slot saw the parent's write");
         assert_eq!(&*held, &bytes[..], "held page saw a later write");
         assert_eq!(m.frames().pinned_pages(), 0);
+    }
+
+    #[test]
+    fn fork_out_of_swap_leaves_nothing_behind() {
+        let mut m = Memory::new(8, 1);
+        let a = m.create_space();
+        let addr = m.mmap(a, 2 * PAGE_SIZE, Prot::ReadWrite).unwrap();
+        m.write(a, addr, &vec![5u8; 2 * PAGE_SIZE as usize])
+            .unwrap();
+        // The only swap slot holds page 1, so page 1 cannot be duplicated.
+        m.swap_out(a, addr.add(PAGE_SIZE).vpn()).unwrap();
+        assert!(matches!(m.fork_space(a), Err(MemError::OutOfSwap)));
+        assert_eq!(m.space_ids(), vec![a], "no half-built child");
+        let pfn = m.resident_pfn(a, addr.vpn()).unwrap();
+        assert_eq!(m.frames().refcount(pfn), 1, "no reference taken");
+        assert_eq!(m.swap_used(), 1, "no slot duplicated");
+        // The parent's page is not left COW: a write lands in place.
+        m.write(a, addr, b"x").unwrap();
+        assert_eq!(m.resident_pfn(a, addr.vpn()), Some(pfn));
+    }
+
+    #[test]
+    fn swap_in_out_of_memory_keeps_the_swapped_page() {
+        let mut m = Memory::new(1, 1);
+        let a = m.create_space();
+        let addr = m.mmap(a, 2 * PAGE_SIZE, Prot::ReadWrite).unwrap();
+        m.write(a, addr, b"kept").unwrap();
+        m.swap_out(a, addr.vpn()).unwrap();
+        m.write(a, addr.add(PAGE_SIZE), b"y").unwrap(); // takes the only frame
+        let mut buf = [0u8; 4];
+        assert!(matches!(
+            m.read(a, addr, &mut buf),
+            Err(MemError::OutOfMemory)
+        ));
+        assert_eq!(m.swap_used(), 1, "the page is still in swap");
+        m.munmap(a, addr.add(PAGE_SIZE), PAGE_SIZE).unwrap();
+        m.read(a, addr, &mut buf).unwrap();
+        assert_eq!(&buf, b"kept");
     }
 
     #[test]

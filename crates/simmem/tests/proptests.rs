@@ -25,6 +25,12 @@ enum Op {
     Munmap {
         alloc_idx: usize,
     },
+    /// Unmap a sub-range of an allocation, splitting its VMA.
+    MunmapPart {
+        alloc_idx: usize,
+        first: u64,
+        pages: u64,
+    },
     Write {
         alloc_idx: usize,
         offset: u64,
@@ -65,22 +71,32 @@ enum Op {
 }
 
 fn random_op(rng: &mut SimRng) -> Op {
-    match rng.below(10) {
+    match rng.below(11) {
+        // Now and then more than a page-table leaf (512 pages), so that
+        // allocations straddle a leaf boundary.
+        0 if rng.chance(0.125) => Op::Mmap {
+            pages: rng.range_inclusive(513, 1100),
+        },
         0 => Op::Mmap {
             pages: rng.range_inclusive(1, 15),
         },
         1 => Op::Munmap {
             alloc_idx: rng.next_u64() as usize,
         },
+        10 => Op::MunmapPart {
+            alloc_idx: rng.next_u64() as usize,
+            first: rng.below(1 << 11),
+            pages: rng.range_inclusive(1, 600),
+        },
         2 => Op::Write {
             alloc_idx: rng.next_u64() as usize,
-            offset: rng.below(8192),
+            offset: rng.below(1 << 23),
             len: rng.range_inclusive(1, 4095),
             byte: rng.next_u64() as u8,
         },
         3 => Op::Read {
             alloc_idx: rng.next_u64() as usize,
-            offset: rng.below(8192),
+            offset: rng.below(1 << 23),
             len: rng.range_inclusive(1, 4095),
         },
         4 => Op::Pin {
@@ -89,22 +105,22 @@ fn random_op(rng: &mut SimRng) -> Op {
         5 => Op::UnpinOldest,
         6 => Op::SwapOut {
             alloc_idx: rng.next_u64() as usize,
-            page: rng.below(16),
+            page: rng.below(1 << 11),
         },
         7 => Op::Migrate {
             alloc_idx: rng.next_u64() as usize,
-            page: rng.below(16),
+            page: rng.below(1 << 11),
         },
         8 => Op::Snapshot {
             alloc_idx: rng.next_u64() as usize,
-            offset: rng.below(8192),
+            offset: rng.below(1 << 23),
             len: rng.range_inclusive(1, 3 * PAGE_SIZE),
         },
         _ => Op::Install {
             from_idx: rng.next_u64() as usize,
-            from_page: rng.below(16),
+            from_page: rng.below(1 << 11),
             to_idx: rng.next_u64() as usize,
-            to_page: rng.below(16),
+            to_page: rng.below(1 << 11),
         },
     }
 }
@@ -129,8 +145,8 @@ struct Alloc {
 }
 
 /// Reads agree with a reference byte map under arbitrary interleavings of
-/// mmap/munmap/write/swap/migrate/pin, and frame/pin accounting balances
-/// at the end.
+/// mmap/munmap (whole and partial)/write/swap/migrate/pin, and frame/pin
+/// accounting balances at the end.
 #[test]
 fn memory_agrees_with_reference_model() {
     let mut rng = SimRng::new(0x5133_0001);
@@ -142,7 +158,7 @@ fn memory_agrees_with_reference_model() {
 }
 
 fn run_reference_case(case: u32, ops: Vec<Op>) {
-    let mut mem = Memory::new(2048, 1024);
+    let mut mem = Memory::new(16384, 1024);
     let space = mem.create_space();
     mem.register_notifier(space).unwrap();
 
@@ -169,8 +185,39 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 for ev in &evs {
                     assert_eq!(ev.cause, InvalidateCause::Unmap, "case {case}");
                 }
-                for b in a.addr.0..a.addr.0 + a.pages * PAGE_SIZE {
-                    reference.remove(&b);
+                let gone = a.addr.0..a.addr.0 + a.pages * PAGE_SIZE;
+                reference.retain(|b, _| !gone.contains(b));
+            }
+            Op::MunmapPart {
+                alloc_idx,
+                first,
+                pages,
+            } => {
+                if allocs.is_empty() {
+                    continue;
+                }
+                let a = allocs.remove(alloc_idx % allocs.len());
+                let first = first % a.pages;
+                let n = pages.min(a.pages - first);
+                let cut = a.addr.add(first * PAGE_SIZE);
+                let evs = mem.munmap(space, cut, n * PAGE_SIZE).unwrap();
+                assert_eq!(evs.len(), 1, "case {case}");
+                assert_eq!(evs[0].range.start, cut.vpn(), "case {case}");
+                assert_eq!(evs[0].range.len(), n, "case {case}");
+                let gone = cut.0..cut.0 + n * PAGE_SIZE;
+                reference.retain(|b, _| !gone.contains(b));
+                // What is left of the allocation: up to two pieces.
+                if first > 0 {
+                    allocs.push(Alloc {
+                        addr: a.addr,
+                        pages: first,
+                    });
+                }
+                if first + n < a.pages {
+                    allocs.push(Alloc {
+                        addr: cut.add(n * PAGE_SIZE),
+                        pages: a.pages - first - n,
+                    });
                 }
             }
             Op::Write {
@@ -413,4 +460,81 @@ fn pinned_frames_are_immovable() {
         mem.unpin_pages(&pfns);
         assert_eq!(mem.frames().allocated(), 0, "case {case}");
     }
+}
+
+/// A pin or write that runs from a writable mapping into a read-only one
+/// (`ProtectionFault`) or into an unmapped hole (`BadAddress`) stops at
+/// the failing page: exactly the pages before it are pinned or written,
+/// and the failing page is not faulted in.
+#[test]
+fn range_walks_stop_at_the_first_bad_page() {
+    const BASE: u64 = 0x1000_0000;
+    // Pages [0, 3) read-write, [3, 5) read-only; then [8, 12) read-write
+    // and an unmapped hole from page 12.
+    let page = |i: u64| VirtAddr(BASE + i * PAGE_SIZE);
+    let layout = || {
+        let mut mem = Memory::new(64, 0);
+        let space = mem.create_space();
+        mem.mmap_at(space, page(0), 3 * PAGE_SIZE, Prot::ReadWrite)
+            .unwrap();
+        mem.mmap_at(space, page(3), 2 * PAGE_SIZE, Prot::ReadOnly)
+            .unwrap();
+        mem.mmap_at(space, page(8), 4 * PAGE_SIZE, Prot::ReadWrite)
+            .unwrap();
+        (mem, space)
+    };
+    // (start page, pages, leading pages that succeed, the error).
+    let cases = [
+        (0, 5, 3, MemError::ProtectionFault(page(3))),
+        (1, 3, 2, MemError::ProtectionFault(page(3))),
+        (9, 5, 3, MemError::BadAddress(page(12))),
+        (12, 2, 0, MemError::BadAddress(page(12))),
+    ];
+    for (start, pages, ok, err) in cases {
+        let what = format!("pages {start}..{}", start + pages);
+        let (mut mem, space) = layout();
+        let partial = mem.pin_user_pages_partial(space, page(start), pages * PAGE_SIZE);
+        assert_eq!(partial.pfns.len() as u64, ok, "pin {what}");
+        assert_eq!(partial.error, Some(err), "pin {what}");
+        for (i, &pfn) in partial.pfns.iter().enumerate() {
+            let vpn = page(start + i as u64).vpn();
+            assert_eq!(mem.resident_pfn(space, vpn), Some(pfn), "pin {what}");
+        }
+        assert_eq!(mem.frames().pinned_pages() as u64, ok, "pin {what}");
+        assert_eq!(mem.frames().allocated() as u64, ok, "pin {what}");
+
+        // The write starts mid-page so its first and last chunks are
+        // partial.
+        let (mut mem, space) = layout();
+        let data: Vec<u8> = (0..pages * PAGE_SIZE)
+            .map(|i| (i % 253) as u8 + 1)
+            .collect();
+        let at = page(start).add(100);
+        assert_eq!(mem.write(space, at, &data[100..]), Err(err), "write {what}");
+        assert_eq!(mem.frames().allocated() as u64, ok, "write {what}");
+        let written = (ok * PAGE_SIZE).saturating_sub(100) as usize;
+        let mut back = vec![0u8; written];
+        mem.read(space, at, &mut back).unwrap();
+        assert!(back == data[100..100 + written], "write {what}");
+    }
+}
+
+/// A read may cross from a read-write VMA into an adjacent read-only one;
+/// it faults the pages of both in order.
+#[test]
+fn read_walks_across_adjacent_vmas() {
+    let mut mem = Memory::new(16, 0);
+    let space = mem.create_space();
+    let rw = mem
+        .mmap_at(space, VirtAddr(0x40_0000), 2 * PAGE_SIZE, Prot::ReadWrite)
+        .unwrap();
+    mem.mmap_at(space, rw.add(2 * PAGE_SIZE), PAGE_SIZE, Prot::ReadOnly)
+        .unwrap();
+    mem.write(space, rw.add(PAGE_SIZE), &[7; PAGE_SIZE as usize])
+        .unwrap();
+    let mut buf = vec![1u8; 2 * PAGE_SIZE as usize];
+    mem.read(space, rw.add(PAGE_SIZE), &mut buf).unwrap();
+    assert!(buf[..PAGE_SIZE as usize].iter().all(|&b| b == 7));
+    assert!(buf[PAGE_SIZE as usize..].iter().all(|&b| b == 0));
+    assert_eq!(mem.frames().allocated(), 2);
 }
