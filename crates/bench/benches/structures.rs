@@ -1,5 +1,6 @@
 //! Microbenchmarks of the hot data structures: the event queue, the region
-//! cache, the page-fault/pin path and the core run queue. These measure
+//! cache, the page-fault/pin path, the pull-reply and eager byte paths and
+//! the core run queue. These measure
 //! *wall-clock* cost of the simulator itself (the simulated costs are the
 //! harness binaries' business).
 
@@ -201,6 +202,33 @@ fn bench_pull_reply(b: &Bench) {
     });
 }
 
+/// One 4 KiB eager message's byte path: the sender captures its
+/// page-aligned buffer through its page tables, the frame carries a slice
+/// of it, and the receiver lands it in its own buffer (separate `Memory`s,
+/// as on two nodes). The page goes across by reference.
+fn bench_eager(b: &Bench) {
+    const LEN: u64 = 4096;
+    let buffer = |fill: u8| {
+        let mut mem = Memory::new(16, 0);
+        let space = mem.create_space();
+        let addr = mem.mmap(space, LEN, Prot::ReadWrite).unwrap();
+        mem.write(space, addr, &[fill; LEN as usize]).unwrap();
+        (mem, space, addr)
+    };
+    let (mut src_mem, src_space, src) = buffer(0x5a);
+    let (mut dst_mem, dst_space, dst) = buffer(0);
+    b.bench("eager 4 KiB capture+land", || {
+        let data = src_mem.capture(src_space, src, LEN).unwrap();
+        let frag = data.slice(0, LEN);
+        let events = dst_mem.land(dst_space, dst, &frag).unwrap();
+        assert!(events.is_empty());
+        black_box(frag.len())
+    });
+    let mut back = [0u8; LEN as usize];
+    dst_mem.read(dst_space, dst, &mut back).unwrap();
+    assert!(back.iter().all(|&x| x == 0x5a), "the message landed");
+}
+
 fn bench_cpu_core(b: &Bench) {
     b.bench("cpu_core submit/complete 1k mixed", || {
         let mut core = CpuCore::new();
@@ -250,5 +278,6 @@ fn main() {
     bench_region_cache(&b);
     bench_pin_path(&b);
     bench_pull_reply(&b);
+    bench_eager(&b);
     bench_cpu_core(&b);
 }

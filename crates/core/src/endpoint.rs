@@ -8,7 +8,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use simmem::VirtAddr;
+use simmem::{PageSnapshot, VirtAddr};
 
 use crate::engine::ProcId;
 use crate::wire::{MsgId, XferId};
@@ -67,10 +67,8 @@ pub struct EagerRx {
     pub match_info: u64,
     /// Full message length.
     pub total_len: u64,
-    /// Reassembled bytes.
-    pub buffer: Vec<u8>,
-    /// Per-fragment received flags.
-    pub got: Vec<bool>,
+    /// Each fragment received so far, with its byte offset, by index.
+    pub frags: Vec<Option<(u64, PageSnapshot)>>,
     /// Fragments still missing.
     pub frags_left: u32,
 }
@@ -92,31 +90,46 @@ impl EagerRx {
             src,
             match_info,
             total_len,
-            buffer: vec![0u8; total_len as usize],
-            got: vec![false; frag_count as usize],
+            frags: vec![None; frag_count as usize],
             frags_left: frag_count,
         }
     }
 
     /// Absorb one fragment; duplicate fragments are ignored. Returns true
     /// when the message became complete.
-    pub fn absorb(&mut self, frag: u32, offset: u64, data: &[u8]) -> bool {
-        let idx = frag as usize;
-        let off = offset as usize;
+    pub fn absorb(&mut self, frag: u32, offset: u64, data: PageSnapshot) -> bool {
         // Out-of-range coordinates (corrupt or hostile frames) are dropped
-        // rather than panicking the whole engine.
-        if idx >= self.got.len() || off + data.len() > self.buffer.len() || self.got[idx] {
-            return false;
+        // rather than panicking the whole engine; checked_add keeps an
+        // offset near u64::MAX from wrapping past the bounds check.
+        let fits = offset
+            .checked_add(data.len())
+            .is_some_and(|end| end <= self.total_len);
+        match self.frags.get_mut(frag as usize) {
+            Some(slot @ None) if fits => {
+                *slot = Some((offset, data));
+                self.frags_left -= 1;
+                self.frags_left == 0
+            }
+            _ => false,
         }
-        self.got[idx] = true;
-        self.frags_left -= 1;
-        self.buffer[off..off + data.len()].copy_from_slice(data);
-        self.frags_left == 0
     }
 
     /// Has this fragment already been absorbed? (Duplicate probe.)
     pub fn has_frag(&self, frag: u32) -> bool {
-        self.got.get(frag as usize).copied().unwrap_or(false)
+        self.frags.get(frag as usize).is_some_and(Option::is_some)
+    }
+
+    /// The first `len` bytes of the message, as `(offset, bytes)` pieces
+    /// in fragment order.
+    pub fn into_prefix(self, len: u64) -> impl Iterator<Item = (u64, PageSnapshot)> {
+        self.frags
+            .into_iter()
+            .flatten()
+            .filter(move |&(off, _)| off < len)
+            .map(move |(off, data)| match len - off {
+                n if n < data.len() => (off, data.slice(0, n)),
+                _ => (off, data),
+            })
     }
 
     /// True when all fragments arrived.
@@ -153,8 +166,8 @@ pub enum Unexpected {
         src: EndpointAddr,
         /// Matching key.
         match_info: u64,
-        /// Message bytes.
-        data: Vec<u8>,
+        /// Message bytes, captured from the sender at send time.
+        data: PageSnapshot,
     },
 }
 
@@ -339,23 +352,52 @@ mod tests {
                 xfer: XferId(i),
                 src: addr(1),
                 match_info: 9,
-                data: vec![],
+                data: PageSnapshot::default(),
             });
         }
         let got = ep.post_recv(recv(1, 9, !0)).unwrap();
         assert_eq!(got.msg_id(), MsgId(0));
     }
 
+    fn bytes(data: &[u8]) -> PageSnapshot {
+        PageSnapshot::from_bytes(data)
+    }
+
+    /// The message's first `len` bytes, laid out at their offsets.
+    fn assemble(e: &EagerRx, len: u64) -> Vec<u8> {
+        let mut out = vec![0u8; len as usize];
+        for (off, data) in e.clone().into_prefix(len) {
+            let off = off as usize;
+            out[off..off + data.len() as usize].copy_from_slice(&data.to_vec());
+        }
+        out
+    }
+
     #[test]
     fn eager_reassembly() {
         let mut e = EagerRx::new(MsgId(1), XferId(1), addr(0), 7, 10, 3);
-        assert!(!e.absorb(0, 0, &[1, 2, 3, 4]));
-        assert!(!e.absorb(2, 8, &[9, 10]));
+        assert!(!e.absorb(0, 0, bytes(&[1, 2, 3, 4])));
+        assert!(!e.absorb(2, 8, bytes(&[9, 10])));
         // Duplicate is idempotent.
-        assert!(!e.absorb(0, 0, &[1, 2, 3, 4]));
-        assert!(e.absorb(1, 4, &[5, 6, 7, 8]));
+        assert!(!e.absorb(0, 0, bytes(&[0, 0, 0, 0])));
+        assert!(e.absorb(1, 4, bytes(&[5, 6, 7, 8])));
         assert!(e.complete());
-        assert_eq!(e.buffer, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(assemble(&e, 10), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        // A truncating receive takes a prefix, cutting a fragment short.
+        assert_eq!(assemble(&e, 6), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(e.clone().into_prefix(4).count(), 1);
+        assert_eq!(e.into_prefix(0).count(), 0);
+    }
+
+    #[test]
+    fn out_of_range_fragments_are_dropped() {
+        let mut e = EagerRx::new(MsgId(1), XferId(1), addr(0), 7, 10, 3);
+        // An offset near u64::MAX must not wrap past the bounds check.
+        assert!(!e.absorb(0, u64::MAX, bytes(&[1, 2, 3, 4, 5])));
+        assert!(!e.absorb(0, 8, bytes(&[1, 2, 3])));
+        assert!(!e.absorb(3, 0, bytes(&[1])));
+        assert!(!e.has_frag(0) && !e.has_frag(3));
+        assert_eq!(e.frags_left, 3);
     }
 
     #[test]

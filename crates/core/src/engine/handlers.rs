@@ -156,28 +156,22 @@ impl Cluster {
         }
     }
 
-    /// Gather the bytes of a segment vector through a process's page
-    /// tables (the user-context copy of the eager/shm paths). Fails when
-    /// the source range is no longer mapped — the copy takes a fault, and
-    /// the request must abort cleanly instead of wedging the engine.
-    fn read_segments(
+    /// Capture the bytes of a segment vector through a process's page
+    /// tables (the user-context copy of the eager/shm paths, whose cost the
+    /// caller charges). Fails when the source range is no longer mapped —
+    /// the copy takes a fault, and the request must abort cleanly instead
+    /// of wedging the engine.
+    fn capture_segments(
         &mut self,
         proc: ProcId,
         segments: &[Segment],
-        len: u64,
-    ) -> Result<Vec<u8>, simmem::MemError> {
+    ) -> Result<PageSnapshot, simmem::MemError> {
         let idx = proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
-        let mut data = vec![0u8; len as usize];
-        let mut cursor = 0usize;
+        let mut data = PageSnapshot::default();
         for seg in segments {
-            self.nodes[node].mem.read(
-                space,
-                seg.addr,
-                &mut data[cursor..cursor + seg.len as usize],
-            )?;
-            cursor += seg.len as usize;
+            data.append(self.nodes[node].mem.capture(space, seg.addr, seg.len)?);
         }
         Ok(data)
     }
@@ -196,7 +190,7 @@ impl Cluster {
         let msg = self.alloc_msg();
         let xfer = self.alloc_xfer();
         let node = self.procs[proc.0 as usize].node;
-        let Ok(data) = self.read_segments(proc, segments, len) else {
+        let Ok(data) = self.capture_segments(proc, segments) else {
             self.nodes[node].counters.bump("requests_failed");
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
@@ -239,7 +233,7 @@ impl Cluster {
         };
         let (src, peer, match_info, xfer) =
             (parked.src, parked.peer, parked.match_info, parked.xfer);
-        let total = parked.data.len() as u64;
+        let total = parked.data.len();
         if self.endpoint_gone(peer) {
             // The destination died (or came back as a new incarnation)
             // since the send was posted. Shm has no watchdog to catch
@@ -296,10 +290,11 @@ impl Cluster {
         let idx = proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
-        match self.nodes[node]
-            .mem
-            .write(space, addr, &parked.data[..copy_len as usize])
-        {
+        let data = match parked.data {
+            data if copy_len < data.len() => data.slice(0, copy_len),
+            data => data,
+        };
+        match self.nodes[node].mem.land(space, addr, &data) {
             Ok(events) => {
                 self.dispatch_notifier_events(node, &events);
                 self.notify_app(proc, AppEvent::RecvDone(req, copy_len));
@@ -327,7 +322,7 @@ impl Cluster {
         let msg = self.alloc_msg();
         let xfer = self.alloc_xfer();
         let node = self.procs[proc.0 as usize].node;
-        let Ok(data) = self.read_segments(proc, segments, len) else {
+        let Ok(data) = self.capture_segments(proc, segments) else {
             self.nodes[node].counters.bump("requests_failed");
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
@@ -395,7 +390,7 @@ impl Cluster {
         for frag in 0..frag_count {
             let offset = frag as u64 * chunk;
             let flen = chunk.min(total - offset);
-            let data = tx.data[offset as usize..(offset + flen) as usize].to_vec();
+            let data = tx.data.slice(offset, flen);
             frames.push(Frame {
                 src,
                 dst: peer,
@@ -428,7 +423,7 @@ impl Cluster {
         frag_count: u32,
         total_len: u64,
         offset: u64,
-        data: Vec<u8>,
+        data: PageSnapshot,
     ) {
         let idx = dst.0 as usize;
         if self.procs[idx].endpoint.is_completed(msg) {
@@ -444,7 +439,7 @@ impl Cluster {
                 self.metrics.record_dup_frame();
                 return;
             }
-            if m.rx.absorb(frag, offset, &data) {
+            if m.rx.absorb(frag, offset, data) {
                 let cost = self.cfg.profile.memcpy_cost(m.copy_len);
                 let proc = m.proc;
                 self.submit_sliced_proc_work(proc, cost, Work::EagerDeliver { owner: proc, msg });
@@ -458,12 +453,12 @@ impl Cluster {
                 self.metrics.record_dup_frame();
                 return;
             }
-            u.absorb(frag, offset, &data);
+            u.absorb(frag, offset, data);
             return;
         }
         // First frame of a new message.
         let mut rx = EagerRx::new(msg, xfer, src, match_info, total_len, frag_count);
-        let complete = rx.absorb(frag, offset, &data);
+        let complete = rx.absorb(frag, offset, data);
         match self.procs[idx].endpoint.match_incoming(match_info) {
             Some(posted) => {
                 self.xfers.recv_hints.remove(&posted.req);
@@ -498,22 +493,21 @@ impl Cluster {
         let idx = m.proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
+        let (src, xfer) = (m.rx.src, m.rx.xfer);
+        // Each fragment lands at its own offset, in order, stopping at the
+        // first fault: the same pages a write of the whole prefix touches.
+        let mem = &mut self.nodes[node].mem;
         let delivered =
-            self.nodes[node]
-                .mem
-                .write(space, m.addr, &m.rx.buffer[..m.copy_len as usize]);
+            m.rx.into_prefix(m.copy_len)
+                .try_fold(Vec::new(), |mut events, (off, data)| {
+                    events.extend(mem.land(space, m.addr.add(off), &data)?);
+                    Ok::<_, simmem::MemError>(events)
+                });
         // Ack either way: the message *was* received. A receiver that
         // unmapped its posted buffer gets a clean local failure (EFAULT on
         // the copy); the sender must not retransmit into the same fault.
         self.procs[idx].endpoint.mark_completed(msg);
-        let ack = self.frame(
-            m.proc,
-            m.rx.src,
-            WireMsg::EagerAck {
-                msg,
-                xfer: m.rx.xfer,
-            },
-        );
+        let ack = self.frame(m.proc, src, WireMsg::EagerAck { msg, xfer });
         self.transmit(ack);
         match delivered {
             Ok(events) => {
@@ -850,7 +844,7 @@ impl Cluster {
                 ..
             }) => {
                 self.xfers.recv_hints.remove(&req);
-                let total = data.len() as u64;
+                let total = data.len();
                 self.xfers.shm.insert(
                     msg,
                     ShmParked {
@@ -1384,7 +1378,7 @@ impl Cluster {
     fn bh_duration(&self, node: usize, msg: &WireMsg) -> SimDuration {
         let p = &self.cfg.profile;
         match msg {
-            WireMsg::Eager { data, .. } => p.pkt_processing + p.memcpy_cost(data.len() as u64),
+            WireMsg::Eager { data, .. } => p.pkt_processing + p.memcpy_cost(data.len()),
             WireMsg::PullReply { data, .. } => {
                 p.pkt_processing
                     + if self.cfg.use_ioat {

@@ -28,7 +28,8 @@ pub(crate) struct EagerTx {
     pub peer: EndpointAddr,
     pub match_info: u64,
     pub total_len: u64,
-    pub data: Vec<u8>,
+    /// The message bytes as they were at send time, for retransmission.
+    pub data: PageSnapshot,
     pub timer: Option<EventId>,
     pub retries: u32,
     /// When the current (re)transmission went out — RTT sample on ack,
@@ -266,7 +267,8 @@ pub(crate) struct ShmParked {
     /// watchdog, so the fence check happens when the copy-out lands.
     pub peer: EndpointAddr,
     pub match_info: u64,
-    pub data: Vec<u8>,
+    /// The message bytes, captured from the sender at send time.
+    pub data: PageSnapshot,
     /// Set when matched: (receiver request, receiver proc, dst, copy_len).
     pub dst: Option<(RequestId, ProcId, VirtAddr, u64)>,
 }

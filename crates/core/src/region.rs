@@ -535,7 +535,8 @@ impl DriverRegion {
         let mut snap = PageSnapshot::with_capacity((len / PAGE_SIZE + 2) as usize);
         self.layout
             .for_each_chunk(offset, len, |idx, _vpn, page_off, n| {
-                snap.push(mem.share_phys(self.pfns[idx as usize]), page_off, n);
+                mem.frames()
+                    .capture(self.pfns[idx as usize], page_off, n, &mut snap);
             });
         Ok(snap)
     }
@@ -556,20 +557,7 @@ impl DriverRegion {
         let mut src = data.reader();
         self.layout
             .for_each_chunk(offset, data.len(), |idx, _vpn, page_off, n| {
-                let pfn = self.pfns[idx as usize];
-                if n == PAGE_SIZE {
-                    if let Some(page) = src.whole_page() {
-                        mem.install_phys(pfn, page);
-                        return;
-                    }
-                }
-                let mut done = 0;
-                while done < n {
-                    let bytes = src.bytes(n - done);
-                    assert!(!bytes.is_empty(), "snapshot shorter than its span");
-                    mem.write_phys(pfn, page_off + done, bytes);
-                    done += bytes.len() as u64;
-                }
+                mem.land_phys(self.pfns[idx as usize], page_off, n, &mut src);
             });
         Ok(())
     }

@@ -3,10 +3,10 @@
 //! Message types follow the paper's Figure 2 vocabulary: small messages go
 //! *eager*; large messages do `rndv` → `pull` → `pull reply` → `notify`.
 //! Frames carry their payload bytes, which is what lets the test suite
-//! verify end-to-end data integrity through every pinning mode. Eager
-//! fragments own a `Vec<u8>` copied out of the eager buffers; pull replies
-//! carry a [`PageSnapshot`] that references the sender's pinned pages and
-//! keeps the bytes they held when the reply was cut.
+//! verify end-to-end data integrity through every pinning mode. Every
+//! payload is a [`PageSnapshot`]: it references the sender's pages and
+//! keeps the bytes they held when the message was captured (the eager
+//! send, or the pull reply being cut).
 //!
 //! Reliability: eager messages and notifies are acked explicitly; pull
 //! replies are recovered by re-requesting missing frames (optimistically on
@@ -54,8 +54,8 @@ pub enum WireMsg {
         total_len: u64,
         /// Byte offset of this fragment.
         offset: u64,
-        /// Fragment payload.
-        data: Vec<u8>,
+        /// Fragment payload, captured from the sender at send time.
+        data: PageSnapshot,
     },
     /// Ack of a fully received eager message.
     EagerAck {
@@ -127,8 +127,7 @@ impl WireMsg {
     /// Application payload bytes carried (for fabric accounting).
     pub fn payload_len(&self) -> u64 {
         match self {
-            WireMsg::Eager { data, .. } => data.len() as u64,
-            WireMsg::PullReply { data, .. } => data.len(),
+            WireMsg::Eager { data, .. } | WireMsg::PullReply { data, .. } => data.len(),
             _ => 0,
         }
     }
@@ -199,7 +198,7 @@ mod tests {
             frag_count: 1,
             total_len: 5,
             offset: 0,
-            data: vec![1, 2, 3, 4, 5],
+            data: PageSnapshot::from_bytes(&[1, 2, 3, 4, 5]),
         };
         assert_eq!(e.payload_len(), 5);
         assert!(!e.is_control());

@@ -608,6 +608,108 @@ fn pull_replies_keep_the_bytes_of_their_send_time() {
     assert_eq!(cl.inflight_xfers(), 0);
 }
 
+/// A process that records whether its send completed.
+fn sender(done: &Rc<RefCell<bool>>) -> Box<dyn Process> {
+    let done = done.clone();
+    proc_of(
+        |_| {},
+        move |_, ev| {
+            if let AppEvent::SendDone(_) = ev {
+                *done.borrow_mut() = true;
+            }
+        },
+    )
+}
+
+/// Step the cluster until `done` is set.
+fn step_until_set(cl: &mut Cluster, done: &Rc<RefCell<bool>>) {
+    while !*done.borrow() {
+        let t = cl
+            .next_event_time()
+            .expect("ran dry before the send completed");
+        cl.step_until(t);
+    }
+}
+
+/// An eager message carries the sender's bytes as of the send, even when
+/// its only frame is lost and retransmitted after `SendDone` let the
+/// application overwrite the send buffer.
+#[test]
+fn eager_retransmits_keep_the_bytes_of_their_send_time() {
+    const LEN: u64 = 4096;
+    const OLD: u8 = 0xaa;
+    const NEW: u8 = 0x55;
+    let mut cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+    cfg.net.drop_first = 1;
+    assert!(LEN < cfg.eager_threshold);
+    let mut cl = Cluster::new(cfg, 2);
+    let done = Rc::new(RefCell::new(false));
+    let tx = cl.add_process(0, sender(&done));
+    let rx = cl.add_process(1, proc_of(|_| {}, |_, _| {}));
+    cl.step_until(simcore::SimTime::ZERO);
+    let recv_buf = cl.drive(rx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.irecv(5, !0, buf, LEN);
+        buf
+    });
+    let send_buf = cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.write_buf(buf, &[OLD; LEN as usize]);
+        ctx.isend(rx, 5, buf, LEN);
+        buf
+    });
+    step_until_set(&mut cl, &done);
+    cl.drive(tx, |ctx| ctx.write_buf(send_buf, &[NEW; LEN as usize]));
+    cl.run(None);
+    assert_eq!(
+        cl.counters().get("eager_retrans"),
+        1,
+        "the frame was resent"
+    );
+    assert!(
+        cl.read_proc(rx, recv_buf, LEN).iter().all(|&b| b == OLD),
+        "the retransmission delivered bytes written after SendDone"
+    );
+    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.inflight_xfers(), 0);
+}
+
+/// A shared-memory message that arrives before its receive is posted is
+/// parked as unexpected with the sender's bytes as of the send: writing
+/// the send buffer before the receive is posted does not change them.
+#[test]
+fn parked_shm_messages_keep_the_bytes_of_their_send_time() {
+    const LEN: u64 = 64 * 1024;
+    const OLD: u8 = 0xaa;
+    const NEW: u8 = 0x55;
+    let mut cl = cluster(PinningMode::Cached, 1);
+    let done = Rc::new(RefCell::new(false));
+    let tx = cl.add_process(0, sender(&done));
+    let rx = cl.add_process(0, proc_of(|_| {}, |_, _| {}));
+    cl.step_until(simcore::SimTime::ZERO);
+    let send_buf = cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.write_buf(buf, &vec![OLD; LEN as usize]);
+        ctx.isend(rx, 5, buf, LEN);
+        buf
+    });
+    step_until_set(&mut cl, &done);
+    cl.drive(tx, |ctx| ctx.write_buf(send_buf, &vec![NEW; LEN as usize]));
+    let recv_buf = cl.drive(rx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.irecv(5, !0, buf, LEN);
+        buf
+    });
+    cl.run(None);
+    assert_eq!(cl.counters().get("shm_msgs_tx"), 1);
+    assert!(
+        cl.read_proc(rx, recv_buf, LEN).iter().all(|&b| b == OLD),
+        "the parked message delivered bytes written after SendDone"
+    );
+    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.inflight_xfers(), 0);
+}
+
 #[test]
 fn send_to_a_missing_peer_fails_cleanly() {
     // One process, sending to a ProcId the cluster never created: the

@@ -30,6 +30,7 @@ use std::sync::Arc;
 
 use crate::addr::{Pfn, PAGE_SIZE};
 use crate::error::MemError;
+use crate::snapshot::{PageSnapshot, SnapshotReader};
 
 /// One physical frame; free while `refcount` is zero. (An
 /// `Option<Frame>` slot would take 32 bytes instead of 24: the page
@@ -205,6 +206,34 @@ impl FrameAllocator {
     pub fn install(&mut self, pfn: Pfn, page: Arc<[u8]>) {
         assert_eq!(page.len(), PAGE_SIZE as usize, "install of a partial page");
         self.frame_mut(pfn).data = Some(page);
+    }
+
+    /// Append bytes `[offset, offset + len)` of the frame to `snap`, by
+    /// reference to its current page (see [`FrameAllocator::share`]).
+    pub fn capture(&self, pfn: Pfn, offset: u64, len: u64, snap: &mut PageSnapshot) {
+        snap.push(self.share(pfn), offset, len);
+    }
+
+    /// Write the next `len` bytes of `src` into the frame at `offset`. A
+    /// whole page that `src` holds as one whole captured page is installed
+    /// by reference; anything else is copied.
+    ///
+    /// # Panics
+    /// Panics if `src` runs out before `len` bytes.
+    pub fn land(&mut self, pfn: Pfn, offset: u64, len: u64, src: &mut SnapshotReader<'_>) {
+        if len == PAGE_SIZE {
+            if let Some(page) = src.whole_page() {
+                self.install(pfn, page);
+                return;
+            }
+        }
+        let mut done = 0;
+        while done < len {
+            let bytes = src.bytes(len - done);
+            assert!(!bytes.is_empty(), "snapshot shorter than its span");
+            self.write(pfn, offset + done, bytes);
+            done += bytes.len() as u64;
+        }
     }
 
     /// Give `dst` the contents of `src` (COW break, migration). The two

@@ -24,10 +24,12 @@ impl Piece {
 }
 
 /// Bytes captured from one or more pages, in order, by reference.
+///
+/// The length is not stored but summed over the pieces (a payload has a
+/// few): one word less in every frame that carries a snapshot.
 #[derive(Clone, Default)]
 pub struct PageSnapshot {
     pieces: Vec<Piece>,
-    len: u64,
 }
 
 impl PageSnapshot {
@@ -35,7 +37,6 @@ impl PageSnapshot {
     pub fn with_capacity(pieces: usize) -> Self {
         PageSnapshot {
             pieces: Vec::with_capacity(pieces),
-            len: 0,
         }
     }
 
@@ -59,7 +60,6 @@ impl PageSnapshot {
             start: start as usize,
             len: len as usize,
         });
-        self.len += len;
     }
 
     /// A snapshot of fresh pages holding a copy of `bytes`.
@@ -75,12 +75,54 @@ impl PageSnapshot {
 
     /// Total bytes held.
     pub fn len(&self) -> u64 {
-        self.len
+        self.pieces.iter().map(|p| p.len as u64).sum()
     }
 
     /// True if the snapshot holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pieces.iter().all(|p| p.len == 0)
+    }
+
+    /// Bytes `[start, start + len)`, by reference to the same pages.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the snapshot.
+    pub fn slice(&self, start: u64, len: u64) -> PageSnapshot {
+        let total = self.len();
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= total),
+            "slice {start}+{len} past the end of a {total}-byte snapshot"
+        );
+        let mut out = PageSnapshot::default();
+        let mut skip = start as usize;
+        let mut want = len as usize;
+        for p in &self.pieces {
+            if want == 0 {
+                break;
+            }
+            if skip >= p.len {
+                skip -= p.len;
+                continue;
+            }
+            let n = (p.len - skip).min(want);
+            out.pieces.push(Piece {
+                page: Arc::clone(&p.page),
+                start: p.start + skip,
+                len: n,
+            });
+            skip = 0;
+            want -= n;
+        }
+        out
+    }
+
+    /// Append the bytes of `other` after these.
+    pub fn append(&mut self, other: PageSnapshot) {
+        if self.pieces.is_empty() {
+            *self = other;
+        } else {
+            self.pieces.extend(other.pieces);
+        }
     }
 
     /// The bytes, as contiguous slices in order.
@@ -106,7 +148,7 @@ impl PageSnapshot {
 impl fmt::Debug for PageSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PageSnapshot")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .field("pieces", &self.pieces.len())
             .finish()
     }
@@ -187,6 +229,75 @@ mod tests {
         assert_eq!(r.bytes(u64::MAX), &[9u8; 4][..]);
         assert!(r.bytes(1).is_empty());
         assert!(r.whole_page().is_none());
+    }
+
+    /// Three pieces: 10 bytes of page 1, a whole page 2, 6 bytes of page 3.
+    fn three_pieces() -> PageSnapshot {
+        let mut s = PageSnapshot::default();
+        s.push(page(1), PAGE_SIZE - 10, 10);
+        s.push(page(2), 0, PAGE_SIZE);
+        s.push(page(3), 0, 6);
+        s
+    }
+
+    #[test]
+    fn slices_cross_piece_boundaries() {
+        let s = three_pieces();
+        let all = s.to_vec();
+        let total = s.len();
+        for (start, len) in [
+            (0, total),
+            (4, 8),
+            (10, PAGE_SIZE),
+            (9, PAGE_SIZE + 2),
+            (total - 6, 6),
+            (total - 1, 1),
+        ] {
+            let sub = s.slice(start, len);
+            assert_eq!(sub.len(), len, "slice {start}+{len}");
+            assert_eq!(
+                sub.to_vec(),
+                &all[start as usize..(start + len) as usize],
+                "slice {start}+{len}"
+            );
+        }
+        // The whole middle page stays a whole page, so it can land by
+        // reference.
+        assert!(s.slice(10, PAGE_SIZE).reader().whole_page().is_some());
+        assert_eq!(s.slice(4, 8).chunks().count(), 2);
+    }
+
+    #[test]
+    fn zero_length_slices_are_empty() {
+        let s = three_pieces();
+        for start in [0, 10, s.len()] {
+            let sub = s.slice(start, 0);
+            assert!(sub.is_empty());
+            assert_eq!(sub.chunks().count(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end")]
+    fn slice_past_the_end_is_rejected() {
+        let s = three_pieces();
+        s.slice(s.len() - 3, 4);
+    }
+
+    #[test]
+    fn append_concatenates() {
+        let mut s = PageSnapshot::default();
+        s.append(PageSnapshot::default());
+        assert!(s.is_empty());
+        s.append(three_pieces().slice(0, 12));
+        s.append(PageSnapshot::from_bytes(b"xyz"));
+        s.append(PageSnapshot::default());
+        assert_eq!(s.len(), 15);
+        assert_eq!(
+            s.to_vec(),
+            [1u8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, b'x', b'y', b'z']
+        );
+        assert_eq!(s.chunks().count(), 3);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * `mmap`/`munmap` — anonymous demand-paged mappings,
 //! * `read`/`write` — application access through the page tables (faulting,
-//!   breaking COW),
+//!   breaking COW), and `capture`/`land`, which make the same accesses
+//!   but carry the bytes as a [`PageSnapshot`] by reference,
 //! * `pin_user_pages`/`unpin_pages` — `get_user_pages`-style DMA pinning,
 //! * `swap_out`/`migrate` — the page-stealing operations pinning must block,
 //! * `fork_space` — COW sharing, the classic registration-cache hazard,
@@ -18,9 +19,10 @@
 //!
 //! Each space maps virtual pages to frames or swap slots through a
 //! two-level radix [`PageTable`]. Operations over a page range (`read`,
-//! `write`, `pin_user_pages_partial`) look up each VMA once and then fault
-//! its pages in one after another; `munmap` drains the table range of each
-//! removed VMA and releases every frame and swap slot inline. Every walk
+//! `write`, `capture`, `land`, `pin_user_pages_partial`) look up each VMA
+//! once and then fault its pages in one after another; `munmap` drains the
+//! table range of each removed VMA and releases every frame and swap slot
+//! inline. Every walk
 //! runs in ascending page order, so frames return to the free list, and
 //! are handed out again, in a fixed order.
 //!
@@ -40,6 +42,7 @@ use crate::addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange};
 use crate::error::MemError;
 use crate::frame::FrameAllocator;
 use crate::pagetable::{PageTable, Pte};
+use crate::snapshot::{PageSnapshot, SnapshotReader};
 use crate::vma::{Prot, VmaSet};
 
 /// Identifies one address space within a [`Memory`].
@@ -416,6 +419,55 @@ impl Memory {
         Ok(())
     }
 
+    /// Capture `[addr, addr+len)` by reference to its pages: the same
+    /// walk, faults and errors as [`Memory::read`], but no byte is copied.
+    /// The snapshot keeps the bytes the pages hold now, whatever is written
+    /// to them later.
+    pub fn capture(
+        &mut self,
+        id: AsId,
+        addr: VirtAddr,
+        len: u64,
+    ) -> Result<PageSnapshot, MemError> {
+        let range = VpnRange::covering(addr, len);
+        let mut snap = PageSnapshot::with_capacity(range.len() as usize);
+        let mut events = Vec::new();
+        let mut chunks = page_chunks(addr, len);
+        self.fault_range(id, range, false, &mut events, |frames, pfn| {
+            let (_, off, n) = chunks.next().expect("one chunk per page");
+            frames.capture(pfn, off, n, &mut snap);
+        })?;
+        debug_assert!(events.is_empty(), "read faults never invalidate");
+        Ok(snap)
+    }
+
+    /// Land `data` at `addr`: the same walk, faults, COW breaks, events and
+    /// errors as [`Memory::write`] of its bytes. A destination page that
+    /// `data` covers with one whole captured page takes that page by
+    /// reference; every other piece is copied.
+    pub fn land(
+        &mut self,
+        id: AsId,
+        addr: VirtAddr,
+        data: &PageSnapshot,
+    ) -> Result<Vec<NotifierEvent>, MemError> {
+        let len = data.len();
+        let mut events = Vec::new();
+        let mut chunks = page_chunks(addr, len);
+        let mut src = data.reader();
+        self.fault_range(
+            id,
+            VpnRange::covering(addr, len),
+            true,
+            &mut events,
+            |frames, pfn| {
+                let (_, off, n) = chunks.next().expect("one chunk per page");
+                frames.land(pfn, off, n, &mut src);
+            },
+        )?;
+        Ok(events)
+    }
+
     /// `get_user_pages`-style pinning of the pages covering
     /// `[addr, addr+len)`: faults each page in *with write access* (breaking
     /// COW up front, as GUP with `FOLL_WRITE` does), raises its pin count,
@@ -640,16 +692,15 @@ impl Memory {
         self.frames.write(pfn, offset, data);
     }
 
-    /// Direct physical capture of a frame's page by reference (see
+    /// A frame's current page, by reference (see
     /// [`FrameAllocator::share`]).
     pub fn share_phys(&self, pfn: Pfn) -> Arc<[u8]> {
         self.frames.share(pfn)
     }
 
-    /// Direct physical whole-page write by reference (see
-    /// [`FrameAllocator::install`]).
-    pub fn install_phys(&mut self, pfn: Pfn, page: Arc<[u8]>) {
-        self.frames.install(pfn, page);
+    /// Direct physical landing (see [`FrameAllocator::land`]).
+    pub fn land_phys(&mut self, pfn: Pfn, offset: u64, len: u64, src: &mut SnapshotReader<'_>) {
+        self.frames.land(pfn, offset, len, src);
     }
 
     /// Access to frame-pool statistics.

@@ -2,14 +2,18 @@
 //!
 //! Strategy: drive [`simmem`] with random operation sequences and check it
 //! against trivially-correct reference models (a `HashMap<u64, u8>` for
-//! byte contents). The substrate must agree with the reference regardless
-//! of interleaving, and global invariants (frame accounting, pin balance,
-//! the bytes of every held [`PageSnapshot`]) must hold at every step.
+//! byte contents, and a twin [`Memory`] that copies bytes where the one
+//! under test carries them by reference). The substrate must agree with
+//! the references regardless of interleaving, and global invariants
+//! (frame accounting, pin balance, the bytes of every held
+//! [`PageSnapshot`]) must hold at every step.
 //!
 //! Sequences are generated from a fixed-seed [`simcore::SimRng`], so every
 //! run explores the same inputs — failures reproduce by case index.
 
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::sync::Arc;
 
 use simcore::SimRng;
 use simmem::{
@@ -21,6 +25,7 @@ use simmem::{
 enum Op {
     Mmap {
         pages: u64,
+        read_only: bool,
     },
     Munmap {
         alloc_idx: usize,
@@ -68,17 +73,47 @@ enum Op {
         to_idx: usize,
         to_page: u64,
     },
+    /// Capture through the page tables, as an eager or shm send does. The
+    /// range may run past its allocation into a hole.
+    Capture {
+        alloc_idx: usize,
+        offset: u64,
+        len: u64,
+    },
+    /// Land a held snapshot through the page tables, as an eager or shm
+    /// delivery does. The range may run past its allocation into a hole
+    /// or a read-only mapping.
+    Land {
+        snap_idx: usize,
+        alloc_idx: usize,
+        offset: u64,
+    },
+    /// Fork the space (dropping the previous child), so that later writes
+    /// to its resident pages break COW.
+    Fork,
+}
+
+/// An offset below 8 MiB, page-aligned half the time so that whole pages
+/// get captured and landed.
+fn random_offset(rng: &mut SimRng) -> u64 {
+    if rng.chance(0.5) {
+        rng.below(1 << 11) * PAGE_SIZE
+    } else {
+        rng.below(1 << 23)
+    }
 }
 
 fn random_op(rng: &mut SimRng) -> Op {
-    match rng.below(11) {
+    match rng.below(14) {
         // Now and then more than a page-table leaf (512 pages), so that
         // allocations straddle a leaf boundary.
         0 if rng.chance(0.125) => Op::Mmap {
             pages: rng.range_inclusive(513, 1100),
+            read_only: false,
         },
         0 => Op::Mmap {
             pages: rng.range_inclusive(1, 15),
+            read_only: rng.chance(0.25),
         },
         1 => Op::Munmap {
             alloc_idx: rng.next_u64() as usize,
@@ -116,12 +151,27 @@ fn random_op(rng: &mut SimRng) -> Op {
             offset: rng.below(1 << 23),
             len: rng.range_inclusive(1, 3 * PAGE_SIZE),
         },
-        _ => Op::Install {
+        9 => Op::Install {
             from_idx: rng.next_u64() as usize,
             from_page: rng.below(1 << 11),
             to_idx: rng.next_u64() as usize,
             to_page: rng.below(1 << 11),
         },
+        11 => Op::Capture {
+            alloc_idx: rng.next_u64() as usize,
+            offset: random_offset(rng),
+            len: if rng.chance(0.5) {
+                rng.range_inclusive(1, 3) * PAGE_SIZE
+            } else {
+                rng.range_inclusive(1, 3 * PAGE_SIZE)
+            },
+        },
+        12 => Op::Land {
+            snap_idx: rng.next_u64() as usize,
+            alloc_idx: rng.next_u64() as usize,
+            offset: random_offset(rng),
+        },
+        _ => Op::Fork,
     }
 }
 
@@ -142,25 +192,68 @@ fn model_bytes(reference: &HashMap<u64, u8>, addr: u64, len: u64) -> Vec<u8> {
 struct Alloc {
     addr: VirtAddr,
     pages: u64,
+    writable: bool,
 }
 
-/// Reads agree with a reference byte map under arbitrary interleavings of
-/// mmap/munmap (whole and partial)/write/swap/migrate/pin, and frame/pin
-/// accounting balances at the end.
-#[test]
-fn memory_agrees_with_reference_model() {
-    let mut rng = SimRng::new(0x5133_0001);
-    for case in 0..64 {
-        let nops = rng.range_inclusive(1, 119);
-        let ops: Vec<Op> = (0..nops).map(|_| random_op(&mut rng)).collect();
-        run_reference_case(case, ops);
+/// A memory and its twin, driven in lockstep: every operation runs on
+/// both and must return the same thing, frame numbers and notifier events
+/// included. Only `Capture` and `Land` differ: `mem` runs
+/// [`Memory::capture`] and [`Memory::land`], the twin a `read` and a
+/// `write` of the same bytes.
+struct Twins {
+    mem: Memory,
+    twin: Memory,
+}
+
+impl Twins {
+    fn both<R: PartialEq + Debug>(&mut self, case: u32, f: impl Fn(&mut Memory) -> R) -> R {
+        let a = f(&mut self.mem);
+        let b = f(&mut self.twin);
+        assert_eq!(a, b, "case {case}: the twin diverged");
+        a
     }
 }
 
-fn run_reference_case(case: u32, ops: Vec<Op>) {
-    let mut mem = Memory::new(16384, 1024);
-    let space = mem.create_space();
-    mem.register_notifier(space).unwrap();
+/// How often the paths that `Capture` and `Land` must match were taken.
+#[derive(Default, Debug)]
+struct Coverage {
+    /// Destination pages that took a captured page by reference.
+    installed: u64,
+    cow_breaks: u64,
+    protection_faults: u64,
+    holes: u64,
+}
+
+/// Reads agree with a reference byte map under arbitrary interleavings of
+/// mmap/munmap (whole and partial)/write/swap/migrate/pin/fork, and frame/pin
+/// accounting balances at the end. Capture and land agree with a read and
+/// a write of the same bytes: same bytes, frames, notifier events
+/// (including COW breaks), and errors, after the same leading pages.
+#[test]
+fn memory_agrees_with_reference_model() {
+    let mut rng = SimRng::new(0x5133_0001);
+    let mut coverage = Coverage::default();
+    for case in 0..64 {
+        let nops = rng.range_inclusive(1, 119);
+        let ops: Vec<Op> = (0..nops).map(|_| random_op(&mut rng)).collect();
+        run_reference_case(case, ops, &mut coverage);
+    }
+    assert!(coverage.installed > 0, "{coverage:?}");
+    assert!(coverage.cow_breaks > 0, "{coverage:?}");
+    assert!(coverage.protection_faults > 0, "{coverage:?}");
+    assert!(coverage.holes > 0, "{coverage:?}");
+}
+
+fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
+    let build = || {
+        let mut mem = Memory::new(16384, 1024);
+        let space = mem.create_space();
+        mem.register_notifier(space).unwrap();
+        (mem, space)
+    };
+    let ((mem, space), (twin, _)) = (build(), build());
+    let mut m = Twins { mem, twin };
+    let mut child: Option<AsId> = None;
 
     let mut allocs: Vec<Alloc> = Vec::new();
     // Reference: absolute byte address -> value (unwritten bytes are 0).
@@ -171,9 +264,20 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
 
     for op in ops {
         match op {
-            Op::Mmap { pages } => {
-                let addr = mem.mmap(space, pages * PAGE_SIZE, Prot::ReadWrite).unwrap();
-                allocs.push(Alloc { addr, pages });
+            Op::Mmap { pages, read_only } => {
+                let prot = if read_only {
+                    Prot::ReadOnly
+                } else {
+                    Prot::ReadWrite
+                };
+                let addr = m
+                    .both(case, |mem| mem.mmap(space, pages * PAGE_SIZE, prot))
+                    .unwrap();
+                allocs.push(Alloc {
+                    addr,
+                    pages,
+                    writable: !read_only,
+                });
             }
             Op::Munmap { alloc_idx } => {
                 if allocs.is_empty() {
@@ -181,7 +285,9 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 }
                 let a = allocs.remove(alloc_idx % allocs.len());
                 // Pinned pages inside are allowed: frames survive pins.
-                let evs = mem.munmap(space, a.addr, a.pages * PAGE_SIZE).unwrap();
+                let evs = m
+                    .both(case, |mem| mem.munmap(space, a.addr, a.pages * PAGE_SIZE))
+                    .unwrap();
                 for ev in &evs {
                     assert_eq!(ev.cause, InvalidateCause::Unmap, "case {case}");
                 }
@@ -200,7 +306,9 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 let first = first % a.pages;
                 let n = pages.min(a.pages - first);
                 let cut = a.addr.add(first * PAGE_SIZE);
-                let evs = mem.munmap(space, cut, n * PAGE_SIZE).unwrap();
+                let evs = m
+                    .both(case, |mem| mem.munmap(space, cut, n * PAGE_SIZE))
+                    .unwrap();
                 assert_eq!(evs.len(), 1, "case {case}");
                 assert_eq!(evs[0].range.start, cut.vpn(), "case {case}");
                 assert_eq!(evs[0].range.len(), n, "case {case}");
@@ -211,12 +319,14 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                     allocs.push(Alloc {
                         addr: a.addr,
                         pages: first,
+                        writable: a.writable,
                     });
                 }
                 if first + n < a.pages {
                     allocs.push(Alloc {
                         addr: cut.add(n * PAGE_SIZE),
                         pages: a.pages - first - n,
+                        writable: a.writable,
                     });
                 }
             }
@@ -230,11 +340,15 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                     continue;
                 }
                 let a = &allocs[alloc_idx % allocs.len()];
+                if !a.writable {
+                    continue;
+                }
                 let size = a.pages * PAGE_SIZE;
                 let offset = offset % size;
                 let len = len.min(size - offset);
                 let data = vec![byte; len as usize];
-                mem.write(space, a.addr.add(offset), &data).unwrap();
+                m.both(case, |mem| mem.write(space, a.addr.add(offset), &data))
+                    .unwrap();
                 for i in 0..len {
                     reference.insert(a.addr.0 + offset + i, byte);
                 }
@@ -251,9 +365,11 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 let size = a.pages * PAGE_SIZE;
                 let offset = offset % size;
                 let len = len.min(size - offset);
-                let mut buf = vec![0u8; len as usize];
-                mem.read(space, a.addr.add(offset), &mut buf).unwrap();
-                for (i, &b) in buf.iter().enumerate() {
+                let buf = m.both(case, |mem| {
+                    let mut buf = vec![0u8; len as usize];
+                    mem.read(space, a.addr.add(offset), &mut buf).map(|()| buf)
+                });
+                for (i, &b) in buf.unwrap().iter().enumerate() {
                     let expect = reference
                         .get(&(a.addr.0 + offset + i as u64))
                         .copied()
@@ -271,15 +387,20 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                     continue;
                 }
                 let a = &allocs[alloc_idx % allocs.len()];
-                let (pfns, _ev) = mem
-                    .pin_user_pages(space, a.addr, a.pages * PAGE_SIZE)
+                if !a.writable {
+                    continue;
+                }
+                let (pfns, _ev) = m
+                    .both(case, |mem| {
+                        mem.pin_user_pages(space, a.addr, a.pages * PAGE_SIZE)
+                    })
                     .unwrap();
                 assert_eq!(pfns.len() as u64, a.pages, "case {case}");
                 pins.push(pfns);
             }
             Op::UnpinOldest => {
                 if let Some(pfns) = pins.pop() {
-                    mem.unpin_pages(&pfns);
+                    m.both(case, |mem| mem.unpin_pages(&pfns));
                 }
             }
             Op::SwapOut { alloc_idx, page } => {
@@ -289,7 +410,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 let a = &allocs[alloc_idx % allocs.len()];
                 let page = page % a.pages;
                 let vaddr = a.addr.add(page * PAGE_SIZE);
-                match mem.swap_out(space, vaddr.vpn()) {
+                match m.both(case, |mem| mem.swap_out(space, vaddr.vpn())) {
                     Ok(_) | Err(MemError::NotResident(_)) | Err(MemError::PagePinned(_)) => {}
                     Err(e) => panic!("case {case}: unexpected swap_out error {e}"),
                 }
@@ -301,7 +422,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 let a = &allocs[alloc_idx % allocs.len()];
                 let page = page % a.pages;
                 let vaddr = a.addr.add(page * PAGE_SIZE);
-                match mem.migrate(space, vaddr.vpn()) {
+                match m.both(case, |mem| mem.migrate(space, vaddr.vpn())) {
                     Ok(_) | Err(MemError::NotResident(_)) | Err(MemError::PagePinned(_)) => {}
                     Err(e) => panic!("case {case}: unexpected migrate error {e}"),
                 }
@@ -321,8 +442,8 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 let start = a.addr.add(offset);
                 let mut snap = PageSnapshot::default();
                 for (vpn, off, n) in page_chunks(start, len) {
-                    let pfn = resident(&mut mem, space, vpn);
-                    snap.push(mem.share_phys(pfn), off, n);
+                    let pfn = m.both(case, |mem| resident(mem, space, vpn));
+                    m.mem.frames().capture(pfn, off, n, &mut snap);
                 }
                 snapshots.push((snap, model_bytes(&reference, start.0, len)));
             }
@@ -338,43 +459,157 @@ fn run_reference_case(case: u32, ops: Vec<Op>) {
                 let from = &allocs[from_idx % allocs.len()];
                 let from = from.addr.add(from_page % from.pages * PAGE_SIZE);
                 let to = &allocs[to_idx % allocs.len()];
+                if !to.writable {
+                    continue;
+                }
                 let to = to.addr.add(to_page % to.pages * PAGE_SIZE);
-                let pfn = resident(&mut mem, space, from.vpn());
-                let page = mem.share_phys(pfn);
-                let bytes = model_bytes(&reference, from.0, PAGE_SIZE);
+                let pfn = m.both(case, |mem| resident(mem, space, from.vpn()));
                 let mut snap = PageSnapshot::default();
-                snap.push(page.clone(), 0, PAGE_SIZE);
-                snapshots.push((snap, bytes.clone()));
+                m.mem.frames().capture(pfn, 0, PAGE_SIZE, &mut snap);
+                let bytes = model_bytes(&reference, from.0, PAGE_SIZE);
                 // Land it where the engine does: in a pinned frame.
-                let (pfns, _) = mem.pin_user_pages(space, to, PAGE_SIZE).unwrap();
-                mem.install_phys(pfns[0], page);
-                mem.unpin_pages(&pfns);
+                let (pfns, _) = m
+                    .both(case, |mem| mem.pin_user_pages(space, to, PAGE_SIZE))
+                    .unwrap();
+                m.mem.land_phys(pfns[0], 0, PAGE_SIZE, &mut snap.reader());
+                m.twin.write_phys(pfns[0], 0, &bytes);
+                m.both(case, |mem| mem.unpin_pages(&pfns));
+                snapshots.push((snap, bytes.clone()));
                 for (i, &b) in bytes.iter().enumerate() {
                     reference.insert(to.0 + i as u64, b);
                 }
                 let mut back = vec![0u8; PAGE_SIZE as usize];
-                mem.read(space, to, &mut back).unwrap();
+                m.mem.read(space, to, &mut back).unwrap();
                 assert_eq!(back, bytes, "case {case}: installed page differs");
+            }
+            Op::Capture {
+                alloc_idx,
+                offset,
+                len,
+            } => {
+                if allocs.is_empty() {
+                    continue;
+                }
+                let a = &allocs[alloc_idx % allocs.len()];
+                let start = a.addr.add(offset % (a.pages * PAGE_SIZE));
+                let got = m.mem.capture(space, start, len);
+                let mut buf = vec![0u8; len as usize];
+                let want = m.twin.read(space, start, &mut buf).map(|()| buf);
+                match (got, want) {
+                    (Ok(snap), Ok(buf)) => {
+                        assert!(snap.to_vec() == buf, "case {case}: capture differs");
+                        let model = model_bytes(&reference, start.0, len);
+                        assert!(buf == model, "case {case}: capture differs from the model");
+                        snapshots.push((snap, model));
+                    }
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got, want, "case {case}: capture error");
+                        coverage.holes += u64::from(matches!(got, MemError::BadAddress(_)));
+                    }
+                    (got, want) => panic!("case {case}: capture {got:?}, read {want:?}"),
+                }
+            }
+            Op::Land {
+                snap_idx,
+                alloc_idx,
+                offset,
+            } => {
+                if allocs.is_empty() || snapshots.is_empty() {
+                    continue;
+                }
+                let (snap, bytes) = &snapshots[snap_idx % snapshots.len()];
+                let a = &allocs[alloc_idx % allocs.len()];
+                let start = a.addr.add(offset % (a.pages * PAGE_SIZE));
+                let got = m.mem.land(space, start, snap);
+                let want = m.twin.write(space, start, bytes);
+                assert_eq!(got, want, "case {case}: land and write differ");
+                // The bytes before the failing page were landed.
+                let landed = match got {
+                    Ok(events) => {
+                        coverage.cow_breaks += events
+                            .iter()
+                            .filter(|e| e.cause == InvalidateCause::CowBreak)
+                            .count() as u64;
+                        snap.len()
+                    }
+                    Err(MemError::ProtectionFault(page)) => {
+                        coverage.protection_faults += 1;
+                        page.0.saturating_sub(start.0)
+                    }
+                    Err(MemError::BadAddress(page)) => {
+                        coverage.holes += 1;
+                        page.0.saturating_sub(start.0)
+                    }
+                    Err(e) => panic!("case {case}: unexpected land error {e}"),
+                };
+                for (i, &b) in bytes[..landed as usize].iter().enumerate() {
+                    reference.insert(start.0 + i as u64, b);
+                }
+                // A whole captured page lands by reference on a whole
+                // destination page.
+                let mut src = snap.reader();
+                if start.is_page_aligned() && landed >= PAGE_SIZE {
+                    if let Some(page) = src.whole_page() {
+                        let pfn = m.mem.resident_pfn(space, start.vpn()).unwrap();
+                        assert!(Arc::ptr_eq(&page, &m.mem.share_phys(pfn)), "case {case}");
+                        coverage.installed += 1;
+                    }
+                }
+            }
+            Op::Fork => {
+                if let Some(old) = child.take() {
+                    m.both(case, |mem| mem.destroy_space(old)).unwrap();
+                }
+                match m.both(case, |mem| mem.fork_space(space)) {
+                    Ok(c) => child = Some(c),
+                    Err(MemError::OutOfSwap) => {}
+                    Err(e) => panic!("case {case}: unexpected fork error {e}"),
+                }
             }
         }
         // Invariant: pinned page count equals the pins we hold.
         let held: usize = pins.iter().map(Vec::len).sum();
-        assert_eq!(mem.frames().pinned_pages(), held, "case {case}");
+        assert_eq!(m.mem.frames().pinned_pages(), held, "case {case}");
+        // Invariant: the twins hold the same frames.
+        assert_eq!(
+            m.mem.frames().allocated(),
+            m.twin.frames().allocated(),
+            "case {case}"
+        );
         // Invariant: no later operation changes a snapshot's bytes.
         for (i, (snap, want)) in snapshots.iter().enumerate() {
             assert!(snap.to_vec() == *want, "case {case}: snapshot {i} changed");
         }
     }
 
-    // Teardown: release pins, unmap everything; all frames return.
+    // Every mapped byte agrees across the twins and with the model.
+    for a in &allocs {
+        let len = a.pages * PAGE_SIZE;
+        let got = m
+            .both(case, |mem| {
+                let mut buf = vec![0u8; len as usize];
+                mem.read(space, a.addr, &mut buf).map(|()| buf)
+            })
+            .unwrap();
+        assert!(got == model_bytes(&reference, a.addr.0, len), "case {case}");
+    }
+
+    // Teardown: release pins, drop the child, unmap everything; all frames
+    // return.
     for pfns in pins.drain(..) {
-        mem.unpin_pages(&pfns);
+        m.both(case, |mem| mem.unpin_pages(&pfns));
+    }
+    if let Some(c) = child {
+        m.both(case, |mem| mem.destroy_space(c)).unwrap();
     }
     for a in allocs.drain(..) {
-        mem.munmap(space, a.addr, a.pages * PAGE_SIZE).unwrap();
+        m.both(case, |mem| mem.munmap(space, a.addr, a.pages * PAGE_SIZE))
+            .unwrap();
     }
-    assert_eq!(mem.frames().allocated(), 0, "case {case}");
-    assert_eq!(mem.frames().pinned_pages(), 0, "case {case}");
+    for mem in [&m.mem, &m.twin] {
+        assert_eq!(mem.frames().allocated(), 0, "case {case}");
+        assert_eq!(mem.frames().pinned_pages(), 0, "case {case}");
+    }
 }
 
 /// Data written before a fork is visible in both spaces; writes after the
@@ -462,10 +697,10 @@ fn pinned_frames_are_immovable() {
     }
 }
 
-/// A pin or write that runs from a writable mapping into a read-only one
-/// (`ProtectionFault`) or into an unmapped hole (`BadAddress`) stops at
-/// the failing page: exactly the pages before it are pinned or written,
-/// and the failing page is not faulted in.
+/// A pin, write or land that runs from a writable mapping into a
+/// read-only one (`ProtectionFault`) or into an unmapped hole
+/// (`BadAddress`) stops at the failing page: exactly the pages before it
+/// are pinned or written, and the failing page is not faulted in.
 #[test]
 fn range_walks_stop_at_the_first_bad_page() {
     const BASE: u64 = 0x1000_0000;
@@ -516,6 +751,31 @@ fn range_walks_stop_at_the_first_bad_page() {
         let mut back = vec![0u8; written];
         mem.read(space, at, &mut back).unwrap();
         assert!(back == data[100..100 + written], "write {what}");
+
+        // Landing the same bytes by reference stops at the same page.
+        let (mut mem, space) = layout();
+        let snap = PageSnapshot::from_bytes(&data[100..]);
+        assert_eq!(mem.land(space, at, &snap), Err(err), "land {what}");
+        assert_eq!(mem.frames().allocated() as u64, ok, "land {what}");
+        let mut back = vec![0u8; written];
+        mem.read(space, at, &mut back).unwrap();
+        assert!(back == data[100..100 + written], "land {what}");
+
+        // A capture faults exactly the pages a read of the range does, and
+        // fails the same way (only at the hole: read-only pages are
+        // readable).
+        let len = snap.len();
+        let (mut mem, space) = layout();
+        let captured = mem.capture(space, at, len).map(|s| s.to_vec());
+        let (mut twin, space) = layout();
+        let mut buf = vec![0u8; len as usize];
+        let read = twin.read(space, at, &mut buf).map(|()| buf);
+        assert_eq!(captured, read, "capture {what}");
+        assert_eq!(
+            mem.frames().allocated(),
+            twin.frames().allocated(),
+            "capture {what}"
+        );
     }
 }
 
