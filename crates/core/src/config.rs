@@ -226,11 +226,6 @@ pub struct OpenMxConfig {
     pub pull_window: u32,
     /// Pages pinned per on-demand chunk (overlap granularity).
     pub pin_chunk_pages: u64,
-    /// Issue one `pin_user_pages` call per page instead of batching each
-    /// contiguous run of a chunk into a single call. Differential-test
-    /// oracle for the batched path; the simulated cost model is identical,
-    /// only the number of `Memory` pin calls differs.
-    pub per_page_pin: bool,
     /// User-space region cache capacity (LRU above this).
     pub cache_capacity: usize,
     /// Driver-enforced ceiling on pinned pages per node; exceeding it
@@ -301,7 +296,6 @@ impl OpenMxConfig {
             pull_block: 64 * 1024,
             pull_window: 2,
             pin_chunk_pages: 32,
-            per_page_pin: false,
             cache_capacity: 64,
             pinned_pages_limit: None,
             pin_quota: None,

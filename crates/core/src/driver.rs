@@ -716,7 +716,7 @@ impl Driver {
     /// by unpinning idle (use_count == 0) regions, least recently used
     /// first ("if there are too many pinned pages … it may also request
     /// some unpinning", §3.1). With a quota installed, victim selection is
-    /// weighted-fair ([`Driver::pop_victim_weighted`]); otherwise it is
+    /// weighted-fair (`Driver::pop_victim_weighted`); otherwise it is
     /// the plain global LRU order. `requester` is the tenant whose pin
     /// pass triggered the pressure — evictions that land on *other*
     /// tenants are booked to its `inflicted` counter (and the victims'

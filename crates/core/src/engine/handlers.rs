@@ -1883,7 +1883,6 @@ impl Cluster {
             return;
         }
         let want = self.cfg.pin_chunk_pages.min(target - cursor);
-        let per_page = self.cfg.per_page_pin;
         let (result, pin_calls, stale_released, attached_before) = {
             let n = &mut self.nodes[node];
             let calls_before = n.mem.pin_calls();
@@ -1894,7 +1893,7 @@ impl Cluster {
             // what a failed pass rolls back below.
             let stale = r.stale_pages();
             let attached = r.pinned_pages();
-            let result = n.driver.pin_chunk(&mut n.mem, region, want, per_page);
+            let result = n.driver.pin_chunk(&mut n.mem, region, want, false);
             (result, n.mem.pin_calls() - calls_before, stale, attached)
         };
         self.nodes[node].counters.add("pin_syscalls", pin_calls);

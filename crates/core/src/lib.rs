@@ -38,7 +38,6 @@ pub mod engine;
 mod index;
 pub mod obs;
 pub mod region;
-pub mod sync;
 pub mod wire;
 
 pub use cache::{CacheOutcome, RegionCache};
@@ -52,5 +51,4 @@ pub use obs::{
     TraceEvent, TraceRecord, Tracer, XferSpan,
 };
 pub use region::{DeclareError, DriverRegion, RegionLayout, Segment};
-pub use sync::{ConcurrentDriver, EpochCollector, EpochHandle, EpochMutation, SharedRegionCache};
 pub use wire::{Frame, MsgId, PullId, WireMsg, XferId};

@@ -61,21 +61,12 @@ pub struct RegionLayout {
 pub enum DeclareError {
     /// Every segment had zero length — there is nothing to pin.
     EmptyRegion,
-    /// The concurrent driver's fixed-capacity region table is full.
-    TableFull,
-    /// A driver lock was poisoned by a panicking thread; the declare
-    /// degrades to a counted failure instead of propagating the panic.
-    DriverUnavailable,
 }
 
 impl std::fmt::Display for DeclareError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeclareError::EmptyRegion => write!(f, "empty region (all segments zero-length)"),
-            DeclareError::TableFull => write!(f, "region table full"),
-            DeclareError::DriverUnavailable => {
-                write!(f, "driver lock poisoned; declare refused")
-            }
         }
     }
 }
@@ -375,9 +366,8 @@ impl DriverRegion {
 
     /// The pre-batching pin loop: one [`Memory::pin_user_pages`] call per
     /// page. Kept as the differential-test oracle for the batched path
-    /// (and reachable in the engine behind
-    /// [`per_page_pin`](crate::config::OpenMxConfig::per_page_pin)); both
-    /// must produce the same pins, cursor and failure/rollback behavior.
+    /// (and as `bench_core`'s per-page pin-call baseline); both must
+    /// produce the same pins, cursor and failure/rollback behavior.
     pub fn pin_next_chunk_per_page(
         &mut self,
         mem: &mut Memory,

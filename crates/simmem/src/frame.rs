@@ -14,7 +14,7 @@
 //! ## Copy-on-write page storage
 //!
 //! A frame's bytes live in a reference-counted page (`Arc<[u8]>`) that
-//! other holders may share: a [`PageSnapshot`](crate::PageSnapshot) taken
+//! other holders may share: a [`PageSnapshot`] taken
 //! by [`FrameAllocator::share`], another frame that received the page
 //! through [`FrameAllocator::install`], or a swap slot. Sharing is
 //! invisible to readers because every write to a shared page copies it

@@ -18,7 +18,7 @@
 //! ## Page tables and range walks
 //!
 //! Each space maps virtual pages to frames or swap slots through a
-//! two-level radix [`PageTable`]. Operations over a page range (`read`,
+//! two-level radix `PageTable`. Operations over a page range (`read`,
 //! `write`, `capture`, `land`, `pin_user_pages_partial`) look up each VMA
 //! once and then fault its pages in one after another; `munmap` drains the
 //! table range of each removed VMA and releases every frame and swap slot

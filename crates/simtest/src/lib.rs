@@ -15,7 +15,7 @@
 //!   of the sender's buffer at post time).
 //!
 //! Everything replays from a single `u64` seed. When a run fails, the
-//! delta-debugging [`shrink`] minimizes the schedule and [`encode`] packs
+//! delta-debugging [`shrink()`] minimizes the schedule and [`encode`] packs
 //! it into a one-line repro string a `#[test]` replays verbatim:
 //!
 //! ```text
