@@ -5,40 +5,33 @@
 //! emits them as one flat `BENCH_core.json`.
 //!
 //! Every metric gated here is *virtual-time* or a deterministic counter,
-//! so the numbers are machine-independent: any drift beyond tolerance is
-//! a behavioural change in the protocol or the simulation, not noise.
-//! CI runs `--smoke --check BENCH_core.json` against the committed
-//! baseline and fails on >25% relative drift of any shared key.
+//! so the numbers are machine-independent: any change is a behavioural
+//! change in the protocol or the simulation, not noise. CI runs the full
+//! sweep and requires its output to equal the committed `BENCH_core.json`
+//! byte for byte.
 //!
 //! Run: `cargo run --release -p openmx-bench --bin bench_core [-- --smoke]`
 //!
 //! Flags:
-//! * `--smoke`       reduced size/iteration axes for CI (keys stay a
-//!   subset of the full run's, so `--check` still compares),
-//! * `--out PATH`    where to write the JSON (default `BENCH_core.json`),
-//! * `--check PATH`  diff against a baseline JSON; exit 1 on regression.
+//! * `--smoke`       reduced size/iteration axes for a quick local run
+//!   (its keys are a subset of the full run's),
+//! * `--out PATH`    where to write the JSON (default `BENCH_core.json`).
 
-use openmx_bench::baseline::check_against;
 use openmx_bench::pingpong::{paper_cfg, pingpong_throughput};
 use openmx_bench::table::Table;
 use openmx_core::{Driver, PinningMode, Segment};
 use openmx_mpi::{run_imb, ImbKernel};
 use simmem::{Memory, Prot, PAGE_SIZE};
 
-/// Maximum relative drift of a shared key before `--check` fails.
-const TOLERANCE: f64 = 0.25;
-
 struct Args {
     smoke: bool,
     out: String,
-    check: Option<String>,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
         out: "BENCH_core.json".to_string(),
-        check: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -49,13 +42,9 @@ fn parse_args() -> Args {
                 i += 1;
                 args.out = argv[i].clone();
             }
-            "--check" => {
-                i += 1;
-                args.check = Some(argv[i].clone());
-            }
             other => {
                 eprintln!("unknown flag: {other}");
-                eprintln!("usage: bench_core [--smoke] [--out PATH] [--check PATH]");
+                eprintln!("usage: bench_core [--smoke] [--out PATH]");
                 std::process::exit(2);
             }
         }
@@ -185,11 +174,4 @@ fn main() {
     json.push_str("  }\n}\n");
     std::fs::write(&args.out, &json).expect("write BENCH_core.json");
     println!("wrote {} ({} entries)", args.out, entries.len());
-
-    // The regression gate: every key present in both runs must agree
-    // within tolerance. Keys only in the baseline (e.g. the 16 MiB points
-    // a smoke run skips) are not compared.
-    if let Some(path) = &args.check {
-        check_against("bench-core", &entries, path, TOLERANCE);
-    }
 }

@@ -26,16 +26,17 @@
 //! Run: `cargo run --release -p openmx-bench --bin crashstorm [-- --smoke]`
 //!
 //! Flags:
-//! * `--smoke`       fewer crash cycles for CI (same asserts),
-//! * `--out PATH`    where to write the JSON (default `BENCH_crashstorm.json`),
-//! * `--check PATH`  diff against a baseline JSON; exit 1 on drift.
+//! * `--smoke`       fewer crash cycles for a quick local run (same asserts),
+//! * `--out PATH`    where to write the JSON (default `BENCH_crashstorm.json`).
+//!
+//! CI runs the full storm and requires its output to equal the committed
+//! `BENCH_crashstorm.json` byte for byte.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use openmx_bench::baseline::check_against;
 use openmx_bench::table::Table;
 use openmx_core::{AppEvent, Cluster, Ctx, OpenMxConfig, PinningMode, ProcId, Process, TraceEvent};
 use simcore::{SimDuration, SimTime};
@@ -71,20 +72,16 @@ const RECOVERY_QUANTUM: SimDuration = SimDuration::from_micros(20);
 /// Steady-state cutoff for survivor pin waits (cold first pins are
 /// warmup in any world).
 const WARMUP: SimTime = SimTime::from_nanos(2_000_000);
-/// Maximum relative drift of a shared key before `--check` fails.
-const TOLERANCE: f64 = 0.25;
 
 struct Args {
     smoke: bool,
     out: String,
-    check: Option<String>,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
         out: "BENCH_crashstorm.json".to_string(),
-        check: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -95,13 +92,9 @@ fn parse_args() -> Args {
                 i += 1;
                 args.out = argv[i].clone();
             }
-            "--check" => {
-                i += 1;
-                args.check = Some(argv[i].clone());
-            }
             other => {
                 eprintln!("unknown flag: {other}");
-                eprintln!("usage: crashstorm [--smoke] [--out PATH] [--check PATH]");
+                eprintln!("usage: crashstorm [--smoke] [--out PATH]");
                 std::process::exit(2);
             }
         }
@@ -335,12 +328,12 @@ fn main() {
     let mut survivor_waits = Vec::new();
     for rec in cl.tracer().iter() {
         match rec.event {
-            TraceEvent::PinWaitStart { xfer, region } => {
+            TraceEvent::PinWaitStart { msg, region } => {
                 let proc = rec.proc.map(|p| p.0).unwrap_or(u32::MAX);
-                open.insert((xfer.0, region.0), (rec.time, proc));
+                open.insert((msg.0, region.0), (rec.time, proc));
             }
-            TraceEvent::PinWaitEnd { xfer, region } => {
-                if let Some((start, proc)) = open.remove(&(xfer.0, region.0)) {
+            TraceEvent::PinWaitEnd { msg, region } => {
+                if let Some((start, proc)) = open.remove(&(msg.0, region.0)) {
                     if (proc as usize) < SURVIVORS && start >= WARMUP {
                         survivor_waits.push((rec.time - start).as_nanos());
                     }
@@ -385,9 +378,8 @@ fn main() {
         c.get("peer_dead_aborts"),
     );
 
-    // Gated keys sit on `"key": number` lines; raw counts that scale
-    // with the cycle axis go under "info" as strings so smoke-vs-full
-    // checks skip them (see openmx_bench::baseline).
+    // Headline keys sit under "entries"; raw counts that scale with the
+    // cycle axis go under "info", written as strings.
     let json = format!(
         "{{\n  \"schema\": \"crashstorm-v1\",\n  \"entries\": {{\n    \
          \"recovery_p50_ns\": {rec_p50:.1},\n    \
@@ -428,17 +420,4 @@ fn main() {
         "crashstorm OK: {cycles} crash/restart cycles, recovery p99 {rec_p99:.0} ns, \
          zero orphan pins, zero ghost completions"
     );
-
-    if let Some(path) = &args.check {
-        let entries = vec![
-            ("recovery_p50_ns".to_string(), rec_p50),
-            ("recovery_p99_ns".to_string(), rec_p99),
-            ("survivor_pin_wait_p50_ns".to_string(), wait_p50),
-            ("survivor_pin_wait_p99_ns".to_string(), wait_p99),
-            ("reaped_pages_per_cycle".to_string(), reaped_per_cycle),
-            ("orphan_pins_total".to_string(), orphan_pins_total as f64),
-            ("ghost_completions_total".to_string(), ghosts.get() as f64),
-        ];
-        check_against("crashstorm", &entries, path, TOLERANCE);
-    }
 }

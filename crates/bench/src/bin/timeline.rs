@@ -10,7 +10,7 @@
 //! (`timeline_<mode>.json`) — load it in <https://ui.perfetto.dev> or
 //! `chrome://tracing` to see pin spans against the packet flow — and as a
 //! causal span tree (`timeline_<mode>_spans.json`): nested B/E duration
-//! events with one track group per `XferId`, so the overlap window, pin
+//! events with one track group per transfer (`MsgId`), so the overlap window, pin
 //! waits and pull blocks show as bars. A per-transfer critical-path
 //! breakdown (pin wait / wire / backoff / host) is printed alongside.
 //!
@@ -130,7 +130,7 @@ fn show(mode: PinningMode, header: &str) {
         let cp = &s.critical_path;
         println!(
             "{:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-            s.xfer.0,
+            s.msg.0,
             s.duration_ns() as f64 / 1e3,
             cp.pin_wait_ns as f64 / 1e3,
             cp.wire_ns as f64 / 1e3,

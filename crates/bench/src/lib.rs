@@ -1,8 +1,6 @@
 //! Shared harness code for the table/figure regeneration binaries.
 //!
 //! * [`table`] — plain-text table rendering + CSV output,
-//! * [`baseline`] — flat-JSON baseline parsing + the drift gate shared by
-//!   the bench-regression bins,
 //! * [`pingpong`] — the IMB PingPong throughput runner behind Figs. 6–7,
 //! * [`sweep`] — parallel parameter sweeps (one simulation per thread),
 //! * [`microbench`] — wall-clock timing harness for the bench targets,
@@ -11,7 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod chaos;
 pub mod microbench;
 pub mod paper;

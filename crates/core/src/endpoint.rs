@@ -10,8 +10,8 @@ use std::collections::{HashSet, VecDeque};
 
 use simmem::{PageSnapshot, VirtAddr};
 
-use crate::engine::ProcId;
-use crate::wire::{MsgId, XferId};
+use crate::engine::{OverlapHint, ProcId};
+use crate::wire::MsgId;
 
 /// Network-visible address of an endpoint (one per process).
 ///
@@ -46,6 +46,9 @@ pub struct PostedRecv {
     pub addr: VirtAddr,
     /// Destination buffer capacity.
     pub len: u64,
+    /// Overlap hint for a rendezvous this receive matches (the match may
+    /// come long after the post).
+    pub hint: OverlapHint,
 }
 
 impl PostedRecv {
@@ -59,8 +62,6 @@ impl PostedRecv {
 pub struct EagerRx {
     /// Sender's transfer id.
     pub msg: MsgId,
-    /// Causal-trace id of the transfer.
-    pub xfer: XferId,
     /// Sending endpoint.
     pub src: EndpointAddr,
     /// Matching key.
@@ -78,7 +79,6 @@ impl EagerRx {
     /// `frag_count` fragments.
     pub fn new(
         msg: MsgId,
-        xfer: XferId,
         src: EndpointAddr,
         match_info: u64,
         total_len: u64,
@@ -86,7 +86,6 @@ impl EagerRx {
     ) -> Self {
         EagerRx {
             msg,
-            xfer,
             src,
             match_info,
             total_len,
@@ -147,8 +146,6 @@ pub enum Unexpected {
     Rndv {
         /// Sender transfer id.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Sending endpoint.
         src: EndpointAddr,
         /// Matching key.
@@ -160,8 +157,6 @@ pub enum Unexpected {
     Shm {
         /// Sender transfer id.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Sending endpoint.
         src: EndpointAddr,
         /// Matching key.
@@ -304,6 +299,7 @@ mod tests {
             mask,
             addr: VirtAddr(0x1000),
             len: 64,
+            hint: OverlapHint::Auto,
         }
     }
 
@@ -333,7 +329,6 @@ mod tests {
         let mut ep = Endpoint::new();
         ep.push_unexpected(Unexpected::Rndv {
             msg: MsgId(5),
-            xfer: XferId(5),
             src: addr(1),
             match_info: 9,
             total_len: 1 << 20,
@@ -349,7 +344,6 @@ mod tests {
         for i in 0..3 {
             ep.push_unexpected(Unexpected::Shm {
                 msg: MsgId(i),
-                xfer: XferId(i),
                 src: addr(1),
                 match_info: 9,
                 data: PageSnapshot::default(),
@@ -375,7 +369,7 @@ mod tests {
 
     #[test]
     fn eager_reassembly() {
-        let mut e = EagerRx::new(MsgId(1), XferId(1), addr(0), 7, 10, 3);
+        let mut e = EagerRx::new(MsgId(1), addr(0), 7, 10, 3);
         assert!(!e.absorb(0, 0, bytes(&[1, 2, 3, 4])));
         assert!(!e.absorb(2, 8, bytes(&[9, 10])));
         // Duplicate is idempotent.
@@ -391,7 +385,7 @@ mod tests {
 
     #[test]
     fn out_of_range_fragments_are_dropped() {
-        let mut e = EagerRx::new(MsgId(1), XferId(1), addr(0), 7, 10, 3);
+        let mut e = EagerRx::new(MsgId(1), addr(0), 7, 10, 3);
         // An offset near u64::MAX must not wrap past the bounds check.
         assert!(!e.absorb(0, u64::MAX, bytes(&[1, 2, 3, 4, 5])));
         assert!(!e.absorb(0, 8, bytes(&[1, 2, 3])));
@@ -413,7 +407,6 @@ mod tests {
         let mut ep = Endpoint::new();
         ep.push_unexpected(Unexpected::Eager(EagerRx::new(
             MsgId(4),
-            XferId(4),
             addr(2),
             1,
             100,

@@ -6,14 +6,14 @@ use simmem::{PageSnapshot, VirtAddr};
 
 use super::xfer::{
     Block, EagerRxMatched, EagerTx, NotifyPending, PendingCopy, PinAction, PinPlan, PinWaiter,
-    RecvXfer, SendXfer, ShmParked,
+    RecvXfer, Retried, Retry, RetryKey, SendXfer, ShmParked,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
 use crate::obs::{RetransKind, TraceEvent};
 use crate::region::{DeclareError, Segment};
-use crate::wire::{Frame, MsgId, PullId, WireMsg, XferId};
+use crate::wire::{Frame, MsgId, PullId, WireMsg};
 
 /// The process whose core a sliced work item belongs to.
 fn work_owner(w: &Work) -> ProcId {
@@ -188,7 +188,6 @@ impl Cluster {
         len: u64,
     ) {
         let msg = self.alloc_msg();
-        let xfer = self.alloc_xfer();
         let node = self.procs[proc.0 as usize].node;
         let Ok(data) = self.capture_segments(proc, segments) else {
             self.nodes[node].counters.bump("requests_failed");
@@ -199,7 +198,6 @@ impl Cluster {
             msg,
             ShmParked {
                 src: self.addr_of(proc),
-                xfer,
                 peer: self.addr_of(peer),
                 match_info,
                 data,
@@ -231,8 +229,7 @@ impl Cluster {
             }
             return;
         };
-        let (src, peer, match_info, xfer) =
-            (parked.src, parked.peer, parked.match_info, parked.xfer);
+        let (src, peer, match_info) = (parked.src, parked.peer, parked.match_info);
         let total = parked.data.len();
         if self.endpoint_gone(peer) {
             // The destination died (or came back as a new incarnation)
@@ -250,15 +247,11 @@ impl Cluster {
         // Deliver to the peer endpoint (receiver-side copy still pending).
         let pidx = peer.proc.0 as usize;
         match self.procs[pidx].endpoint.match_incoming(match_info) {
-            Some(posted) => {
-                self.xfers.recv_hints.remove(&posted.req);
-                self.shm_matched(msg, peer.proc, posted, total)
-            }
+            Some(posted) => self.shm_matched(msg, peer.proc, posted, total),
             None => {
                 let parked = self.xfers.shm.remove(&msg).expect("shm xfer");
                 self.procs[pidx].endpoint.push_unexpected(Unexpected::Shm {
                     msg,
-                    xfer,
                     src,
                     match_info,
                     data: parked.data,
@@ -320,7 +313,6 @@ impl Cluster {
         len: u64,
     ) {
         let msg = self.alloc_msg();
-        let xfer = self.alloc_xfer();
         let node = self.procs[proc.0 as usize].node;
         let Ok(data) = self.capture_segments(proc, segments) else {
             self.nodes[node].counters.bump("requests_failed");
@@ -331,14 +323,12 @@ impl Cluster {
             msg,
             EagerTx {
                 req,
-                xfer,
                 proc,
                 peer: self.addr_of(peer),
                 match_info,
                 total_len: len,
                 data,
-                timer: None,
-                retries: 0,
+                retry: Retry::default(),
                 sent_at: self.now,
             },
         );
@@ -359,17 +349,8 @@ impl Cluster {
     fn on_eager_copy_out(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
         self.transmit_eager_frames(msg);
         // The ack may already have raced the copy-out completion (duplicate
-        // delivery paths): only (re)arm if the tx state is still live.
-        if let Some(xfer) = self.xfers.eager_tx.get(&msg).map(|tx| tx.xfer) {
-            let node = self.procs[owner.0 as usize].node;
-            let timeout = self.retrans_timeout(node, RetransKind::Eager, msg.0, xfer, 0);
-            let timer = self.arm_timer(timeout, TimerToken::EagerRetrans(msg));
-            let now = self.now;
-            if let Some(tx) = self.xfers.eager_tx.get_mut(&msg) {
-                tx.timer = Some(timer);
-                tx.sent_at = now;
-            }
-        }
+        // delivery paths): `arm_retry` arms only if the tx state is live.
+        self.arm_retry(RetryKey::Eager(msg), 0);
         // MX eager semantics: the send completes locally once the data has
         // been copied out of the user buffer.
         self.notify_app(owner, AppEvent::SendDone(req));
@@ -378,11 +359,12 @@ impl Cluster {
     fn transmit_eager_frames(&mut self, msg: MsgId) {
         let chunk = self.frame_payload();
         let mtu = self.cfg.net.mtu;
-        let Some(tx) = self.xfers.eager_tx.get(&msg) else {
+        let now = self.now;
+        let Some(tx) = self.xfers.eager_tx.get_mut(&msg) else {
             return; // acked and reclaimed while this work was queued
         };
-        let (proc, peer, match_info, total, xfer) =
-            (tx.proc, tx.peer, tx.match_info, tx.total_len, tx.xfer);
+        tx.sent_at = now;
+        let (proc, peer, match_info, total) = (tx.proc, tx.peer, tx.match_info, tx.total_len);
         let src = self.addr_of(proc);
         let tx = &self.xfers.eager_tx[&msg];
         let frag_count = simnet::frame::frame_count(total, mtu) as u32;
@@ -396,7 +378,6 @@ impl Cluster {
                 dst: peer,
                 msg: WireMsg::Eager {
                     msg,
-                    xfer,
                     match_info,
                     frag,
                     frag_count,
@@ -417,7 +398,6 @@ impl Cluster {
         src: EndpointAddr,
         dst: ProcId,
         msg: MsgId,
-        xfer: XferId,
         match_info: u64,
         frag: u32,
         frag_count: u32,
@@ -428,7 +408,7 @@ impl Cluster {
         let idx = dst.0 as usize;
         if self.procs[idx].endpoint.is_completed(msg) {
             // Duplicate of a finished message: just re-ack.
-            let ack = self.frame(dst, src, WireMsg::EagerAck { msg, xfer });
+            let ack = self.frame(dst, src, WireMsg::EagerAck { msg });
             self.transmit(ack);
             return;
         }
@@ -457,11 +437,10 @@ impl Cluster {
             return;
         }
         // First frame of a new message.
-        let mut rx = EagerRx::new(msg, xfer, src, match_info, total_len, frag_count);
+        let mut rx = EagerRx::new(msg, src, match_info, total_len, frag_count);
         let complete = rx.absorb(frag, offset, data);
         match self.procs[idx].endpoint.match_incoming(match_info) {
             Some(posted) => {
-                self.xfers.recv_hints.remove(&posted.req);
                 let copy_len = total_len.min(posted.len);
                 self.xfers.eager_rx.insert(
                     msg,
@@ -493,7 +472,7 @@ impl Cluster {
         let idx = m.proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
-        let (src, xfer) = (m.rx.src, m.rx.xfer);
+        let src = m.rx.src;
         // Each fragment lands at its own offset, in order, stopping at the
         // first fault: the same pages a write of the whole prefix touches.
         let mem = &mut self.nodes[node].mem;
@@ -507,7 +486,7 @@ impl Cluster {
         // unmapped its posted buffer gets a clean local failure (EFAULT on
         // the copy); the sender must not retransmit into the same fault.
         self.procs[idx].endpoint.mark_completed(msg);
-        let ack = self.frame(m.proc, src, WireMsg::EagerAck { msg, xfer });
+        let ack = self.frame(m.proc, src, WireMsg::EagerAck { msg });
         self.transmit(ack);
         match delivered {
             Ok(events) => {
@@ -541,13 +520,11 @@ impl Cluster {
             return;
         };
         let msg = self.alloc_msg();
-        let xfer = self.alloc_xfer();
         let target = self.pin_target(node, region, len);
         self.xfers.send.insert(
             msg,
             SendXfer {
                 req,
-                xfer,
                 proc,
                 peer: self.addr_of(peer),
                 match_info,
@@ -557,93 +534,44 @@ impl Cluster {
                 owned,
                 pull_seen: false,
                 rndv_sent_at: None,
-                rndv_timer: None,
-                retries: 0,
+                retry: Retry::default(),
             },
         );
         self.nodes[node].counters.bump("rndv_msgs_tx");
-        if hint.resolve(self.cfg.pinning.overlaps()) {
-            let presync = self.cfg.presync_pages.min(target);
-            if presync > 0 {
-                let sat = self.ensure_pinned(
-                    node,
-                    proc,
-                    region,
-                    target,
-                    Some(PinWaiter {
-                        threshold_pages: presync,
-                        action: PinAction::SendRndv(msg),
-                        xfer,
-                    }),
-                );
-                if sat {
-                    self.send_rndv(msg);
-                }
-            } else {
-                self.ensure_pinned(node, proc, region, target, None);
-                self.send_rndv(msg);
-            }
-        } else {
-            let sat = self.ensure_pinned(
-                node,
-                proc,
-                region,
-                target,
-                Some(PinWaiter {
-                    threshold_pages: target,
-                    action: PinAction::SendRndv(msg),
-                    xfer,
-                }),
-            );
-            if sat {
-                self.send_rndv(msg);
-            }
-        }
+        self.pin_then(proc, region, target, hint, PinAction::SendRndv(msg));
     }
 
+    /// (Re)send the rendezvous and (re)arm its retransmission timer.
     fn send_rndv(&mut self, msg: MsgId) {
         let now = self.now;
         let Some(x) = self.xfers.send.get_mut(&msg) else {
             return; // transfer aborted while the pin waiter was queued
         };
-        let (proc, peer, match_info, total_len, node, attempt, xfer) = (
+        let (proc, peer, match_info, total_len, node, attempt) = (
             x.proc,
             x.peer,
             x.match_info,
             x.total_len,
             x.node,
-            x.retries,
-            x.xfer,
+            x.retry.retries,
         );
-        if x.rndv_sent_at.is_none() {
-            x.rndv_sent_at = Some(now);
-        }
-        let old = x.rndv_timer.take();
-        self.cancel_timer(old);
+        x.rndv_sent_at.get_or_insert(now);
         let f = self.frame(
             proc,
             peer,
             WireMsg::Rndv {
                 msg,
-                xfer,
                 match_info,
                 total_len,
             },
         );
         self.transmit(f);
-        let timeout = self.retrans_timeout(node, RetransKind::Rndv, msg.0, xfer, attempt);
-        let t = self.arm_timer(timeout, TimerToken::RndvRetrans(msg));
-        if let Some(x) = self.xfers.send.get_mut(&msg) {
-            x.rndv_timer = Some(t);
-        } else {
-            self.cancel_timer(Some(t));
-        }
+        self.arm_retry(RetryKey::Rndv(msg), attempt);
         self.emit(
             node,
             Some(proc),
             TraceEvent::RndvTx {
                 msg,
-                xfer,
                 len: total_len,
             },
         );
@@ -673,7 +601,7 @@ impl Cluster {
                 // Rendezvous -> first pull request is the protocol's control
                 // round trip — the RTT the retransmission policy adapts to.
                 // Karn's rule: skip retransmitted rendezvous.
-                if x.retries == 0 {
+                if x.retry.retries == 0 {
                     self.rtt.observe(sample);
                 }
             }
@@ -683,17 +611,9 @@ impl Cluster {
         // (The old protocol cancelled it here with no replacement — a
         // lost-forever notify then hung the sender permanently.)
         let x = self.xfers.send.get_mut(&msg).expect("send xfer");
-        x.retries = 0;
-        let old = x.rndv_timer.take();
-        let (node, region, proc, peer, total_len, xfer) =
-            (x.node, x.region, x.proc, x.peer, x.total_len, x.xfer);
-        let timeout = self.retrans_timeout(node, RetransKind::Rndv, msg.0, xfer, 0);
-        let t = self.rearm_timer(old, timeout, TimerToken::RndvRetrans(msg));
-        if let Some(x) = self.xfers.send.get_mut(&msg) {
-            x.rndv_timer = Some(t);
-        } else {
-            self.cancel_timer(Some(t));
-        }
+        x.retry.retries = 0;
+        let (node, region, proc, peer, total_len) = (x.node, x.region, x.proc, x.peer, x.total_len);
+        self.arm_retry(RetryKey::Rndv(msg), 0);
         // The receiver may have truncated the transfer to its posted size.
         let limit = total_len.min(xfer_len);
         let chunk = self.frame_payload();
@@ -731,11 +651,7 @@ impl Cluster {
         }
         if missed {
             self.nodes[node].counters.bump("overlap_miss_tx");
-            self.emit(
-                node,
-                Some(proc),
-                TraceEvent::OverlapMissTx { msg, xfer, block },
-            );
+            self.emit(node, Some(proc), TraceEvent::OverlapMissTx { msg, block });
             // Make sure pinning is (still) progressing toward the end.
             let target = self.pin_target(node, region, limit);
             self.ensure_pinned(node, proc, region, target, None);
@@ -746,7 +662,7 @@ impl Cluster {
                 peer,
                 WireMsg::PullReply {
                     pull,
-                    xfer,
+                    msg,
                     block,
                     frame: f,
                     offset: off,
@@ -757,25 +673,21 @@ impl Cluster {
         }
     }
 
-    fn on_notify(&mut self, src: EndpointAddr, dst: ProcId, msg: MsgId, xfer: XferId) {
+    fn on_notify(&mut self, src: EndpointAddr, dst: ProcId, msg: MsgId) {
         // Always ack so the receiver can quiesce, even for duplicates.
-        let ack = self.frame(dst, src, WireMsg::NotifyAck { msg, xfer });
+        let ack = self.frame(dst, src, WireMsg::NotifyAck { msg });
         self.transmit(ack);
         let Some(x) = self.xfers.send.remove(&msg) else {
             self.counters.bump("notify_dup");
             self.metrics.record_dup_frame();
             return; // duplicate notify
         };
-        self.cancel_timer(x.rndv_timer);
+        self.cancel_timer(x.retry.timer);
         if let Some(sent) = x.rndv_sent_at {
             self.metrics.rndv_rtt.record(self.now.duration_since(sent));
         }
         self.release_region(x.proc, x.node, x.region, x.owned);
-        self.emit(
-            x.node,
-            Some(x.proc),
-            TraceEvent::SendDone { msg, xfer: x.xfer },
-        );
+        self.emit(x.node, Some(x.proc), TraceEvent::SendDone { msg });
         self.notify_app(x.proc, AppEvent::SendDone(x.req));
     }
 
@@ -792,19 +704,18 @@ impl Cluster {
         len: u64,
         hint: OverlapHint,
     ) {
-        self.xfers.recv_hints.insert(req, hint);
         let posted = PostedRecv {
             req,
             match_info,
             mask,
             addr,
             len,
+            hint,
         };
         let idx = proc.0 as usize;
         match self.procs[idx].endpoint.post_recv(posted) {
             None => {}
             Some(Unexpected::Eager(rx)) => {
-                self.xfers.recv_hints.remove(&req);
                 let msg = rx.msg;
                 let copy_len = rx.total_len.min(len);
                 let complete = rx.complete();
@@ -829,27 +740,18 @@ impl Cluster {
             }
             Some(Unexpected::Rndv {
                 msg,
-                xfer,
                 src,
                 total_len,
                 ..
             }) => {
-                self.start_recv_xfer(proc, src, msg, xfer, total_len, posted);
+                self.start_recv_xfer(proc, src, msg, total_len, posted);
             }
-            Some(Unexpected::Shm {
-                msg,
-                xfer,
-                src,
-                data,
-                ..
-            }) => {
-                self.xfers.recv_hints.remove(&req);
+            Some(Unexpected::Shm { msg, src, data, .. }) => {
                 let total = data.len();
                 self.xfers.shm.insert(
                     msg,
                     ShmParked {
                         src,
-                        xfer,
                         peer: self.addr_of(proc),
                         match_info,
                         data,
@@ -866,7 +768,6 @@ impl Cluster {
         proc: ProcId,
         src: EndpointAddr,
         msg: MsgId,
-        xfer: XferId,
         total_len: u64,
         posted: PostedRecv,
     ) {
@@ -890,7 +791,6 @@ impl Cluster {
         let Ok((region, owned)) = acquired else {
             // Zero-length posted buffer: fail the receive cleanly; the
             // sender recovers through its normal retry/timeout path.
-            self.xfers.recv_hints.remove(&posted.req);
             self.nodes[node].counters.bump("requests_failed");
             self.notify_app(
                 proc,
@@ -918,13 +818,10 @@ impl Cluster {
                 rerequested: false,
             });
         }
-        let timeout = self.retrans_timeout(node, RetransKind::PullStall, pull.0, xfer, 0);
-        let timer = self.arm_timer(timeout, TimerToken::PullStall(pull));
         self.xfers.recv.insert(
             pull,
             RecvXfer {
                 req: posted.req,
-                xfer,
                 proc,
                 peer: src,
                 msg,
@@ -938,62 +835,19 @@ impl Cluster {
                 ioat_pending: 0,
                 frames_placed: 0,
                 frames_total,
-                stall_timer: Some(timer),
-                retries: 0,
+                retry: Retry::default(),
             },
         );
+        self.arm_retry(RetryKey::Pull(pull), 0);
         self.xfers.recv_by_msg.insert(msg, pull);
-        self.emit(
-            node,
-            Some(proc),
-            TraceEvent::RndvRx {
-                msg,
-                xfer,
-                len: xfer_len,
-            },
+        self.emit(node, Some(proc), TraceEvent::RndvRx { msg, len: xfer_len });
+        self.pin_then(
+            proc,
+            region,
+            target,
+            posted.hint,
+            PinAction::RecvStart(pull),
         );
-        let hint = self
-            .xfers
-            .recv_hints
-            .remove(&posted.req)
-            .unwrap_or_default();
-        if hint.resolve(self.cfg.pinning.overlaps()) {
-            let presync = self.cfg.presync_pages.min(target);
-            if presync > 0 {
-                let sat = self.ensure_pinned(
-                    node,
-                    proc,
-                    region,
-                    target,
-                    Some(PinWaiter {
-                        threshold_pages: presync,
-                        action: PinAction::RecvStart(pull),
-                        xfer,
-                    }),
-                );
-                if sat {
-                    self.recv_start(pull);
-                }
-            } else {
-                self.ensure_pinned(node, proc, region, target, None);
-                self.recv_start(pull);
-            }
-        } else {
-            let sat = self.ensure_pinned(
-                node,
-                proc,
-                region,
-                target,
-                Some(PinWaiter {
-                    threshold_pages: target,
-                    action: PinAction::RecvStart(pull),
-                    xfer,
-                }),
-            );
-            if sat {
-                self.recv_start(pull);
-            }
-        }
     }
 
     /// Send the initial window of pull requests.
@@ -1020,24 +874,15 @@ impl Cluster {
         x.blocks[b as usize].requested = true;
         x.blocks[b as usize].requested_at = self.now;
         let mask = x.blocks[b as usize].missing_mask();
-        let (proc, peer, msg, xfer_len, xfer) = (x.proc, x.peer, x.msg, x.xfer_len, x.xfer);
+        let (proc, peer, msg, xfer_len) = (x.proc, x.peer, x.msg, x.xfer_len);
         let node = self.procs[proc.0 as usize].node;
-        self.emit(
-            node,
-            Some(proc),
-            TraceEvent::PullReq {
-                msg,
-                xfer,
-                block: b,
-            },
-        );
+        self.emit(node, Some(proc), TraceEvent::PullReq { msg, block: b });
         let f = self.frame(
             proc,
             peer,
             WireMsg::PullReq {
                 pull,
                 msg,
-                xfer,
                 block: b,
                 frame_mask: mask,
                 xfer_len,
@@ -1059,14 +904,13 @@ impl Cluster {
         }
         blk.requested_at = self.now;
         blk.rerequested = true;
-        let (proc, peer, msg, xfer_len, xfer) = (x.proc, x.peer, x.msg, x.xfer_len, x.xfer);
+        let (proc, peer, msg, xfer_len) = (x.proc, x.peer, x.msg, x.xfer_len);
         let f = self.frame(
             proc,
             peer,
             WireMsg::PullReq {
                 pull,
                 msg,
-                xfer,
                 block,
                 frame_mask: mask,
                 xfer_len,
@@ -1075,13 +919,11 @@ impl Cluster {
         self.transmit(f);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_rndv(
         &mut self,
         src: EndpointAddr,
         dst: ProcId,
         msg: MsgId,
-        xfer: XferId,
         match_info: u64,
         total_len: u64,
     ) {
@@ -1096,10 +938,9 @@ impl Cluster {
             return;
         }
         match self.procs[idx].endpoint.match_incoming(match_info) {
-            Some(posted) => self.start_recv_xfer(dst, src, msg, xfer, total_len, posted),
+            Some(posted) => self.start_recv_xfer(dst, src, msg, total_len, posted),
             None => self.procs[idx].endpoint.push_unexpected(Unexpected::Rndv {
                 msg,
-                xfer,
                 src,
                 match_info,
                 total_len,
@@ -1135,7 +976,7 @@ impl Cluster {
             self.metrics.record_dup_frame();
             return; // duplicate frame
         }
-        let (node, region, proc, xfer_len, xfer) = (x.node, x.region, x.proc, x.xfer_len, x.xfer);
+        let (node, region, proc, xfer_len, msg) = (x.node, x.region, x.proc, x.xfer_len, x.msg);
         let len = data.len();
 
         // The decisive check of the overlapped design: has the pin cursor
@@ -1152,12 +993,12 @@ impl Cluster {
             self.emit(
                 node,
                 Some(proc),
-                TraceEvent::OverlapMissRx { pull, xfer, offset },
+                TraceEvent::OverlapMissRx { pull, msg, offset },
             );
             self.emit(
                 node,
                 Some(proc),
-                TraceEvent::PacketDrop { pull, xfer, offset },
+                TraceEvent::PacketDrop { pull, msg, offset },
             );
             let target = self.pin_target(node, region, xfer_len);
             self.ensure_pinned(node, proc, region, target, None);
@@ -1206,11 +1047,11 @@ impl Cluster {
         x.advance_first_hole();
         // Block finished -> keep the pipeline full.
         if x.blocks[block as usize].complete() {
-            let (node, proc, xfer) = (x.node, x.proc, x.xfer);
+            let (node, proc, msg) = (x.node, x.proc, x.msg);
             let blk = x.blocks[block as usize];
             // Forward progress: the retry budget is for consecutive silent
             // timeouts, not for the whole (possibly long) transfer.
-            x.retries = 0;
+            x.retry.retries = 0;
             // A completed block is an RTT sample for the adaptive timer —
             // unless it was ever re-requested, in which case the completion
             // is ambiguous (Karn's rule).
@@ -1218,11 +1059,7 @@ impl Cluster {
                 self.rtt
                     .observe(self.now.saturating_duration_since(blk.requested_at));
             }
-            self.emit(
-                node,
-                Some(proc),
-                TraceEvent::BlockDone { pull, xfer, block },
-            );
+            self.emit(node, Some(proc), TraceEvent::BlockDone { pull, msg, block });
             self.request_next_block(pull);
         }
         // Optimistic re-request (§4.3): receiving a frame of block `b`
@@ -1241,7 +1078,7 @@ impl Cluster {
             let Some(x) = self.xfers.recv.get(&pull) else {
                 return;
             };
-            let (node, proc, xfer) = (x.node, x.proc, x.xfer);
+            let (node, proc, msg) = (x.node, x.proc, x.msg);
             self.nodes[node].counters.bump("pull_rereq_optimistic");
             self.metrics.record_retransmit();
             self.emit(
@@ -1250,25 +1087,14 @@ impl Cluster {
                 TraceEvent::Retransmit {
                     kind: RetransKind::OptimisticRereq,
                     id: pull.0,
-                    xfer,
+                    msg,
                 },
             );
             self.rerequest_block(pull, b);
         }
         // Progress: push the stall timer out.
-        let Some(x) = self.xfers.recv.get_mut(&pull) else {
-            return;
-        };
-        let t = x.stall_timer.take();
-        let (node, xfer) = (x.node, x.xfer);
-        let timeout = self.retrans_timeout(node, RetransKind::PullStall, pull.0, xfer, 0);
-        let timer = self.rearm_timer(t, timeout, TimerToken::PullStall(pull));
-        let Some(x) = self.xfers.recv.get_mut(&pull) else {
-            self.queue.cancel(timer);
-            return;
-        };
-        x.stall_timer = Some(timer);
-        if x.data_done() {
+        self.arm_retry(RetryKey::Pull(pull), 0);
+        if self.xfers.recv.get(&pull).is_some_and(RecvXfer::data_done) {
             self.finish_recv(pull);
         }
     }
@@ -1307,29 +1133,18 @@ impl Cluster {
             return;
         };
         self.xfers.recv_by_msg.remove(&x.msg);
-        self.cancel_timer(x.stall_timer);
+        self.cancel_timer(x.retry.timer);
         self.procs[x.proc.0 as usize].endpoint.mark_completed(x.msg);
-        let notify = self.frame(
-            x.proc,
-            x.peer,
-            WireMsg::Notify {
-                msg: x.msg,
-                xfer: x.xfer,
-            },
-        );
-        self.transmit(notify);
-        let timeout = self.retrans_timeout(x.node, RetransKind::Notify, x.msg.0, x.xfer, 0);
-        let timer = self.arm_timer(timeout, TimerToken::NotifyRetrans(x.msg));
         self.xfers.notify_pending.insert(
             x.msg,
             NotifyPending {
                 proc: x.proc,
-                xfer: x.xfer,
                 peer: x.peer,
-                timer,
-                retries: 0,
+                retry: Retry::default(),
             },
         );
+        self.transmit_notify(x.msg);
+        self.arm_retry(RetryKey::Notify(x.msg), 0);
         debug_assert_eq!(x.frames_placed, x.frames_total, "placed every frame");
         self.release_region(x.proc, x.node, x.region, x.owned);
         self.emit(
@@ -1337,7 +1152,6 @@ impl Cluster {
             Some(x.proc),
             TraceEvent::RecvDone {
                 msg: x.msg,
-                xfer: x.xfer,
                 len: x.xfer_len,
             },
         );
@@ -1346,8 +1160,15 @@ impl Cluster {
 
     fn on_notify_ack(&mut self, msg: MsgId) {
         if let Some(p) = self.xfers.notify_pending.remove(&msg) {
-            self.queue.cancel(p.timer);
+            self.cancel_timer(p.retry.timer);
         }
+    }
+
+    /// (Re)send the completion notify of a received transfer.
+    fn transmit_notify(&mut self, msg: MsgId) {
+        let p = &self.xfers.notify_pending[&msg];
+        let f = self.frame(p.proc, p.peer, WireMsg::Notify { msg });
+        self.transmit(f);
     }
 
     // ================== frame reception ==================
@@ -1401,7 +1222,7 @@ impl Cluster {
             TraceEvent::FencedDrop {
                 src: frame.src.proc,
                 dst: frame.dst.proc,
-                xfer: frame.msg.xfer(),
+                msg: frame.msg.msg(),
             },
         );
     }
@@ -1419,7 +1240,6 @@ impl Cluster {
         match frame.msg {
             WireMsg::Eager {
                 msg,
-                xfer,
                 match_info,
                 frag,
                 frag_count,
@@ -1427,14 +1247,14 @@ impl Cluster {
                 offset,
                 data,
             } => self.on_eager_frame(
-                src, dst, msg, xfer, match_info, frag, frag_count, total_len, offset, data,
+                src, dst, msg, match_info, frag, frag_count, total_len, offset, data,
             ),
-            WireMsg::EagerAck { msg, .. } => {
+            WireMsg::EagerAck { msg } => {
                 if let Some(tx) = self.xfers.eager_tx.remove(&msg) {
-                    self.cancel_timer(tx.timer);
+                    self.cancel_timer(tx.retry.timer);
                     // Karn's rule: only a never-retransmitted exchange gives
                     // an unambiguous round-trip sample.
-                    if tx.retries == 0 {
+                    if tx.retry.retries == 0 {
                         self.rtt
                             .observe(self.now.saturating_duration_since(tx.sent_at));
                     }
@@ -1445,10 +1265,9 @@ impl Cluster {
             }
             WireMsg::Rndv {
                 msg,
-                xfer,
                 match_info,
                 total_len,
-            } => self.on_rndv(src, dst, msg, xfer, match_info, total_len),
+            } => self.on_rndv(src, dst, msg, match_info, total_len),
             WireMsg::PullReq {
                 pull,
                 msg,
@@ -1465,8 +1284,8 @@ impl Cluster {
                 data,
                 ..
             } => self.on_pull_reply(dst, pull, block, frame, offset, data),
-            WireMsg::Notify { msg, xfer } => self.on_notify(src, dst, msg, xfer),
-            WireMsg::NotifyAck { msg, .. } => self.on_notify_ack(msg),
+            WireMsg::Notify { msg } => self.on_notify(src, dst, msg),
+            WireMsg::NotifyAck { msg } => self.on_notify_ack(msg),
         }
     }
 
@@ -1657,10 +1476,7 @@ impl Cluster {
                 self.emit(
                     node,
                     Some(proc),
-                    TraceEvent::PinWaitStart {
-                        xfer: w.xfer,
-                        region,
-                    },
+                    TraceEvent::PinWaitStart { msg: w.msg, region },
                 );
             }
         }
@@ -1964,10 +1780,7 @@ impl Cluster {
                     self.emit(
                         node,
                         Some(proc),
-                        TraceEvent::PinWaitEnd {
-                            xfer: w.xfer,
-                            region,
-                        },
+                        TraceEvent::PinWaitEnd { msg: w.msg, region },
                     );
                     self.run_pin_action(w.action);
                 }
@@ -2015,6 +1828,38 @@ impl Cluster {
                     },
                 );
             }
+        }
+    }
+
+    /// Pin `region` toward `target` pages for `proc`'s transfer and run
+    /// `action` once the cursor allows: when overlapping, after the first
+    /// `presync_pages` (at once when that is zero — the action then races
+    /// the pin); otherwise after the whole target.
+    fn pin_then(
+        &mut self,
+        proc: ProcId,
+        region: RegionId,
+        target: u64,
+        hint: OverlapHint,
+        action: PinAction,
+    ) {
+        let node = self.procs[proc.0 as usize].node;
+        let threshold_pages = if hint.resolve(self.cfg.pinning.overlaps()) {
+            self.cfg.presync_pages.min(target)
+        } else {
+            target
+        };
+        let msg = match action {
+            PinAction::SendRndv(msg) => msg,
+            PinAction::RecvStart(pull) => self.xfers.recv[&pull].msg,
+        };
+        let waiter = PinWaiter {
+            threshold_pages,
+            action,
+            msg,
+        };
+        if self.ensure_pinned(node, proc, region, target, Some(waiter)) {
+            self.run_pin_action(action);
         }
     }
 
@@ -2124,7 +1969,7 @@ impl Cluster {
         let Some(x) = self.xfers.send.remove(&msg) else {
             return;
         };
-        self.cancel_timer(x.rndv_timer);
+        self.cancel_timer(x.retry.timer);
         self.release_region(x.proc, x.node, x.region, x.owned);
         self.nodes[x.node].counters.bump("requests_failed");
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
@@ -2135,7 +1980,7 @@ impl Cluster {
             return;
         };
         self.xfers.recv_by_msg.remove(&x.msg);
-        self.cancel_timer(x.stall_timer);
+        self.cancel_timer(x.retry.timer);
         self.release_region(x.proc, x.node, x.region, x.owned);
         self.nodes[x.node].counters.bump("requests_failed");
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
@@ -2145,189 +1990,7 @@ impl Cluster {
 
     fn on_timer(&mut self, token: TimerToken) {
         match token {
-            TimerToken::RndvRetrans(msg) => {
-                let Some(x) = self.xfers.send.get_mut(&msg) else {
-                    return;
-                };
-                x.retries += 1;
-                let (retries, pull_seen, node, proc, xfer, peer) =
-                    (x.retries, x.pull_seen, x.node, x.proc, x.xfer, x.peer);
-                if self.procs[proc.0 as usize].crashed {
-                    return; // zombie entry (leaky fault injection): let it rot
-                }
-                if self.endpoint_gone(peer) {
-                    // The peer died: burning the whole retry budget against
-                    // a dead endpoint only delays the inevitable. Fail now.
-                    self.nodes[node].counters.bump("peer_dead_aborts");
-                    self.fail_send(msg, "peer crashed");
-                    return;
-                }
-                if retries > self.cfg.max_retries {
-                    self.emit(
-                        node,
-                        Some(proc),
-                        TraceEvent::RetryExhausted {
-                            kind: RetransKind::Rndv,
-                            id: msg.0,
-                            xfer,
-                        },
-                    );
-                    // Before `pull_seen` the rendezvous itself never got
-                    // through; after it, the pull/notify tail went silent —
-                    // either way the handle errors instead of hanging.
-                    let reason = if pull_seen {
-                        "transfer completion timed out"
-                    } else {
-                        "rendezvous timed out"
-                    };
-                    self.fail_send(msg, reason);
-                    return;
-                }
-                if pull_seen {
-                    // Completion watchdog: the transfer is in the
-                    // receiver's hands (it pulls at its own pace), so
-                    // there is nothing to resend — just keep waiting for
-                    // the notify with backoff. Every incoming pull request
-                    // resets `retries`, so only total silence exhausts it.
-                    self.nodes[node].counters.bump("send_watchdog_timeouts");
-                    let timeout =
-                        self.retrans_timeout(node, RetransKind::Rndv, msg.0, xfer, retries);
-                    let t = self.arm_timer(timeout, TimerToken::RndvRetrans(msg));
-                    if let Some(x) = self.xfers.send.get_mut(&msg) {
-                        x.rndv_timer = Some(t);
-                    } else {
-                        self.queue.cancel(t);
-                    }
-                    return;
-                }
-                self.nodes[node].counters.bump("rndv_retrans");
-                self.metrics.record_retransmit();
-                self.emit(
-                    node,
-                    Some(proc),
-                    TraceEvent::Retransmit {
-                        kind: RetransKind::Rndv,
-                        id: msg.0,
-                        xfer,
-                    },
-                );
-                self.send_rndv(msg);
-            }
-            TimerToken::EagerRetrans(msg) => {
-                let Some(tx) = self.xfers.eager_tx.get_mut(&msg) else {
-                    return;
-                };
-                tx.retries += 1;
-                let (retries, proc, req, xfer, peer) =
-                    (tx.retries, tx.proc, tx.req, tx.xfer, tx.peer);
-                let node = self.procs[proc.0 as usize].node;
-                if self.procs[proc.0 as usize].crashed {
-                    return; // zombie entry (leaky fault injection): let it rot
-                }
-                if self.endpoint_gone(peer) {
-                    self.xfers.eager_tx.remove(&msg);
-                    self.nodes[node].counters.bump("peer_dead_aborts");
-                    self.nodes[node].counters.bump("requests_failed");
-                    // SendDone already fired at copy-out (MX semantics);
-                    // the handle still reports the late, clean error.
-                    self.notify_app(proc, AppEvent::Failed(req, "peer crashed"));
-                    return;
-                }
-                if retries > self.cfg.max_retries {
-                    self.xfers.eager_tx.remove(&msg);
-                    self.counters.bump("eager_abandoned");
-                    self.nodes[node].counters.bump("requests_failed");
-                    self.emit(
-                        node,
-                        Some(proc),
-                        TraceEvent::RetryExhausted {
-                            kind: RetransKind::Eager,
-                            id: msg.0,
-                            xfer,
-                        },
-                    );
-                    // The app saw SendDone at copy-out (MX semantics), but
-                    // the handle still carries a late, clean error instead
-                    // of the message silently vanishing.
-                    self.notify_app(proc, AppEvent::Failed(req, "eager send unacked"));
-                    return;
-                }
-                self.counters.bump("eager_retrans");
-                self.metrics.record_retransmit();
-                self.emit(
-                    node,
-                    Some(proc),
-                    TraceEvent::Retransmit {
-                        kind: RetransKind::Eager,
-                        id: msg.0,
-                        xfer,
-                    },
-                );
-                self.transmit_eager_frames(msg);
-                let timeout = self.retrans_timeout(node, RetransKind::Eager, msg.0, xfer, retries);
-                let t = self.arm_timer(timeout, TimerToken::EagerRetrans(msg));
-                if let Some(tx) = self.xfers.eager_tx.get_mut(&msg) {
-                    tx.timer = Some(t);
-                    tx.sent_at = self.now;
-                } else {
-                    self.queue.cancel(t);
-                }
-            }
-            TimerToken::PullStall(pull) => {
-                let Some(x) = self.xfers.recv.get_mut(&pull) else {
-                    return;
-                };
-                x.retries += 1;
-                let (retries, node, proc, xfer, peer) = (x.retries, x.node, x.proc, x.xfer, x.peer);
-                if self.procs[proc.0 as usize].crashed {
-                    return; // zombie entry (leaky fault injection): let it rot
-                }
-                if self.endpoint_gone(peer) {
-                    self.nodes[node].counters.bump("peer_dead_aborts");
-                    self.fail_recv(pull, "peer crashed");
-                    return;
-                }
-                if retries > self.cfg.max_retries {
-                    self.emit(
-                        node,
-                        Some(proc),
-                        TraceEvent::RetryExhausted {
-                            kind: RetransKind::PullStall,
-                            id: pull.0,
-                            xfer,
-                        },
-                    );
-                    self.fail_recv(pull, "pull transfer stalled");
-                    return;
-                }
-                self.nodes[node].counters.bump("pull_stall_timeouts");
-                self.metrics.record_retransmit();
-                self.emit(
-                    node,
-                    Some(proc),
-                    TraceEvent::Retransmit {
-                        kind: RetransKind::PullStall,
-                        id: pull.0,
-                        xfer,
-                    },
-                );
-                // Re-request everything outstanding.
-                let stalled: Vec<u32> = {
-                    let x = &self.xfers.recv[&pull];
-                    x.holes_below(x.next_block).collect()
-                };
-                for b in stalled {
-                    self.rerequest_block(pull, b);
-                }
-                let timeout =
-                    self.retrans_timeout(node, RetransKind::PullStall, pull.0, xfer, retries);
-                let timer = self.arm_timer(timeout, TimerToken::PullStall(pull));
-                if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                    x.stall_timer = Some(timer);
-                } else {
-                    self.queue.cancel(timer);
-                }
-            }
+            TimerToken::Retry(key) => self.on_retry_timer(key),
             TimerToken::NotifierEpoch(node) => {
                 // Epoch over: one batched drain of everything that
                 // deferred since the timer was armed. The flag clears
@@ -2336,62 +1999,156 @@ impl Cluster {
                 self.nodes[node].epoch_armed = false;
                 self.close_notifier_epoch(node);
             }
-            TimerToken::NotifyRetrans(msg) => {
-                let Some(p) = self.xfers.notify_pending.get_mut(&msg) else {
-                    return;
-                };
-                p.retries += 1;
-                let (retries, proc, peer, xfer) = (p.retries, p.proc, p.peer, p.xfer);
-                let node = self.procs[proc.0 as usize].node;
-                if self.procs[proc.0 as usize].crashed {
-                    return; // zombie entry (leaky fault injection): let it rot
+        }
+    }
+
+    /// The one retry path of the four retried states (eager, rendezvous,
+    /// pull stall, notify): count the timeout, short-circuit a dead peer,
+    /// give up once the budget is spent, otherwise resend and re-arm with
+    /// backoff. Only the resend, the terminal action and the counter
+    /// names differ per state.
+    fn on_retry_timer(&mut self, key: RetryKey) {
+        let Some(Retried {
+            retry,
+            proc,
+            peer,
+            msg,
+        }) = self.xfers.retried(key)
+        else {
+            return;
+        };
+        retry.retries += 1;
+        let retries = retry.retries;
+        let node = self.procs[proc.0 as usize].node;
+        if self.procs[proc.0 as usize].crashed {
+            return; // zombie entry (leaky fault injection): let it rot
+        }
+        if self.endpoint_gone(peer) {
+            // The peer died: burning the whole retry budget against a dead
+            // endpoint only delays the inevitable. End the entry now.
+            self.nodes[node].counters.bump("peer_dead_aborts");
+            self.end_retry(key, false);
+            return;
+        }
+        let (kind, id) = (key.kind(), key.id());
+        if retries > self.cfg.max_retries {
+            self.emit(
+                node,
+                Some(proc),
+                TraceEvent::RetryExhausted { kind, id, msg },
+            );
+            self.end_retry(key, true);
+            return;
+        }
+        if let RetryKey::Rndv(msg) = key {
+            if self.xfers.send[&msg].pull_seen {
+                // Completion watchdog: the transfer is in the receiver's
+                // hands (it pulls at its own pace), so there is nothing
+                // to resend — just keep waiting for the notify with
+                // backoff. Every incoming pull request resets `retries`,
+                // so only total silence exhausts it.
+                self.nodes[node].counters.bump("send_watchdog_timeouts");
+                self.arm_retry(key, retries);
+                return;
+            }
+        }
+        match key {
+            RetryKey::Eager(_) => self.counters.bump("eager_retrans"),
+            RetryKey::Rndv(_) => self.nodes[node].counters.bump("rndv_retrans"),
+            RetryKey::Pull(_) => self.nodes[node].counters.bump("pull_stall_timeouts"),
+            RetryKey::Notify(_) => self.counters.bump("notify_retrans"),
+        }
+        self.metrics.record_retransmit();
+        self.emit(node, Some(proc), TraceEvent::Retransmit { kind, id, msg });
+        match key {
+            RetryKey::Eager(msg) => self.transmit_eager_frames(msg),
+            // Re-arms itself before tracing the rendezvous.
+            RetryKey::Rndv(msg) => return self.send_rndv(msg),
+            RetryKey::Pull(pull) => {
+                // Re-request everything outstanding.
+                let x = &self.xfers.recv[&pull];
+                let stalled: Vec<u32> = x.holes_below(x.next_block).collect();
+                for b in stalled {
+                    self.rerequest_block(pull, b);
                 }
-                if self.endpoint_gone(peer) {
-                    // The receive already completed locally; the dead
-                    // sender will never ack, so just drop the state.
-                    self.xfers.notify_pending.remove(&msg);
-                    self.nodes[node].counters.bump("peer_dead_aborts");
-                    return;
+            }
+            RetryKey::Notify(msg) => self.transmit_notify(msg),
+        }
+        self.arm_retry(key, retries);
+    }
+
+    /// A retried entry's terminal transition: its peer is gone, or
+    /// (`exhausted`) its retry budget ran out.
+    fn end_retry(&mut self, key: RetryKey, exhausted: bool) {
+        match key {
+            RetryKey::Eager(msg) => {
+                let tx = self.xfers.eager_tx.remove(&msg).expect("retried entry");
+                if exhausted {
+                    self.counters.bump("eager_abandoned");
                 }
-                if retries > self.cfg.max_retries {
-                    self.xfers.notify_pending.remove(&msg);
-                    self.counters.bump("notify_abandoned");
-                    // The receive already completed locally; the sender's
-                    // completion watchdog turns this silence into a clean
-                    // send-side failure, so nothing hangs.
-                    self.emit(
-                        node,
-                        Some(proc),
-                        TraceEvent::RetryExhausted {
-                            kind: RetransKind::Notify,
-                            id: msg.0,
-                            xfer,
-                        },
-                    );
-                    return;
-                }
-                self.counters.bump("notify_retrans");
-                self.metrics.record_retransmit();
-                self.emit(
-                    node,
-                    Some(proc),
-                    TraceEvent::Retransmit {
-                        kind: RetransKind::Notify,
-                        id: msg.0,
-                        xfer,
-                    },
-                );
-                let f = self.frame(proc, peer, WireMsg::Notify { msg, xfer });
-                self.transmit(f);
-                let timeout = self.retrans_timeout(node, RetransKind::Notify, msg.0, xfer, retries);
-                let t = self.arm_timer(timeout, TimerToken::NotifyRetrans(msg));
-                if let Some(p) = self.xfers.notify_pending.get_mut(&msg) {
-                    p.timer = t;
+                let node = self.procs[tx.proc.0 as usize].node;
+                self.nodes[node].counters.bump("requests_failed");
+                // The app saw SendDone at copy-out (MX semantics), but the
+                // handle still carries a late, clean error instead of the
+                // message silently vanishing.
+                let reason = if exhausted {
+                    "eager send unacked"
                 } else {
-                    self.queue.cancel(t);
+                    "peer crashed"
+                };
+                self.notify_app(tx.proc, AppEvent::Failed(tx.req, reason));
+            }
+            RetryKey::Rndv(msg) => {
+                // Before `pull_seen` the rendezvous itself never got
+                // through; after it, the pull/notify tail went silent —
+                // either way the handle errors instead of hanging.
+                let reason = match (exhausted, self.xfers.send[&msg].pull_seen) {
+                    (false, _) => "peer crashed",
+                    (true, false) => "rendezvous timed out",
+                    (true, true) => "transfer completion timed out",
+                };
+                self.fail_send(msg, reason);
+            }
+            RetryKey::Pull(pull) => {
+                let reason = if exhausted {
+                    "pull transfer stalled"
+                } else {
+                    "peer crashed"
+                };
+                self.fail_recv(pull, reason);
+            }
+            RetryKey::Notify(msg) => {
+                // The receive already completed locally. A dead sender
+                // will never ack; a silent live one has its completion
+                // watchdog turn the silence into a clean send-side
+                // failure. Either way, drop the state.
+                self.xfers.notify_pending.remove(&msg);
+                if exhausted {
+                    self.counters.bump("notify_abandoned");
                 }
             }
         }
+    }
+
+    /// (Re)arm a retried entry's timer, `attempt` driving the backoff.
+    /// A pending timer moves; a fired one is replaced. No-op (and no
+    /// timeout drawn) once the entry is gone.
+    fn arm_retry(&mut self, key: RetryKey, attempt: u32) {
+        let Some(Retried { proc, msg, .. }) = self.xfers.retried(key) else {
+            return;
+        };
+        let node = self.procs[proc.0 as usize].node;
+        let timeout = self.retrans_timeout(node, key.kind(), key.id(), msg, attempt);
+        let at = self.now + timeout;
+        let retry = self
+            .xfers
+            .retried(key)
+            .expect("entry looked up above")
+            .retry;
+        let queue = &mut self.queue;
+        let moved = retry.timer.take().and_then(|id| queue.reschedule(id, at));
+        retry.timer =
+            Some(moved.unwrap_or_else(|| queue.schedule(at, Event::Timer(TimerToken::Retry(key)))));
     }
 
     fn rerequest_guard(&self) -> SimDuration {

@@ -32,9 +32,9 @@ use crate::driver::{Driver, RegionId};
 use crate::endpoint::{Endpoint, EndpointAddr, RequestId};
 use crate::obs::tracer::DEFAULT_CAPACITY;
 use crate::obs::{CacheStats, FaultKind, Metrics, RetransKind, TraceEvent, TraceRecord, Tracer};
-use crate::wire::{Frame, MsgId, PullId, WireMsg, XferId};
+use crate::wire::{Frame, MsgId, PullId, WireMsg};
 use rto::RttEstimator;
-use xfer::XferTables;
+use xfer::{RetryKey, XferTables};
 
 /// Identifies a simulated process (rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -108,14 +108,8 @@ pub(crate) enum Event {
 /// Timer identities (payload of [`Event::Timer`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TimerToken {
-    /// Sender rendezvous retransmit.
-    RndvRetrans(MsgId),
-    /// Sender eager retransmit.
-    EagerRetrans(MsgId),
-    /// Receiver pull stall (lost replies / lost requests).
-    PullStall(PullId),
-    /// Receiver notify retransmit.
-    NotifyRetrans(MsgId),
+    /// Retransmission (or completion-watchdog) timeout of a retried entry.
+    Retry(RetryKey),
     /// Deferred-unpin flush epoch close on a node: drain the driver's
     /// coalesced invalidation queue in one batch.
     NotifierEpoch(usize),
@@ -233,7 +227,6 @@ pub struct Cluster {
     pub(crate) xfers: XferTables,
     pub(crate) next_msg: u64,
     pub(crate) next_pull: u64,
-    pub(crate) next_xfer: u64,
     pub(crate) next_req: u64,
     pub(crate) next_ioat_token: u64,
     pub(crate) counters: Counters,
@@ -285,7 +278,6 @@ impl Cluster {
             xfers: XferTables::default(),
             next_msg: 0,
             next_pull: 0,
-            next_xfer: 0,
             next_req: 0,
             next_ioat_token: 0,
             counters: Counters::new(),
@@ -827,125 +819,72 @@ impl Cluster {
     /// dead side is dropped without completions; live counterparts of
     /// *timerless* states (matched eager reassembly, shm rendezvous)
     /// fail immediately — everything with a watchdog keeps its entry and
-    /// short-circuits when the timer fires.
+    /// short-circuits when the timer fires. Each table is one filter
+    /// pass, in ascending key order, which fixes the order of the
+    /// `Failed` callbacks.
     fn reap_crashed_xfers(&mut self, proc: ProcId) {
         let node = self.procs[proc.0 as usize].node;
         // Sender-side eager retransmission state.
-        let dead: Vec<MsgId> = self
-            .xfers
-            .eager_tx
-            .iter()
-            .filter(|(_, t)| t.proc == proc)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in dead {
-            let t = self.xfers.eager_tx.remove(&k).expect("listed");
-            self.cancel_timer(t.timer);
+        for (_, t) in self.xfers.eager_tx.extract_if(.., |_, t| t.proc == proc) {
+            cancel_in(&mut self.queue, t.retry.timer);
         }
         // Matched eager reassembly: the dead side is dropped; a live
         // receiver mid-reassembly from the dead sender fails now — the
         // missing fragments will never arrive and no timer guards it.
-        let dead: Vec<(MsgId, bool)> = self
+        let orphaned: Vec<_> = self
             .xfers
             .eager_rx
-            .iter()
-            .filter(|(_, m)| m.proc == proc || m.rx.src.proc == proc)
-            .map(|(k, m)| (*k, m.proc != proc))
+            .extract_if(.., |_, m| m.proc == proc || m.rx.src.proc == proc)
+            .filter(|(_, m)| m.proc != proc)
+            .map(|(_, m)| (m.proc, m.req))
             .collect();
-        for (k, live_receiver) in dead {
-            let m = self.xfers.eager_rx.remove(&k).expect("listed");
-            if live_receiver {
-                self.nodes[self.procs[m.proc.0 as usize].node]
-                    .counters
-                    .bump("requests_failed");
-                self.notify_app(m.proc, AppEvent::Failed(m.req, "peer crashed"));
-            }
-        }
+        self.fail_orphans(orphaned);
         // Rendezvous sender state.
-        let dead: Vec<MsgId> = self
-            .xfers
-            .send
-            .iter()
-            .filter(|(_, x)| x.proc == proc)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in dead {
-            let x = self.xfers.send.remove(&k).expect("listed");
-            self.cancel_timer(x.rndv_timer);
+        for (_, x) in self.xfers.send.extract_if(.., |_, x| x.proc == proc) {
+            cancel_in(&mut self.queue, x.retry.timer);
         }
         // Receiver pull state.
-        let dead: Vec<PullId> = self
-            .xfers
-            .recv
-            .iter()
-            .filter(|(_, x)| x.proc == proc)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in dead {
-            let x = self.xfers.recv.remove(&k).expect("listed");
+        for (_, x) in self.xfers.recv.extract_if(.., |_, x| x.proc == proc) {
             self.xfers.recv_by_msg.remove(&x.msg);
-            self.cancel_timer(x.stall_timer);
+            cancel_in(&mut self.queue, x.retry.timer);
         }
         // Completion notifies awaiting their ack.
-        let dead: Vec<MsgId> = self
+        for (_, p) in self
             .xfers
             .notify_pending
-            .iter()
-            .filter(|(_, p)| p.proc == proc)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in dead {
-            let p = self.xfers.notify_pending.remove(&k).expect("listed");
-            self.cancel_timer(Some(p.timer));
+            .extract_if(.., |_, p| p.proc == proc)
+        {
+            cancel_in(&mut self.queue, p.retry.timer);
         }
         // Intra-node messages touching the dead process on either side.
         // A live receiver already matched to a dead sender's parked copy
         // fails now (timerless); a live sender's queued copy-out finds
         // its entry gone and fails on its own core (see `on_shm_send`).
-        let dead: Vec<MsgId> = self
+        let orphaned: Vec<_> = self
             .xfers
             .shm
-            .iter()
-            .filter(|(_, s)| {
+            .extract_if(.., |_, s| {
                 s.src.proc == proc
                     || s.peer.proc == proc
                     || s.dst.is_some_and(|(_, dp, _, _)| dp == proc)
             })
-            .map(|(k, _)| *k)
+            .filter_map(|(_, s)| match s.dst {
+                Some((req, dp, _, _)) if s.src.proc == proc && dp != proc => Some((dp, req)),
+                _ => None,
+            })
             .collect();
-        for k in dead {
-            let s = self.xfers.shm.remove(&k).expect("listed");
-            if s.src.proc == proc {
-                if let Some((req, dp, _, _)) = s.dst {
-                    if dp != proc {
-                        self.nodes[self.procs[dp.0 as usize].node]
-                            .counters
-                            .bump("requests_failed");
-                        self.notify_app(dp, AppEvent::Failed(req, "peer crashed"));
-                    }
-                }
-            }
-        }
+        self.fail_orphans(orphaned);
         // In-flight pin passes charged to the dead process; their regions
         // are undeclared by the driver reap right after this sweep.
         self.xfers.pin_plans.retain(|_, p| p.proc != proc);
         // Cache-eviction undeclare intents for regions the reap covers.
-        let dead: Vec<(usize, u32)> = self
-            .xfers
-            .deferred_undeclare
-            .iter()
-            .filter(|(n, rid)| {
-                *n == node
-                    && self.nodes[*n]
-                        .driver
-                        .try_region(RegionId(*rid))
-                        .is_some_and(|r| r.owner == proc)
-            })
-            .copied()
-            .collect();
-        for k in dead {
-            self.xfers.deferred_undeclare.remove(&k);
-        }
+        let driver = &self.nodes[node].driver;
+        self.xfers.deferred_undeclare.retain(|&(n, rid)| {
+            n != node
+                || driver
+                    .try_region(RegionId(rid))
+                    .is_none_or(|r| r.owner != proc)
+        });
         // Fence every live endpoint's unexpected queue: parked messages
         // from the dead incarnation must never match a future receive.
         let mut purged = 0usize;
@@ -958,6 +897,15 @@ impl Cluster {
             self.nodes[node]
                 .counters
                 .add("unexpected_purged", purged as u64);
+        }
+    }
+
+    /// Fail the live receivers a crash left waiting on a timerless state.
+    fn fail_orphans(&mut self, orphaned: Vec<(ProcId, RequestId)>) {
+        for (proc, req) in orphaned {
+            let node = self.procs[proc.0 as usize].node;
+            self.nodes[node].counters.bump("requests_failed");
+            self.notify_app(proc, AppEvent::Failed(req, "peer crashed"));
         }
     }
 
@@ -976,13 +924,6 @@ impl Cluster {
     pub(crate) fn alloc_pull(&mut self) -> PullId {
         self.next_pull += 1;
         PullId(self.next_pull)
-    }
-
-    /// Allocate the causal-trace id carried by every wire message of one
-    /// transfer (see [`XferId`]).
-    pub(crate) fn alloc_xfer(&mut self) -> XferId {
-        self.next_xfer += 1;
-        XferId(self.next_xfer)
     }
 
     /// Record one trace event (free when tracing is off).
@@ -1073,7 +1014,7 @@ impl Cluster {
         node: usize,
         kind: RetransKind,
         id: u64,
-        xfer: XferId,
+        msg: MsgId,
         attempt: u32,
     ) -> SimDuration {
         let cfg_max = self.cfg.retransmit_timeout;
@@ -1093,7 +1034,7 @@ impl Cluster {
             TraceEvent::Backoff {
                 kind,
                 id,
-                xfer,
+                msg,
                 attempt,
                 rto_nanos: rto.as_nanos(),
             },
@@ -1166,26 +1107,9 @@ impl Cluster {
         self.queue.schedule(self.now + after, Event::Timer(token))
     }
 
-    /// Push a pending timer out to `after` from now, or arm a fresh one
-    /// for `token` if `old` is gone. `old`, when pending, must carry
-    /// `token`: moving it is then the same as cancelling it and arming
-    /// anew.
-    pub(crate) fn rearm_timer(
-        &mut self,
-        old: Option<EventId>,
-        after: SimDuration,
-        token: TimerToken,
-    ) -> EventId {
-        let at = self.now + after;
-        old.and_then(|id| self.queue.reschedule(id, at))
-            .unwrap_or_else(|| self.queue.schedule(at, Event::Timer(token)))
-    }
-
     /// Disarm a timer if still pending.
     pub(crate) fn cancel_timer(&mut self, id: Option<EventId>) {
-        if let Some(id) = id {
-            self.queue.cancel(id);
-        }
+        cancel_in(&mut self.queue, id);
     }
 
     /// Deliver an application event, letting the process issue new calls.
@@ -1289,5 +1213,13 @@ impl Cluster {
             dst,
             msg,
         }
+    }
+}
+
+/// Disarm a timer if still pending, borrowing only the queue (the crash
+/// reap cancels while it iterates the transfer tables).
+fn cancel_in(queue: &mut EventQueue<Event>, timer: Option<EventId>) {
+    if let Some(id) = timer {
+        queue.cancel(id);
     }
 }

@@ -1,7 +1,8 @@
 //! In-flight transfer state machines.
 //!
-//! These are plain data apart from `RecvXfer`'s first-hole cursor; all
-//! protocol transitions live in the engine's handlers.
+//! These are plain data apart from `RecvXfer`'s first-hole cursor and the
+//! [`RetryKey`] lookup; all protocol transitions live in the engine's
+//! handlers.
 //! Tables are `BTreeMap`s so iteration order (and therefore the whole
 //! simulation) is deterministic.
 
@@ -12,8 +13,62 @@ use simmem::{PageSnapshot, VirtAddr};
 
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, RequestId};
-use crate::engine::{OverlapHint, ProcId};
-use crate::wire::{MsgId, PullId, XferId};
+use crate::engine::ProcId;
+use crate::obs::RetransKind;
+use crate::wire::{MsgId, PullId};
+
+/// Names one retried entry: the table it lives in and its key. The four
+/// retried states share one timer path (`Cluster::on_retry_timer`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RetryKey {
+    /// Sender eager retransmission ([`XferTables::eager_tx`]).
+    Eager(MsgId),
+    /// Sender rendezvous retransmission, then completion watchdog
+    /// ([`XferTables::send`]).
+    Rndv(MsgId),
+    /// Receiver pull stall ([`XferTables::recv`]).
+    Pull(PullId),
+    /// Receiver notify retransmission ([`XferTables::notify_pending`]).
+    Notify(MsgId),
+}
+
+impl RetryKey {
+    /// The retransmission machinery, for traces.
+    pub fn kind(self) -> RetransKind {
+        match self {
+            RetryKey::Eager(_) => RetransKind::Eager,
+            RetryKey::Rndv(_) => RetransKind::Rndv,
+            RetryKey::Pull(_) => RetransKind::PullStall,
+            RetryKey::Notify(_) => RetransKind::Notify,
+        }
+    }
+
+    /// The raw key, for traces.
+    pub fn id(self) -> u64 {
+        match self {
+            RetryKey::Eager(m) | RetryKey::Rndv(m) | RetryKey::Notify(m) => m.0,
+            RetryKey::Pull(p) => p.0,
+        }
+    }
+}
+
+/// Retransmission state shared by every retried entry.
+#[derive(Default)]
+pub(crate) struct Retry {
+    /// The pending retransmission (or watchdog) timer.
+    pub timer: Option<EventId>,
+    /// Consecutive timeouts without progress.
+    pub retries: u32,
+}
+
+/// A retried entry as [`XferTables::retried`] finds it.
+pub(crate) struct Retried<'a> {
+    pub retry: &'a mut Retry,
+    pub proc: ProcId,
+    /// The endpoint whose answer the entry waits for.
+    pub peer: EndpointAddr,
+    pub msg: MsgId,
+}
 
 /// Sender-side state of an in-flight eager message (kept for
 /// retransmission until the ack arrives; the app already saw SendDone).
@@ -22,18 +77,15 @@ pub(crate) struct EagerTx {
     /// retransmission is ever exhausted (the app saw SendDone already,
     /// but MX semantics allow a late error on the handle).
     pub req: RequestId,
-    /// Causal-trace id of the transfer.
-    pub xfer: XferId,
     pub proc: ProcId,
     pub peer: EndpointAddr,
     pub match_info: u64,
     pub total_len: u64,
     /// The message bytes as they were at send time, for retransmission.
     pub data: PageSnapshot,
-    pub timer: Option<EventId>,
-    pub retries: u32,
+    pub retry: Retry,
     /// When the current (re)transmission went out — RTT sample on ack,
-    /// Karn-gated by `retries == 0`.
+    /// Karn-gated by `retry.retries == 0`.
     pub sent_at: SimTime,
 }
 
@@ -50,8 +102,6 @@ pub(crate) struct EagerRxMatched {
 /// Sender-side state of a rendezvous (large-message) transfer.
 pub(crate) struct SendXfer {
     pub req: RequestId,
-    /// Causal-trace id of the transfer.
-    pub xfer: XferId,
     pub proc: ProcId,
     pub peer: EndpointAddr,
     pub match_info: u64,
@@ -67,8 +117,9 @@ pub(crate) struct SendXfer {
     /// window is measured from here to the first pull request, the
     /// rendezvous round trip from here to the notify).
     pub rndv_sent_at: Option<SimTime>,
-    pub rndv_timer: Option<EventId>,
-    pub retries: u32,
+    /// Rendezvous retransmission until the first pull request, completion
+    /// watchdog after it.
+    pub retry: Retry,
 }
 
 /// One pull block's progress on the receive side.
@@ -107,8 +158,6 @@ impl Block {
 /// Receiver-side state of a rendezvous transfer (one pull transaction).
 pub(crate) struct RecvXfer {
     pub req: RequestId,
-    /// Causal-trace id of the transfer (from the sender's rndv).
-    pub xfer: XferId,
     pub proc: ProcId,
     /// The sender.
     pub peer: EndpointAddr,
@@ -133,8 +182,8 @@ pub(crate) struct RecvXfer {
     /// Frames fully placed in memory.
     pub frames_placed: u64,
     pub frames_total: u64,
-    pub stall_timer: Option<EventId>,
-    pub retries: u32,
+    /// Pull-stall timer: re-requests every outstanding block.
+    pub retry: Retry,
 }
 
 impl RecvXfer {
@@ -182,11 +231,8 @@ impl RecvXfer {
 /// Receiver-side notify retransmission state (survives the RecvXfer).
 pub(crate) struct NotifyPending {
     pub proc: ProcId,
-    /// Causal-trace id of the transfer.
-    pub xfer: XferId,
     pub peer: EndpointAddr,
-    pub timer: EventId,
-    pub retries: u32,
+    pub retry: Retry,
 }
 
 /// A held I/OAT copy: bytes parked until the DMA engine finishes.
@@ -215,7 +261,7 @@ pub(crate) struct PinWaiter {
     pub action: PinAction,
     /// Transfer whose protocol action is queued behind the threshold
     /// (drives the pin_wait_start / pin_wait_end trace pair).
-    pub xfer: XferId,
+    pub msg: MsgId,
 }
 
 /// Per-region on-demand pin plan.
@@ -261,8 +307,6 @@ impl PinPlan {
 /// receive-copy.
 pub(crate) struct ShmParked {
     pub src: EndpointAddr,
-    /// Causal-trace id of the transfer.
-    pub xfer: XferId,
     /// Destination endpoint, incarnation-stamped at post time: shm has no
     /// watchdog, so the fence check happens when the copy-out lands.
     pub peer: EndpointAddr,
@@ -291,9 +335,38 @@ pub(crate) struct XferTables {
     /// Cache-evicted regions that were still in use at eviction time:
     /// undeclare them when their last use drains.
     pub deferred_undeclare: BTreeSet<(usize, u32)>,
-    /// Per-posted-receive overlap hints, consumed when the rendezvous
-    /// matches (the posting may complete long before the rndv arrives).
-    pub recv_hints: BTreeMap<RequestId, OverlapHint>,
+}
+
+impl XferTables {
+    /// The entry a retry timer names, if it is still in flight.
+    pub fn retried(&mut self, key: RetryKey) -> Option<Retried<'_>> {
+        match key {
+            RetryKey::Eager(msg) => self.eager_tx.get_mut(&msg).map(|t| Retried {
+                retry: &mut t.retry,
+                proc: t.proc,
+                peer: t.peer,
+                msg,
+            }),
+            RetryKey::Rndv(msg) => self.send.get_mut(&msg).map(|x| Retried {
+                retry: &mut x.retry,
+                proc: x.proc,
+                peer: x.peer,
+                msg,
+            }),
+            RetryKey::Pull(pull) => self.recv.get_mut(&pull).map(|x| Retried {
+                retry: &mut x.retry,
+                proc: x.proc,
+                peer: x.peer,
+                msg: x.msg,
+            }),
+            RetryKey::Notify(msg) => self.notify_pending.get_mut(&msg).map(|p| Retried {
+                retry: &mut p.retry,
+                proc: p.proc,
+                peer: p.peer,
+                msg,
+            }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -344,7 +417,6 @@ mod tests {
             .collect();
         RecvXfer {
             req: RequestId(0),
-            xfer: XferId(0),
             proc: ProcId(0),
             peer: EndpointAddr {
                 proc: ProcId(0),
@@ -361,8 +433,7 @@ mod tests {
             ioat_pending: 0,
             frames_placed: 0,
             frames_total: 0,
-            stall_timer: None,
-            retries: 0,
+            retry: Retry::default(),
         }
     }
 

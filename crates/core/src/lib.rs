@@ -25,7 +25,7 @@
 //!   lifecycle, a bounded ring-buffer tracer, latency histograms,
 //!   Chrome-trace/CSV exporters, and the causal span builder that
 //!   correlates sender- and receiver-side records of one transfer (via
-//!   [`wire::XferId`]) into cross-node span trees with critical-path
+//!   its [`wire::MsgId`]) into cross-node span trees with critical-path
 //!   attribution.
 
 #![warn(missing_docs)]
@@ -51,4 +51,4 @@ pub use obs::{
     TraceEvent, TraceRecord, Tracer, XferSpan,
 };
 pub use region::{DeclareError, DriverRegion, RegionLayout, Segment};
-pub use wire::{Frame, MsgId, PullId, WireMsg, XferId};
+pub use wire::{Frame, MsgId, PullId, WireMsg};

@@ -9,7 +9,7 @@ use simcore::SimTime;
 
 use crate::driver::RegionId;
 use crate::engine::ProcId;
-use crate::wire::{MsgId, PullId, XferId};
+use crate::wire::{MsgId, PullId};
 
 /// Which retransmission machinery fired.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,8 +108,6 @@ pub enum TraceEvent {
     OverlapMissTx {
         /// The send transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// The pull block that could not be fully served.
         block: u32,
     },
@@ -117,8 +115,8 @@ pub enum TraceEvent {
     OverlapMissRx {
         /// The pull transaction.
         pull: PullId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// The transfer.
+        msg: MsgId,
         /// Byte offset of the offending frame.
         offset: u64,
     },
@@ -127,8 +125,8 @@ pub enum TraceEvent {
     PacketDrop {
         /// The pull transaction.
         pull: PullId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// The transfer.
+        msg: MsgId,
         /// Byte offset of the dropped frame.
         offset: u64,
     },
@@ -136,19 +134,21 @@ pub enum TraceEvent {
     Retransmit {
         /// Which machinery.
         kind: RetransKind,
-        /// The transfer it belongs to (`MsgId` or `PullId` raw value).
+        /// The retried entry's key (`MsgId` raw value, or `PullId` for
+        /// pull stalls and re-requests).
         id: u64,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// The transfer.
+        msg: MsgId,
     },
     /// An adaptive retransmission timeout was computed for a timer arm.
     Backoff {
         /// Which machinery the timer belongs to.
         kind: RetransKind,
-        /// The transfer (`MsgId` or `PullId` raw value).
+        /// The retried entry's key (`MsgId` raw value, or `PullId` for
+        /// pull stalls).
         id: u64,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// The transfer.
+        msg: MsgId,
         /// Attempt number driving the exponential term (0 = first arm).
         attempt: u32,
         /// The timeout applied, nanoseconds.
@@ -163,10 +163,11 @@ pub enum TraceEvent {
     RetryExhausted {
         /// Which machinery gave up.
         kind: RetransKind,
-        /// The transfer (`MsgId` or `PullId` raw value).
+        /// The retried entry's key (`MsgId` raw value, or `PullId` for
+        /// pull stalls).
         id: u64,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// The transfer.
+        msg: MsgId,
     },
     /// The MMU notifier invalidated (unpinned) a region.
     NotifierInvalidate {
@@ -236,8 +237,6 @@ pub enum TraceEvent {
     RndvTx {
         /// The send transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Message length in bytes.
         len: u64,
     },
@@ -245,8 +244,6 @@ pub enum TraceEvent {
     RndvRx {
         /// The transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Bytes that will cross the fabric.
         len: u64,
     },
@@ -254,8 +251,6 @@ pub enum TraceEvent {
     PullReq {
         /// The transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Block index.
         block: u32,
     },
@@ -263,8 +258,8 @@ pub enum TraceEvent {
     BlockDone {
         /// The pull transaction.
         pull: PullId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// The transfer.
+        msg: MsgId,
         /// Block index.
         block: u32,
     },
@@ -272,15 +267,11 @@ pub enum TraceEvent {
     SendDone {
         /// The transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
     },
     /// The receiver placed every frame: transfer done on the receive side.
     RecvDone {
         /// The transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Bytes delivered.
         len: u64,
     },
@@ -289,7 +280,7 @@ pub enum TraceEvent {
     /// threshold. Paired with [`TraceEvent::PinWaitEnd`].
     PinWaitStart {
         /// The waiting transfer.
-        xfer: XferId,
+        msg: MsgId,
         /// The region whose cursor is being waited on.
         region: RegionId,
     },
@@ -297,7 +288,7 @@ pub enum TraceEvent {
     /// transfer's queued action.
     PinWaitEnd {
         /// The transfer that stopped waiting.
-        xfer: XferId,
+        msg: MsgId,
         /// The region whose cursor satisfied the wait.
         region: RegionId,
     },
@@ -330,8 +321,8 @@ pub enum TraceEvent {
         src: ProcId,
         /// The frame's destination process.
         dst: ProcId,
-        /// Causal-trace id of the transfer the frame belonged to.
-        xfer: XferId,
+        /// The transfer the frame belonged to.
+        msg: MsgId,
     },
 }
 
@@ -456,13 +447,10 @@ impl TraceEvent {
             TraceEvent::RndvRx { msg, len, .. } => format!("msg {} len {len}", msg.0),
             TraceEvent::PullReq { msg, block, .. } => format!("msg {} block {block}", msg.0),
             TraceEvent::BlockDone { pull, block, .. } => format!("pull {} block {block}", pull.0),
-            TraceEvent::SendDone { msg, .. } => format!("msg {}", msg.0),
+            TraceEvent::SendDone { msg } => format!("msg {}", msg.0),
             TraceEvent::RecvDone { msg, len, .. } => format!("msg {} len {len}", msg.0),
-            TraceEvent::PinWaitStart { xfer, region } => {
-                format!("xfer {} region {}", xfer.0, region.0)
-            }
-            TraceEvent::PinWaitEnd { xfer, region } => {
-                format!("xfer {} region {}", xfer.0, region.0)
+            TraceEvent::PinWaitStart { msg, region } | TraceEvent::PinWaitEnd { msg, region } => {
+                format!("xfer {} region {}", msg.0, region.0)
             }
             TraceEvent::AppMark { label } => (*label).to_string(),
             TraceEvent::ProcCrash {
@@ -512,23 +500,23 @@ impl TraceEvent {
 impl TraceEvent {
     /// The transfer this event belongs to, when it names one (used by the
     /// span builder to correlate sender- and receiver-side records).
-    pub fn xfer(&self) -> Option<XferId> {
+    pub fn msg(&self) -> Option<MsgId> {
         match self {
-            TraceEvent::OverlapMissTx { xfer, .. }
-            | TraceEvent::OverlapMissRx { xfer, .. }
-            | TraceEvent::PacketDrop { xfer, .. }
-            | TraceEvent::Retransmit { xfer, .. }
-            | TraceEvent::Backoff { xfer, .. }
-            | TraceEvent::RetryExhausted { xfer, .. }
-            | TraceEvent::RndvTx { xfer, .. }
-            | TraceEvent::RndvRx { xfer, .. }
-            | TraceEvent::PullReq { xfer, .. }
-            | TraceEvent::BlockDone { xfer, .. }
-            | TraceEvent::SendDone { xfer, .. }
-            | TraceEvent::RecvDone { xfer, .. }
-            | TraceEvent::PinWaitStart { xfer, .. }
-            | TraceEvent::PinWaitEnd { xfer, .. }
-            | TraceEvent::FencedDrop { xfer, .. } => Some(*xfer),
+            TraceEvent::OverlapMissTx { msg, .. }
+            | TraceEvent::OverlapMissRx { msg, .. }
+            | TraceEvent::PacketDrop { msg, .. }
+            | TraceEvent::Retransmit { msg, .. }
+            | TraceEvent::Backoff { msg, .. }
+            | TraceEvent::RetryExhausted { msg, .. }
+            | TraceEvent::RndvTx { msg, .. }
+            | TraceEvent::RndvRx { msg, .. }
+            | TraceEvent::PullReq { msg, .. }
+            | TraceEvent::BlockDone { msg, .. }
+            | TraceEvent::SendDone { msg }
+            | TraceEvent::RecvDone { msg, .. }
+            | TraceEvent::PinWaitStart { msg, .. }
+            | TraceEvent::PinWaitEnd { msg, .. }
+            | TraceEvent::FencedDrop { msg, .. } => Some(*msg),
             _ => None,
         }
     }

@@ -1,7 +1,7 @@
 //! The span builder: folds the flat trace stream into per-transfer
 //! cross-node span trees with critical-path attribution.
 //!
-//! Every transfer carries an [`XferId`] through the whole wire protocol
+//! Every transfer carries its [`MsgId`] through the whole wire protocol
 //! (rndv, pull req/reply, eager fragments, acks, notifies), so the
 //! sender- and receiver-side [`TraceRecord`]s of one transfer correlate
 //! into a single [`XferSpan`] even though they were recorded on different
@@ -34,7 +34,7 @@ use crate::engine::ProcId;
 use crate::obs::event::{TraceEvent, TraceRecord};
 use crate::obs::metrics::Metrics;
 use crate::obs::tracer::Tracer;
-use crate::wire::XferId;
+use crate::wire::MsgId;
 
 /// Critical-path attribution of one transfer's end-to-end latency.
 ///
@@ -78,8 +78,8 @@ pub struct ChildSpan {
 /// One correlated cross-node transfer span.
 #[derive(Clone, Debug)]
 pub struct XferSpan {
-    /// The transfer's causal-trace id.
-    pub xfer: XferId,
+    /// The transfer.
+    pub msg: MsgId,
     /// Earliest correlated record, nanoseconds.
     pub start_ns: u64,
     /// Latest correlated record, nanoseconds.
@@ -131,9 +131,9 @@ fn ends_backoff_wait(ev: &TraceEvent) -> bool {
 }
 
 /// Fold the tracer's flat record stream into per-transfer spans, one per
-/// [`XferId`] observed, sorted by id.
+/// [`MsgId`] observed, sorted by id.
 ///
-/// Correlation is purely by `xfer`: records from every node land in the
+/// Correlation is purely by `msg`: records from every node land in the
 /// same span. Attribution partitions the span's `[start, end]` into the
 /// gaps between its (time-sorted) records and classifies each gap:
 /// `pin_wait` while a pin-wait interval is open, otherwise by the kind of
@@ -142,15 +142,15 @@ fn ends_backoff_wait(ev: &TraceEvent) -> bool {
 /// end-to-end latency by construction.
 pub fn build_spans(tracer: &Tracer) -> Vec<XferSpan> {
     // Gather records per transfer, in recorded (time) order.
-    let mut per_xfer: BTreeMap<XferId, Vec<&TraceRecord>> = BTreeMap::new();
+    let mut per_msg: BTreeMap<MsgId, Vec<&TraceRecord>> = BTreeMap::new();
     for rec in tracer.iter() {
-        if let Some(x) = rec.event.xfer() {
-            per_xfer.entry(x).or_default().push(rec);
+        if let Some(msg) = rec.event.msg() {
+            per_msg.entry(msg).or_default().push(rec);
         }
     }
 
-    let mut spans = Vec::with_capacity(per_xfer.len());
-    for (xfer, mut recs) in per_xfer {
+    let mut spans = Vec::with_capacity(per_msg.len());
+    for (msg, mut recs) in per_msg {
         recs.sort_by_key(|r| r.time.as_nanos());
         let start_ns = recs[0].time.as_nanos();
         let end_ns = recs[recs.len() - 1].time.as_nanos();
@@ -265,7 +265,7 @@ pub fn build_spans(tracer: &Tracer) -> Vec<XferSpan> {
         children.sort_by_key(|c| (c.start_ns, c.end_ns));
 
         spans.push(XferSpan {
-            xfer,
+            msg,
             start_ns,
             end_ns,
             nodes,
@@ -332,14 +332,14 @@ fn ts_us(ns: u64) -> f64 {
 }
 
 /// Render a span set as nested Chrome-trace **duration** events (`B`/`E`
-/// pairs): one track group per transfer (`pid` = the `XferId`), the root
+/// pairs): one track group per transfer (`pid` = the `MsgId`), the root
 /// span on `tid` 0 and each child phase on its own named thread, so
 /// Perfetto shows the overlap window, pin waits and pull blocks as nested
 /// bars instead of a dust of instants.
 pub fn chrome_spans_json(spans: &[XferSpan]) -> String {
     let mut events: Vec<String> = Vec::new();
     for s in spans {
-        let pid = s.xfer.0;
+        let pid = s.msg.0;
         events.push(format!(
             r#"{{"name":"process_name","ph":"M","pid":{pid},"args":{{"name":"xfer {pid}"}}}}"#
         ));
@@ -463,7 +463,7 @@ pub fn post_mortem_json(
         let _ = write!(
             out,
             "{{\"xfer\":{},\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{},\"events\":{},\"nodes\":{},\"pin_wait_ns\":{},\"wire_ns\":{},\"retransmit_backoff_ns\":{},\"host_overhead_ns\":{},\"children\":[",
-            s.xfer.0,
+            s.msg.0,
             s.start_ns,
             s.end_ns,
             s.duration_ns(),
@@ -496,7 +496,7 @@ pub fn post_mortem_json(
 mod tests {
     use super::*;
     use crate::driver::RegionId;
-    use crate::wire::{MsgId, PullId};
+    use crate::wire::PullId;
     use simcore::SimTime;
 
     fn rec(ns: u64, node: usize, proc: u32, event: TraceEvent) -> TraceRecord {
@@ -514,35 +514,16 @@ mod tests {
     #[test]
     fn synthetic_rndv_attribution_is_exact() {
         let mut t = Tracer::enabled(64);
-        let x = XferId(1);
         let msg = MsgId(1);
         let pull = PullId(1);
-        t.record(rec(
-            0,
-            0,
-            0,
-            TraceEvent::RndvTx {
-                msg,
-                xfer: x,
-                len: 4096,
-            },
-        ));
-        t.record(rec(
-            1_000,
-            1,
-            1,
-            TraceEvent::RndvRx {
-                msg,
-                xfer: x,
-                len: 4096,
-            },
-        ));
+        t.record(rec(0, 0, 0, TraceEvent::RndvTx { msg, len: 4096 }));
+        t.record(rec(1_000, 1, 1, TraceEvent::RndvRx { msg, len: 4096 }));
         t.record(rec(
             1_100,
             1,
             1,
             TraceEvent::PinWaitStart {
-                xfer: x,
+                msg,
                 region: RegionId(9),
             },
         ));
@@ -551,20 +532,11 @@ mod tests {
             1,
             1,
             TraceEvent::PinWaitEnd {
-                xfer: x,
+                msg,
                 region: RegionId(9),
             },
         ));
-        t.record(rec(
-            1_700,
-            1,
-            1,
-            TraceEvent::PullReq {
-                msg,
-                xfer: x,
-                block: 0,
-            },
-        ));
+        t.record(rec(1_700, 1, 1, TraceEvent::PullReq { msg, block: 0 }));
         t.record(rec(
             4_000,
             1,
@@ -572,7 +544,7 @@ mod tests {
             TraceEvent::Retransmit {
                 kind: crate::obs::RetransKind::PullStall,
                 id: pull.0,
-                xfer: x,
+                msg,
             },
         ));
         t.record(rec(
@@ -581,26 +553,17 @@ mod tests {
             1,
             TraceEvent::BlockDone {
                 pull,
-                xfer: x,
+                msg,
                 block: 0,
             },
         ));
-        t.record(rec(
-            5_200,
-            1,
-            1,
-            TraceEvent::RecvDone {
-                msg,
-                xfer: x,
-                len: 4096,
-            },
-        ));
-        t.record(rec(6_000, 0, 0, TraceEvent::SendDone { msg, xfer: x }));
+        t.record(rec(5_200, 1, 1, TraceEvent::RecvDone { msg, len: 4096 }));
+        t.record(rec(6_000, 0, 0, TraceEvent::SendDone { msg }));
 
         let spans = build_spans(&t);
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
-        assert_eq!(s.xfer, x);
+        assert_eq!(s.msg, msg);
         assert_eq!(s.nodes, vec![0, 1]);
         assert_eq!(s.events, 9);
         assert_eq!(s.duration_ns(), 6_000);
@@ -636,36 +599,18 @@ mod tests {
     #[test]
     fn spans_separate_by_xfer_and_ignore_unrelated_events() {
         let mut t = Tracer::enabled(64);
-        for (i, x) in [XferId(1), XferId(2)].iter().enumerate() {
-            let msg = MsgId(i as u64 + 1);
-            let base = i as u64 * 100;
-            t.record(rec(
-                base,
-                0,
-                0,
-                TraceEvent::RndvTx {
-                    msg,
-                    xfer: *x,
-                    len: 1,
-                },
-            ));
-            t.record(rec(
-                base + 10,
-                1,
-                1,
-                TraceEvent::RndvRx {
-                    msg,
-                    xfer: *x,
-                    len: 1,
-                },
-            ));
+        for i in 0..2 {
+            let msg = MsgId(i + 1);
+            let base = i * 100;
+            t.record(rec(base, 0, 0, TraceEvent::RndvTx { msg, len: 1 }));
+            t.record(rec(base + 10, 1, 1, TraceEvent::RndvRx { msg, len: 1 }));
         }
-        // Events without an xfer never correlate.
+        // Events without a transfer never correlate.
         t.record(rec(5, 0, 0, TraceEvent::CacheMiss));
         let spans = build_spans(&t);
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].xfer, XferId(1));
-        assert_eq!(spans[1].xfer, XferId(2));
+        assert_eq!(spans[0].msg, MsgId(1));
+        assert_eq!(spans[1].msg, MsgId(2));
         assert_eq!(spans[0].events, 2);
         assert_eq!(spans[0].critical_path.total_ns(), spans[0].duration_ns());
     }
@@ -674,25 +619,15 @@ mod tests {
     fn per_proc_percentiles() {
         let mut t = Tracer::enabled(256);
         for i in 0..100u64 {
-            let x = XferId(i + 1);
             let msg = MsgId(i + 1);
             let base = i * 10_000;
-            t.record(rec(
-                base,
-                0,
-                0,
-                TraceEvent::RndvTx {
-                    msg,
-                    xfer: x,
-                    len: 1,
-                },
-            ));
+            t.record(rec(base, 0, 0, TraceEvent::RndvTx { msg, len: 1 }));
             // Latencies 1..=100 us.
             t.record(rec(
                 base + (i + 1) * 1_000,
                 1,
                 1,
-                TraceEvent::SendDone { msg, xfer: x },
+                TraceEvent::SendDone { msg },
             ));
         }
         let spans = build_spans(&t);
@@ -709,29 +644,10 @@ mod tests {
     #[test]
     fn chrome_spans_are_balanced_b_e_pairs() {
         let mut t = Tracer::enabled(64);
-        let x = XferId(3);
         let msg = MsgId(3);
-        t.record(rec(
-            0,
-            0,
-            0,
-            TraceEvent::RndvTx {
-                msg,
-                xfer: x,
-                len: 1,
-            },
-        ));
-        t.record(rec(
-            500,
-            1,
-            1,
-            TraceEvent::RndvRx {
-                msg,
-                xfer: x,
-                len: 1,
-            },
-        ));
-        t.record(rec(900, 0, 0, TraceEvent::SendDone { msg, xfer: x }));
+        t.record(rec(0, 0, 0, TraceEvent::RndvTx { msg, len: 1 }));
+        t.record(rec(500, 1, 1, TraceEvent::RndvRx { msg, len: 1 }));
+        t.record(rec(900, 0, 0, TraceEvent::SendDone { msg }));
         let json = chrome_spans_json(&build_spans(&t));
         assert!(json.starts_with("{\"traceEvents\":["));
         assert_eq!(
@@ -757,24 +673,9 @@ mod tests {
     fn post_mortem_keeps_last_n_spans() {
         let mut t = Tracer::enabled(256);
         for i in 0..10u64 {
-            let x = XferId(i + 1);
             let msg = MsgId(i + 1);
-            t.record(rec(
-                i * 100,
-                0,
-                0,
-                TraceEvent::RndvTx {
-                    msg,
-                    xfer: x,
-                    len: 1,
-                },
-            ));
-            t.record(rec(
-                i * 100 + 50,
-                0,
-                0,
-                TraceEvent::SendDone { msg, xfer: x },
-            ));
+            t.record(rec(i * 100, 0, 0, TraceEvent::RndvTx { msg, len: 1 }));
+            t.record(rec(i * 100 + 50, 0, 0, TraceEvent::SendDone { msg }));
         }
         let m = Metrics::new();
         let json = post_mortem_json("boom", None, &t, &m, 3);

@@ -104,7 +104,7 @@ mod tests {
             event: TraceEvent::Retransmit {
                 kind: super::super::RetransKind::Rndv,
                 id: i,
-                xfer: crate::wire::XferId(i),
+                msg: crate::wire::MsgId(i),
             },
         }
     }

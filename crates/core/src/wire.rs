@@ -17,19 +17,15 @@ use simmem::PageSnapshot;
 use crate::endpoint::EndpointAddr;
 
 /// Cluster-unique id of one message transfer (send request instance).
+///
+/// Allocated once at send initiation and carried by *every* wire message
+/// of the transfer (rndv, pull req/reply, eager fragments, acks,
+/// notifies). It keys the engine's transfer tables, and it is also the
+/// causal-trace id: sender- and receiver-side trace records of one
+/// transfer correlate through it into a single cross-node span tree
+/// (`crate::obs::span`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MsgId(pub u64);
-
-/// Cluster-unique causal-trace id of one end-to-end transfer.
-///
-/// Allocated once at send initiation and propagated through *every* wire
-/// message of the transfer (rndv, pull req/reply, eager fragments, acks,
-/// notifies) so that sender- and receiver-side trace records correlate
-/// into a single cross-node span tree (`crate::obs::span`). Unlike
-/// [`MsgId`] — which names protocol state — `XferId` exists purely for
-/// observability and never keys any engine table.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct XferId(pub u64);
 
 /// Identifies one pull transaction (a large-message data phase).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -42,8 +38,6 @@ pub enum WireMsg {
     Eager {
         /// Transfer this fragment belongs to.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Matching key.
         match_info: u64,
         /// Fragment index.
@@ -61,15 +55,11 @@ pub enum WireMsg {
     EagerAck {
         /// The acked transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
     },
     /// Rendezvous request announcing a large message.
     Rndv {
         /// Transfer id.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Matching key.
         match_info: u64,
         /// Total message length.
@@ -83,8 +73,6 @@ pub enum WireMsg {
         pull: PullId,
         /// Transfer id (identifies the sender-side region).
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
         /// Block index within the transfer.
         block: u32,
         /// Bitmask of the frames of this block being requested.
@@ -96,8 +84,8 @@ pub enum WireMsg {
     PullReply {
         /// The pull transaction.
         pull: PullId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
+        /// Transfer id.
+        msg: MsgId,
         /// Block index.
         block: u32,
         /// Frame index within the block.
@@ -111,15 +99,11 @@ pub enum WireMsg {
     Notify {
         /// The completed transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
     },
     /// Ack of a notify (lets the receiver release its retransmit state).
     NotifyAck {
         /// The acked transfer.
         msg: MsgId,
-        /// Causal-trace id of the transfer.
-        xfer: XferId,
     },
 }
 
@@ -150,18 +134,18 @@ impl WireMsg {
         self.payload_len() == 0
     }
 
-    /// The causal-trace id — carried by every message variant, which is
-    /// what lets the incarnation fence attribute a dropped stale frame to
-    /// its transfer.
-    pub fn xfer(&self) -> XferId {
+    /// The transfer id — carried by every message variant, which is what
+    /// lets the incarnation fence attribute a dropped stale frame to its
+    /// transfer.
+    pub fn msg(&self) -> MsgId {
         match self {
-            WireMsg::Eager { xfer, .. }
-            | WireMsg::EagerAck { xfer, .. }
-            | WireMsg::Rndv { xfer, .. }
-            | WireMsg::PullReq { xfer, .. }
-            | WireMsg::PullReply { xfer, .. }
-            | WireMsg::Notify { xfer, .. }
-            | WireMsg::NotifyAck { xfer, .. } => *xfer,
+            WireMsg::Eager { msg, .. }
+            | WireMsg::EagerAck { msg }
+            | WireMsg::Rndv { msg, .. }
+            | WireMsg::PullReq { msg, .. }
+            | WireMsg::PullReply { msg, .. }
+            | WireMsg::Notify { msg }
+            | WireMsg::NotifyAck { msg } => *msg,
         }
     }
 }
@@ -192,7 +176,6 @@ mod tests {
     fn payload_accounting() {
         let e = WireMsg::Eager {
             msg: MsgId(1),
-            xfer: XferId(1),
             match_info: 7,
             frag: 0,
             frag_count: 1,
@@ -202,10 +185,7 @@ mod tests {
         };
         assert_eq!(e.payload_len(), 5);
         assert!(!e.is_control());
-        let n = WireMsg::Notify {
-            msg: MsgId(1),
-            xfer: XferId(1),
-        };
+        let n = WireMsg::Notify { msg: MsgId(1) };
         assert_eq!(n.payload_len(), 0);
         assert!(n.is_control());
         assert_eq!(n.kind(), "notify");
@@ -216,12 +196,10 @@ mod tests {
         let f = Frame {
             src: addr(0),
             dst: addr(1),
-            msg: WireMsg::NotifyAck {
-                msg: MsgId(9),
-                xfer: XferId(9),
-            },
+            msg: WireMsg::NotifyAck { msg: MsgId(9) },
         };
         assert_eq!(f.msg.kind(), "notify_ack");
+        assert_eq!(f.msg.msg(), MsgId(9));
         assert_ne!(f.src.proc, f.dst.proc);
     }
 }

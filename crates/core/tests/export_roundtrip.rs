@@ -7,7 +7,7 @@ use openmx_core::driver::RegionId;
 use openmx_core::engine::ProcId;
 use openmx_core::obs::{chrome_spans_json, chrome_trace_json, csv, Tracer};
 use openmx_core::obs::{TraceEvent, TraceRecord};
-use openmx_core::wire::{MsgId, XferId};
+use openmx_core::wire::MsgId;
 use simcore::SimTime;
 
 fn rec(ns: u64, node: usize, proc: Option<u32>, event: TraceEvent) -> TraceRecord {
@@ -28,7 +28,6 @@ fn fixture() -> Tracer {
         Some(0),
         TraceEvent::RndvTx {
             msg: MsgId(1),
-            xfer: XferId(1),
             len: 4096,
         },
     ));
@@ -38,7 +37,6 @@ fn fixture() -> Tracer {
         Some(1),
         TraceEvent::RndvRx {
             msg: MsgId(1),
-            xfer: XferId(1),
             len: 4096,
         },
     ));
@@ -64,10 +62,7 @@ fn fixture() -> Tracer {
         4_000,
         0,
         Some(0),
-        TraceEvent::SendDone {
-            msg: MsgId(1),
-            xfer: XferId(1),
-        },
+        TraceEvent::SendDone { msg: MsgId(1) },
     ));
     t
 }

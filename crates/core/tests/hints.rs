@@ -129,3 +129,73 @@ fn hints_do_not_change_delivered_data() {
     cl.run(None);
     assert_eq!(cl.counters().get("requests_failed"), 0);
 }
+
+/// A receiver that posts only after a compute phase, so the sender's
+/// rendezvous is already parked as unexpected when the receive matches.
+struct LateReceiver {
+    hint: OverlapHint,
+    posted_at: Rc<Cell<SimTime>>,
+}
+impl Process for LateReceiver {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.compute(simcore::SimDuration::from_millis(2), 0);
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+        match ev {
+            AppEvent::ComputeDone(_) => {
+                self.posted_at.set(ctx.now());
+                let buf = ctx.malloc(LEN);
+                ctx.irecv_hinted(4, !0, buf, LEN, self.hint);
+            }
+            AppEvent::RecvDone(..) => ctx.stop(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// Receive-side pin waits in a run whose receive is posted after the
+/// rendezvous arrived.
+fn late_receiver_pin_waits(hint: OverlapHint) -> usize {
+    let posted_at = Rc::new(Cell::new(SimTime::ZERO));
+    let mut cl = Cluster::new(OpenMxConfig::with_mode(PinningMode::Overlapped), 2);
+    cl.enable_trace();
+    cl.add_process(
+        0,
+        Box::new(HintedSender {
+            hint: OverlapHint::Auto,
+            done_at: Rc::new(Cell::new(SimTime::ZERO)),
+        }),
+    );
+    cl.add_process(
+        1,
+        Box::new(LateReceiver {
+            hint,
+            posted_at: posted_at.clone(),
+        }),
+    );
+    cl.run(None);
+    assert_eq!(cl.counters().get("requests_failed"), 0);
+    let rndv_sent = cl
+        .tracer()
+        .iter()
+        .find(|r| r.event.kind() == "rndv_tx")
+        .expect("rendezvous sent")
+        .time;
+    assert!(
+        rndv_sent + simcore::SimDuration::from_millis(1) < posted_at.get(),
+        "the rendezvous ({rndv_sent}) must arrive before the post ({})",
+        posted_at.get()
+    );
+    cl.tracer()
+        .iter()
+        .filter(|r| r.node == 1 && r.event.kind() == "pin_wait_start")
+        .count()
+}
+
+#[test]
+fn hint_is_honoured_when_the_rendezvous_arrives_first() {
+    // Overlapped mode starts pulling at once; a Disable hint on the
+    // late-posted receive must still make it wait for the pin.
+    assert_eq!(late_receiver_pin_waits(OverlapHint::Auto), 0);
+    assert_eq!(late_receiver_pin_waits(OverlapHint::Disable), 1);
+}

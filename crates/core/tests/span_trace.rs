@@ -143,7 +143,7 @@ fn lossy_rndv_produces_one_exact_cross_node_span() {
     let first = cl
         .tracer()
         .iter()
-        .find(|r| r.event.xfer().is_some())
+        .find(|r| r.event.msg().is_some())
         .unwrap();
     assert_eq!(first.node, 0, "the causal chain starts on the sender node");
     assert!(matches!(first.kind(), "backoff" | "rndv_tx"));
@@ -176,12 +176,12 @@ fn forced_miss_attribution_charges_backoff_and_sums_exactly() {
             s.critical_path.total_ns(),
             s.duration_ns(),
             "xfer {}: attribution must be exact",
-            s.xfer.0
+            s.msg.0
         );
         assert!(
             s.children.iter().any(|c| c.name == "overlap_window"),
             "xfer {}: the rndv→first-pull overlap window must be a child span",
-            s.xfer.0
+            s.msg.0
         );
     }
 

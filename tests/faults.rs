@@ -250,6 +250,35 @@ fn lost_notify_trips_sender_watchdog_not_a_hang() {
 }
 
 #[test]
+fn stalled_pull_exhausts_on_the_receiver_not_a_hang() {
+    // The sender's link to the receiver dies after the rendezvous: every
+    // pull reply is swallowed. The receiver re-requests on each stall
+    // timeout until its budget runs out and fails the receive; the
+    // sender, which saw the pull requests and then silence, fails through
+    // its completion watchdog.
+    let mut c = cfg(PinningMode::OverlappedCached);
+    let mut faults = FaultConfig::clean();
+    faults.set_link(
+        0,
+        1,
+        FaultProfile {
+            drop_after: Some(1),
+            ..FaultProfile::default()
+        },
+    );
+    c.net.faults = faults;
+    c.max_retries = 3;
+    c.retransmit_timeout = SimDuration::from_millis(50);
+    let (cl, records) = one_transfer(&c, 256 * 1024);
+    assert_eq!(records[1].failures, ["pull transfer stalled"]);
+    assert_eq!(records[0].failures, ["transfer completion timed out"]);
+    assert!(records[0].finished.is_some() && records[1].finished.is_some());
+    let counters = cl.counters();
+    assert_eq!(counters.get("pull_stall_timeouts"), 3);
+    assert_eq!(counters.get("requests_failed"), 2);
+}
+
+#[test]
 fn bursty_loss_recovers_intact() {
     use simnet::GilbertElliott;
     // 10% average loss concentrated in bursts averaging 8 frames: whole
