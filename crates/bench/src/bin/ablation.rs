@@ -14,7 +14,7 @@
 use openmx_bench::pingpong::{paper_cfg, pingpong_throughput};
 use openmx_bench::sweep::parallel_map;
 use openmx_bench::table::Table;
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
 
@@ -129,7 +129,7 @@ fn main() {
         let (cl, records) = run_job(&cfg, 2, 1, b.scripts);
         assert!(records.iter().all(|r| r.failures.is_empty()));
         let stats = cl.cache_stats(openmx_core::ProcId(0));
-        let evictions = cl.counters().get("cache_evictions");
+        let evictions = cl.counters().get(Counter::CacheEvictions);
         (
             cap,
             stats.hits,

@@ -102,9 +102,9 @@ fn main() {
             .count();
         let hung = rows.iter().filter(|r| r.3.verdict == Verdict::Hung).count();
         hung_total += hung as u64;
-        let faults: u64 = rows.iter().map(|r| r.3.faults_injected).sum();
-        let retrans: u64 = rows.iter().map(|r| r.3.retransmits).sum();
-        let dups: u64 = rows.iter().map(|r| r.3.dup_frames_rx).sum();
+        let faults: u64 = rows.iter().map(|r| r.3.counters.faults_injected()).sum();
+        let retrans: u64 = rows.iter().map(|r| r.3.counters.retransmits()).sum();
+        let dups: u64 = rows.iter().map(|r| r.3.counters.duplicates_rx()).sum();
         t.row(vec![
             name.to_string(),
             format!("{}", rows.len()),
@@ -174,8 +174,8 @@ fn main() {
             .count();
         let hung = rows.iter().filter(|r| r.3.verdict == Verdict::Hung).count();
         crash_hung += hung as u64;
-        let faults: u64 = rows.iter().map(|r| r.3.faults_injected).sum();
-        let retrans: u64 = rows.iter().map(|r| r.3.retransmits).sum();
+        let faults: u64 = rows.iter().map(|r| r.3.counters.faults_injected()).sum();
+        let retrans: u64 = rows.iter().map(|r| r.3.counters.retransmits()).sum();
         t.row(vec![
             name.to_string(),
             format!("{}", rows.len()),
@@ -206,30 +206,23 @@ fn main() {
     // that are delayed (not lost) being re-requested, which needs enough
     // in-flight traffic to show.
     let seeds: Vec<u64> = (0..args.seeds).map(|s| 0xd0b0_0000 + s).collect();
-    let cmp = duplicate_comparison(&seeds, 1 << 20, args.msgs + 2);
+    let (fixed, adaptive) = duplicate_comparison(&seeds, 1 << 20, args.msgs + 2);
     let mut t = Table::new(
         "retransmission policy under 5% loss (sum over seeds)",
         &["policy", "dup frames rx", "retransmits"],
     );
-    t.row(vec![
-        "fixed 1 s".into(),
-        format!("{}", cmp.fixed_dups),
-        format!("{}", cmp.fixed_retransmits),
-    ]);
-    t.row(vec![
-        "adaptive".into(),
-        format!("{}", cmp.adaptive_dups),
-        format!("{}", cmp.adaptive_retransmits),
-    ]);
+    for (policy, c) in [("fixed 1 s", &fixed), ("adaptive", &adaptive)] {
+        t.row(vec![
+            policy.into(),
+            format!("{}", c.duplicates_rx()),
+            format!("{}", c.retransmits()),
+        ]);
+    }
     t.emit(None);
+    let (adaptive_dups, fixed_dups) = (adaptive.duplicates_rx(), fixed.duplicates_rx());
     assert!(
-        cmp.adaptive_dups <= cmp.fixed_dups,
-        "adaptive backoff produced more duplicates ({}) than the fixed timer ({})",
-        cmp.adaptive_dups,
-        cmp.fixed_dups,
+        adaptive_dups <= fixed_dups,
+        "adaptive backoff produced more duplicates ({adaptive_dups}) than the fixed timer ({fixed_dups})",
     );
-    println!(
-        "adaptive dups {} <= fixed dups {}",
-        cmp.adaptive_dups, cmp.fixed_dups
-    );
+    println!("adaptive dups {adaptive_dups} <= fixed dups {fixed_dups}");
 }

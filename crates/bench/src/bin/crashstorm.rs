@@ -38,7 +38,9 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use openmx_bench::table::Table;
-use openmx_core::{AppEvent, Cluster, Ctx, OpenMxConfig, PinningMode, ProcId, Process, TraceEvent};
+use openmx_core::{
+    AppEvent, Cluster, Counter, Ctx, OpenMxConfig, PinningMode, ProcId, Process, TraceEvent,
+};
 use simcore::{SimDuration, SimTime};
 use simmem::{VirtAddr, PAGE_SIZE};
 
@@ -270,7 +272,7 @@ fn main() {
         let t = cl.now();
         cl.run(Some(t + WORK_WINDOW));
 
-        let reaped_before = cl.counters().get("crash_reaped_pages");
+        let reaped_before = cl.counters().get(Counter::CrashReapedPages);
         let crash_at = cl.now();
         cl.crash_proc(phoenix);
 
@@ -288,7 +290,7 @@ fn main() {
             0,
             "cycle {cycle}: dead tenant still has attributed pins"
         );
-        reaped_total += cl.counters().get("crash_reaped_pages") - reaped_before;
+        reaped_total += cl.counters().get(Counter::CrashReapedPages) - reaped_before;
 
         cl.run(Some(crash_at + DOWN_TIME));
 
@@ -374,8 +376,8 @@ fn main() {
          orphans={orphan_pins_total}, ghosts={}, fenced={} frames, \
          peer_dead_aborts={}",
         ghosts.get(),
-        c.get("frames_fenced"),
-        c.get("peer_dead_aborts"),
+        c.get(Counter::FramesFenced),
+        c.get(Counter::PeerDeadAborts),
     );
 
     // Headline keys sit under "entries"; raw counts that scale with the
@@ -399,10 +401,10 @@ fn main() {
         ghosts.get(),
         recovery_ns.len(),
         survivor_waits.len(),
-        c.get("frames_fenced"),
-        c.get("peer_dead_aborts"),
-        c.get("proc_crashes"),
-        c.get("proc_restarts"),
+        c.get(Counter::FramesFenced),
+        c.get(Counter::PeerDeadAborts),
+        c.get(Counter::ProcCrashes),
+        c.get(Counter::ProcRestarts),
     );
     std::fs::write(&args.out, json).expect("write BENCH_crashstorm.json");
     println!("wrote {}", args.out);
@@ -410,8 +412,8 @@ fn main() {
     // The acceptance gates.
     assert_eq!(orphan_pins_total, 0, "orphaned pins survived a crash");
     assert_eq!(ghosts.get(), 0, "ghost completions crossed an incarnation");
-    assert_eq!(c.get("proc_crashes"), cycles as u64);
-    assert_eq!(c.get("proc_restarts"), cycles as u64);
+    assert_eq!(c.get(Counter::ProcCrashes), cycles as u64);
+    assert_eq!(c.get(Counter::ProcRestarts), cycles as u64);
     assert!(
         reaped_total > 0,
         "storm too weak: crashes never reaped a pinned page"

@@ -20,7 +20,7 @@
 
 use openmx_bench::paper::{OVERLAP_MISS_RATE_BOUND, OVERLOAD_COLLAPSE_MBPS};
 use openmx_bench::table::Table;
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::script::Op;
 use openmx_mpi::{run_job, summarize};
@@ -173,8 +173,8 @@ fn run_scenario(s: &Scenario) -> ScenarioRun {
     let end = rec.finished.expect("stream receiver finished");
     let bw = Bandwidth::measured(msg * msgs as u64, end.duration_since(start));
     let c = cl.counters();
-    let misses = c.get("overlap_miss_rx") + c.get("overlap_miss_tx");
-    let frames = c.get("frames_rx").max(1);
+    let misses = c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx);
+    let frames = c.get(Counter::FramesRx).max(1);
     let _ = summarize; // (records already checked per-rank above)
     let pin = &cl.metrics().pin_latency;
     let q = |p: f64| {
@@ -187,7 +187,7 @@ fn run_scenario(s: &Scenario) -> ScenarioRun {
     ScenarioRun {
         mbps: bw.bytes_per_sec() / 1e6,
         misses,
-        stalls: c.get("pull_stall_timeouts"),
+        stalls: c.get(Counter::PullStallTimeouts),
         miss_rate: misses as f64 / frames as f64,
         pin_p50_us: q(0.50),
         pin_p99_us: q(0.99),

@@ -13,7 +13,7 @@
 use openmx_bench::paper::TABLE2;
 use openmx_bench::sweep::parallel_map;
 use openmx_bench::table::Table;
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use openmx_mpi::{imb_job, is_job, run_job, summarize, ImbKernel, IsConfig};
 use simcore::SimDuration;
 
@@ -36,7 +36,7 @@ fn observe(cl: &openmx_core::Cluster) -> (f64, u64, u64) {
     (
         p50,
         pin.count(),
-        c.get("overlap_miss_rx") + c.get("overlap_miss_tx"),
+        c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx),
     )
 }
 

@@ -34,7 +34,8 @@ use std::rc::Rc;
 
 use openmx_bench::table::Table;
 use openmx_core::{
-    AppEvent, Cluster, Ctx, OpenMxConfig, PinQuota, PinningMode, ProcId, Process, TraceEvent,
+    AppEvent, Cluster, Counter, Ctx, OpenMxConfig, PinQuota, PinningMode, ProcId, Process,
+    TraceEvent,
 };
 use simcore::{SimDuration, SimTime};
 use simmem::{VirtAddr, PAGE_SIZE};
@@ -330,7 +331,7 @@ fn run_world(rounds: u32, quota: Option<PinQuota>) -> WorldReport {
         victims_suffered,
         aggressor_peak: tenant(0).peak_pinned_pages,
         aggressor_denials: tenant(0).quota_denials,
-        pressure_pages: cl.node_counters(0).get("pressure_unpinned_pages"),
+        pressure_pages: cl.node_counters(0).get(Counter::PressureUnpinnedPages),
     }
 }
 

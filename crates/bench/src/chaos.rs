@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use openmx_core::engine::{Cluster, Ctx, Process};
-use openmx_core::{AppEvent, OpenMxConfig, PinningMode, ProcId};
+use openmx_core::{AppEvent, CounterSet, OpenMxConfig, PinningMode, ProcId};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
 use simcore::{SimDuration, SimTime};
@@ -36,25 +36,16 @@ pub enum Verdict {
     Hung,
 }
 
-/// Counters harvested from one chaos run.
+/// The verdict and counters of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
     /// Outcome classification.
     pub verdict: Verdict,
     /// Failure reasons observed across ranks (empty when intact).
     pub failures: Vec<&'static str>,
-    /// Retransmissions / re-requests the protocol fired.
-    pub retransmits: u64,
-    /// Duplicate frames the protocol received and discarded.
-    pub dup_frames_rx: u64,
-    /// Faults the fabric injected (loss, duplication, reordering).
-    pub faults_injected: u64,
-    /// Frames the fabric dropped in the bursty-loss bad state.
-    pub frames_burst_lost: u64,
-    /// Frames the fabric duplicated.
-    pub frames_duplicated: u64,
-    /// Frames the fabric delivered out of order.
-    pub frames_reordered: u64,
+    /// The run's engine counters: retransmits, duplicates discarded,
+    /// faults injected, …
+    pub counters: CounterSet,
     /// Flight-recorder post-mortem JSON, present iff the run was not
     /// intact. Chaos jobs run with tracing off, so the dump is a
     /// metrics-only snapshot (no spans) — still enough to see retransmit
@@ -166,25 +157,19 @@ pub fn run_chaos(cfg: &OpenMxConfig, profile: &FaultProfile, len: u64, msgs: u32
         Verdict::FailedCleanly
     };
 
-    let m = cl.metrics();
-    let s = cl.net_stats();
+    let counters = cl.counters();
     let post_mortem = (verdict != Verdict::Intact).then(|| {
         let reason = match verdict {
             Verdict::Hung => "chaos: liveness lost (rank stuck or silent corruption)",
             _ => "chaos: transfers failed through the completion path",
         };
-        openmx_core::obs::post_mortem_json(reason, None, cl.tracer(), m, 32)
+        openmx_core::obs::post_mortem_json(reason, None, cl.tracer(), cl.metrics(), &counters, 32)
     });
     ChaosOutcome {
         verdict,
         failures,
         post_mortem,
-        retransmits: m.retransmits(),
-        dup_frames_rx: m.dup_frames_rx(),
-        faults_injected: m.faults_injected(),
-        frames_burst_lost: s.frames_burst_lost,
-        frames_duplicated: s.frames_duplicated,
-        frames_reordered: s.frames_reordered,
+        counters,
     }
 }
 
@@ -360,14 +345,14 @@ pub fn run_chaos_crash(
         Verdict::FailedCleanly
     };
 
-    let m = cl.metrics();
-    let s = cl.net_stats();
+    let counters = cl.counters();
     let post_mortem = (verdict == Verdict::Hung).then(|| {
         openmx_core::obs::post_mortem_json(
             "chaos crash column: liveness lost across a crash/restart",
             None,
             cl.tracer(),
-            m,
+            cl.metrics(),
+            &counters,
             32,
         )
     });
@@ -375,43 +360,21 @@ pub fn run_chaos_crash(
         verdict,
         failures,
         post_mortem,
-        retransmits: m.retransmits(),
-        dup_frames_rx: m.dup_frames_rx(),
-        faults_injected: m.faults_injected(),
-        frames_burst_lost: s.frames_burst_lost,
-        frames_duplicated: s.frames_duplicated,
-        frames_reordered: s.frames_reordered,
+        counters,
     }
-}
-
-/// One row of the adaptive-vs-fixed duplicate comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct DupComparison {
-    /// Duplicate frames received under the fixed 1 s timeout policy.
-    pub fixed_dups: u64,
-    /// Retransmissions fired under the fixed policy.
-    pub fixed_retransmits: u64,
-    /// Duplicate frames received under adaptive backoff.
-    pub adaptive_dups: u64,
-    /// Retransmissions fired under adaptive backoff.
-    pub adaptive_retransmits: u64,
 }
 
 /// Measure duplicate retransmissions under 5% loss (plus the delay jitter
 /// every congested fabric shows) with the fixed 1 s retransmission timer
-/// vs. the adaptive backoff policy, summed over `seeds` seeds.
+/// vs. the adaptive backoff policy. Returns the fixed and the adaptive
+/// runs' counters, each summed over `seeds`.
 ///
 /// The gap comes from the re-request guard: the static guard assumes the
 /// nominal round trip, so a frame delayed past it gets re-requested while
 /// still in flight and arrives twice. The adaptive guard tracks the
 /// measured RTO and leaves merely-late frames alone.
-pub fn duplicate_comparison(seeds: &[u64], len: u64, msgs: u32) -> DupComparison {
-    let mut out = DupComparison {
-        fixed_dups: 0,
-        fixed_retransmits: 0,
-        adaptive_dups: 0,
-        adaptive_retransmits: 0,
-    };
+pub fn duplicate_comparison(seeds: &[u64], len: u64, msgs: u32) -> (CounterSet, CounterSet) {
+    let (mut fixed_runs, mut adaptive_runs) = (Vec::new(), Vec::new());
     let profile = FaultProfile {
         loss: 0.05,
         reorder: 0.3,
@@ -425,8 +388,7 @@ pub fn duplicate_comparison(seeds: &[u64], len: u64, msgs: u32) -> DupComparison
         fixed.retransmit_timeout = SimDuration::from_secs(1);
         let f = run_chaos(&fixed, &profile, len, msgs);
         assert_eq!(f.verdict, Verdict::Intact, "fixed run must survive 5% loss");
-        out.fixed_dups += f.dup_frames_rx;
-        out.fixed_retransmits += f.retransmits;
+        fixed_runs.push(f.counters);
 
         let adaptive = chaos_cfg(seed, 16, true);
         let a = run_chaos(&adaptive, &profile, len, msgs);
@@ -435,10 +397,12 @@ pub fn duplicate_comparison(seeds: &[u64], len: u64, msgs: u32) -> DupComparison
             Verdict::Intact,
             "adaptive run must survive 5% loss"
         );
-        out.adaptive_dups += a.dup_frames_rx;
-        out.adaptive_retransmits += a.retransmits;
+        adaptive_runs.push(a.counters);
     }
-    out
+    (
+        fixed_runs.into_iter().sum(),
+        adaptive_runs.into_iter().sum(),
+    )
 }
 
 #[cfg(test)]
@@ -450,7 +414,7 @@ mod tests {
         let cfg = chaos_cfg(1, 16, true);
         let out = run_chaos(&cfg, &FaultProfile::default(), 256 * 1024, 2);
         assert_eq!(out.verdict, Verdict::Intact);
-        assert_eq!(out.faults_injected, 0);
+        assert_eq!(out.counters.faults_injected(), 0);
     }
 
     #[test]
@@ -462,7 +426,10 @@ mod tests {
             // fire at least once.
             let out = run_chaos(&cfg, &p, 1 << 20, 4);
             assert_ne!(out.verdict, Verdict::Hung, "{name} hung");
-            assert!(out.faults_injected > 0, "{name} injected nothing");
+            assert!(
+                out.counters.faults_injected() > 0,
+                "{name} injected nothing"
+            );
         }
     }
 }

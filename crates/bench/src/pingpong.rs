@@ -1,6 +1,6 @@
 //! The IMB PingPong throughput runner behind Figures 6 and 7.
 
-use openmx_core::{CpuProfile, OpenMxConfig, PinningMode};
+use openmx_core::{Counter, CpuProfile, OpenMxConfig, PinningMode};
 use openmx_mpi::{imb_job, run_job, summarize, ImbKernel};
 use simcore::Bandwidth;
 
@@ -48,7 +48,7 @@ pub fn pingpong_throughput(cfg: &OpenMxConfig, msg: u64) -> PingPongPoint {
     PingPongPoint {
         msg,
         mib_per_sec: bw.as_mib_per_sec(),
-        overlap_misses: c.get("overlap_miss_rx") + c.get("overlap_miss_tx"),
+        overlap_misses: c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx),
         pin_p50_us: q(0.50),
         pin_p95_us: q(0.95),
         pin_p99_us: q(0.99),

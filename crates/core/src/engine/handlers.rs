@@ -11,7 +11,7 @@ use super::xfer::{
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
-use crate::obs::{RetransKind, TraceEvent};
+use crate::obs::{Counter, RetransKind, TraceEvent};
 use crate::region::{DeclareError, Segment};
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 
@@ -142,7 +142,7 @@ impl Cluster {
         let len: u64 = segments.iter().map(|s| s.len).sum();
         let src_node = self.procs[proc.0 as usize].node;
         let Some(dst) = self.procs.get(peer.0 as usize) else {
-            self.nodes[src_node].counters.bump("requests_failed");
+            self.nodes[src_node].counters.bump(Counter::RequestsFailed);
             self.notify_app(proc, AppEvent::Failed(req, "no such peer"));
             return;
         };
@@ -190,7 +190,7 @@ impl Cluster {
         let msg = self.alloc_msg();
         let node = self.procs[proc.0 as usize].node;
         let Ok(data) = self.capture_segments(proc, segments) else {
-            self.nodes[node].counters.bump("requests_failed");
+            self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
         };
@@ -214,7 +214,7 @@ impl Cluster {
                 req,
             },
         );
-        self.nodes[node].counters.bump("shm_msgs_tx");
+        self.nodes[node].counters.bump(Counter::ShmMsgsTx);
     }
 
     fn on_shm_send(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
@@ -224,7 +224,7 @@ impl Cluster {
             // sender gets a clean failure; a dead one gets silence.
             if !self.procs[owner.0 as usize].crashed {
                 let node = self.procs[owner.0 as usize].node;
-                self.nodes[node].counters.bump("requests_failed");
+                self.nodes[node].counters.bump(Counter::RequestsFailed);
                 self.notify_app(owner, AppEvent::Failed(req, "peer crashed"));
             }
             return;
@@ -238,8 +238,8 @@ impl Cluster {
             // parking bytes on a dead endpoint.
             self.xfers.shm.remove(&msg);
             let node = self.procs[owner.0 as usize].node;
-            self.nodes[node].counters.bump("requests_failed");
-            self.nodes[node].counters.bump("peer_dead_aborts");
+            self.nodes[node].counters.bump(Counter::RequestsFailed);
+            self.nodes[node].counters.bump(Counter::PeerDeadAborts);
             self.notify_app(owner, AppEvent::Failed(req, "peer crashed"));
             return;
         }
@@ -295,7 +295,7 @@ impl Cluster {
             Err(_) => {
                 // The receiver unmapped its posted buffer mid-delivery:
                 // the copy faults (EFAULT), the request fails cleanly.
-                self.nodes[node].counters.bump("requests_failed");
+                self.nodes[node].counters.bump(Counter::RequestsFailed);
                 self.notify_app(proc, AppEvent::Failed(req, "receive buffer unmapped"));
             }
         }
@@ -315,7 +315,7 @@ impl Cluster {
         let msg = self.alloc_msg();
         let node = self.procs[proc.0 as usize].node;
         let Ok(data) = self.capture_segments(proc, segments) else {
-            self.nodes[node].counters.bump("requests_failed");
+            self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
         };
@@ -343,7 +343,7 @@ impl Cluster {
                 req,
             },
         );
-        self.nodes[node].counters.bump("eager_msgs_tx");
+        self.nodes[node].counters.bump(Counter::EagerMsgsTx);
     }
 
     fn on_eager_copy_out(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
@@ -415,8 +415,8 @@ impl Cluster {
         // Matched, still reassembling?
         if let Some(m) = self.xfers.eager_rx.get_mut(&msg) {
             if m.rx.has_frag(frag) {
-                self.counters.bump("eager_dup_frags");
-                self.metrics.record_dup_frame();
+                let node = self.procs[idx].node;
+                self.nodes[node].counters.bump(Counter::EagerDupFrags);
                 return;
             }
             if m.rx.absorb(frag, offset, data) {
@@ -429,8 +429,8 @@ impl Cluster {
         // Unexpected, still reassembling?
         if let Some(u) = self.procs[idx].endpoint.unexpected_eager_mut(msg) {
             if u.has_frag(frag) {
-                self.counters.bump("eager_dup_frags");
-                self.metrics.record_dup_frame();
+                let node = self.procs[idx].node;
+                self.nodes[node].counters.bump(Counter::EagerDupFrags);
                 return;
             }
             u.absorb(frag, offset, data);
@@ -494,7 +494,7 @@ impl Cluster {
                 self.notify_app(m.proc, AppEvent::RecvDone(m.req, m.copy_len));
             }
             Err(_) => {
-                self.nodes[node].counters.bump("requests_failed");
+                self.nodes[node].counters.bump(Counter::RequestsFailed);
                 self.notify_app(m.proc, AppEvent::Failed(m.req, "receive buffer unmapped"));
             }
         }
@@ -515,7 +515,7 @@ impl Cluster {
     ) {
         let node = self.procs[proc.0 as usize].node;
         let Ok((region, owned)) = self.acquire_region(proc, segments) else {
-            self.nodes[node].counters.bump("requests_failed");
+            self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.notify_app(proc, AppEvent::Failed(req, "send region rejected (empty)"));
             return;
         };
@@ -537,7 +537,7 @@ impl Cluster {
                 retry: Retry::default(),
             },
         );
-        self.nodes[node].counters.bump("rndv_msgs_tx");
+        self.nodes[node].counters.bump(Counter::RndvMsgsTx);
         self.pin_then(proc, region, target, hint, PinAction::SendRndv(msg));
     }
 
@@ -579,6 +579,7 @@ impl Cluster {
 
     fn on_pull_req(
         &mut self,
+        dst: ProcId,
         msg: MsgId,
         pull: PullId,
         block: u32,
@@ -587,7 +588,8 @@ impl Cluster {
     ) {
         let now = self.now;
         let Some(x) = self.xfers.send.get_mut(&msg) else {
-            self.counters.bump("pull_req_stale");
+            let node = self.node_of(dst);
+            self.nodes[node].counters.bump(Counter::PullReqStale);
             return;
         };
         let first_pull = !x.pull_seen;
@@ -621,7 +623,7 @@ impl Cluster {
         // Bogus or stale coordinates (e.g. a duplicate request racing a
         // shrunk transfer) must not underflow the block math.
         if block_base >= limit {
-            self.nodes[node].counters.bump("pull_req_bogus");
+            self.nodes[node].counters.bump(Counter::PullReqBogus);
             return;
         }
         let block_len = self.cfg.pull_block.min(limit - block_base);
@@ -650,7 +652,7 @@ impl Cluster {
             }
         }
         if missed {
-            self.nodes[node].counters.bump("overlap_miss_tx");
+            self.nodes[node].counters.bump(Counter::OverlapMissTx);
             self.emit(node, Some(proc), TraceEvent::OverlapMissTx { msg, block });
             // Make sure pinning is (still) progressing toward the end.
             let target = self.pin_target(node, region, limit);
@@ -678,8 +680,8 @@ impl Cluster {
         let ack = self.frame(dst, src, WireMsg::NotifyAck { msg });
         self.transmit(ack);
         let Some(x) = self.xfers.send.remove(&msg) else {
-            self.counters.bump("notify_dup");
-            self.metrics.record_dup_frame();
+            let node = self.node_of(dst);
+            self.nodes[node].counters.bump(Counter::NotifyDup);
             return; // duplicate notify
         };
         self.cancel_timer(x.retry.timer);
@@ -791,7 +793,7 @@ impl Cluster {
         let Ok((region, owned)) = acquired else {
             // Zero-length posted buffer: fail the receive cleanly; the
             // sender recovers through its normal retry/timeout path.
-            self.nodes[node].counters.bump("requests_failed");
+            self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.notify_app(
                 proc,
                 AppEvent::Failed(posted.req, "receive region rejected (empty)"),
@@ -933,8 +935,8 @@ impl Cluster {
             || self.xfers.recv_by_msg.contains_key(&msg)
             || self.procs[idx].endpoint.has_unexpected(msg)
         {
-            self.counters.bump("rndv_dup");
-            self.metrics.record_dup_frame();
+            let node = self.procs[idx].node;
+            self.nodes[node].counters.bump(Counter::RndvDup);
             return;
         }
         match self.procs[idx].endpoint.match_incoming(match_info) {
@@ -950,7 +952,7 @@ impl Cluster {
 
     fn on_pull_reply(
         &mut self,
-        _dst: ProcId,
+        dst: ProcId,
         pull: PullId,
         block: u32,
         frame: u32,
@@ -960,20 +962,19 @@ impl Cluster {
         let Some(x) = self.xfers.recv.get_mut(&pull) else {
             // Stale: the transfer already finished (e.g. a duplicated or
             // badly delayed reply outliving its transaction).
-            self.counters.bump("pull_reply_stale");
-            self.metrics.record_dup_frame();
+            let node = self.node_of(dst);
+            self.nodes[node].counters.bump(Counter::PullReplyStale);
             return;
         };
         // Bounds before bit math: hostile coordinates must degrade, not
         // panic with a shift overflow or out-of-range index.
         if block as usize >= x.blocks.len() || frame >= x.blocks[block as usize].frames {
-            self.counters.bump("pull_reply_bogus");
+            self.nodes[x.node].counters.bump(Counter::PullReplyBogus);
             return;
         }
         let bit = 1u64 << frame;
         if x.blocks[block as usize].received & bit != 0 {
-            self.counters.bump("dup_frames_rx");
-            self.metrics.record_dup_frame();
+            self.nodes[x.node].counters.bump(Counter::DupFramesRx);
             return; // duplicate frame
         }
         let (node, region, proc, xfer_len, msg) = (x.node, x.region, x.proc, x.xfer_len, x.msg);
@@ -987,9 +988,10 @@ impl Cluster {
             .region(region)
             .pinned_through(offset, len);
         if !pinned {
-            self.nodes[node].counters.bump("overlap_miss_rx");
-            self.nodes[node].counters.bump("frames_dropped_unpinned");
-            self.metrics.record_overlap_miss();
+            self.nodes[node].counters.bump(Counter::OverlapMissRx);
+            self.nodes[node]
+                .counters
+                .bump(Counter::FramesDroppedUnpinned);
             self.emit(
                 node,
                 Some(proc),
@@ -1004,7 +1006,7 @@ impl Cluster {
             self.ensure_pinned(node, proc, region, target, None);
             return;
         }
-        self.metrics.record_pull_frame_ok();
+        self.nodes[node].counters.bump(Counter::PullFramesOk);
 
         if self.cfg.use_ioat {
             let token = self.next_ioat_token;
@@ -1079,8 +1081,7 @@ impl Cluster {
                 return;
             };
             let (node, proc, msg) = (x.node, x.proc, x.msg);
-            self.nodes[node].counters.bump("pull_rereq_optimistic");
-            self.metrics.record_retransmit();
+            self.nodes[node].counters.bump(Counter::PullRereqOptimistic);
             self.emit(
                 node,
                 Some(proc),
@@ -1119,7 +1120,7 @@ impl Cluster {
             }
             Err(_) => {
                 // Region was invalidated mid-copy: treat the frame as lost.
-                n.counters.bump("ioat_landing_miss");
+                n.counters.bump(Counter::IoatLandingMiss);
                 if let Some(x) = self.xfers.recv.get_mut(&pull) {
                     x.unreceive(copy.block, copy.frame);
                 }
@@ -1176,7 +1177,7 @@ impl Cluster {
     fn on_frame_arrival(&mut self, frame: Frame) {
         let dst = frame.dst.proc;
         let node = self.procs[dst.0 as usize].node;
-        self.nodes[node].counters.bump("frames_rx");
+        self.nodes[node].counters.bump(Counter::FramesRx);
         // Incarnation fence: a frame from or to an endpoint that no longer
         // exists (crashed, or restarted under a newer incarnation) dies at
         // the NIC, before any bottom-half cost is charged. Stale traffic
@@ -1215,7 +1216,7 @@ impl Cluster {
     /// Drop a frame at the incarnation fence: count it, attribute it to
     /// its transfer in the trace, and charge nothing further.
     fn fence_frame(&mut self, node: usize, frame: &Frame) {
-        self.nodes[node].counters.bump("frames_fenced");
+        self.nodes[node].counters.bump(Counter::FramesFenced);
         self.emit(
             node,
             Some(frame.dst.proc),
@@ -1259,8 +1260,8 @@ impl Cluster {
                             .observe(self.now.saturating_duration_since(tx.sent_at));
                     }
                 } else {
-                    self.counters.bump("eager_ack_dup");
-                    self.metrics.record_dup_frame();
+                    let node = self.node_of(dst);
+                    self.nodes[node].counters.bump(Counter::EagerAckDup);
                 }
             }
             WireMsg::Rndv {
@@ -1275,7 +1276,7 @@ impl Cluster {
                 frame_mask,
                 xfer_len,
                 ..
-            } => self.on_pull_req(msg, pull, block, frame_mask, xfer_len),
+            } => self.on_pull_req(dst, msg, pull, block, frame_mask, xfer_len),
             WireMsg::PullReply {
                 pull,
                 block,
@@ -1307,12 +1308,12 @@ impl Cluster {
         let (rid, owned) = if self.cfg.pinning.caches() {
             match self.procs[idx].cache.lookup(&segments) {
                 crate::cache::CacheOutcome::Hit(rid) => {
-                    self.nodes[node].counters.bump("cache_hit");
+                    self.nodes[node].counters.bump(Counter::CacheHit);
                     self.emit(node, Some(proc), TraceEvent::CacheHit { region: rid });
                     (rid, false)
                 }
                 crate::cache::CacheOutcome::Miss => {
-                    self.nodes[node].counters.bump("cache_miss");
+                    self.nodes[node].counters.bump(Counter::CacheMiss);
                     self.emit(node, Some(proc), TraceEvent::CacheMiss);
                     let rid = self.nodes[node]
                         .driver
@@ -1350,7 +1351,7 @@ impl Cluster {
 
     /// LRU-evicted cache entry: undeclare now if idle, else defer.
     fn evict_cached_region(&mut self, proc: ProcId, node: usize, victim: RegionId) {
-        self.nodes[node].counters.bump("cache_evictions");
+        self.nodes[node].counters.bump(Counter::CacheEvictions);
         self.emit(node, Some(proc), TraceEvent::CacheEvict { region: victim });
         if self.nodes[node].driver.region(victim).use_count == 0 {
             let pages = self.nodes[node].driver.region(victim).pinned_pages();
@@ -1420,7 +1421,7 @@ impl Cluster {
         }
         let n = &mut self.nodes[node];
         let pages = n.driver.unpin_region(&mut n.mem, region);
-        n.counters.add("unpin_pages", pages);
+        n.counters.add(Counter::UnpinPages, pages);
         if undeclare {
             n.driver.undeclare(&mut n.mem, region);
             self.emit(node, None, TraceEvent::RegionUndeclare { region });
@@ -1553,11 +1554,7 @@ impl Cluster {
                 let keep = q.hard_cap.saturating_sub(reserved + pages);
                 let evicted = {
                     let n = &mut self.nodes[node];
-                    let evicted = n.driver.pressure_evict_tenant(&mut n.mem, owner, keep);
-                    for (_, p) in &evicted {
-                        n.counters.add("pressure_unpinned_pages", *p);
-                    }
-                    evicted
+                    n.driver.pressure_evict_tenant(&mut n.mem, owner, keep)
                 };
                 for (rid, p) in evicted {
                     self.emit(
@@ -1590,11 +1587,7 @@ impl Cluster {
         let now = self.now;
         let evicted = {
             let n = &mut self.nodes[node];
-            let evicted = n.driver.pressure_evict(&mut n.mem, pages, now, Some(proc));
-            for (_, p) in &evicted {
-                n.counters.add("pressure_unpinned_pages", *p);
-            }
-            evicted
+            n.driver.pressure_evict(&mut n.mem, pages, now, Some(proc))
         };
         for (rid, p) in evicted {
             self.emit(
@@ -1645,13 +1638,13 @@ impl Cluster {
             n.driver.unpin_region(&mut n.mem, region)
         };
         if released > 0 {
-            self.nodes[node].counters.add("unpin_pages", released);
+            self.nodes[node].counters.add(Counter::UnpinPages, released);
         }
         if let Some(r) = self.nodes[node].driver.try_region_mut(region) {
             r.pinning_in_progress = false;
         }
         self.xfers.pin_plans.remove(&(node, region.0));
-        self.nodes[node].counters.bump("quota_denials");
+        self.nodes[node].counters.bump(Counter::QuotaDenials);
         self.nodes[node].driver.note_quota_denial(owner);
         self.emit(node, Some(owner), TraceEvent::PinDenied { region, pages });
         self.fail_region_users(node, region, "pin quota exceeded");
@@ -1686,7 +1679,7 @@ impl Cluster {
                 .get_mut(&(node, region.0))
                 .expect("plan");
             plan.generation = region_gen;
-            self.nodes[node].counters.bump("pin_pass_restarts");
+            self.nodes[node].counters.bump(Counter::PinPassRestarts);
             if cursor < target {
                 self.submit_pin_chunk(node, proc, region, cursor, target);
             } else {
@@ -1712,9 +1705,13 @@ impl Cluster {
             let result = n.driver.pin_chunk(&mut n.mem, region, want, false);
             (result, n.mem.pin_calls() - calls_before, stale, attached)
         };
-        self.nodes[node].counters.add("pin_syscalls", pin_calls);
+        self.nodes[node]
+            .counters
+            .add(Counter::PinSyscalls, pin_calls);
         if stale_released > 0 {
-            self.nodes[node].counters.add("unpin_pages", stale_released);
+            self.nodes[node]
+                .counters
+                .add(Counter::UnpinPages, stale_released);
         }
         match result {
             Err(_) => {
@@ -1726,17 +1723,19 @@ impl Cluster {
                 // budget headroom.
                 let rolled_back = attached_before - stale_released;
                 if rolled_back > 0 {
-                    self.nodes[node].counters.add("unpin_pages", rolled_back);
+                    self.nodes[node]
+                        .counters
+                        .add(Counter::UnpinPages, rolled_back);
                 }
                 self.xfers.pin_plans.remove(&(node, region.0));
-                self.nodes[node].counters.bump("pin_failures");
+                self.nodes[node].counters.bump(Counter::PinFailures);
                 self.fail_region_users(node, region, "pinning failed (invalid region)");
             }
             Ok(mut progress) => {
                 self.nodes[node]
                     .counters
-                    .add("pin_pages", progress.pages_pinned);
-                self.nodes[node].counters.bump("pin_chunks");
+                    .add(Counter::PinPages, progress.pages_pinned);
+                self.nodes[node].counters.bump(Counter::PinChunks);
                 // The pin itself may have broken COW mappings (write
                 // faults under get_user_pages): dispatch those notifier
                 // events like any other invalidation, so *other* regions
@@ -1921,22 +1920,17 @@ impl Cluster {
         if released.is_empty() && cancelled.is_empty() {
             return;
         }
-        self.metrics.record_notifier_drain_batch();
         {
             let n = &mut self.nodes[node];
-            n.counters.bump("notifier_drain_batches");
             for (_, pages) in &released {
-                n.counters.bump("notifier_region_unpins");
-                n.counters.add("notifier_unpinned_pages", *pages);
-                n.counters.add("unpin_pages", *pages);
+                n.counters.add(Counter::NotifierUnpinnedPages, *pages);
+                n.counters.add(Counter::UnpinPages, *pages);
             }
-            n.counters.add("notifier_cancelled", cancelled.len() as u64);
         }
         for (rid, pages) in released {
             self.emit(node, None, TraceEvent::NotifierDrain { region: rid, pages });
         }
         for rid in cancelled {
-            self.metrics.record_notifier_cancelled();
             self.emit(node, None, TraceEvent::NotifierCancel { region: rid });
         }
     }
@@ -1971,7 +1965,7 @@ impl Cluster {
         };
         self.cancel_timer(x.retry.timer);
         self.release_region(x.proc, x.node, x.region, x.owned);
-        self.nodes[x.node].counters.bump("requests_failed");
+        self.nodes[x.node].counters.bump(Counter::RequestsFailed);
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
     }
 
@@ -1982,7 +1976,7 @@ impl Cluster {
         self.xfers.recv_by_msg.remove(&x.msg);
         self.cancel_timer(x.retry.timer);
         self.release_region(x.proc, x.node, x.region, x.owned);
-        self.nodes[x.node].counters.bump("requests_failed");
+        self.nodes[x.node].counters.bump(Counter::RequestsFailed);
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
     }
 
@@ -2026,7 +2020,7 @@ impl Cluster {
         if self.endpoint_gone(peer) {
             // The peer died: burning the whole retry budget against a dead
             // endpoint only delays the inevitable. End the entry now.
-            self.nodes[node].counters.bump("peer_dead_aborts");
+            self.nodes[node].counters.bump(Counter::PeerDeadAborts);
             self.end_retry(key, false);
             return;
         }
@@ -2047,18 +2041,20 @@ impl Cluster {
                 // to resend — just keep waiting for the notify with
                 // backoff. Every incoming pull request resets `retries`,
                 // so only total silence exhausts it.
-                self.nodes[node].counters.bump("send_watchdog_timeouts");
+                self.nodes[node]
+                    .counters
+                    .bump(Counter::SendWatchdogTimeouts);
                 self.arm_retry(key, retries);
                 return;
             }
         }
-        match key {
-            RetryKey::Eager(_) => self.counters.bump("eager_retrans"),
-            RetryKey::Rndv(_) => self.nodes[node].counters.bump("rndv_retrans"),
-            RetryKey::Pull(_) => self.nodes[node].counters.bump("pull_stall_timeouts"),
-            RetryKey::Notify(_) => self.counters.bump("notify_retrans"),
-        }
-        self.metrics.record_retransmit();
+        let counter = match key {
+            RetryKey::Eager(_) => Counter::EagerRetrans,
+            RetryKey::Rndv(_) => Counter::RndvRetrans,
+            RetryKey::Pull(_) => Counter::PullStallTimeouts,
+            RetryKey::Notify(_) => Counter::NotifyRetrans,
+        };
+        self.nodes[node].counters.bump(counter);
         self.emit(node, Some(proc), TraceEvent::Retransmit { kind, id, msg });
         match key {
             RetryKey::Eager(msg) => self.transmit_eager_frames(msg),
@@ -2083,11 +2079,11 @@ impl Cluster {
         match key {
             RetryKey::Eager(msg) => {
                 let tx = self.xfers.eager_tx.remove(&msg).expect("retried entry");
-                if exhausted {
-                    self.counters.bump("eager_abandoned");
-                }
                 let node = self.procs[tx.proc.0 as usize].node;
-                self.nodes[node].counters.bump("requests_failed");
+                if exhausted {
+                    self.nodes[node].counters.bump(Counter::EagerAbandoned);
+                }
+                self.nodes[node].counters.bump(Counter::RequestsFailed);
                 // The app saw SendDone at copy-out (MX semantics), but the
                 // handle still carries a late, clean error instead of the
                 // message silently vanishing.
@@ -2122,9 +2118,14 @@ impl Cluster {
                 // will never ack; a silent live one has its completion
                 // watchdog turn the silence into a clean send-side
                 // failure. Either way, drop the state.
-                self.xfers.notify_pending.remove(&msg);
+                let p = self
+                    .xfers
+                    .notify_pending
+                    .remove(&msg)
+                    .expect("retried entry");
                 if exhausted {
-                    self.counters.bump("notify_abandoned");
+                    let node = self.node_of(p.proc);
+                    self.nodes[node].counters.bump(Counter::NotifyAbandoned);
                 }
             }
         }

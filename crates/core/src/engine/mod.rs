@@ -21,7 +21,7 @@ mod xfer;
 pub use ctx::Ctx;
 
 use simcore::{
-    Counters, CpuCore, EventId, EventQueue, Priority, SimDuration, SimRng, SimTime, Work as CpuWork,
+    CpuCore, EventId, EventQueue, Priority, SimDuration, SimRng, SimTime, Work as CpuWork,
 };
 use simmem::{AsId, Memory, SimHeap};
 use simnet::{IoatEngine, Network, NodeId, TxOutcome};
@@ -31,7 +31,10 @@ use crate::config::OpenMxConfig;
 use crate::driver::{Driver, RegionId};
 use crate::endpoint::{Endpoint, EndpointAddr, RequestId};
 use crate::obs::tracer::DEFAULT_CAPACITY;
-use crate::obs::{CacheStats, FaultKind, Metrics, RetransKind, TraceEvent, TraceRecord, Tracer};
+use crate::obs::{
+    CacheStats, Counter, CounterSet, FaultKind, Metrics, RetransKind, TraceEvent, TraceRecord,
+    Tracer,
+};
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 use rto::RttEstimator;
 use xfer::{RetryKey, XferTables};
@@ -190,7 +193,10 @@ pub(crate) struct Node {
     pub cores: Vec<CpuCore<Work>>,
     pub ioat: IoatEngine,
     pub driver: Driver,
-    pub counters: Counters,
+    /// The engine's counts for this node. The driver's six notifier and
+    /// pressure counts are not kept here; [`Cluster::node_counters`]
+    /// reads them from `driver`.
+    pub counters: CounterSet,
     /// Core the NIC's interrupt bottom half is bound to.
     pub bh_core: usize,
     /// A [`TimerToken::NotifierEpoch`] is pending for this node. Armed
@@ -229,7 +235,6 @@ pub struct Cluster {
     pub(crate) next_pull: u64,
     pub(crate) next_req: u64,
     pub(crate) next_ioat_token: u64,
-    pub(crate) counters: Counters,
     pub(crate) tracer: Tracer,
     pub(crate) metrics: Metrics,
     pub(crate) now: SimTime,
@@ -264,7 +269,7 @@ impl Cluster {
                     d.set_quota(cfg.pin_quota);
                     d
                 },
-                counters: Counters::new(),
+                counters: CounterSet::default(),
                 bh_core: 0,
                 epoch_armed: false,
             })
@@ -280,7 +285,6 @@ impl Cluster {
             next_pull: 0,
             next_req: 0,
             next_ioat_token: 0,
-            counters: Counters::new(),
             tracer: Tracer::disabled(),
             metrics: Metrics::new(),
             now: SimTime::ZERO,
@@ -444,18 +448,25 @@ impl Cluster {
         self.procs.len()
     }
 
-    /// Global engine counters (merged with per-node counters).
-    pub fn counters(&self) -> Counters {
-        let mut all = self.counters.clone();
-        for n in &self.nodes {
-            all.merge(&n.counters);
-        }
-        all
+    /// Cluster-wide counters: the sum of every node's
+    /// [`Cluster::node_counters`].
+    pub fn counters(&self) -> CounterSet {
+        (0..self.nodes.len()).map(|n| self.node_counters(n)).sum()
     }
 
-    /// Per-node counters.
-    pub fn node_counters(&self, node: usize) -> &Counters {
-        &self.nodes[node].counters
+    /// One node's counters: the engine's counts plus the six the node's
+    /// driver owns, read from [`Driver::stats`].
+    pub fn node_counters(&self, node: usize) -> CounterSet {
+        let n = &self.nodes[node];
+        let s = n.driver.stats();
+        let mut c = n.counters.clone();
+        c.add(Counter::NotifierEvents, s.notifier_events);
+        c.add(Counter::NotifierRegionUnpins, s.notifier_region_unpins);
+        c.add(Counter::NotifierDeferred, s.notifier_deferred);
+        c.add(Counter::NotifierCancelled, s.notifier_cancelled);
+        c.add(Counter::NotifierDrainBatches, s.notifier_drain_batches);
+        c.add(Counter::PressureUnpinnedPages, s.pressure_unpinned_pages);
+        c
     }
 
     /// Region cache hit/miss stats of one process.
@@ -712,7 +723,7 @@ impl Cluster {
         let node = self.procs[idx].node;
         let incarnation = self.procs[idx].incarnation;
         self.procs[idx].crashed = true;
-        self.nodes[node].counters.bump("proc_crashes");
+        self.nodes[node].counters.bump(Counter::ProcCrashes);
         if leaky {
             self.emit(
                 node,
@@ -741,8 +752,10 @@ impl Cluster {
             n.driver.teardown_proc(&mut n.mem, proc)
         };
         if reaped > 0 {
-            self.nodes[node].counters.add("unpin_pages", reaped);
-            self.nodes[node].counters.add("crash_reaped_pages", reaped);
+            self.nodes[node].counters.add(Counter::UnpinPages, reaped);
+            self.nodes[node]
+                .counters
+                .add(Counter::CrashReapedPages, reaped);
         }
         let space = self.procs[idx].space;
         let events = self.nodes[node]
@@ -791,7 +804,7 @@ impl Cluster {
         slot.crashed = false;
         slot.incarnation += 1;
         let incarnation = slot.incarnation;
-        self.nodes[node].counters.bump("proc_restarts");
+        self.nodes[node].counters.bump(Counter::ProcRestarts);
         self.emit(
             node,
             Some(proc),
@@ -896,7 +909,7 @@ impl Cluster {
         if purged > 0 {
             self.nodes[node]
                 .counters
-                .add("unexpected_purged", purged as u64);
+                .add(Counter::UnexpectedPurged, purged as u64);
         }
     }
 
@@ -904,7 +917,7 @@ impl Cluster {
     fn fail_orphans(&mut self, orphaned: Vec<(ProcId, RequestId)>) {
         for (proc, req) in orphaned {
             let node = self.procs[proc.0 as usize].node;
-            self.nodes[node].counters.bump("requests_failed");
+            self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.notify_app(proc, AppEvent::Failed(req, "peer crashed"));
         }
     }
@@ -937,9 +950,6 @@ impl Cluster {
             proc,
             event,
         });
-        // Keep the metrics' view of ring overflow current so every
-        // metrics snapshot is self-describing about trace truncation.
-        self.metrics.set_dropped_events(self.tracer.dropped());
     }
 
     /// Submit CPU work on (node, core); schedules the completion event if
@@ -1058,8 +1068,9 @@ impl Cluster {
         ) {
             TxOutcome::Delivered(d) => {
                 if d.reordered {
-                    self.nodes[src_node].counters.bump("net_frames_reordered");
-                    self.metrics.record_fault_injected();
+                    self.nodes[src_node]
+                        .counters
+                        .bump(Counter::NetFramesReordered);
                     self.emit(
                         src_node,
                         None,
@@ -1069,8 +1080,9 @@ impl Cluster {
                     );
                 }
                 if let Some(at2) = d.duplicate_at {
-                    self.nodes[src_node].counters.bump("net_frames_duplicated");
-                    self.metrics.record_fault_injected();
+                    self.nodes[src_node]
+                        .counters
+                        .bump(Counter::NetFramesDuplicated);
                     self.emit(
                         src_node,
                         None,
@@ -1084,18 +1096,17 @@ impl Cluster {
             }
             TxOutcome::Dropped(reason) => {
                 let (counter, fault) = match reason {
-                    simnet::DropReason::RandomLoss => ("net_frames_lost", None),
-                    simnet::DropReason::QueueOverflow => ("net_frames_overflowed", None),
+                    simnet::DropReason::RandomLoss => (Counter::NetFramesLost, None),
+                    simnet::DropReason::QueueOverflow => (Counter::NetFramesOverflowed, None),
                     simnet::DropReason::BurstLoss => {
-                        ("net_frames_burst_lost", Some(FaultKind::BurstLoss))
+                        (Counter::NetFramesBurstLost, Some(FaultKind::BurstLoss))
                     }
                     simnet::DropReason::LinkDown => {
-                        ("net_frames_link_down", Some(FaultKind::LinkDown))
+                        (Counter::NetFramesLinkDown, Some(FaultKind::LinkDown))
                     }
                 };
                 self.nodes[src_node].counters.bump(counter);
                 if let Some(kind) = fault {
-                    self.metrics.record_fault_injected();
                     self.emit(src_node, None, TraceEvent::FaultInjected { kind });
                 }
             }
@@ -1139,22 +1150,18 @@ impl Cluster {
         for ev in events {
             let release = ev.cause == simmem::InvalidateCause::Release;
             let n = &mut self.nodes[node];
+            // The driver counts the event and its region hits.
             let hit = n.driver.handle_invalidate(&mut n.mem, ev);
-            // One event may hit several regions (and most hit none):
-            // count events and region hits separately.
-            n.counters.bump("notifier_events");
             for (rid, pages) in hit {
                 if release {
                     // Address-space teardown unpinned inside the event:
                     // there is no next use to defer for.
-                    n.counters.bump("notifier_region_unpins");
-                    n.counters.add("notifier_unpinned_pages", pages);
-                    n.counters.add("unpin_pages", pages);
+                    n.counters.add(Counter::NotifierUnpinnedPages, pages);
+                    n.counters.add(Counter::UnpinPages, pages);
                     eager.push((rid, pages));
                 } else {
                     // The unpin was parked in the deferred queue; the
                     // stale tail is already protocol-invisible.
-                    n.counters.bump("notifier_deferred");
                     deferred.push((rid, pages));
                 }
             }
@@ -1169,7 +1176,6 @@ impl Cluster {
             self.restart_pin_plan_if_needed(node, rid);
         }
         for (rid, pages) in deferred {
-            self.metrics.record_notifier_deferred();
             self.emit(node, None, TraceEvent::NotifierDefer { region: rid, pages });
             self.restart_pin_plan_if_needed(node, rid);
         }

@@ -47,8 +47,8 @@ pub use endpoint::{Endpoint, EndpointAddr, RequestId};
 pub use engine::{AppEvent, Cluster, Ctx, OverlapHint, ProcId, Process};
 pub use obs::{
     build_spans, chrome_spans_json, per_proc_latency, post_mortem_json, CacheStats, ChildSpan,
-    CriticalPath, DriverStats, FaultKind, Metrics, ProcLatencyStats, RetransKind, TenantStats,
-    TraceEvent, TraceRecord, Tracer, XferSpan,
+    Counter, CounterSet, CriticalPath, DriverStats, FaultKind, Metrics, ProcLatencyStats,
+    RetransKind, TenantStats, TraceEvent, TraceRecord, Tracer, XferSpan,
 };
 pub use region::{DeclareError, DriverRegion, RegionLayout, Segment};
 pub use wire::{Frame, MsgId, PullId, WireMsg};

@@ -1,4 +1,5 @@
-//! The always-on metrics registry: latency histograms and derived rates.
+//! The always-on latency registry: histograms and running statistics.
+//! Event counts live in [`CounterSet`](crate::obs::CounterSet).
 
 use simcore::{FixedHistogram, OnlineStats, SimDuration};
 
@@ -11,8 +12,6 @@ use simcore::{FixedHistogram, OnlineStats, SimDuration};
 ///   notify: the full large-message transaction as the sender sees it.
 /// * **Overlap window** — rendezvous transmission to the first pull
 ///   request: the round trip the paper hides pinning behind (§3.3).
-/// * **Overlap-miss rate** — dropped-for-unpinned frames over all pull
-///   reply frames: how often the transfer outran the pin cursor.
 #[derive(Clone, Debug)]
 pub struct Metrics {
     /// Pin-start → pin-complete, per pin plan burst.
@@ -25,24 +24,6 @@ pub struct Metrics {
     pub pin_burst_pages: OnlineStats,
     /// Adaptive retransmission timeouts applied at timer arms.
     pub rto_applied: FixedHistogram,
-    /// Pull-reply frames that landed on unpinned pages and were dropped.
-    overlap_misses: u64,
-    /// Pull-reply frames accepted (pinned landing pages).
-    pull_frames_ok: u64,
-    /// Retransmissions / re-requests fired (all machineries).
-    retransmits: u64,
-    /// Duplicate frames received and discarded by the protocol.
-    dup_frames_rx: u64,
-    /// Faults the fabric injected on purpose (loss, dup, reorder, death).
-    faults_injected: u64,
-    /// Region invalidation hits whose unpin was deferred to the epoch.
-    notifier_deferred: u64,
-    /// Deferred unpins cancelled by a repin before the epoch drained.
-    notifier_cancelled: u64,
-    /// Batched drains of the deferred-unpin queue.
-    notifier_drain_batches: u64,
-    /// Trace records evicted from the tracer ring because it was full.
-    dropped_events: u64,
 }
 
 impl Default for Metrics {
@@ -63,112 +44,6 @@ impl Metrics {
             overlap_window: FixedHistogram::new(SimDuration::from_millis(10), 10_000),
             pin_burst_pages: OnlineStats::new(),
             rto_applied: FixedHistogram::new(SimDuration::from_millis(10), 10_000),
-            overlap_misses: 0,
-            pull_frames_ok: 0,
-            retransmits: 0,
-            dup_frames_rx: 0,
-            faults_injected: 0,
-            notifier_deferred: 0,
-            notifier_cancelled: 0,
-            notifier_drain_batches: 0,
-            dropped_events: 0,
-        }
-    }
-
-    /// Count one dropped-for-unpinned pull frame.
-    pub fn record_overlap_miss(&mut self) {
-        self.overlap_misses += 1;
-    }
-
-    /// Count one accepted pull frame.
-    pub fn record_pull_frame_ok(&mut self) {
-        self.pull_frames_ok += 1;
-    }
-
-    /// Count one retransmission / re-request.
-    pub fn record_retransmit(&mut self) {
-        self.retransmits += 1;
-    }
-
-    /// Count one duplicate frame discarded by the protocol.
-    pub fn record_dup_frame(&mut self) {
-        self.dup_frames_rx += 1;
-    }
-
-    /// Count one injected fabric fault.
-    pub fn record_fault_injected(&mut self) {
-        self.faults_injected += 1;
-    }
-
-    /// Retransmissions fired so far (all machineries).
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Duplicate frames discarded so far.
-    pub fn dup_frames_rx(&self) -> u64 {
-        self.dup_frames_rx
-    }
-
-    /// Faults injected by the fabric so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// Count one invalidation hit whose unpin was deferred to the epoch.
-    pub fn record_notifier_deferred(&mut self) {
-        self.notifier_deferred += 1;
-    }
-
-    /// Count one deferred unpin cancelled by a repin before the drain.
-    pub fn record_notifier_cancelled(&mut self) {
-        self.notifier_cancelled += 1;
-    }
-
-    /// Count one batched drain of the deferred-unpin queue.
-    pub fn record_notifier_drain_batch(&mut self) {
-        self.notifier_drain_batches += 1;
-    }
-
-    /// Invalidation hits deferred to the epoch so far.
-    pub fn notifier_deferred(&self) -> u64 {
-        self.notifier_deferred
-    }
-
-    /// Deferred unpins cancelled before draining so far.
-    pub fn notifier_cancelled(&self) -> u64 {
-        self.notifier_cancelled
-    }
-
-    /// Deferred-queue drain batches so far.
-    pub fn notifier_drain_batches(&self) -> u64 {
-        self.notifier_drain_batches
-    }
-
-    /// Mirror the tracer's evicted-record count into the registry so every
-    /// metrics snapshot (and every export stamped from it) is
-    /// self-describing about trace truncation.
-    pub fn set_dropped_events(&mut self, n: u64) {
-        self.dropped_events = n;
-    }
-
-    /// Trace records evicted from the tracer ring because it was full.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
-    }
-
-    /// Frames dropped because their landing pages were unpinned.
-    pub fn overlap_misses(&self) -> u64 {
-        self.overlap_misses
-    }
-
-    /// Dropped frames over all pull frames seen; 0 when no pull traffic.
-    pub fn overlap_miss_rate(&self) -> f64 {
-        let total = self.overlap_misses + self.pull_frames_ok;
-        if total == 0 {
-            0.0
-        } else {
-            self.overlap_misses as f64 / total as f64
         }
     }
 
@@ -179,15 +54,6 @@ impl Metrics {
         self.overlap_window.merge(&other.overlap_window);
         self.pin_burst_pages.merge(&other.pin_burst_pages);
         self.rto_applied.merge(&other.rto_applied);
-        self.overlap_misses += other.overlap_misses;
-        self.pull_frames_ok += other.pull_frames_ok;
-        self.retransmits += other.retransmits;
-        self.dup_frames_rx += other.dup_frames_rx;
-        self.faults_injected += other.faults_injected;
-        self.notifier_deferred += other.notifier_deferred;
-        self.notifier_cancelled += other.notifier_cancelled;
-        self.notifier_drain_batches += other.notifier_drain_batches;
-        self.dropped_events += other.dropped_events;
     }
 
     /// One-line pin-latency summary for the bench harness:
@@ -211,29 +77,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn miss_rate_arithmetic() {
-        let mut m = Metrics::new();
-        assert_eq!(m.overlap_miss_rate(), 0.0);
-        for _ in 0..3 {
-            m.record_overlap_miss();
-        }
-        for _ in 0..7 {
-            m.record_pull_frame_ok();
-        }
-        assert_eq!(m.overlap_misses(), 3);
-        assert!((m.overlap_miss_rate() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = Metrics::new();
         let mut b = Metrics::new();
         a.pin_latency.record(SimDuration::from_micros(100));
         b.pin_latency.record(SimDuration::from_micros(300));
-        b.record_overlap_miss();
+        b.rto_applied.record(SimDuration::from_micros(50));
         a.merge(&b);
         assert_eq!(a.pin_latency.count(), 2);
-        assert_eq!(a.overlap_misses(), 1);
+        assert_eq!(a.rto_applied.count(), 1);
         assert!(a.pin_latency_summary().contains("2 bursts"));
     }
 }

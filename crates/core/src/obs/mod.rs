@@ -14,21 +14,26 @@
 //! * [`Tracer`] — a bounded ring buffer owned by the
 //!   [`Cluster`](crate::Cluster): a no-op when disabled, O(1) per event
 //!   when enabled, oldest events evicted first;
+//! * [`Counter`] / [`CounterSet`] — the counter registry: one table
+//!   declares every engine counter, and each node counts into a fixed
+//!   array indexed by it;
 //! * [`Metrics`] — always-on latency registry built on
 //!   [`simcore::FixedHistogram`] / [`simcore::OnlineStats`]: pin latency,
-//!   rendezvous round trip, overlap-window width, overlap-miss rate;
+//!   rendezvous round trip, overlap-window width;
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto / (chrome
 //!   or edge)://tracing) and CSV.
 //!
 //! Named stats structs ([`DriverStats`], [`CacheStats`]) replace the old
 //! anonymous tuple returns of `Driver::stats()` / `RegionCache::stats()`.
 
+pub mod counters;
 pub mod event;
 pub mod export;
 pub mod metrics;
 pub mod span;
 pub mod tracer;
 
+pub use counters::{Counter, CounterSet};
 pub use event::{FaultKind, RetransKind, TraceEvent, TraceRecord};
 pub use export::{chrome_trace_json, csv};
 pub use metrics::Metrics;

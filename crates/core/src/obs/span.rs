@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::engine::ProcId;
+use crate::obs::counters::{Counter, CounterSet};
 use crate::obs::event::{TraceEvent, TraceRecord};
 use crate::obs::metrics::Metrics;
 use crate::obs::tracer::Tracer;
@@ -409,7 +410,8 @@ fn json_escape(s: &str) -> String {
 /// recorder's dump format.
 ///
 /// Contains the failure `reason`, an optional `repro` string (the
-/// simtest schedule encoding), a metrics snapshot, and the last `last_n`
+/// simtest schedule encoding), a snapshot of `counters` and `metrics`
+/// (its `dropped_events` is the tracer's), and the last `last_n`
 /// correlated spans (by end time) each with its critical-path breakdown.
 /// Works with a disabled tracer too — the dump is then metrics-only
 /// (`spans` is empty), which is how chaos jobs (tracing off) still ship
@@ -419,6 +421,7 @@ pub fn post_mortem_json(
     repro: Option<&str>,
     tracer: &Tracer,
     metrics: &Metrics,
+    counters: &CounterSet,
     last_n: usize,
 ) -> String {
     let mut spans = build_spans(tracer);
@@ -436,12 +439,12 @@ pub fn post_mortem_json(
     let _ = write!(
         out,
         "\"metrics\":{{\"retransmits\":{},\"overlap_misses\":{},\"overlap_miss_rate\":{:.6},\"dup_frames_rx\":{},\"faults_injected\":{},\"dropped_events\":{},\"pin_bursts\":{},\"rndv_rtts\":{}}},",
-        metrics.retransmits(),
-        metrics.overlap_misses(),
-        metrics.overlap_miss_rate(),
-        metrics.dup_frames_rx(),
-        metrics.faults_injected(),
-        metrics.dropped_events(),
+        counters.retransmits(),
+        counters.get(Counter::OverlapMissRx),
+        counters.overlap_miss_rate(),
+        counters.duplicates_rx(),
+        counters.faults_injected(),
+        tracer.dropped(),
         metrics.pin_latency.count(),
         metrics.rndv_rtt.count(),
     );
@@ -661,8 +664,8 @@ mod tests {
     #[test]
     fn post_mortem_works_without_tracing() {
         let t = Tracer::disabled();
-        let m = Metrics::new();
-        let json = post_mortem_json("invariant violated", Some("repro:abc"), &t, &m, 8);
+        let (m, c) = (Metrics::new(), CounterSet::default());
+        let json = post_mortem_json("invariant violated", Some("repro:abc"), &t, &m, &c, 8);
         assert!(json.starts_with("{\"reason\":\"invariant violated\""));
         assert!(json.contains("\"repro\":\"repro:abc\""));
         assert!(json.contains("\"spans\":[]"));
@@ -677,8 +680,8 @@ mod tests {
             t.record(rec(i * 100, 0, 0, TraceEvent::RndvTx { msg, len: 1 }));
             t.record(rec(i * 100 + 50, 0, 0, TraceEvent::SendDone { msg }));
         }
-        let m = Metrics::new();
-        let json = post_mortem_json("boom", None, &t, &m, 3);
+        let (m, c) = (Metrics::new(), CounterSet::default());
+        let json = post_mortem_json("boom", None, &t, &m, &c, 3);
         // Only the 3 newest transfers survive, oldest-first.
         assert!(!json.contains("\"xfer\":7,"));
         assert!(json.contains("\"xfer\":8,"));

@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
 
-use openmx_core::{OpenMxConfig, PinningMode, RequestId};
+use openmx_core::{Counter, OpenMxConfig, PinningMode, RequestId};
 use simcore::SimTime;
 
 type StartFn = Box<dyn FnMut(&mut Ctx<'_>)>;
@@ -84,12 +84,15 @@ fn rndv_sender_short_circuits_when_peer_dies_before_pull() {
         "sender must observe exactly one clean peer-crash failure"
     );
     let c = cl.counters();
-    assert!(c.get("peer_dead_aborts") >= 1, "watchdog short-circuit");
-    assert_eq!(c.get("requests_failed"), 1);
     assert!(
-        c.get("rndv_retrans") <= 1,
+        c.get(Counter::PeerDeadAborts) >= 1,
+        "watchdog short-circuit"
+    );
+    assert_eq!(c.get(Counter::RequestsFailed), 1);
+    assert!(
+        c.get(Counter::RndvRetrans) <= 1,
         "short-circuit must not burn the retry budget ({} retrans)",
-        c.get("rndv_retrans")
+        c.get(Counter::RndvRetrans)
     );
     assert!(
         end < SimTime::from_nanos(5_000_000_000),
@@ -134,10 +137,10 @@ fn eager_frame_racing_a_crash_is_fenced_and_sender_aborts() {
     assert_eq!(failures.borrow().as_slice(), ["peer crashed"]);
     let c = cl.counters();
     assert!(
-        c.get("frames_fenced") >= 1,
+        c.get(Counter::FramesFenced) >= 1,
         "in-flight frame must be fenced at the dead endpoint"
     );
-    assert!(c.get("peer_dead_aborts") >= 1);
+    assert!(c.get(Counter::PeerDeadAborts) >= 1);
 }
 
 /// Everything a receive-buffer-freed-mid-pull run leaves behind.
@@ -228,7 +231,7 @@ fn receive_buffer_freed_under_parked_ioat_copy_fails_cleanly() {
         );
         assert_eq!(run.cl.inflight_xfers(), 0, "free after {instants} instants");
         assert_eq!(run.cl.pending_events(), 0, "free after {instants} instants");
-        if run.cl.counters().get("ioat_landing_miss") > 0 {
+        if run.cl.counters().get(Counter::IoatLandingMiss) > 0 {
             hit = Some(run);
             break;
         }
@@ -245,5 +248,8 @@ fn receive_buffer_freed_under_parked_ioat_copy_fails_cleanly() {
         .chain(&run.tx_seen)
         .filter(|ev| matches!(ev, AppEvent::Failed(..)))
         .count();
-    assert_eq!(run.cl.counters().get("requests_failed"), failed as u64);
+    assert_eq!(
+        run.cl.counters().get(Counter::RequestsFailed),
+        failed as u64
+    );
 }

@@ -15,19 +15,24 @@ mod common;
 
 use common::{assert_same, golden, golden_run};
 use openmx_core::obs::{build_spans, chrome_spans_json, chrome_trace_json, csv};
+use openmx_core::Counter;
 
 #[test]
 fn scenario_reaches_every_recovery_path() {
     let (cl, failures) = golden_run();
     let c = cl.counters();
-    assert!(c.get("eager_msgs_tx") > 0 && c.get("rndv_msgs_tx") > 0);
-    assert!(c.get("overlap_miss_rx") > 0, "overlap misses");
-    assert!(c.get("net_frames_lost") > 0, "random loss");
-    for k in ["eager_retrans", "rndv_retrans", "pull_stall_timeouts"] {
-        assert!(c.get(k) > 0, "no {k}");
+    assert!(c.get(Counter::EagerMsgsTx) > 0 && c.get(Counter::RndvMsgsTx) > 0);
+    assert!(c.get(Counter::OverlapMissRx) > 0, "overlap misses");
+    assert!(c.get(Counter::NetFramesLost) > 0, "random loss");
+    for k in [
+        Counter::EagerRetrans,
+        Counter::RndvRetrans,
+        Counter::PullStallTimeouts,
+    ] {
+        assert!(c.get(k) > 0, "no {k:?}");
     }
-    assert!(c.get("frames_fenced") > 0, "fenced frames");
-    assert_eq!(c.get("peer_dead_aborts"), 1, "one peer-dead abort");
+    assert!(c.get(Counter::FramesFenced) > 0, "fenced frames");
+    assert_eq!(c.get(Counter::PeerDeadAborts), 1, "one peer-dead abort");
     assert_eq!(failures, ["peer crashed"]);
     let kinds: Vec<&str> = cl.tracer().iter().map(|r| r.event.kind()).collect();
     for k in [

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::{OpenMxConfig, OverlapHint, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, OverlapHint, PinningMode};
 use simcore::SimTime;
 use simmem::VirtAddr;
 
@@ -62,8 +62,8 @@ fn run(mode: PinningMode, hint: OverlapHint) -> (SimTime, u64) {
     );
     cl.add_process(1, Box::new(HintedReceiver { hint }));
     cl.run(None);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
-    (done_at.get(), cl.counters().get("pin_pages"))
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
+    (done_at.get(), cl.counters().get(Counter::PinPages))
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn hints_do_not_change_delivered_data() {
     cl.add_process(0, Box::new(VerifSender));
     cl.add_process(1, Box::new(VerifReceiver));
     cl.run(None);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
 }
 
 /// A receiver that posts only after a compute phase, so the sender's
@@ -174,7 +174,7 @@ fn late_receiver_pin_waits(hint: OverlapHint) -> usize {
         }),
     );
     cl.run(None);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
     let rndv_sent = cl
         .tracer()
         .iter()

@@ -4,7 +4,7 @@
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
 use openmx_core::obs::{chrome_trace_json, csv};
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use simcore::SimDuration;
 use simmem::VirtAddr;
 
@@ -110,10 +110,9 @@ fn assert_subsequence(haystack: &[&str], needles: &[&str]) {
 fn overlap_miss_recovery_sequence_is_traced() {
     let cl = run_stream(forced_miss_cfg(), 4 << 20, 2);
 
-    let misses = cl.counters().get("overlap_miss_rx");
+    let misses = cl.counters().get(Counter::OverlapMissRx);
     assert!(misses > 0, "scenario must force at least one overlap miss");
-    assert_eq!(cl.metrics().overlap_misses(), misses);
-    assert!(cl.metrics().overlap_miss_rate() > 0.0);
+    assert!(cl.counters().overlap_miss_rate() > 0.0);
 
     // The §3.3 story on the receiver node, in event order: a pin burst
     // starts, a pull reply outruns the cursor (miss), the frame is
@@ -166,7 +165,7 @@ fn clean_overlapped_run_records_pin_latency_without_misses() {
     // the rendezvous round trip and nothing drops.
     let cfg = OpenMxConfig::with_mode(PinningMode::Overlapped);
     let cl = run_stream(cfg, 1 << 20, 2);
-    assert_eq!(cl.metrics().overlap_misses(), 0);
+    assert_eq!(cl.counters().get(Counter::OverlapMissRx), 0);
     assert!(
         cl.metrics().pin_latency.count() > 0,
         "pins must be recorded"
@@ -215,7 +214,7 @@ fn backoff_decisions_and_injected_faults_are_traced() {
         has(&|e| matches!(e, TraceEvent::FaultInjected { .. })),
         "injected faults must be traced"
     );
-    assert!(cl.metrics().faults_injected() > 0);
+    assert!(cl.counters().faults_injected() > 0);
     // The rto_applied histogram mirrors the Backoff trace events.
     let backoffs = cl
         .tracer()

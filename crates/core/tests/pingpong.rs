@@ -2,7 +2,7 @@
 //! with byte-level data verification.
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use simcore::SimTime;
 use simmem::VirtAddr;
 
@@ -118,9 +118,13 @@ fn eager_pingpong_delivers_correct_data() {
     let (cl, end) = pingpong(PinningMode::PinPerComm, 4 * 1024, 5, false);
     assert!(end > SimTime::ZERO);
     let c = cl.counters();
-    assert_eq!(c.get("eager_msgs_tx"), 10, "5 pings + 5 pongs, all eager");
-    assert_eq!(c.get("rndv_msgs_tx"), 0);
-    assert_eq!(c.get("requests_failed"), 0);
+    assert_eq!(
+        c.get(Counter::EagerMsgsTx),
+        10,
+        "5 pings + 5 pongs, all eager"
+    );
+    assert_eq!(c.get(Counter::RndvMsgsTx), 0);
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
 }
 
 #[test]
@@ -128,9 +132,13 @@ fn rndv_pingpong_all_modes_verify() {
     for mode in PinningMode::all() {
         let (cl, _) = pingpong(mode, 1 << 20, 3, false);
         let c = cl.counters();
-        assert_eq!(c.get("requests_failed"), 0, "{mode:?}");
-        assert_eq!(c.get("rndv_msgs_tx"), 6, "{mode:?}: all large transfers");
-        assert_eq!(c.get("pull_stall_timeouts"), 0, "{mode:?}: no stalls");
+        assert_eq!(c.get(Counter::RequestsFailed), 0, "{mode:?}");
+        assert_eq!(
+            c.get(Counter::RndvMsgsTx),
+            6,
+            "{mode:?}: all large transfers"
+        );
+        assert_eq!(c.get(Counter::PullStallTimeouts), 0, "{mode:?}: no stalls");
     }
 }
 
@@ -138,7 +146,7 @@ fn rndv_pingpong_all_modes_verify() {
 fn rndv_pingpong_with_ioat_verifies() {
     for mode in [PinningMode::PinPerComm, PinningMode::OverlappedCached] {
         let (cl, _) = pingpong(mode, 1 << 20, 3, true);
-        assert_eq!(cl.counters().get("requests_failed"), 0, "{mode:?}");
+        assert_eq!(cl.counters().get(Counter::RequestsFailed), 0, "{mode:?}");
     }
 }
 
@@ -148,7 +156,7 @@ fn unaligned_sizes_survive_all_modes() {
         for len in [32 * 1024, 65_537, 1_000_003] {
             let (cl, _) = pingpong(mode, len, 2, false);
             assert_eq!(
-                cl.counters().get("requests_failed"),
+                cl.counters().get(Counter::RequestsFailed),
                 0,
                 "{mode:?} len={len}"
             );
@@ -169,7 +177,7 @@ fn cached_mode_hits_cache_on_reuse() {
     let pages_per_buffer = (1u64 << 20) / 4096;
     // Pinger has two buffers; the ponger reuses one buffer for both recv
     // and send (same cache key) -> 3 distinct regions pinned once each.
-    assert_eq!(c.get("pin_pages"), 3 * pages_per_buffer);
+    assert_eq!(c.get(Counter::PinPages), 3 * pages_per_buffer);
 }
 
 #[test]
@@ -178,17 +186,17 @@ fn pin_per_comm_pins_every_iteration() {
     let c = cl.counters();
     let pages_per_buffer = (1u64 << 20) / 4096;
     // 10 iterations x (send pin + recv pin) on each side = 40 pins total.
-    assert_eq!(c.get("pin_pages"), 40 * pages_per_buffer);
-    assert_eq!(c.get("unpin_pages"), 40 * pages_per_buffer);
+    assert_eq!(c.get(Counter::PinPages), 40 * pages_per_buffer);
+    assert_eq!(c.get(Counter::UnpinPages), 40 * pages_per_buffer);
 }
 
 #[test]
 fn permanent_mode_never_unpins() {
     let (cl, _) = pingpong(PinningMode::Permanent, 1 << 20, 10, false);
     let c = cl.counters();
-    assert_eq!(c.get("unpin_pages"), 0);
+    assert_eq!(c.get(Counter::UnpinPages), 0);
     let pages_per_buffer = (1u64 << 20) / 4096;
-    assert_eq!(c.get("pin_pages"), 3 * pages_per_buffer);
+    assert_eq!(c.get(Counter::PinPages), 3 * pages_per_buffer);
 }
 
 #[test]
@@ -210,15 +218,15 @@ fn overlapped_mode_is_faster_than_pin_per_comm() {
 fn overlap_misses_are_rare_under_normal_load() {
     let (cl, _) = pingpong(PinningMode::Overlapped, 16 << 20, 3, false);
     let c = cl.counters();
-    let frames = c.get("frames_rx");
-    let misses = c.get("overlap_miss_rx") + c.get("overlap_miss_tx");
+    let frames = c.get(Counter::FramesRx);
+    let misses = c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx);
     assert!(frames > 10_000, "16MB x 3 x 2 dirs is many frames");
     // Paper §4.3: less than 1 in 10 000 under regular load.
     assert!(
         (misses as f64) < (frames as f64) * 1e-4 + 1.0,
         "misses={misses} frames={frames}"
     );
-    assert_eq!(c.get("requests_failed"), 0);
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use simmem::VirtAddr;
 
 /// Harness process driven by closures, to keep the scenarios compact.
@@ -102,7 +102,7 @@ fn any_source_recv_matches_arrivals_from_different_senders() {
     );
     cl.run(None);
     assert_eq!(got.borrow().len(), 2);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
 }
 
 #[test]
@@ -150,10 +150,10 @@ fn concurrent_sends_from_one_buffer_share_the_cached_region() {
     }
     cl.run(None);
     let c = cl.counters();
-    assert_eq!(c.get("requests_failed"), 0);
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
     // One pin of the sender buffer (128 pages) + one per receiver.
     assert_eq!(
-        cl.node_counters(0).get("pin_pages"),
+        cl.node_counters(0).get(Counter::PinPages),
         LEN / 4096,
         "the second send must reuse the already-pinned region"
     );
@@ -207,7 +207,7 @@ fn send_first_and_recv_first_orders_both_deliver() {
         );
         cl.run(None);
         assert_eq!(
-            cl.counters().get("requests_failed"),
+            cl.counters().get(Counter::RequestsFailed),
             0,
             "recv_late={recv_late}"
         );
@@ -244,7 +244,7 @@ fn loopback_send_to_self_works() {
         ),
     );
     cl.run(None);
-    assert_eq!(cl.counters().get("shm_msgs_tx"), 1);
+    assert_eq!(cl.counters().get(Counter::ShmMsgsTx), 1);
 }
 
 #[test]
@@ -283,9 +283,13 @@ fn four_processes_on_one_node_all_pairs() {
     }
     cl.run(None);
     let c = cl.counters();
-    assert_eq!(c.get("shm_msgs_tx"), 4);
-    assert_eq!(c.get("rndv_msgs_tx"), 0, "single node: no wire traffic");
-    assert_eq!(c.get("requests_failed"), 0);
+    assert_eq!(c.get(Counter::ShmMsgsTx), 4);
+    assert_eq!(
+        c.get(Counter::RndvMsgsTx),
+        0,
+        "single node: no wire traffic"
+    );
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
 }
 
 #[test]
@@ -415,7 +419,11 @@ fn vectorial_send_gathers_segments() {
             ),
         );
         cl.run(None);
-        assert_eq!(cl.counters().get("requests_failed"), 0, "per_seg={per_seg}");
+        assert_eq!(
+            cl.counters().get(Counter::RequestsFailed),
+            0,
+            "per_seg={per_seg}"
+        );
     }
 }
 
@@ -528,7 +536,11 @@ fn control_frame_loss_recovery_matrix() {
         );
         cl.run(Some(simcore::SimTime::from_nanos(30_000_000_000)));
         assert!(*ok.borrow(), "drop_first={n}: transfer must recover");
-        assert_eq!(cl.counters().get("requests_failed"), 0, "drop_first={n}");
+        assert_eq!(
+            cl.counters().get(Counter::RequestsFailed),
+            0,
+            "drop_first={n}"
+        );
     }
 }
 
@@ -589,11 +601,11 @@ fn pull_replies_keep_the_bytes_of_their_send_time() {
     cl.run(None);
     let c = cl.counters();
     for resend in [
-        "overlap_miss_tx",
-        "overlap_miss_rx",
-        "pull_rereq_optimistic",
+        Counter::OverlapMissTx,
+        Counter::OverlapMissRx,
+        Counter::PullRereqOptimistic,
     ] {
-        assert_eq!(c.get(resend), 0, "{resend}: no frame may be cut twice");
+        assert_eq!(c.get(resend), 0, "{resend:?}: no frame may be cut twice");
     }
     let got = cl.read_proc(rx, recv_buf, LEN);
     let (before, after) = got.split_at(block as usize);
@@ -662,7 +674,7 @@ fn eager_retransmits_keep_the_bytes_of_their_send_time() {
     cl.drive(tx, |ctx| ctx.write_buf(send_buf, &[NEW; LEN as usize]));
     cl.run(None);
     assert_eq!(
-        cl.counters().get("eager_retrans"),
+        cl.counters().get(Counter::EagerRetrans),
         1,
         "the frame was resent"
     );
@@ -670,7 +682,7 @@ fn eager_retransmits_keep_the_bytes_of_their_send_time() {
         cl.read_proc(rx, recv_buf, LEN).iter().all(|&b| b == OLD),
         "the retransmission delivered bytes written after SendDone"
     );
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
     assert_eq!(cl.inflight_xfers(), 0);
 }
 
@@ -701,12 +713,12 @@ fn parked_shm_messages_keep_the_bytes_of_their_send_time() {
         buf
     });
     cl.run(None);
-    assert_eq!(cl.counters().get("shm_msgs_tx"), 1);
+    assert_eq!(cl.counters().get(Counter::ShmMsgsTx), 1);
     assert!(
         cl.read_proc(rx, recv_buf, LEN).iter().all(|&b| b == OLD),
         "the parked message delivered bytes written after SendDone"
     );
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
     assert_eq!(cl.inflight_xfers(), 0);
 }
 
@@ -734,6 +746,6 @@ fn send_to_a_missing_peer_fails_cleanly() {
     );
     cl.run(None);
     assert_eq!(*failed.borrow(), vec!["no such peer"]);
-    assert_eq!(cl.counters().get("requests_failed"), 1);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 1);
     assert_eq!(cl.inflight_xfers(), 0);
 }

@@ -4,8 +4,8 @@
 //! end-to-end latency exactly.
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::obs::{build_spans, per_proc_latency};
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::obs::{build_spans, per_proc_latency, post_mortem_json};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use simcore::SimDuration;
 use simmem::VirtAddr;
 use simnet::{FaultConfig, FaultProfile};
@@ -108,7 +108,7 @@ fn lossy_cfg() -> OpenMxConfig {
 fn lossy_rndv_produces_one_exact_cross_node_span() {
     let cl = run_stream(lossy_cfg(), 1 << 20, 1);
     assert!(
-        cl.counters().get("net_frames_lost") > 0,
+        cl.counters().get(Counter::NetFramesLost) > 0,
         "the 5% loss links must actually drop frames"
     );
 
@@ -159,7 +159,10 @@ fn forced_miss_attribution_charges_backoff_and_sums_exactly() {
     cfg.colocate_with_bh = true;
     cfg.retransmit_timeout = SimDuration::from_millis(5);
     let cl = run_stream(cfg, 4 << 20, 2);
-    assert!(cl.metrics().overlap_misses() > 0, "misses must be forced");
+    assert!(
+        cl.counters().get(Counter::OverlapMissRx) > 0,
+        "misses must be forced"
+    );
 
     let spans = build_spans(cl.tracer());
     assert_eq!(spans.len(), 2, "two transfers, two spans");
@@ -192,8 +195,8 @@ fn forced_miss_attribution_charges_backoff_and_sums_exactly() {
 }
 
 /// The tracer ring's evicted-record count must be mirrored into the
-/// metrics registry, so exports and post-mortems are self-describing
-/// about truncation.
+/// post-mortem's metrics section, so dumps are self-describing about
+/// truncation.
 #[test]
 fn dropped_events_mirrored_into_metrics() {
     let cfg = OpenMxConfig::with_mode(PinningMode::Overlapped);
@@ -219,5 +222,10 @@ fn dropped_events_mirrored_into_metrics() {
     );
     cl.run(None);
     assert!(cl.tracer().dropped() > 0);
-    assert_eq!(cl.metrics().dropped_events(), cl.tracer().dropped());
+    let dump = post_mortem_json("t", None, cl.tracer(), cl.metrics(), &cl.counters(), 0);
+    let mirrored = format!(
+        "\"dropped_events\":{},\"pin_bursts\"",
+        cl.tracer().dropped()
+    );
+    assert!(dump.contains(&mirrored), "{dump}");
 }

@@ -95,7 +95,7 @@ pub fn is_job(cfg: &IsConfig) -> (Vec<Script>, usize) {
 mod tests {
     use super::*;
     use crate::imb::{run_job, summarize};
-    use openmx_core::{OpenMxConfig, PinningMode};
+    use openmx_core::{Counter, OpenMxConfig, PinningMode};
 
     #[test]
     fn is_scaled_config_sizes() {
@@ -119,10 +119,10 @@ mod tests {
         let (cl, records) = run_job(&cfg, 2, 2, scripts);
         let res = summarize(&records, mark, c.iterations);
         assert!(res.avg_iter > SimDuration::ZERO);
-        assert_eq!(cl.counters().get("requests_failed"), 0);
+        assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
         // The alltoallv must have used the rendezvous path.
-        assert!(cl.counters().get("rndv_msgs_tx") > 0);
+        assert!(cl.counters().get(Counter::RndvMsgsTx) > 0);
         // ...and the intra-node pairs the shm path.
-        assert!(cl.counters().get("shm_msgs_tx") > 0);
+        assert!(cl.counters().get(Counter::ShmMsgsTx) > 0);
     }
 }

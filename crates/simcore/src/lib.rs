@@ -27,5 +27,5 @@ pub mod time;
 pub use cpu::{CpuCore, Priority, Work, WorkId};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use stats::{linear_fit, Counters, FixedHistogram, Histogram, OnlineStats};
+pub use stats::{linear_fit, FixedHistogram, Histogram, OnlineStats};
 pub use time::{Bandwidth, SimDuration, SimTime};

@@ -6,10 +6,8 @@
 //!   interpolated quantiles, for tight latency bands where log2 buckets
 //!   are too coarse,
 //! * [`linear_fit`] — ordinary least squares, used to recover the paper's
-//!   Table 1 "base + per-page" pinning-cost decomposition from sweep data,
-//! * [`Counters`] — named saturating event counters (overlap misses, drops).
+//!   Table 1 "base + per-page" pinning-cost decomposition from sweep data.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimDuration;
@@ -353,59 +351,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64) {
     (a, b)
 }
 
-/// A named set of saturating event counters.
-///
-/// The Open-MX engine uses this for the §4.3 instrumentation: overlap
-/// misses, packet drops, retransmissions, cache hits/misses, …
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    map: BTreeMap<&'static str, u64>,
-}
-
-impl Counters {
-    /// An empty counter set.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Add `n` to counter `name`, creating it at zero if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        let c = self.map.entry(name).or_insert(0);
-        *c = c.saturating_add(n);
-    }
-
-    /// Increment counter `name` by one.
-    pub fn bump(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of `name` (zero if never bumped).
-    pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterate `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merge another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in self.iter() {
-            writeln!(f, "{k:<32} {v}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,21 +498,5 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn linear_fit_rejects_constant_x() {
         linear_fit(&[(1.0, 1.0), (1.0, 2.0)]);
-    }
-
-    #[test]
-    fn counters_accumulate_and_merge() {
-        let mut c = Counters::new();
-        c.bump("overlap_miss");
-        c.add("overlap_miss", 2);
-        c.bump("drops");
-        assert_eq!(c.get("overlap_miss"), 3);
-        assert_eq!(c.get("absent"), 0);
-        let mut d = Counters::new();
-        d.add("drops", 5);
-        c.merge(&d);
-        assert_eq!(c.get("drops"), 6);
-        let names: Vec<_> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["drops", "overlap_miss"]);
     }
 }

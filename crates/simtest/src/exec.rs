@@ -365,7 +365,7 @@ pub struct RunOutcome {
     /// Final merged engine counters (fence drops, dead-peer aborts, crash
     /// reaps, restarts …) — the crash-path equivalent of `driver_stats`
     /// for pinned-repro signatures. Empty when the run panicked.
-    pub counters: simcore::Counters,
+    pub counters: openmx_core::CounterSet,
 }
 
 /// A process that does nothing but record its completions for the harness.
@@ -1229,12 +1229,14 @@ pub fn run_schedule(s: &Schedule, mutation: Option<Mutation>) -> RunOutcome {
 
     // Flight recorder: package the failure (violations + last spans +
     // metrics + repro) into a post-mortem dump the caller can ship.
+    let counters = cl.counters();
     let post_mortem = h.violations.first().map(|first| {
         openmx_core::obs::post_mortem_json(
             &format!("invariant violation: {first}"),
             Some(&encode(s)),
             cl.tracer(),
             cl.metrics(),
+            &counters,
             POST_MORTEM_SPANS,
         )
     });
@@ -1246,7 +1248,7 @@ pub fn run_schedule(s: &Schedule, mutation: Option<Mutation>) -> RunOutcome {
         completions: h.completions,
         post_mortem,
         driver_stats,
-        counters: cl.counters(),
+        counters,
     }
 }
 
@@ -1266,6 +1268,7 @@ pub fn run_schedule_catching(s: &Schedule, mutation: Option<Mutation>) -> RunOut
                 Some(&encode(s)),
                 &openmx_core::Tracer::disabled(),
                 &openmx_core::Metrics::new(),
+                &openmx_core::CounterSet::default(),
                 POST_MORTEM_SPANS,
             );
             RunOutcome {
@@ -1281,6 +1284,7 @@ pub fn run_schedule_catching(s: &Schedule, mutation: Option<Mutation>) -> RunOut
 mod tests {
     use super::*;
     use crate::schedule::{generate, profiles};
+    use openmx_core::Counter;
 
     fn tiny() -> Schedule {
         Schedule {
@@ -1517,10 +1521,10 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.xfers, 2);
         assert!(out.completions >= 4, "both transfers must complete");
-        assert_eq!(out.counters.get("proc_crashes"), 1);
-        assert_eq!(out.counters.get("proc_restarts"), 1);
+        assert_eq!(out.counters.get(Counter::ProcCrashes), 1);
+        assert_eq!(out.counters.get(Counter::ProcRestarts), 1);
         assert!(
-            out.counters.get("crash_reaped_pages") > 0,
+            out.counters.get(Counter::CrashReapedPages) > 0,
             "the cached pinned region must be reaped at crash"
         );
     }
@@ -1563,7 +1567,8 @@ mod tests {
         let out = run_schedule(&s, None);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(
-            out.counters.get("peer_dead_aborts") > 0 || out.counters.get("requests_failed") > 0,
+            out.counters.get(Counter::PeerDeadAborts) > 0
+                || out.counters.get(Counter::RequestsFailed) > 0,
             "survivor must observe a clean failure, got counters {:?}",
             out.counters.iter().collect::<Vec<_>>()
         );

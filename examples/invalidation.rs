@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use simmem::VirtAddr;
 
 const LEN: u64 = 1 << 20;
@@ -109,7 +109,7 @@ fn run(use_notifiers: bool) -> bool {
         }),
     );
     cl.run(None);
-    let invalidations = cl.node_counters(0).get("notifier_region_unpins");
+    let invalidations = cl.node_counters(0).get(Counter::NotifierRegionUnpins);
     println!("  notifier invalidations on the sender node: {invalidations}");
     corrupted.get()
 }

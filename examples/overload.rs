@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release --example overload`
 
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::run_job;
 use openmx_mpi::script::Op;
@@ -50,8 +50,8 @@ fn stream(colocate: bool, ioat: bool) -> (f64, u64, u64) {
     let c = cl.counters();
     (
         bw.bytes_per_sec() / 1e6,
-        c.get("overlap_miss_rx") + c.get("overlap_miss_tx"),
-        c.get("pull_stall_timeouts"),
+        c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx),
+        c.get(Counter::PullStallTimeouts),
     )
 }
 

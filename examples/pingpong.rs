@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example pingpong [size_kib]`
 
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::{Counter, OpenMxConfig, PinningMode};
 use openmx_mpi::{imb_job, run_job, summarize, ImbKernel};
 use simcore::Bandwidth;
 
@@ -42,7 +42,7 @@ fn main() {
             half.as_micros_f64(),
             bw
         );
-        assert_eq!(cluster.counters().get("requests_failed"), 0);
+        assert_eq!(cluster.counters().get(Counter::RequestsFailed), 0);
     }
     println!(
         "\nThe paper's §4.2 result: the pinning cache and overlapped pinning\n\

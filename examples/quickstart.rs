@@ -79,7 +79,7 @@ fn main() {
 
     println!("\nsimulation finished at {end}");
     println!("\nengine counters:");
-    for (k, v) in cluster.counters().iter() {
+    for (k, v) in cluster.counters().iter().filter(|&(_, v)| v > 0) {
         println!("  {k:<28} {v}");
     }
 }

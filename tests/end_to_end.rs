@@ -6,7 +6,7 @@
 mod common;
 
 use common::{cfg, verified_stream};
-use openmx_core::{OpenMxConfig, PinningMode, ProcId};
+use openmx_core::{Counter, OpenMxConfig, PinningMode, ProcId};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
 
@@ -18,7 +18,7 @@ fn every_mode_delivers_intact_data() {
             c.use_ioat = ioat;
             let (cl, _) = verified_stream(&c, 1 << 20, 3);
             assert_eq!(
-                cl.counters().get("requests_failed"),
+                cl.counters().get(Counter::RequestsFailed),
                 0,
                 "{mode:?} ioat={ioat}"
             );
@@ -42,7 +42,7 @@ fn eager_and_rendezvous_boundary_sizes() {
         128 * 1024 + 13,
     ] {
         let (cl, _) = verified_stream(&c, len, 2);
-        assert_eq!(cl.counters().get("requests_failed"), 0, "len={len}");
+        assert_eq!(cl.counters().get(Counter::RequestsFailed), 0, "len={len}");
     }
 }
 
@@ -55,15 +55,13 @@ fn survives_random_packet_loss() {
     c.retransmit_timeout = simcore::SimDuration::from_millis(50);
     let (cl, _) = verified_stream(&c, 1 << 20, 4);
     let counters = cl.counters();
-    assert_eq!(counters.get("requests_failed"), 0);
-    let lost = counters.get("net_frames_lost");
+    assert_eq!(counters.get(Counter::RequestsFailed), 0);
+    let lost = counters.get(Counter::NetFramesLost);
     assert!(lost > 0, "2% loss over ~500 frames must drop something");
-    let recovered = counters.get("pull_stall_timeouts")
-        + counters.get("pull_rereq_optimistic")
-        + counters.get("rndv_retrans")
-        + counters.get("eager_retrans")
-        + counters.get("notify_retrans");
-    assert!(recovered > 0, "losses must trigger recovery machinery");
+    assert!(
+        counters.retransmits() > 0,
+        "losses must trigger recovery machinery"
+    );
 }
 
 #[test]
@@ -72,7 +70,7 @@ fn survives_loss_on_eager_traffic() {
     c.net.loss_probability = 0.05;
     c.retransmit_timeout = simcore::SimDuration::from_millis(20);
     let (cl, _) = verified_stream(&c, 16 * 1024, 20);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
 }
 
 #[test]
@@ -121,8 +119,8 @@ fn pinned_pages_return_to_zero_after_runs() {
         let (cl, _) = verified_stream(&cfg(mode), 1 << 20, 3);
         for node in 0..2 {
             assert_eq!(
-                cl.node_counters(node).get("pin_pages"),
-                cl.node_counters(node).get("unpin_pages"),
+                cl.node_counters(node).get(Counter::PinPages),
+                cl.node_counters(node).get(Counter::UnpinPages),
                 "{mode:?} node {node}: pins must balance"
             );
         }
@@ -135,5 +133,5 @@ fn standard_mtu_fabric_works_too() {
     c.net = simnet::NetConfig::gige();
     c.pull_block = 16 * 1024; // keep frames/block within the 64-bit mask
     let (cl, _) = verified_stream(&c, 256 * 1024, 2);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
 }

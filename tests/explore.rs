@@ -9,6 +9,7 @@
 //!   bug classes it claims to, and that the shrinker minimizes a failure
 //!   to a handful of ops whose repro string replays deterministically.
 
+use openmx_core::Counter;
 use simtest::{
     decode, encode, explore, generate, profile_by_name, profiles, run_schedule_catching, shrink,
     Mutation, Violation,
@@ -162,31 +163,40 @@ fn crash_phase_corpus_signatures() {
     // Phase 1: eager message in flight, receiver dies before the ack
     // returns — the eager watchdog must short-circuit the sender.
     let out = run("EXPL1;seed=0x20;profile=crashstorm;nodes=2;ppn=1;ops=X0.0>1.0:16384s,C1,A40");
-    assert_eq!(out.counters.get("proc_crashes"), 1);
-    assert!(out.counters.get("peer_dead_aborts") >= 1, "eager watchdog");
-    assert!(out.counters.get("requests_failed") >= 1);
+    assert_eq!(out.counters.get(Counter::ProcCrashes), 1);
+    assert!(
+        out.counters.get(Counter::PeerDeadAborts) >= 1,
+        "eager watchdog"
+    );
+    assert!(out.counters.get(Counter::RequestsFailed) >= 1);
 
     // Phase 2: rendezvous sent but no pull ever starts (recv never
     // posted, receiver dies) — the rndv watchdog aborts before any pull
     // traffic exists.
     let out = run("EXPL1;seed=0x21;profile=crashstorm;nodes=2;ppn=1;ops=X0.0>1.0:262144s,C1,A60");
-    assert_eq!(out.counters.get("rndv_msgs_tx"), 1);
+    assert_eq!(out.counters.get(Counter::RndvMsgsTx), 1);
     assert_eq!(
-        out.counters.get("frames_rx"),
+        out.counters.get(Counter::FramesRx),
         1,
         "only the rndv frame may ever land — no pull traffic pre-crash"
     );
-    assert!(out.counters.get("peer_dead_aborts") >= 1, "rndv watchdog");
-    assert!(out.counters.get("requests_failed") >= 1);
+    assert!(
+        out.counters.get(Counter::PeerDeadAborts) >= 1,
+        "rndv watchdog"
+    );
+    assert!(out.counters.get(Counter::RequestsFailed) >= 1);
 
     // Phase 3: pull mid-block, sender dies — in-flight pull replies are
     // fenced at the dead endpoint and the sender's pinned region is
     // reaped by the crash, not by protocol completion.
     let out =
         run("EXPL1;seed=0x22;profile=crashstorm;nodes=2;ppn=1;ops=X0.0>1.0:262144r,A1,C0,A80");
-    assert!(out.counters.get("frames_fenced") >= 1, "mid-pull fencing");
-    assert_eq!(out.counters.get("crash_reaped_pages"), 64);
-    assert!(out.counters.get("peer_dead_aborts") >= 1);
+    assert!(
+        out.counters.get(Counter::FramesFenced) >= 1,
+        "mid-pull fencing"
+    );
+    assert_eq!(out.counters.get(Counter::CrashReapedPages), 64);
+    assert!(out.counters.get(Counter::PeerDeadAborts) >= 1);
 
     // Phase 4: deferred unpin parked, owner dies — the crash teardown
     // must reap the parked entry before any drain batch runs (signature:
@@ -199,7 +209,7 @@ fn crash_phase_corpus_signatures() {
         n0.notifier_drain_batches, 0,
         "the crash must beat every drain to the parked entry"
     );
-    assert_eq!(out.counters.get("crash_reaped_pages"), 64);
+    assert_eq!(out.counters.get(Counter::CrashReapedPages), 64);
 
     // Phase 5: pin pass racing budget pressure, owner dies — the second
     // transfer's pin self-evicts the first region (128 pages of pressure
@@ -207,17 +217,17 @@ fn crash_phase_corpus_signatures() {
     // the in-flight plan without tripping pin accounting.
     let out = run("EXPL1;seed=0x24;profile=pressure;nodes=2;ppn=1;ops=\
          X0.0>1.0:262144r,A10,X0.1>1.1:327680r,C0,A80");
-    assert_eq!(out.counters.get("pressure_unpinned_pages"), 128);
-    assert_eq!(out.counters.get("crash_reaped_pages"), 80);
-    assert!(out.counters.get("frames_fenced") >= 1);
-    assert!(out.counters.get("peer_dead_aborts") >= 1);
+    assert_eq!(out.counters.get(Counter::PressureUnpinnedPages), 128);
+    assert_eq!(out.counters.get(Counter::CrashReapedPages), 80);
+    assert!(out.counters.get(Counter::FramesFenced) >= 1);
+    assert!(out.counters.get(Counter::PeerDeadAborts) >= 1);
 
     // Phase 6: full cycle — crash, restart with a bumped incarnation,
     // and a fresh transfer through the reborn endpoint.
     let out = run("EXPL1;seed=0x25;profile=crashstorm;nodes=2;ppn=1;ops=\
          X0.0>1.0:2048r,A10,C0,A3,B0,X0.1>1.1:2048r,A20");
-    assert_eq!(out.counters.get("proc_crashes"), 1);
-    assert_eq!(out.counters.get("proc_restarts"), 1);
+    assert_eq!(out.counters.get(Counter::ProcCrashes), 1);
+    assert_eq!(out.counters.get(Counter::ProcRestarts), 1);
     assert_eq!(out.xfers, 2);
     assert!(
         out.completions >= 4,

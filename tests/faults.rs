@@ -5,7 +5,7 @@
 mod common;
 
 use common::{cfg, verified_stream};
-use openmx_core::{OpenMxConfig, PinningMode, ProcId};
+use openmx_core::{Counter, OpenMxConfig, PinningMode, ProcId};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
 use simcore::SimDuration;
@@ -66,18 +66,18 @@ fn survives_total_duplication() {
     // Rendezvous-sized stream: covers dup Rndv / PullReply / Notify.
     let (cl, _) = verified_stream(&c, 256 * 1024, 3);
     let counters = cl.counters();
-    assert_eq!(counters.get("requests_failed"), 0);
+    assert_eq!(counters.get(Counter::RequestsFailed), 0);
     assert!(cl.net_stats().frames_duplicated > 0);
     assert!(
-        cl.metrics().dup_frames_rx() > 0,
+        cl.counters().duplicates_rx() > 0,
         "protocol must have discarded duplicates"
     );
     assert!(
-        counters.get("rndv_dup") > 0,
+        counters.get(Counter::RndvDup) > 0,
         "the duplicated rendezvous must hit the dedup path"
     );
     assert!(
-        counters.get("dup_frames_rx") + counters.get("pull_reply_stale") > 0,
+        counters.get(Counter::DupFramesRx) + counters.get(Counter::PullReplyStale) > 0,
         "duplicated pull replies must be discarded (live or post-completion)"
     );
 }
@@ -93,9 +93,9 @@ fn survives_duplication_on_eager_traffic() {
     );
     let (cl, _) = verified_stream(&c, 16 * 1024, 5);
     let counters = cl.counters();
-    assert_eq!(counters.get("requests_failed"), 0);
+    assert_eq!(counters.get(Counter::RequestsFailed), 0);
     assert!(
-        counters.get("eager_dup_frags") + counters.get("eager_ack_dup") > 0,
+        counters.get(Counter::EagerDupFrags) + counters.get(Counter::EagerAckDup) > 0,
         "duplicated eager frames/acks must be discarded"
     );
 }
@@ -114,12 +114,12 @@ fn survives_reordered_pull_frames() {
         16,
     );
     let (cl, _) = verified_stream(&c, 1 << 20, 3);
-    assert_eq!(cl.counters().get("requests_failed"), 0);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
     let stats = cl.net_stats();
     assert!(stats.frames_reordered > 0, "reordering must have happened");
     // The engine-side counter mirrors the fabric's own bookkeeping.
     assert_eq!(
-        cl.counters().get("net_frames_reordered"),
+        cl.counters().get(Counter::NetFramesReordered),
         stats.frames_reordered
     );
 }
@@ -143,7 +143,7 @@ fn rendezvous_exhaustion_errors_cleanly() {
         records[0].failures
     );
     assert!(records[0].finished.is_some(), "sender must not wedge");
-    assert!(cl.counters().get("requests_failed") > 0);
+    assert!(cl.counters().get(Counter::RequestsFailed) > 0);
 }
 
 #[test]
@@ -206,7 +206,7 @@ fn eager_exhaustion_errors_cleanly() {
     let addr = records[1].buffer_addrs[1];
     let got = cl.read_proc(ProcId(1), addr, len);
     assert!(got.iter().enumerate().all(|(i, &v)| v == (i as u8) ^ 0x2f));
-    assert!(cl.counters().get("eager_abandoned") > 0);
+    assert!(cl.counters().get(Counter::EagerAbandoned) > 0);
 }
 
 #[test]
@@ -241,9 +241,9 @@ fn lost_notify_trips_sender_watchdog_not_a_hang() {
     );
     assert!(records[0].finished.is_some(), "sender must not wedge");
     let counters = cl.counters();
-    assert!(counters.get("send_watchdog_timeouts") > 0);
+    assert!(counters.get(Counter::SendWatchdogTimeouts) > 0);
     assert!(
-        counters.get("notify_abandoned") > 0,
+        counters.get(Counter::NotifyAbandoned) > 0,
         "the receiver must stop retransmitting the notify eventually"
     );
     assert!(cl.net_stats().frames_link_down > 0);
@@ -274,8 +274,8 @@ fn stalled_pull_exhausts_on_the_receiver_not_a_hang() {
     assert_eq!(records[0].failures, ["transfer completion timed out"]);
     assert!(records[0].finished.is_some() && records[1].finished.is_some());
     let counters = cl.counters();
-    assert_eq!(counters.get("pull_stall_timeouts"), 3);
-    assert_eq!(counters.get("requests_failed"), 2);
+    assert_eq!(counters.get(Counter::PullStallTimeouts), 3);
+    assert_eq!(counters.get(Counter::RequestsFailed), 2);
 }
 
 #[test]
@@ -292,15 +292,15 @@ fn bursty_loss_recovers_intact() {
     );
     let (cl, _) = verified_stream(&c, 1 << 20, 3);
     let counters = cl.counters();
-    assert_eq!(counters.get("requests_failed"), 0);
+    assert_eq!(counters.get(Counter::RequestsFailed), 0);
     let stats = cl.net_stats();
     assert!(stats.frames_burst_lost > 0, "bursts must have fired");
     assert_eq!(
-        counters.get("net_frames_burst_lost"),
+        counters.get(Counter::NetFramesBurstLost),
         stats.frames_burst_lost
     );
     assert!(
-        cl.metrics().retransmits() > 0,
+        cl.counters().retransmits() > 0,
         "burst losses must trigger recovery"
     );
 }
@@ -318,7 +318,7 @@ fn adaptive_and_fixed_policies_both_deliver_under_loss() {
         c.adaptive_retransmit = adaptive;
         let (cl, _) = verified_stream(&c, 512 * 1024, 3);
         assert_eq!(
-            cl.counters().get("requests_failed"),
+            cl.counters().get(Counter::RequestsFailed),
             0,
             "adaptive={adaptive}"
         );

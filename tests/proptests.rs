@@ -9,7 +9,7 @@ mod common;
 
 use common::cfg;
 use openmx_core::region::{DriverRegion, RegionLayout, Segment};
-use openmx_core::PinningMode;
+use openmx_core::{Counter, PinningMode};
 use simcore::SimRng;
 use simmem::{Memory, PageSnapshot, Prot, PAGE_SIZE};
 
@@ -27,7 +27,7 @@ fn stream_integrity_any_size() {
         c.use_ioat = ioat;
         let (cl, _) = common::verified_stream(&c, len, 1);
         assert_eq!(
-            cl.counters().get("requests_failed"),
+            cl.counters().get(Counter::RequestsFailed),
             0,
             "case {case}: len={len} mode={mode:?} ioat={ioat}"
         );
@@ -35,8 +35,8 @@ fn stream_integrity_any_size() {
             for node in 0..2 {
                 let nc = cl.node_counters(node);
                 assert_eq!(
-                    nc.get("pin_pages"),
-                    nc.get("unpin_pages"),
+                    nc.get(Counter::PinPages),
+                    nc.get(Counter::UnpinPages),
                     "case {case}: len={len} mode={mode:?} node={node}"
                 );
             }

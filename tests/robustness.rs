@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use common::{cfg, verified_stream};
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::PinningMode;
+use openmx_core::{Counter, PinningMode};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
 use simmem::VirtAddr;
@@ -55,7 +55,7 @@ fn pinned_page_pressure_evicts_idle_regions() {
     assert!(records.iter().all(|r| r.failures.is_empty()));
     let counters = cl.counters();
     assert!(
-        counters.get("pressure_unpinned_pages") > 0,
+        counters.get(Counter::PressureUnpinnedPages) > 0,
         "the ceiling must force pressure eviction"
     );
     for node in 0..2 {
@@ -114,7 +114,7 @@ fn invalid_region_aborts_request_with_error() {
         cl.add_process(1, Box::new(IdleReceiver));
         cl.run(Some(simcore::SimTime::from_nanos(30_000_000_000)));
         assert!(failed.get(), "{mode:?}: request must abort");
-        assert_eq!(cl.counters().get("pin_failures"), 1);
+        assert_eq!(cl.counters().get(Counter::PinFailures), 1);
     }
 }
 
@@ -170,15 +170,15 @@ fn buffer_churn_with_cache_stays_correct() {
     // lands in the deferred queue, and each entry is later either drained
     // (released) or cancelled by a repin that beat the epoch close.
     assert!(
-        c.get("notifier_deferred") >= (rounds - 1) as u64,
+        c.get(Counter::NotifierDeferred) >= (rounds - 1) as u64,
         "each realloc of a pinned buffer must invalidate: {}",
-        c.get("notifier_deferred")
+        c.get(Counter::NotifierDeferred)
     );
     assert!(
-        c.get("notifier_region_unpins") + c.get("notifier_cancelled") > 0,
+        c.get(Counter::NotifierRegionUnpins) + c.get(Counter::NotifierCancelled) > 0,
         "deferred entries must resolve at drain time"
     );
-    assert_eq!(c.get("requests_failed"), 0);
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
 }
 
 #[test]
@@ -248,8 +248,8 @@ fn stream_works_at_many_sizes_zero_copy_invariants() {
             for node in 0..2 {
                 let c = cl.node_counters(node);
                 assert_eq!(
-                    c.get("pin_pages"),
-                    c.get("unpin_pages"),
+                    c.get(Counter::PinPages),
+                    c.get(Counter::UnpinPages),
                     "{mode:?} len={len} node={node}"
                 );
             }

@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use common::{cfg, verified_stream};
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::{PinQuota, PinningMode};
+use openmx_core::{Counter, PinQuota, PinningMode};
 use simmem::{VirtAddr, PAGE_SIZE};
 
 const PAGES: u64 = 80;
@@ -20,13 +20,13 @@ fn assert_ledger_balances(cl: &Cluster, node: usize) {
     let c = cl.node_counters(node);
     let pinned = cl.driver(node).pinned_pages_total();
     assert_eq!(
-        c.get("pin_pages"),
-        c.get("unpin_pages") + c.get("pressure_unpinned_pages") + pinned,
+        c.get(Counter::PinPages),
+        c.get(Counter::UnpinPages) + c.get(Counter::PressureUnpinnedPages) + pinned,
         "node {node} pin ledger out of balance: pin_pages={} unpin_pages={} \
          pressure_unpinned_pages={} attached={pinned}",
-        c.get("pin_pages"),
-        c.get("unpin_pages"),
-        c.get("pressure_unpinned_pages"),
+        c.get(Counter::PinPages),
+        c.get(Counter::UnpinPages),
+        c.get(Counter::PressureUnpinnedPages),
     );
 }
 
@@ -109,8 +109,8 @@ fn failed_partial_pin_keeps_the_unpin_ledger_exact() {
 
     assert!(failed.get(), "send over the torn region must abort");
     let c0 = cl.node_counters(0);
-    assert!(c0.get("pin_pages") >= 32, "at least one chunk landed");
-    assert!(c0.get("pin_failures") >= 1);
+    assert!(c0.get(Counter::PinPages) >= 32, "at least one chunk landed");
+    assert!(c0.get(Counter::PinFailures) >= 1);
     // The failed pass rolled everything back: nothing stays attached and
     // nothing stays attributed to the sender.
     assert_eq!(cl.driver(0).pinned_pages_total(), 0);
@@ -228,7 +228,7 @@ fn quota_hard_cap_denies_cleanly_without_touching_neighbours() {
     assert!(small_got.get());
 
     let c0 = cl.node_counters(0);
-    assert_eq!(c0.get("quota_denials"), 1);
+    assert_eq!(c0.get(Counter::QuotaDenials), 1);
     assert!(cl.tracer().iter().any(|r| r.kind() == "pin_denied"));
 
     // Per-tenant attribution: the denied tenant holds nothing, the
@@ -261,7 +261,7 @@ fn generous_quota_does_not_perturb_a_healthy_stream() {
         hard_cap: 4096,
     });
     let (cl, _) = verified_stream(&c, 512 * 1024, 4);
-    assert_eq!(cl.counters().get("quota_denials"), 0);
+    assert_eq!(cl.counters().get(Counter::QuotaDenials), 0);
     for node in 0..2 {
         let d = cl.driver(node);
         let sum: u64 = d.tenant_stats().iter().map(|(_, t)| t.pinned_pages).sum();
