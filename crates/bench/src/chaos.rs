@@ -19,10 +19,12 @@ use std::rc::Rc;
 use openmx_core::engine::{Cluster, Ctx, Process};
 use openmx_core::{AppEvent, CounterSet, OpenMxConfig, PinningMode, ProcId};
 use openmx_mpi::collectives::JobBuilder;
-use openmx_mpi::{run_job, Op};
+use openmx_mpi::run_job;
 use simcore::{SimDuration, SimTime};
 use simmem::VirtAddr;
 use simnet::{FaultConfig, FaultProfile, GilbertElliott};
+
+use crate::pingpong::send_step;
 
 /// How one chaos run ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,6 +53,27 @@ pub struct ChaosOutcome {
     /// metrics-only snapshot (no spans) — still enough to see retransmit
     /// and fault counts at the point of failure.
     pub post_mortem: Option<String>,
+}
+
+impl ChaosOutcome {
+    /// The outcome of `cl`'s run, with a post-mortem when `reason` is set.
+    fn of(
+        cl: &Cluster,
+        verdict: Verdict,
+        failures: Vec<&'static str>,
+        reason: Option<&str>,
+    ) -> Self {
+        let counters = cl.counters();
+        let post_mortem = reason.map(|r| {
+            openmx_core::obs::post_mortem_json(r, None, cl.tracer(), cl.metrics(), &counters, 32)
+        });
+        ChaosOutcome {
+            verdict,
+            failures,
+            post_mortem,
+            counters,
+        }
+    }
 }
 
 /// The soak's fault-profile axis: every hostile behavior alone, then all
@@ -97,38 +120,32 @@ pub fn chaos_cfg(seed: u64, max_retries: u32, adaptive: bool) -> OpenMxConfig {
     cfg
 }
 
+/// `cfg` with `profile` on both directions of the 0 ↔ 1 link.
+fn with_link_faults(cfg: &OpenMxConfig, profile: &FaultProfile) -> OpenMxConfig {
+    let mut cfg = cfg.clone();
+    cfg.net.faults = FaultConfig::clean();
+    cfg.net.faults.set_link(0, 1, *profile);
+    cfg.net.faults.set_link(1, 0, *profile);
+    cfg
+}
+
+/// True when `len` bytes at `addr` of rank 1 hold the sender's pattern.
+fn verified(cl: &mut Cluster, addr: VirtAddr, len: u64) -> bool {
+    let got = cl.read_proc(ProcId(1), addr, len);
+    got.iter().enumerate().all(|(i, &v)| v == (i as u8) ^ 0x6b)
+}
+
 /// Run `msgs` verified messages of `len` bytes from rank 0 to rank 1 under
 /// `profile` on both directions of the link, and classify the outcome.
 /// Never panics on protocol failure — that is the point of the harness.
 pub fn run_chaos(cfg: &OpenMxConfig, profile: &FaultProfile, len: u64, msgs: u32) -> ChaosOutcome {
-    let mut cfg = cfg.clone();
-    let mut faults = FaultConfig::clean();
-    faults.set_link(0, 1, *profile);
-    faults.set_link(1, 0, *profile);
-    cfg.net.faults = faults;
+    let cfg = with_link_faults(cfg, profile);
 
     let mut b = JobBuilder::new(2);
     let sbuf = b.alloc(len, |_| Some(0x6b));
     let rbuf = b.alloc(len, |_| None);
     for _ in 0..msgs {
-        let tag = b.tag();
-        b.step_all(|r| match r {
-            0 => vec![Op::Send {
-                to: 1,
-                tag,
-                buf: sbuf,
-                offset: 0,
-                len,
-            }],
-            1 => vec![Op::Recv {
-                from: 0,
-                tag,
-                buf: rbuf,
-                offset: 0,
-                len,
-            }],
-            _ => vec![],
-        });
+        send_step(&mut b, (0, 1), sbuf, rbuf, len);
     }
     let (mut cl, records) = run_job(&cfg, 2, 1, b.scripts);
 
@@ -138,10 +155,7 @@ pub fn run_chaos(cfg: &OpenMxConfig, profile: &FaultProfile, len: u64, msgs: u32
         .collect();
     let all_finished = records.iter().all(|r| r.finished.is_some());
     let verdict = if failures.is_empty() && all_finished {
-        let addr = records[1].buffer_addrs[rbuf];
-        let got = cl.read_proc(ProcId(1), addr, len);
-        let intact = got.iter().enumerate().all(|(i, &v)| v == (i as u8) ^ 0x6b);
-        if intact {
+        if verified(&mut cl, records[1].buffer_addrs[rbuf], len) {
             Verdict::Intact
         } else {
             // Data corruption with no reported error is a silent failure.
@@ -157,20 +171,12 @@ pub fn run_chaos(cfg: &OpenMxConfig, profile: &FaultProfile, len: u64, msgs: u32
         Verdict::FailedCleanly
     };
 
-    let counters = cl.counters();
-    let post_mortem = (verdict != Verdict::Intact).then(|| {
-        let reason = match verdict {
-            Verdict::Hung => "chaos: liveness lost (rank stuck or silent corruption)",
-            _ => "chaos: transfers failed through the completion path",
-        };
-        openmx_core::obs::post_mortem_json(reason, None, cl.tracer(), cl.metrics(), &counters, 32)
-    });
-    ChaosOutcome {
-        verdict,
-        failures,
-        post_mortem,
-        counters,
-    }
+    let reason = match verdict {
+        Verdict::Intact => None,
+        Verdict::Hung => Some("chaos: liveness lost (rank stuck or silent corruption)"),
+        Verdict::FailedCleanly => Some("chaos: transfers failed through the completion path"),
+    };
+    ChaosOutcome::of(&cl, verdict, failures, reason)
 }
 
 /// The crash-column axis: a receiver crash/restart mid-stream, alone and
@@ -271,11 +277,7 @@ pub fn run_chaos_crash(
     len: u64,
     msgs: u32,
 ) -> ChaosOutcome {
-    let mut cfg = cfg.clone();
-    let mut faults = FaultConfig::clean();
-    faults.set_link(0, 1, *profile);
-    faults.set_link(1, 0, *profile);
-    cfg.net.faults = faults;
+    let cfg = with_link_faults(cfg, profile);
 
     let failures: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
     let clean = Rc::new(Cell::new(0u32));
@@ -330,13 +332,7 @@ pub fn run_chaos_crash(
     } else if failures.is_empty() && clean.get() == msgs {
         // Every send completed. If the reborn incarnation finished a
         // receive, its buffer must hold the verified pattern.
-        let intact = if reborn_recvs.get() > 0 {
-            let got = cl.read_proc(ProcId(1), buf_out.get(), len);
-            got.iter().enumerate().all(|(i, &v)| v == (i as u8) ^ 0x6b)
-        } else {
-            true
-        };
-        if intact {
+        if reborn_recvs.get() == 0 || verified(&mut cl, buf_out.get(), len) {
             Verdict::Intact
         } else {
             Verdict::Hung
@@ -345,23 +341,13 @@ pub fn run_chaos_crash(
         Verdict::FailedCleanly
     };
 
-    let counters = cl.counters();
-    let post_mortem = (verdict == Verdict::Hung).then(|| {
-        openmx_core::obs::post_mortem_json(
-            "chaos crash column: liveness lost across a crash/restart",
-            None,
-            cl.tracer(),
-            cl.metrics(),
-            &counters,
-            32,
-        )
-    });
-    ChaosOutcome {
+    let reason = "chaos crash column: liveness lost across a crash/restart";
+    ChaosOutcome::of(
+        &cl,
         verdict,
         failures,
-        post_mortem,
-        counters,
-    }
+        (verdict == Verdict::Hung).then_some(reason),
+    )
 }
 
 /// Measure duplicate retransmissions under 5% loss (plus the delay jitter

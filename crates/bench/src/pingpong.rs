@@ -1,7 +1,9 @@
-//! The IMB PingPong throughput runner behind Figures 6 and 7.
+//! The IMB PingPong throughput runner behind Figures 6 and 7, and the
+//! one-way send step the other scripted workloads are built from.
 
-use openmx_core::{Counter, CpuProfile, OpenMxConfig, PinningMode};
-use openmx_mpi::{imb_job, run_job, summarize, ImbKernel};
+use openmx_core::{Cluster, Counter, CpuProfile, Metrics, OpenMxConfig, PinningMode};
+use openmx_mpi::collectives::JobBuilder;
+use openmx_mpi::{imb_job, run_job, summarize, ImbKernel, Op};
 use simcore::Bandwidth;
 
 /// One measured point of a pingpong curve.
@@ -35,25 +37,54 @@ pub fn pingpong_throughput(cfg: &OpenMxConfig, msg: u64) -> PingPongPoint {
     // IMB PingPong reports t = half the round trip; throughput = msg / t.
     let half = res.avg_iter / 2;
     let bw = Bandwidth::measured(msg, half);
-    let c = cl.counters();
     let m = cl.metrics();
-    let pin = &m.pin_latency;
-    let q = |p: f64| {
-        if pin.count() == 0 {
-            0.0
-        } else {
-            pin.quantile(p).as_micros_f64()
-        }
-    };
     PingPongPoint {
         msg,
         mib_per_sec: bw.as_mib_per_sec(),
-        overlap_misses: c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx),
-        pin_p50_us: q(0.50),
-        pin_p95_us: q(0.95),
-        pin_p99_us: q(0.99),
-        pin_bursts: pin.count(),
+        overlap_misses: overlap_misses(&cl),
+        pin_p50_us: pin_quantile_us(m, 0.50),
+        pin_p95_us: pin_quantile_us(m, 0.95),
+        pin_p99_us: pin_quantile_us(m, 0.99),
+        pin_bursts: m.pin_latency.count(),
     }
+}
+
+/// Pin-latency quantile `q` in µs, or 0 when the run never pinned.
+pub fn pin_quantile_us(m: &Metrics, q: f64) -> f64 {
+    if m.pin_latency.count() == 0 {
+        0.0
+    } else {
+        m.pin_latency.quantile(q).as_micros_f64()
+    }
+}
+
+/// Overlap misses on both sides of every transfer of the run.
+pub fn overlap_misses(cl: &Cluster) -> u64 {
+    let c = cl.counters();
+    c.get(Counter::OverlapMissRx) + c.get(Counter::OverlapMissTx)
+}
+
+/// Append one step in which rank `tx` sends `len` bytes of buffer `sbuf`
+/// to rank `rx`, which receives them into `rbuf`; other ranks idle.
+pub fn send_step(b: &mut JobBuilder, (tx, rx): (usize, usize), sbuf: usize, rbuf: usize, len: u64) {
+    let tag = b.tag();
+    b.step_all(|r| match r {
+        _ if r == tx => vec![Op::Send {
+            to: rx,
+            tag,
+            buf: sbuf,
+            offset: 0,
+            len,
+        }],
+        _ if r == rx => vec![Op::Recv {
+            from: tx,
+            tag,
+            buf: rbuf,
+            offset: 0,
+            len,
+        }],
+        _ => vec![],
+    });
 }
 
 /// The message-size axis of Figs. 6–7: 64 kB to 16 MB, doubling.

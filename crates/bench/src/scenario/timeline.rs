@@ -1,34 +1,18 @@
-//! Figures 2 / 3 / 5 — event timelines of one large-message transfer.
-//!
-//! A thin consumer of the engine's tracer (`openmx_core::obs`): prints the
-//! event stream of a single 1 MiB MPI-style transfer under regular pinning
-//! (Figure 2: pin → rndv → pull → notify) and under overlapped pinning with
-//! the cache (Figures 3/5: rndv leaves first, pinning proceeds during the
-//! round trip; the second transfer hits the cache and pins nothing).
-//!
-//! Each run is also exported as Chrome trace-event JSON
-//! (`timeline_<mode>.json`) — load it in <https://ui.perfetto.dev> or
-//! `chrome://tracing` to see pin spans against the packet flow — and as a
-//! causal span tree (`timeline_<mode>_spans.json`): nested B/E duration
-//! events with one track group per transfer (`MsgId`), so the overlap window, pin
-//! waits and pull blocks show as bars. A per-transfer critical-path
-//! breakdown (pin wait / wire / backoff / host) is printed alongside.
-//!
-//! Run: `cargo run --release -p openmx-bench --bin timeline`
+//! Figures 2 / 3 / 5 as event timelines of one large-message transfer,
+//! on the console and as Chrome-trace and span-tree JSON.
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
 use openmx_core::{OpenMxConfig, PinningMode};
-use simmem::VirtAddr;
+use simmem::{VirtAddr, PAGE_SIZE};
 
+use super::storms::Sink;
+use crate::cli::Args;
+use crate::table::write_artifact;
+
+/// Sends `msgs` messages of `len` bytes to `ProcId(1)`, one at a time.
 struct Sender {
     len: u64,
     sent: u32,
-    msgs: u32,
-    buf: VirtAddr,
-}
-struct Receiver {
-    len: u64,
-    got: u32,
     msgs: u32,
     buf: VirtAddr,
 }
@@ -50,24 +34,8 @@ impl Process for Sender {
         }
     }
 }
-impl Process for Receiver {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.buf = ctx.malloc(self.len);
-        ctx.irecv(42, !0, self.buf, self.len);
-    }
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
-        if let AppEvent::RecvDone(..) = ev {
-            self.got += 1;
-            if self.got < self.msgs {
-                ctx.irecv(42, !0, self.buf, self.len);
-            } else {
-                ctx.stop();
-            }
-        }
-    }
-}
 
-fn show(mode: PinningMode, header: &str) {
+fn show(mode: PinningMode, header: &str) -> Result<(), String> {
     let cfg = OpenMxConfig::with_mode(mode);
     let mut cl = Cluster::new(cfg, 2);
     cl.enable_trace();
@@ -81,15 +49,7 @@ fn show(mode: PinningMode, header: &str) {
             buf: VirtAddr(0),
         }),
     );
-    cl.add_process(
-        1,
-        Box::new(Receiver {
-            len,
-            got: 0,
-            msgs: 2,
-            buf: VirtAddr(0),
-        }),
-    );
+    cl.add_process(1, Sink::boxed(42, len / PAGE_SIZE, 2));
     cl.run(None);
     println!("=== {header} ({}) ===", mode.label());
     println!("{:>12}  {:<8} {:<16} detail", "time", "node", "event");
@@ -110,13 +70,11 @@ fn show(mode: PinningMode, header: &str) {
     }
     let json = openmx_core::obs::chrome_trace_json(cl.tracer());
     let path = format!("timeline_{}.json", mode.label().replace([' ', '+'], "_"));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {path} ({} events) — load in ui.perfetto.dev or chrome://tracing",
-            cl.tracer().len()
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_artifact(&path, &json)?;
+    println!(
+        "wrote {path} ({} events) — load in ui.perfetto.dev or chrome://tracing",
+        cl.tracer().len()
+    );
 
     // The causal view: per-transfer span trees with critical-path
     // attribution, plus the nested B/E export Perfetto renders as bars.
@@ -143,23 +101,39 @@ fn show(mode: PinningMode, header: &str) {
         "timeline_{}_spans.json",
         mode.label().replace([' ', '+'], "_")
     );
-    match std::fs::write(&span_path, &span_json) {
-        Ok(()) => println!(
-            "wrote {span_path} ({} span trees) — nested B/E view, one track per transfer",
-            spans.len()
-        ),
-        Err(e) => eprintln!("could not write {span_path}: {e}"),
-    }
+    write_artifact(&span_path, &span_json)?;
+    println!(
+        "wrote {span_path} ({} span trees) — nested B/E view, one track per transfer",
+        spans.len()
+    );
     println!();
+    Ok(())
 }
 
-fn main() {
+/// Figures 2 / 3 / 5 — event timelines of one large-message transfer.
+///
+/// A thin consumer of the engine's tracer (`openmx_core::obs`): prints the
+/// event stream of a single 1 MiB MPI-style transfer under regular pinning
+/// (Figure 2: pin → rndv → pull → notify) and under overlapped pinning with
+/// the cache (Figures 3/5: rndv leaves first, pinning proceeds during the
+/// round trip; the second transfer hits the cache and pins nothing).
+///
+/// Each run is also exported as Chrome trace-event JSON
+/// (`timeline_<mode>.json`) — load it in <https://ui.perfetto.dev> or
+/// `chrome://tracing` to see pin spans against the packet flow — and as a
+/// causal span tree (`timeline_<mode>_spans.json`): nested B/E duration
+/// events with one track group per transfer (`MsgId`), so the overlap window, pin
+/// waits and pull blocks show as bars. A per-transfer critical-path
+/// breakdown (pin wait / wire / backoff / host) is printed alongside.
+///
+/// Run: `cargo run --release -p openmx-bench -- timeline`
+pub(crate) fn timeline(_: &Args) -> Result<(), String> {
     show(
         PinningMode::PinPerComm,
         "Figure 2 — regular rendezvous: pin, then rndv, pull, notify",
-    );
+    )?;
     show(
         PinningMode::OverlappedCached,
         "Figures 3/5 — overlapped pinning + cache: rndv first, pin during the round trip; second transfer hits the cache",
-    );
+    )
 }

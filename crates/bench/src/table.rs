@@ -1,5 +1,5 @@
-//! Minimal aligned-text table rendering (no serde_json offline, so the
-//! harness emits plain text and CSV itself).
+//! Minimal aligned-text table rendering, CSV, and the flat baseline JSON
+//! (no serde_json offline, so the harness emits all three itself).
 
 use std::fmt::Write as _;
 
@@ -63,14 +63,78 @@ impl Table {
         out
     }
 
-    /// Print the table and, if `csv_path` is set, also write the CSV.
-    pub fn emit(&self, csv_path: Option<&str>) {
+    /// Print the table.
+    pub fn print(&self) {
+        println!("{}", self.render());
+    }
+
+    /// Print the table and write its CSV to `csv_path`.
+    pub fn emit(&self, csv_path: &str) -> Result<(), String> {
         print!("{}", self.render());
-        if let Some(path) = csv_path {
-            std::fs::write(path, self.to_csv()).expect("write csv");
-            println!("(csv written to {path})");
+        write_artifact(csv_path, &self.to_csv())?;
+        println!("(csv written to {csv_path})\n");
+        Ok(())
+    }
+}
+
+/// Write one output file. Every artifact the scenarios write goes
+/// through here, so a failure names the path and the OS error.
+pub fn write_artifact(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// A flat, committed baseline: gated numbers under `entries` (one key
+/// per line, so baselines diff cleanly in review) and string-valued
+/// context under `info`.
+pub struct Baseline {
+    schema: &'static str,
+    entries: Vec<(String, String)>,
+    info: Vec<(String, String)>,
+}
+
+impl Baseline {
+    /// An empty baseline tagged with `schema`.
+    pub fn new(schema: &'static str) -> Self {
+        Baseline {
+            schema,
+            entries: Vec::new(),
+            info: Vec::new(),
         }
-        println!();
+    }
+
+    /// A gated entry; `value` is written verbatim as a JSON number.
+    pub fn entry(&mut self, key: impl Into<String>, value: impl std::fmt::Display) {
+        self.entries.push((key.into(), value.to_string()));
+    }
+
+    /// A context entry, written as a JSON string.
+    pub fn info(&mut self, key: &str, value: impl std::fmt::Display) {
+        self.info.push((key.to_string(), format!("\"{value}\"")));
+    }
+
+    /// Render as JSON; `info` appears only when it has keys.
+    pub fn to_json(&self) -> String {
+        let block = |name: &str, kv: &[(String, String)]| {
+            let body: Vec<String> = kv
+                .iter()
+                .map(|(k, v)| format!("    \"{k}\": {v}"))
+                .collect();
+            format!("  \"{name}\": {{\n{}\n  }}", body.join(",\n"))
+        };
+        let mut json = format!(
+            "{{\n  \"schema\": \"{}\",\n{}",
+            self.schema,
+            block("entries", &self.entries)
+        );
+        if !self.info.is_empty() {
+            json.push_str(&format!(",\n{}", block("info", &self.info)));
+        }
+        json + "\n}\n"
+    }
+
+    /// Write the JSON to `path`.
+    pub fn write(&self, path: &str) -> Result<(), String> {
+        write_artifact(path, &self.to_json())
     }
 }
 
@@ -107,6 +171,28 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["x".into()]);
+    }
+
+    #[test]
+    fn baseline_json_is_flat_with_optional_info() {
+        let mut b = Baseline::new("demo-v1");
+        b.entry("a.p50_ns", format!("{:.1}", 4067.0));
+        b.entry("zero", 0);
+        assert_eq!(
+            b.to_json(),
+            "{\n  \"schema\": \"demo-v1\",\n  \"entries\": {\n    \"a.p50_ns\": 4067.0,\n    \
+             \"zero\": 0\n  }\n}\n"
+        );
+        b.info("rounds", 200);
+        assert!(b
+            .to_json()
+            .ends_with("  },\n  \"info\": {\n    \"rounds\": \"200\"\n  }\n}\n"));
+    }
+
+    #[test]
+    fn unwritable_artifact_names_path_and_error() {
+        let err = write_artifact("no-such-dir/x.csv", "x").unwrap_err();
+        assert!(err.starts_with("cannot write no-such-dir/x.csv: "), "{err}");
     }
 
     #[test]

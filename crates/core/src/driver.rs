@@ -424,18 +424,31 @@ impl Driver {
     /// id, answered from the interval index: one bounded `BTreeMap` range
     /// scan plus an exact `layout.intersects` confirmation per candidate.
     pub fn regions_intersecting(&self, space: AsId, range: &VpnRange) -> Vec<RegionId> {
+        self.regions_intersecting_visited(space, range).0
+    }
+
+    /// [`Driver::regions_intersecting`] plus the number of index entries
+    /// its range scan visited — the routing work `pinscale` counts
+    /// against the naive scan's one visit per declared region.
+    pub fn regions_intersecting_visited(
+        &self,
+        space: AsId,
+        range: &VpnRange,
+    ) -> (Vec<RegionId>, u64) {
         let Some(idx) = self.index.get(&space) else {
-            return Vec::new();
+            return (Vec::new(), 0);
         };
         let mut ids = BTreeSet::new();
-        idx.intersecting(range, &mut ids);
-        ids.into_iter()
+        let visited = idx.intersecting(range, &mut ids);
+        let ids = ids
+            .into_iter()
             .map(RegionId)
             .filter(|&id| {
                 self.try_region(id)
                     .is_some_and(|r| r.space == space && r.layout.intersects(range))
             })
-            .collect()
+            .collect();
+        (ids, visited)
     }
 
     /// The full-table-scan answer to [`Driver::regions_intersecting`].

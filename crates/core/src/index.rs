@@ -33,13 +33,17 @@ impl SpaceIndex {
     }
 
     /// Region ids with a segment range intersecting `range`, ascending.
-    pub(crate) fn intersecting(&self, range: &VpnRange, out: &mut BTreeSet<u32>) {
+    /// Returns the number of index entries the range scan visited.
+    pub(crate) fn intersecting(&self, range: &VpnRange, out: &mut BTreeSet<u32>) -> u64 {
         let (s, e) = (range.start.0, range.end.0);
         let lo = s.saturating_sub(self.max_pages.saturating_sub(1));
+        let mut visited = 0;
         for (&(_, id), &end) in self.ranges.range((lo, 0)..(e, 0)) {
+            visited += 1;
             if end > s {
                 out.insert(id);
             }
         }
+        visited
     }
 }

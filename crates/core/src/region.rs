@@ -366,8 +366,9 @@ impl DriverRegion {
 
     /// The pre-batching pin loop: one [`Memory::pin_user_pages`] call per
     /// page. Kept as the differential-test oracle for the batched path
-    /// (and as `bench_core`'s per-page pin-call baseline); both must
-    /// produce the same pins, cursor and failure/rollback behavior.
+    /// (and as the per-page pin-call baseline of `bench core` and `bench
+    /// pinscale`); both must produce the same pins, cursor and
+    /// failure/rollback behavior.
     pub fn pin_next_chunk_per_page(
         &mut self,
         mem: &mut Memory,
