@@ -2,7 +2,7 @@
 //! cache, the page-fault/pin path, the pull-reply and eager byte paths and
 //! the core run queue. These measure
 //! *wall-clock* cost of the simulator itself (the simulated costs are the
-//! harness binaries' business).
+//! `bench` scenarios' business).
 
 use openmx_bench::microbench::{black_box, Bench};
 use openmx_core::cache::{CacheOutcome, RegionCache};

@@ -11,9 +11,9 @@
 //!   protocol lost liveness. The soak treats this as a hard error.
 //!
 //! The sweep axes (seeds × profiles × message sizes) and the adaptive-vs-
-//! fixed retransmission comparison are driven by the `chaos` binary.
+//! fixed retransmission comparison are driven by `bench chaos`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use openmx_core::engine::{Cluster, Ctx, Process};
@@ -43,8 +43,6 @@ pub enum Verdict {
 pub struct ChaosOutcome {
     /// Outcome classification.
     pub verdict: Verdict,
-    /// Failure reasons observed across ranks (empty when intact).
-    pub failures: Vec<&'static str>,
     /// The run's engine counters: retransmits, duplicates discarded,
     /// faults injected, …
     pub counters: CounterSet,
@@ -57,21 +55,15 @@ pub struct ChaosOutcome {
 
 impl ChaosOutcome {
     /// The outcome of `cl`'s run, with a post-mortem when `reason` is set.
-    fn of(
-        cl: &Cluster,
-        verdict: Verdict,
-        failures: Vec<&'static str>,
-        reason: Option<&str>,
-    ) -> Self {
+    fn of(cl: &Cluster, verdict: Verdict, reason: Option<&str>) -> Self {
         let counters = cl.counters();
         let post_mortem = reason.map(|r| {
             openmx_core::obs::post_mortem_json(r, None, cl.tracer(), cl.metrics(), &counters, 32)
         });
         ChaosOutcome {
             verdict,
-            failures,
-            post_mortem,
             counters,
+            post_mortem,
         }
     }
 }
@@ -149,19 +141,16 @@ pub fn run_chaos(cfg: &OpenMxConfig, profile: &FaultProfile, len: u64, msgs: u32
     }
     let (mut cl, records) = run_job(&cfg, 2, 1, b.scripts);
 
-    let failures: Vec<&'static str> = records
-        .iter()
-        .flat_map(|r| r.failures.iter().copied())
-        .collect();
+    let failed = records.iter().any(|r| !r.failures.is_empty());
     let all_finished = records.iter().all(|r| r.finished.is_some());
-    let verdict = if failures.is_empty() && all_finished {
+    let verdict = if !failed && all_finished {
         if verified(&mut cl, records[1].buffer_addrs[rbuf], len) {
             Verdict::Intact
         } else {
             // Data corruption with no reported error is a silent failure.
             Verdict::Hung
         }
-    } else if failures.is_empty() {
+    } else if !failed {
         // Unfinished ranks with no recorded failure anywhere: stuck.
         Verdict::Hung
     } else {
@@ -176,7 +165,7 @@ pub fn run_chaos(cfg: &OpenMxConfig, profile: &FaultProfile, len: u64, msgs: u32
         Verdict::Hung => Some("chaos: liveness lost (rank stuck or silent corruption)"),
         Verdict::FailedCleanly => Some("chaos: transfers failed through the completion path"),
     };
-    ChaosOutcome::of(&cl, verdict, failures, reason)
+    ChaosOutcome::of(&cl, verdict, reason)
 }
 
 /// The crash-column axis: a receiver crash/restart mid-stream, alone and
@@ -205,38 +194,39 @@ pub fn crash_profiles() -> Vec<(&'static str, FaultProfile)> {
     ]
 }
 
-/// Sender for the crash column: streams `msgs` messages and records how
-/// each one settled — the liveness bar is that every send either
-/// completes or fails through the completion path, crash or no crash.
-struct CrashSender {
-    peer: ProcId,
-    len: u64,
-    msgs_left: u32,
-    buf: VirtAddr,
-    failures: Rc<RefCell<Vec<&'static str>>>,
-    clean: Rc<Cell<u32>>,
-    done: Rc<Cell<bool>>,
+/// Streams `msgs_left` messages of `len` bytes (the verification
+/// pattern) to `peer` on `tag`, one at a time, counting clean
+/// completions, and sets `done` once every send has settled — completed
+/// or failed through the completion path, crash or no crash.
+pub(crate) struct Streamer {
+    pub(crate) peer: ProcId,
+    pub(crate) tag: u64,
+    pub(crate) len: u64,
+    pub(crate) msgs_left: u32,
+    pub(crate) buf: VirtAddr,
+    pub(crate) clean: Rc<Cell<u32>>,
+    pub(crate) done: Rc<Cell<bool>>,
 }
 
-impl Process for CrashSender {
+impl Process for Streamer {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         self.buf = ctx.malloc(self.len);
         let pat: Vec<u8> = (0..self.len).map(|i| (i as u8) ^ 0x6b).collect();
         ctx.write_buf(self.buf, &pat);
-        ctx.isend(self.peer, 7, self.buf, self.len);
+        ctx.isend(self.peer, self.tag, self.buf, self.len);
     }
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
         match ev {
             AppEvent::SendDone(_) => self.clean.set(self.clean.get() + 1),
-            AppEvent::Failed(_, reason) => self.failures.borrow_mut().push(reason),
-            other => panic!("crash sender: unexpected event {other:?}"),
+            AppEvent::Failed(..) => {}
+            other => panic!("streamer: unexpected event {other:?}"),
         }
         self.msgs_left -= 1;
         if self.msgs_left == 0 {
             self.done.set(true);
             ctx.stop();
         } else {
-            ctx.isend(self.peer, 7, self.buf, self.len);
+            ctx.isend(self.peer, self.tag, self.buf, self.len);
         }
     }
 }
@@ -248,6 +238,17 @@ struct CrashSink {
     buf: VirtAddr,
     buf_out: Rc<Cell<VirtAddr>>,
     recvs: Rc<Cell<u32>>,
+}
+
+impl CrashSink {
+    fn boxed(len: u64, buf_out: &Rc<Cell<VirtAddr>>, recvs: &Rc<Cell<u32>>) -> Box<CrashSink> {
+        Box::new(CrashSink {
+            len,
+            buf: VirtAddr(0),
+            buf_out: buf_out.clone(),
+            recvs: recvs.clone(),
+        })
+    }
 }
 
 impl Process for CrashSink {
@@ -279,34 +280,24 @@ pub fn run_chaos_crash(
 ) -> ChaosOutcome {
     let cfg = with_link_faults(cfg, profile);
 
-    let failures: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
     let clean = Rc::new(Cell::new(0u32));
     let done = Rc::new(Cell::new(false));
     let buf_out = Rc::new(Cell::new(VirtAddr(0)));
-    let recvs = Rc::new(Cell::new(0u32));
 
     let mut cl = Cluster::new(cfg, 2);
     cl.add_process(
         0,
-        Box::new(CrashSender {
+        Box::new(Streamer {
             peer: ProcId(1),
+            tag: 7,
             len,
             msgs_left: msgs,
             buf: VirtAddr(0),
-            failures: failures.clone(),
             clean: clean.clone(),
             done: done.clone(),
         }),
     );
-    cl.add_process(
-        1,
-        Box::new(CrashSink {
-            len,
-            buf: VirtAddr(0),
-            buf_out: buf_out.clone(),
-            recvs: recvs.clone(),
-        }),
-    );
+    cl.add_process(1, CrashSink::boxed(len, &buf_out, &Rc::default()));
 
     // Let the stream get going, kill the receiver mid-flight, leave it
     // down long enough for in-flight traffic to hit the fence, restart.
@@ -314,22 +305,13 @@ pub fn run_chaos_crash(
     cl.crash_proc(ProcId(1));
     cl.run(Some(SimTime::from_nanos(800_000)));
     let reborn_recvs = Rc::new(Cell::new(0u32));
-    cl.restart_proc(
-        ProcId(1),
-        Box::new(CrashSink {
-            len,
-            buf: VirtAddr(0),
-            buf_out: buf_out.clone(),
-            recvs: reborn_recvs.clone(),
-        }),
-    );
+    cl.restart_proc(ProcId(1), CrashSink::boxed(len, &buf_out, &reborn_recvs));
     cl.run(Some(SimTime::from_nanos(120_000_000_000)));
 
-    let failures: Vec<&'static str> = failures.borrow().clone();
     let verdict = if !done.get() {
         // The sender never settled all its messages: liveness lost.
         Verdict::Hung
-    } else if failures.is_empty() && clean.get() == msgs {
+    } else if clean.get() == msgs {
         // Every send completed. If the reborn incarnation finished a
         // receive, its buffer must hold the verified pattern.
         if reborn_recvs.get() == 0 || verified(&mut cl, buf_out.get(), len) {
@@ -342,12 +324,7 @@ pub fn run_chaos_crash(
     };
 
     let reason = "chaos crash column: liveness lost across a crash/restart";
-    ChaosOutcome::of(
-        &cl,
-        verdict,
-        failures,
-        (verdict == Verdict::Hung).then_some(reason),
-    )
+    ChaosOutcome::of(&cl, verdict, (verdict == Verdict::Hung).then_some(reason))
 }
 
 /// Measure duplicate retransmissions under 5% loss (plus the delay jitter

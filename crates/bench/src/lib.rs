@@ -20,6 +20,3 @@ pub mod pingpong;
 pub mod scenario;
 pub mod sweep;
 pub mod table;
-
-pub use pingpong::{pingpong_throughput, PingPongPoint};
-pub use table::Table;

@@ -1,6 +1,6 @@
 //! A minimal wall-clock micro-benchmark harness for the `harness = false`
 //! bench targets. Measures real elapsed time of the simulator itself (the
-//! *simulated* costs are the harness binaries' business).
+//! *simulated* costs are the `bench` scenarios' business).
 //!
 //! Deliberately tiny: warm up, pick an iteration count that fills a target
 //! measurement window, take several samples, report median ns/iter.

@@ -18,21 +18,35 @@ pub struct Table1Row {
 
 /// Table 1 as published.
 pub const TABLE1: [Table1Row; 4] = [
-    t1("Opteron 265", 1.8, 4.2, 720.0, 5.5),
-    t1("Opteron 8347", 1.9, 2.2, 330.0, 12.0),
-    t1("Xeon E5435", 2.33, 2.3, 250.0, 16.0),
-    t1("Xeon E5460", 3.16, 1.3, 150.0, 26.5),
-];
-
-const fn t1(host: &'static str, ghz: f64, base_us: f64, ns_per_page: f64, gb: f64) -> Table1Row {
     Table1Row {
-        host,
-        ghz,
-        base_us,
-        ns_per_page,
-        gb_per_sec: gb,
-    }
-}
+        host: "Opteron 265",
+        ghz: 1.8,
+        base_us: 4.2,
+        ns_per_page: 720.0,
+        gb_per_sec: 5.5,
+    },
+    Table1Row {
+        host: "Opteron 8347",
+        ghz: 1.9,
+        base_us: 2.2,
+        ns_per_page: 330.0,
+        gb_per_sec: 12.0,
+    },
+    Table1Row {
+        host: "Xeon E5435",
+        ghz: 2.33,
+        base_us: 2.3,
+        ns_per_page: 250.0,
+        gb_per_sec: 16.0,
+    },
+    Table1Row {
+        host: "Xeon E5460",
+        ghz: 3.16,
+        base_us: 1.3,
+        ns_per_page: 150.0,
+        gb_per_sec: 26.5,
+    },
+];
 
 /// One row of the paper's Table 2: execution-time improvement (%) from
 /// the pinning cache and from overlapped pinning.
@@ -48,23 +62,47 @@ pub struct Table2Row {
 
 /// Table 2 as published (IMB between 2 nodes + NPB is.C.4).
 pub const TABLE2: [Table2Row; 8] = [
-    t2("IMB SendRecv", 8.4, 5.5),
-    t2("IMB Allgatherv", 7.5, 6.8),
-    t2("IMB Broadcast", 4.4, 2.0),
-    t2("IMB Reduce", 7.6, 0.2),
-    t2("IMB Allreduce", 2.2, -0.6),
-    t2("IMB Reduce_scatter", 7.9, -0.8),
-    t2("IMB Exchange", -1.4, -2.7),
-    t2("NPB is.C.4", 4.2, 1.9),
-];
-
-const fn t2(name: &'static str, cache_pct: f64, overlap_pct: f64) -> Table2Row {
     Table2Row {
-        name,
-        cache_pct,
-        overlap_pct,
-    }
-}
+        name: "IMB SendRecv",
+        cache_pct: 8.4,
+        overlap_pct: 5.5,
+    },
+    Table2Row {
+        name: "IMB Allgatherv",
+        cache_pct: 7.5,
+        overlap_pct: 6.8,
+    },
+    Table2Row {
+        name: "IMB Broadcast",
+        cache_pct: 4.4,
+        overlap_pct: 2.0,
+    },
+    Table2Row {
+        name: "IMB Reduce",
+        cache_pct: 7.6,
+        overlap_pct: 0.2,
+    },
+    Table2Row {
+        name: "IMB Allreduce",
+        cache_pct: 2.2,
+        overlap_pct: -0.6,
+    },
+    Table2Row {
+        name: "IMB Reduce_scatter",
+        cache_pct: 7.9,
+        overlap_pct: -0.8,
+    },
+    Table2Row {
+        name: "IMB Exchange",
+        cache_pct: -1.4,
+        overlap_pct: -2.7,
+    },
+    Table2Row {
+        name: "NPB is.C.4",
+        cache_pct: 4.2,
+        overlap_pct: 1.9,
+    },
+];
 
 /// Approximate series anchors read off Figure 6 (Xeon E5460, MiB/s):
 /// (message size, pin-per-comm, permanent, pin-per-comm + I/OAT,

@@ -29,10 +29,13 @@ fn pin_fully(d: &mut Driver, mem: &mut Memory, id: RegionId, chunk: u64, per_pag
     }
 }
 
+/// A driver and its memory, the space and base address of the mapped
+/// arena, and the ids of the regions declared over it.
 type Arena = (Driver, Memory, AsId, VirtAddr, Vec<RegionId>);
 
-/// `n` contiguous regions of `pages` pages each over one mapped arena
-/// of a fresh space at `addr`, in a driver with pinned-page limit `limit`.
+/// `n` contiguous regions of `pages` pages each, declared over one
+/// mapped arena of a fresh space (with an MMU notifier registered), in a
+/// driver with pinned-page limit `limit`. Nothing is pinned yet.
 fn arena(n: u64, pages: u64, limit: Option<usize>) -> Arena {
     let mut mem = Memory::new((n * pages) as usize + 64, 0);
     let space = mem.create_space();

@@ -302,8 +302,9 @@ fn tenant_world(rounds: u32, quota: Option<PinQuota>) -> TenantWorld {
         cl.add_process(1, Sink::boxed(v as u64, TENANT_PAGES, rounds));
     }
     cl.run(Some(SimTime::from_nanos(120_000_000_000)));
-    assert!(
-        finished.get() == VICTIMS,
+    assert_eq!(
+        finished.get(),
+        VICTIMS,
         "victims did not finish their rounds (quota={})",
         quota.is_some()
     );

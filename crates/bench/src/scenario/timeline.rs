@@ -1,39 +1,16 @@
 //! Figures 2 / 3 / 5 as event timelines of one large-message transfer,
 //! on the console and as Chrome-trace and span-tree JSON.
 
-use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
+use std::rc::Rc;
+
+use openmx_core::engine::{Cluster, ProcId};
 use openmx_core::{OpenMxConfig, PinningMode};
 use simmem::{VirtAddr, PAGE_SIZE};
 
 use super::storms::Sink;
+use crate::chaos::Streamer;
 use crate::cli::Args;
 use crate::table::write_artifact;
-
-/// Sends `msgs` messages of `len` bytes to `ProcId(1)`, one at a time.
-struct Sender {
-    len: u64,
-    sent: u32,
-    msgs: u32,
-    buf: VirtAddr,
-}
-
-impl Process for Sender {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.buf = ctx.malloc(self.len);
-        ctx.write_buf(self.buf, &vec![7u8; self.len as usize]);
-        ctx.isend(ProcId(1), 42, self.buf, self.len);
-    }
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
-        if let AppEvent::SendDone(_) = ev {
-            self.sent += 1;
-            if self.sent < self.msgs {
-                ctx.isend(ProcId(1), 42, self.buf, self.len);
-            } else {
-                ctx.stop();
-            }
-        }
-    }
-}
 
 fn show(mode: PinningMode, header: &str) -> Result<(), String> {
     let cfg = OpenMxConfig::with_mode(mode);
@@ -42,11 +19,14 @@ fn show(mode: PinningMode, header: &str) -> Result<(), String> {
     let len = 1 << 20;
     cl.add_process(
         0,
-        Box::new(Sender {
+        Box::new(Streamer {
+            peer: ProcId(1),
+            tag: 42,
             len,
-            sent: 0,
-            msgs: 2,
+            msgs_left: 2,
             buf: VirtAddr(0),
+            clean: Rc::default(),
+            done: Rc::default(),
         }),
     );
     cl.add_process(1, Sink::boxed(42, len / PAGE_SIZE, 2));

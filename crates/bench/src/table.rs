@@ -108,8 +108,8 @@ impl Baseline {
     }
 
     /// A context entry, written as a JSON string.
-    pub fn info(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.info.push((key.to_string(), format!("\"{value}\"")));
+    pub fn info(&mut self, key: impl Into<String>, value: impl std::fmt::Display) {
+        self.info.push((key.into(), format!("\"{value}\"")));
     }
 
     /// Render as JSON; `info` appears only when it has keys.
