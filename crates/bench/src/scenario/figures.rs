@@ -156,10 +156,9 @@ pub(crate) fn table1(_: &Args) -> Result<(), String> {
 /// One curve of Fig. 6 or 7: its label, pinning mode and I/OAT flag.
 type Series = (&'static str, PinningMode, bool);
 
-/// Every series over the figures' size axis, one simulation per point
-/// in parallel; returns the points by series, then by size.
-fn sweep_series(series: &[Series]) -> Vec<Vec<PingPongPoint>> {
-    let sizes = figure_sizes();
+/// Every series over a size axis, one simulation per point in
+/// parallel; returns the points by series, then by size.
+fn sweep_series(series: &[Series], sizes: &[u64]) -> Vec<Vec<PingPongPoint>> {
     let jobs: Vec<(usize, u64)> = (0..series.len())
         .flat_map(|si| sizes.iter().map(move |&m| (si, m)))
         .collect();
@@ -224,7 +223,7 @@ pub(crate) fn fig6(_: &Args) -> Result<(), String> {
         ("pin-per-comm + I/OAT", PinningMode::PinPerComm, true),
         ("permanent + I/OAT", PinningMode::Permanent, true),
     ];
-    let by_series = sweep_series(&series);
+    let by_series = sweep_series(&series, &figure_sizes());
     figure_table(
         "Figure 6 — IMB PingPong throughput (MiB/s), Xeon E5460 + Myri-10G",
         &series,
@@ -306,7 +305,7 @@ pub(crate) fn fig7(_: &Args) -> Result<(), String> {
         ("cache", PinningMode::Cached, false),
         ("overlapped+cache", PinningMode::OverlappedCached, false),
     ];
-    let by_series = sweep_series(&series);
+    let by_series = sweep_series(&series, &figure_sizes());
     figure_table(
         "Figure 7 — IMB PingPong throughput (MiB/s): overlapped pinning & pinning cache",
         &series,
@@ -627,29 +626,38 @@ pub(crate) fn core(args: &Args) -> Result<(), String> {
     let mut entries: Vec<(String, f64)> = Vec::new();
 
     // Fig. 6 — the pinning-cost bounds: pin-per-comm vs permanent, ± I/OAT.
-    for mode in [PinningMode::PinPerComm, PinningMode::Permanent] {
-        for ioat in [false, true] {
-            let cfg = paper_cfg(mode, ioat);
-            for &msg in sizes {
-                let p = pingpong_throughput(&cfg, msg);
-                entries.push((
-                    format!("fig6.{}.ioat{}.{msg}.mib_s", mode.label(), ioat as u8),
-                    p.mib_per_sec,
-                ));
-            }
-        }
-    }
-
-    // Fig. 7 — the decoupled strategies against the regular baseline.
-    for mode in [
-        PinningMode::PinPerComm,
+    // Fig. 7 — the decoupled strategies against the regular baseline,
+    // which is Fig. 6's pin-per-comm curve without I/OAT: one parallel
+    // sweep runs each distinct configuration once.
+    let fig6_cfgs = [
+        (PinningMode::PinPerComm, false),
+        (PinningMode::PinPerComm, true),
+        (PinningMode::Permanent, false),
+        (PinningMode::Permanent, true),
+    ];
+    let fig7_modes = [
         PinningMode::Cached,
         PinningMode::Overlapped,
         PinningMode::OverlappedCached,
-    ] {
-        let cfg = paper_cfg(mode, false);
-        for &msg in sizes {
-            let p = pingpong_throughput(&cfg, msg);
+    ];
+    let fig7_cfgs = fig7_modes.iter().map(|&mode| (mode, false));
+    let series: Vec<Series> = fig6_cfgs
+        .iter()
+        .copied()
+        .chain(fig7_cfgs)
+        .map(|(mode, ioat)| (mode.label(), mode, ioat))
+        .collect();
+    let by_series = sweep_series(&series, sizes);
+    let (fig6_points, fig7_points) = by_series.split_at(fig6_cfgs.len());
+    for ((mode, ioat), points) in fig6_cfgs.iter().zip(fig6_points) {
+        for (p, msg) in points.iter().zip(sizes) {
+            let key = format!("fig6.{}.ioat{}.{msg}.mib_s", mode.label(), *ioat as u8);
+            entries.push((key, p.mib_per_sec));
+        }
+    }
+    let regular = (PinningMode::PinPerComm, &fig6_points[0]);
+    for (mode, points) in std::iter::once(regular).chain(fig7_modes.into_iter().zip(fig7_points)) {
+        for (p, msg) in points.iter().zip(sizes) {
             entries.push((format!("fig7.{}.{msg}.mib_s", mode.label()), p.mib_per_sec));
         }
     }

@@ -5,8 +5,8 @@ use simcore::{Priority, SimDuration};
 use simmem::{PageSnapshot, VirtAddr};
 
 use super::xfer::{
-    Block, EagerRxMatched, EagerTx, NotifyPending, PendingCopy, PinAction, PinPlan, PinWaiter,
-    RecvXfer, Retried, Retry, RetryKey, SendXfer, ShmParked,
+    pull_of, Block, EagerRxMatched, EagerTx, End, PendingCopy, Phase, PinPlan, PinWaiter, Pull,
+    Retry, Rndv, Shm, Xfer, XferKey,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
 use crate::driver::RegionId;
@@ -194,15 +194,19 @@ impl Cluster {
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
         };
-        self.xfers.shm.insert(
-            msg,
-            ShmParked {
-                src: self.addr_of(proc),
+        self.xfers.insert(
+            (msg, End::Tx),
+            Box::new(Xfer {
+                proc,
                 peer: self.addr_of(peer),
-                match_info,
-                data,
-                dst: None,
-            },
+                req,
+                retry: Retry::default(),
+                phase: Phase::Shm(Shm {
+                    match_info,
+                    data,
+                    dst: None,
+                }),
+            }),
         );
         let cost = SimDuration::from_nanos(500) + self.cfg.profile.memcpy_cost(len);
         self.submit_sliced_proc_work(
@@ -218,7 +222,7 @@ impl Cluster {
     }
 
     fn on_shm_send(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
-        let Some(parked) = self.xfers.shm.get_mut(&msg) else {
+        let Some(x) = self.xfers.get(&(msg, End::Tx)) else {
             // The crash sweep dropped the parked copy while this copy-out
             // sat on the sender's core: either side may have died. A live
             // sender gets a clean failure; a dead one gets silence.
@@ -229,27 +233,33 @@ impl Cluster {
             }
             return;
         };
-        let (src, peer, match_info) = (parked.src, parked.peer, parked.match_info);
-        let total = parked.data.len();
+        let Phase::Shm(parked) = &x.phase else {
+            unreachable!("shm xfer")
+        };
+        let (src, peer, match_info, total) = (x.proc, x.peer, parked.match_info, parked.data.len());
         if self.endpoint_gone(peer) {
             // The destination died (or came back as a new incarnation)
             // since the send was posted. Shm has no watchdog to catch
             // this later, so fail the sender cleanly now instead of
             // parking bytes on a dead endpoint.
-            self.xfers.shm.remove(&msg);
+            self.xfers.remove(&(msg, End::Tx));
             let node = self.procs[owner.0 as usize].node;
             self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.nodes[node].counters.bump(Counter::PeerDeadAborts);
             self.notify_app(owner, AppEvent::Failed(req, "peer crashed"));
             return;
         }
-        self.notify_app(src.proc, AppEvent::SendDone(req));
+        self.notify_app(src, AppEvent::SendDone(req));
         // Deliver to the peer endpoint (receiver-side copy still pending).
         let pidx = peer.proc.0 as usize;
         match self.procs[pidx].endpoint.match_incoming(match_info) {
-            Some(posted) => self.shm_matched(msg, peer.proc, posted, total),
+            Some(posted) => self.shm_matched(msg, posted, total),
             None => {
-                let parked = self.xfers.shm.remove(&msg).expect("shm xfer");
+                let x = self.xfers.remove(&(msg, End::Tx)).expect("shm xfer");
+                let Phase::Shm(parked) = x.phase else {
+                    unreachable!("shm xfer")
+                };
+                let src = self.addr_of(src);
                 self.procs[pidx].endpoint.push_unexpected(Unexpected::Shm {
                     msg,
                     src,
@@ -260,10 +270,16 @@ impl Cluster {
         }
     }
 
-    fn shm_matched(&mut self, msg: MsgId, receiver: ProcId, posted: PostedRecv, total: u64) {
+    /// Match a parked shm message to the receive `posted` of its peer.
+    fn shm_matched(&mut self, msg: MsgId, posted: PostedRecv, total: u64) {
         let copy_len = total.min(posted.len);
-        let parked = self.xfers.shm.get_mut(&msg).expect("shm xfer");
-        parked.dst = Some((posted.req, receiver, posted.addr, copy_len));
+        let x = self.xfers.get_mut(&(msg, End::Tx)).expect("shm xfer");
+        let Phase::Shm(parked) = &mut x.phase else {
+            unreachable!("shm xfer")
+        };
+        parked.dst = Some((posted.addr, copy_len));
+        x.req = posted.req;
+        let receiver = x.peer.proc;
         let cost = self.cfg.profile.memcpy_cost(copy_len);
         self.submit_sliced_proc_work(
             receiver,
@@ -276,10 +292,13 @@ impl Cluster {
     }
 
     fn on_shm_deliver(&mut self, msg: MsgId) {
-        let Some(parked) = self.xfers.shm.remove(&msg) else {
+        let Some(x) = self.xfers.remove(&(msg, End::Tx)) else {
             return; // crash sweep already failed/settled this transfer
         };
-        let (req, proc, addr, copy_len) = parked.dst.expect("matched");
+        let Phase::Shm(parked) = x.phase else {
+            unreachable!("shm xfer")
+        };
+        let ((addr, copy_len), proc, req) = (parked.dst.expect("matched"), x.peer.proc, x.req);
         let idx = proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
@@ -319,18 +338,20 @@ impl Cluster {
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
         };
-        self.xfers.eager_tx.insert(
-            msg,
-            EagerTx {
-                req,
+        self.xfers.insert(
+            (msg, End::Tx),
+            Box::new(Xfer {
                 proc,
                 peer: self.addr_of(peer),
-                match_info,
-                total_len: len,
-                data,
+                req,
                 retry: Retry::default(),
-                sent_at: self.now,
-            },
+                phase: Phase::EagerTx(EagerTx {
+                    match_info,
+                    total_len: len,
+                    data,
+                    sent_at: self.now,
+                }),
+            }),
         );
         let frags = simnet::frame::frame_count(len, self.cfg.net.mtu);
         let cost = self.cfg.profile.memcpy_cost(len) + self.cfg.profile.tx_setup.times(frags);
@@ -350,7 +371,7 @@ impl Cluster {
         self.transmit_eager_frames(msg);
         // The ack may already have raced the copy-out completion (duplicate
         // delivery paths): `arm_retry` arms only if the tx state is live.
-        self.arm_retry(RetryKey::Eager(msg), 0);
+        self.arm_retry((msg, End::Tx), 0);
         // MX eager semantics: the send completes locally once the data has
         // been copied out of the user buffer.
         self.notify_app(owner, AppEvent::SendDone(req));
@@ -360,13 +381,17 @@ impl Cluster {
         let chunk = self.frame_payload();
         let mtu = self.cfg.net.mtu;
         let now = self.now;
-        let Some(tx) = self.xfers.eager_tx.get_mut(&msg) else {
+        let key = (msg, End::Tx);
+        let Some(x) = self.xfers.get(&key) else {
             return; // acked and reclaimed while this work was queued
         };
+        let src = self.addr_of(x.proc);
+        let x = self.xfers.get_mut(&key).expect("looked up above");
+        let Phase::EagerTx(tx) = &mut x.phase else {
+            unreachable!("eager send")
+        };
         tx.sent_at = now;
-        let (proc, peer, match_info, total) = (tx.proc, tx.peer, tx.match_info, tx.total_len);
-        let src = self.addr_of(proc);
-        let tx = &self.xfers.eager_tx[&msg];
+        let (peer, match_info, total) = (x.peer, tx.match_info, tx.total_len);
         let frag_count = simnet::frame::frame_count(total, mtu) as u32;
         let mut frames = Vec::new();
         for frag in 0..frag_count {
@@ -413,7 +438,10 @@ impl Cluster {
             return;
         }
         // Matched, still reassembling?
-        if let Some(m) = self.xfers.eager_rx.get_mut(&msg) {
+        if let Some(x) = self.xfers.get_mut(&(msg, End::Rx)) {
+            let Phase::EagerRx(m) = &mut x.phase else {
+                unreachable!("eager receive")
+            };
             if m.rx.has_frag(frag) {
                 let node = self.procs[idx].node;
                 self.nodes[node].counters.bump(Counter::EagerDupFrags);
@@ -421,7 +449,7 @@ impl Cluster {
             }
             if m.rx.absorb(frag, offset, data) {
                 let cost = self.cfg.profile.memcpy_cost(m.copy_len);
-                let proc = m.proc;
+                let proc = x.proc;
                 self.submit_sliced_proc_work(proc, cost, Work::EagerDeliver { owner: proc, msg });
             }
             return;
@@ -442,16 +470,7 @@ impl Cluster {
         match self.procs[idx].endpoint.match_incoming(match_info) {
             Some(posted) => {
                 let copy_len = total_len.min(posted.len);
-                self.xfers.eager_rx.insert(
-                    msg,
-                    EagerRxMatched {
-                        rx,
-                        req: posted.req,
-                        proc: dst,
-                        addr: posted.addr,
-                        copy_len,
-                    },
-                );
+                self.insert_eager_rx(dst, posted.req, rx, posted.addr, copy_len);
                 if complete {
                     let cost = self.cfg.profile.memcpy_cost(copy_len);
                     self.submit_sliced_proc_work(dst, cost, Work::EagerDeliver { owner: dst, msg });
@@ -465,11 +484,36 @@ impl Cluster {
         }
     }
 
+    /// Enter a matched eager message's receive side.
+    fn insert_eager_rx(
+        &mut self,
+        proc: ProcId,
+        req: RequestId,
+        rx: EagerRx,
+        addr: VirtAddr,
+        copy_len: u64,
+    ) {
+        self.xfers.insert(
+            (rx.msg, End::Rx),
+            Box::new(Xfer {
+                proc,
+                peer: rx.src,
+                req,
+                retry: Retry::default(),
+                phase: Phase::EagerRx(EagerRxMatched { rx, addr, copy_len }),
+            }),
+        );
+    }
+
     fn on_eager_deliver(&mut self, msg: MsgId) {
-        let Some(m) = self.xfers.eager_rx.remove(&msg) else {
+        let Some(x) = self.xfers.remove(&(msg, End::Rx)) else {
             return; // crash sweep already failed/settled this transfer
         };
-        let idx = m.proc.0 as usize;
+        let Phase::EagerRx(m) = x.phase else {
+            unreachable!("eager receive")
+        };
+        let (proc, req) = (x.proc, x.req);
+        let idx = proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
         let src = m.rx.src;
@@ -486,16 +530,16 @@ impl Cluster {
         // unmapped its posted buffer gets a clean local failure (EFAULT on
         // the copy); the sender must not retransmit into the same fault.
         self.procs[idx].endpoint.mark_completed(msg);
-        let ack = self.frame(m.proc, src, WireMsg::EagerAck { msg });
+        let ack = self.frame(proc, src, WireMsg::EagerAck { msg });
         self.transmit(ack);
         match delivered {
             Ok(events) => {
                 self.dispatch_notifier_events(node, &events);
-                self.notify_app(m.proc, AppEvent::RecvDone(m.req, m.copy_len));
+                self.notify_app(proc, AppEvent::RecvDone(req, m.copy_len));
             }
             Err(_) => {
                 self.nodes[node].counters.bump(Counter::RequestsFailed);
-                self.notify_app(m.proc, AppEvent::Failed(m.req, "receive buffer unmapped"));
+                self.notify_app(proc, AppEvent::Failed(req, "receive buffer unmapped"));
             }
         }
     }
@@ -521,40 +565,37 @@ impl Cluster {
         };
         let msg = self.alloc_msg();
         let target = self.pin_target(node, region, len);
-        self.xfers.send.insert(
-            msg,
-            SendXfer {
-                req,
+        self.xfers.insert(
+            (msg, End::Tx),
+            Box::new(Xfer {
                 proc,
                 peer: self.addr_of(peer),
-                match_info,
-                region,
-                node,
-                total_len: len,
-                owned,
-                pull_seen: false,
-                rndv_sent_at: None,
+                req,
                 retry: Retry::default(),
-            },
+                phase: Phase::Rndv(Rndv {
+                    match_info,
+                    region,
+                    node,
+                    total_len: len,
+                    owned,
+                    pull_seen: false,
+                    rndv_sent_at: None,
+                }),
+            }),
         );
         self.nodes[node].counters.bump(Counter::RndvMsgsTx);
-        self.pin_then(proc, region, target, hint, PinAction::SendRndv(msg));
+        self.pin_then(proc, region, target, hint, msg, None);
     }
 
     /// (Re)send the rendezvous and (re)arm its retransmission timer.
     fn send_rndv(&mut self, msg: MsgId) {
-        let now = self.now;
-        let Some(x) = self.xfers.send.get_mut(&msg) else {
+        let (now, key) = (self.now, (msg, End::Tx));
+        let Some((proc, peer, retry, Phase::Rndv(x))) = self.xfers.get_mut(&key).map(|x| x.parts())
+        else {
             return; // transfer aborted while the pin waiter was queued
         };
-        let (proc, peer, match_info, total_len, node, attempt) = (
-            x.proc,
-            x.peer,
-            x.match_info,
-            x.total_len,
-            x.node,
-            x.retry.retries,
-        );
+        let (match_info, total_len, node, attempt) =
+            (x.match_info, x.total_len, x.node, retry.retries);
         x.rndv_sent_at.get_or_insert(now);
         let f = self.frame(
             proc,
@@ -566,7 +607,7 @@ impl Cluster {
             },
         );
         self.transmit(f);
-        self.arm_retry(RetryKey::Rndv(msg), attempt);
+        self.arm_retry(key, attempt);
         self.emit(
             node,
             Some(proc),
@@ -586,8 +627,9 @@ impl Cluster {
         frame_mask: u64,
         xfer_len: u64,
     ) {
-        let now = self.now;
-        let Some(x) = self.xfers.send.get_mut(&msg) else {
+        let (now, key) = (self.now, (msg, End::Tx));
+        let Some((proc, peer, retry, Phase::Rndv(x))) = self.xfers.get_mut(&key).map(|x| x.parts())
+        else {
             let node = self.node_of(dst);
             self.nodes[node].counters.bump(Counter::PullReqStale);
             return;
@@ -603,7 +645,7 @@ impl Cluster {
                 // Rendezvous -> first pull request is the protocol's control
                 // round trip — the RTT the retransmission policy adapts to.
                 // Karn's rule: skip retransmitted rendezvous.
-                if x.retry.retries == 0 {
+                if retry.retries == 0 {
                     self.rtt.observe(sample);
                 }
             }
@@ -612,10 +654,9 @@ impl Cluster {
         // counter and re-arm the rendezvous timer as a completion watchdog.
         // (The old protocol cancelled it here with no replacement — a
         // lost-forever notify then hung the sender permanently.)
-        let x = self.xfers.send.get_mut(&msg).expect("send xfer");
-        x.retry.retries = 0;
-        let (node, region, proc, peer, total_len) = (x.node, x.region, x.proc, x.peer, x.total_len);
-        self.arm_retry(RetryKey::Rndv(msg), 0);
+        retry.retries = 0;
+        let (node, region, total_len) = (x.node, x.region, x.total_len);
+        self.arm_retry(key, 0);
         // The receiver may have truncated the transfer to its posted size.
         let limit = total_len.min(xfer_len);
         let chunk = self.frame_payload();
@@ -679,18 +720,22 @@ impl Cluster {
         // Always ack so the receiver can quiesce, even for duplicates.
         let ack = self.frame(dst, src, WireMsg::NotifyAck { msg });
         self.transmit(ack);
-        let Some(x) = self.xfers.send.remove(&msg) else {
+        let Some(x) = self.xfers.remove(&(msg, End::Tx)) else {
             let node = self.node_of(dst);
             self.nodes[node].counters.bump(Counter::NotifyDup);
             return; // duplicate notify
         };
+        let Phase::Rndv(s) = x.phase else {
+            unreachable!("rendezvous send")
+        };
+        let proc = x.proc;
         self.cancel_timer(x.retry.timer);
-        if let Some(sent) = x.rndv_sent_at {
+        if let Some(sent) = s.rndv_sent_at {
             self.metrics.rndv_rtt.record(self.now.duration_since(sent));
         }
-        self.release_region(x.proc, x.node, x.region, x.owned);
-        self.emit(x.node, Some(x.proc), TraceEvent::SendDone { msg });
-        self.notify_app(x.proc, AppEvent::SendDone(x.req));
+        self.release_region(proc, s.node, s.region, s.owned);
+        self.emit(s.node, Some(proc), TraceEvent::SendDone { msg });
+        self.notify_app(proc, AppEvent::SendDone(x.req));
     }
 
     // ================== rendezvous receive side ==================
@@ -721,16 +766,7 @@ impl Cluster {
                 let msg = rx.msg;
                 let copy_len = rx.total_len.min(len);
                 let complete = rx.complete();
-                self.xfers.eager_rx.insert(
-                    msg,
-                    EagerRxMatched {
-                        rx,
-                        req,
-                        proc,
-                        addr,
-                        copy_len,
-                    },
-                );
+                self.insert_eager_rx(proc, req, rx, addr, copy_len);
                 if complete {
                     let cost = self.cfg.profile.memcpy_cost(copy_len);
                     self.submit_sliced_proc_work(
@@ -750,17 +786,21 @@ impl Cluster {
             }
             Some(Unexpected::Shm { msg, src, data, .. }) => {
                 let total = data.len();
-                self.xfers.shm.insert(
-                    msg,
-                    ShmParked {
-                        src,
+                self.xfers.insert(
+                    (msg, End::Tx),
+                    Box::new(Xfer {
+                        proc: src.proc,
                         peer: self.addr_of(proc),
-                        match_info,
-                        data,
-                        dst: None,
-                    },
+                        req,
+                        retry: Retry::default(),
+                        phase: Phase::Shm(Shm {
+                            match_info,
+                            data,
+                            dst: None,
+                        }),
+                    }),
                 );
-                self.shm_matched(msg, proc, posted, total);
+                self.shm_matched(msg, posted, total);
             }
         }
     }
@@ -820,43 +860,38 @@ impl Cluster {
                 rerequested: false,
             });
         }
-        self.xfers.recv.insert(
-            pull,
-            RecvXfer {
-                req: posted.req,
+        self.xfers.insert(
+            (msg, End::Rx),
+            Box::new(Xfer {
                 proc,
                 peer: src,
-                msg,
-                region,
-                node,
-                owned,
-                xfer_len,
-                blocks,
-                next_block: 0,
-                first_hole: 0,
-                ioat_pending: 0,
-                frames_placed: 0,
-                frames_total,
+                req: posted.req,
                 retry: Retry::default(),
-            },
+                phase: Phase::Pull(Pull {
+                    id: pull,
+                    region,
+                    node,
+                    owned,
+                    xfer_len,
+                    blocks,
+                    next_block: 0,
+                    first_hole: 0,
+                    ioat_pending: 0,
+                    frames_placed: 0,
+                    frames_total,
+                }),
+            }),
         );
-        self.arm_retry(RetryKey::Pull(pull), 0);
-        self.xfers.recv_by_msg.insert(msg, pull);
+        self.arm_retry((msg, End::Rx), 0);
         self.emit(node, Some(proc), TraceEvent::RndvRx { msg, len: xfer_len });
-        self.pin_then(
-            proc,
-            region,
-            target,
-            posted.hint,
-            PinAction::RecvStart(pull),
-        );
+        self.pin_then(proc, region, target, posted.hint, msg, Some(pull));
     }
 
     /// Send the initial window of pull requests.
-    fn recv_start(&mut self, pull: PullId) {
+    fn recv_start(&mut self, msg: MsgId, pull: PullId) {
         let window = self.cfg.pull_window;
         for _ in 0..window {
-            if !self.request_next_block(pull) {
+            if !self.request_next_block(msg, pull) {
                 break;
             }
         }
@@ -864,8 +899,8 @@ impl Cluster {
 
     /// Request the next unrequested block, if any. Returns false when all
     /// blocks have been requested.
-    fn request_next_block(&mut self, pull: PullId) -> bool {
-        let Some(x) = self.xfers.recv.get_mut(&pull) else {
+    fn request_next_block(&mut self, msg: MsgId, pull: PullId) -> bool {
+        let Some((proc, peer, _, x)) = pull_of(&mut self.xfers, msg, pull) else {
             return false;
         };
         let b = x.next_block;
@@ -876,7 +911,7 @@ impl Cluster {
         x.blocks[b as usize].requested = true;
         x.blocks[b as usize].requested_at = self.now;
         let mask = x.blocks[b as usize].missing_mask();
-        let (proc, peer, msg, xfer_len) = (x.proc, x.peer, x.msg, x.xfer_len);
+        let xfer_len = x.xfer_len;
         let node = self.procs[proc.0 as usize].node;
         self.emit(node, Some(proc), TraceEvent::PullReq { msg, block: b });
         let f = self.frame(
@@ -895,8 +930,8 @@ impl Cluster {
     }
 
     /// Re-request the missing frames of one block.
-    fn rerequest_block(&mut self, pull: PullId, block: u32) {
-        let Some(x) = self.xfers.recv.get_mut(&pull) else {
+    fn rerequest_block(&mut self, msg: MsgId, pull: PullId, block: u32) {
+        let Some((proc, peer, _, x)) = pull_of(&mut self.xfers, msg, pull) else {
             return;
         };
         let blk = &mut x.blocks[block as usize];
@@ -906,7 +941,7 @@ impl Cluster {
         }
         blk.requested_at = self.now;
         blk.rerequested = true;
-        let (proc, peer, msg, xfer_len) = (x.proc, x.peer, x.msg, x.xfer_len);
+        let xfer_len = x.xfer_len;
         let f = self.frame(
             proc,
             peer,
@@ -932,7 +967,7 @@ impl Cluster {
         let idx = dst.0 as usize;
         // Duplicate suppression: already matched, queued, or finished.
         if self.procs[idx].endpoint.is_completed(msg)
-            || self.xfers.recv_by_msg.contains_key(&msg)
+            || self.xfers.contains_key(&(msg, End::Rx))
             || self.procs[idx].endpoint.has_unexpected(msg)
         {
             let node = self.procs[idx].node;
@@ -950,16 +985,18 @@ impl Cluster {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_pull_reply(
         &mut self,
         dst: ProcId,
+        msg: MsgId,
         pull: PullId,
         block: u32,
         frame: u32,
         offset: u64,
         data: PageSnapshot,
     ) {
-        let Some(x) = self.xfers.recv.get_mut(&pull) else {
+        let Some((proc, _, _, x)) = pull_of(&mut self.xfers, msg, pull) else {
             // Stale: the transfer already finished (e.g. a duplicated or
             // badly delayed reply outliving its transaction).
             let node = self.node_of(dst);
@@ -977,7 +1014,7 @@ impl Cluster {
             self.nodes[x.node].counters.bump(Counter::DupFramesRx);
             return; // duplicate frame
         }
-        let (node, region, proc, xfer_len, msg) = (x.node, x.region, x.proc, x.xfer_len, x.msg);
+        let (node, region, xfer_len) = (x.node, x.region, x.xfer_len);
         let len = data.len();
 
         // The decisive check of the overlapped design: has the pin cursor
@@ -1007,53 +1044,46 @@ impl Cluster {
             return;
         }
         self.nodes[node].counters.bump(Counter::PullFramesOk);
-
+        x.blocks[block as usize].received |= bit;
         if self.cfg.use_ioat {
             let token = self.next_ioat_token;
             self.next_ioat_token += 1;
             let done = self.nodes[node].ioat.submit(self.now, len);
             self.queue.schedule(done, Event::IoatDone { node, token });
-            self.xfers.ioat.insert(
-                token,
-                PendingCopy {
-                    pull,
-                    block,
-                    frame,
-                    offset,
-                    data,
-                },
-            );
-            if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                x.ioat_pending += 1;
-                x.blocks[block as usize].received |= bit;
-            }
+            let copy = PendingCopy {
+                msg,
+                pull,
+                block,
+                frame,
+                offset,
+                data,
+            };
+            self.nodes[node].ioat_copies.insert(token, copy);
+            x.ioat_pending += 1;
         } else {
             let n = &mut self.nodes[node];
             let r = n.driver.region(region);
             r.land(&mut n.mem, offset, &data).expect("pinned write");
-            if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                x.blocks[block as usize].received |= bit;
-                x.frames_placed += 1;
-            }
+            x.frames_placed += 1;
         }
 
-        self.after_pull_progress(pull, block, proc);
+        self.after_pull_progress(msg, pull, block);
     }
 
     /// Common post-processing after any pull progress: next block request,
     /// optimistic re-requests, stall-timer reset, completion check.
-    fn after_pull_progress(&mut self, pull: PullId, block: u32, _proc: ProcId) {
-        let Some(x) = self.xfers.recv.get_mut(&pull) else {
+    fn after_pull_progress(&mut self, msg: MsgId, pull: PullId, block: u32) {
+        let Some((proc, _, retry, x)) = pull_of(&mut self.xfers, msg, pull) else {
             return;
         };
         x.advance_first_hole();
         // Block finished -> keep the pipeline full.
         if x.blocks[block as usize].complete() {
-            let (node, proc, msg) = (x.node, x.proc, x.msg);
+            let node = x.node;
             let blk = x.blocks[block as usize];
             // Forward progress: the retry budget is for consecutive silent
             // timeouts, not for the whole (possibly long) transfer.
-            x.retry.retries = 0;
+            retry.retries = 0;
             // A completed block is an RTT sample for the adaptive timer —
             // unless it was ever re-requested, in which case the completion
             // is ambiguous (Karn's rule).
@@ -1062,7 +1092,7 @@ impl Cluster {
                     .observe(self.now.saturating_duration_since(blk.requested_at));
             }
             self.emit(node, Some(proc), TraceEvent::BlockDone { pull, msg, block });
-            self.request_next_block(pull);
+            self.request_next_block(msg, pull);
         }
         // Optimistic re-request (§4.3): receiving a frame of block `b`
         // while an *earlier* block still has holes and has not been
@@ -1070,17 +1100,17 @@ impl Cluster {
         let (guard, now) = (self.rerequest_guard(), self.now);
         let mut rerequests = Vec::new();
         if self.cfg.optimistic_rerequest {
-            if let Some(x) = self.xfers.recv.get(&pull) {
+            if let Some((.., x)) = pull_of(&mut self.xfers, msg, pull) {
                 rerequests.extend(x.holes_below(block).filter(|&i| {
                     now.saturating_duration_since(x.blocks[i as usize].requested_at) > guard
                 }));
             }
         }
         for b in rerequests {
-            let Some(x) = self.xfers.recv.get(&pull) else {
+            let Some((proc, _, _, x)) = pull_of(&mut self.xfers, msg, pull) else {
                 return;
             };
-            let (node, proc, msg) = (x.node, x.proc, x.msg);
+            let node = x.node;
             self.nodes[node].counters.bump(Counter::PullRereqOptimistic);
             self.emit(
                 node,
@@ -1091,84 +1121,79 @@ impl Cluster {
                     msg,
                 },
             );
-            self.rerequest_block(pull, b);
+            self.rerequest_block(msg, pull, b);
         }
         // Progress: push the stall timer out.
-        self.arm_retry(RetryKey::Pull(pull), 0);
-        if self.xfers.recv.get(&pull).is_some_and(RecvXfer::data_done) {
-            self.finish_recv(pull);
+        self.arm_retry((msg, End::Rx), 0);
+        if pull_of(&mut self.xfers, msg, pull).is_some_and(|(.., x)| x.data_done()) {
+            self.finish_recv(msg);
         }
     }
 
     fn on_ioat_done(&mut self, node: usize, token: u64) {
-        let Some(copy) = self.xfers.ioat.remove(&token) else {
+        let Some(copy) = self.nodes[node].ioat_copies.remove(&token) else {
             return;
         };
-        let Some(x) = self.xfers.recv.get_mut(&copy.pull) else {
+        let Some((.., x)) = pull_of(&mut self.xfers, copy.msg, copy.pull) else {
             return; // transfer failed/aborted while the copy was in flight
         };
         x.ioat_pending -= 1;
-        let (region, proc) = (x.region, x.proc);
-        let pull = copy.pull;
         let n = &mut self.nodes[node];
-        let r = n.driver.region(region);
+        let r = n.driver.region(x.region);
         match r.land(&mut n.mem, copy.offset, &copy.data) {
-            Ok(()) => {
-                if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                    x.frames_placed += 1;
-                }
-            }
+            Ok(()) => x.frames_placed += 1,
             Err(_) => {
                 // Region was invalidated mid-copy: treat the frame as lost.
                 n.counters.bump(Counter::IoatLandingMiss);
-                if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                    x.unreceive(copy.block, copy.frame);
-                }
+                x.unreceive(copy.block, copy.frame);
             }
         }
-        self.after_pull_progress(pull, copy.block, proc);
+        self.after_pull_progress(copy.msg, copy.pull, copy.block);
     }
 
-    fn finish_recv(&mut self, pull: PullId) {
-        let Some(x) = self.xfers.recv.remove(&pull) else {
-            return;
+    /// Every frame of the pull landed: complete the receive, and turn its
+    /// entry into the notify that retransmits until the sender acks.
+    fn finish_recv(&mut self, msg: MsgId) {
+        let x = self.xfers.get_mut(&(msg, End::Rx)).expect("pulling");
+        let Phase::Pull(p) = std::mem::replace(&mut x.phase, Phase::Notify) else {
+            unreachable!("pulling")
         };
-        self.xfers.recv_by_msg.remove(&x.msg);
-        self.cancel_timer(x.retry.timer);
-        self.procs[x.proc.0 as usize].endpoint.mark_completed(x.msg);
-        self.xfers.notify_pending.insert(
-            x.msg,
-            NotifyPending {
-                proc: x.proc,
-                peer: x.peer,
-                retry: Retry::default(),
-            },
-        );
-        self.transmit_notify(x.msg);
-        self.arm_retry(RetryKey::Notify(x.msg), 0);
-        debug_assert_eq!(x.frames_placed, x.frames_total, "placed every frame");
-        self.release_region(x.proc, x.node, x.region, x.owned);
+        // The notify's first arm below moves the pending stall timer,
+        // which is the same as cancelling it and arming afresh.
+        x.retry.retries = 0;
+        let (proc, req) = (x.proc, x.req);
+        self.procs[proc.0 as usize].endpoint.mark_completed(msg);
+        self.transmit_notify(msg);
+        self.arm_retry((msg, End::Rx), 0);
+        debug_assert_eq!(p.frames_placed, p.frames_total, "placed every frame");
+        self.release_region(proc, p.node, p.region, p.owned);
         self.emit(
-            x.node,
-            Some(x.proc),
+            p.node,
+            Some(proc),
             TraceEvent::RecvDone {
-                msg: x.msg,
-                len: x.xfer_len,
+                msg,
+                len: p.xfer_len,
             },
         );
-        self.notify_app(x.proc, AppEvent::RecvDone(x.req, x.xfer_len));
+        self.notify_app(proc, AppEvent::RecvDone(req, p.xfer_len));
     }
 
     fn on_notify_ack(&mut self, msg: MsgId) {
-        if let Some(p) = self.xfers.notify_pending.remove(&msg) {
-            self.cancel_timer(p.retry.timer);
+        let key = (msg, End::Rx);
+        if self
+            .xfers
+            .get(&key)
+            .is_some_and(|x| matches!(x.phase, Phase::Notify))
+        {
+            let x = self.xfers.remove(&key).expect("looked up above");
+            self.cancel_timer(x.retry.timer);
         }
     }
 
     /// (Re)send the completion notify of a received transfer.
     fn transmit_notify(&mut self, msg: MsgId) {
-        let p = &self.xfers.notify_pending[&msg];
-        let f = self.frame(p.proc, p.peer, WireMsg::Notify { msg });
+        let x = &self.xfers[&(msg, End::Rx)];
+        let f = self.frame(x.proc, x.peer, WireMsg::Notify { msg });
         self.transmit(f);
     }
 
@@ -1251,11 +1276,16 @@ impl Cluster {
                 src, dst, msg, match_info, frag, frag_count, total_len, offset, data,
             ),
             WireMsg::EagerAck { msg } => {
-                if let Some(tx) = self.xfers.eager_tx.remove(&msg) {
-                    self.cancel_timer(tx.retry.timer);
+                if let Some(Xfer {
+                    retry,
+                    phase: Phase::EagerTx(tx),
+                    ..
+                }) = self.xfers.remove(&(msg, End::Tx)).map(|x| *x)
+                {
+                    self.cancel_timer(retry.timer);
                     // Karn's rule: only a never-retransmitted exchange gives
                     // an unambiguous round-trip sample.
-                    if tx.retry.retries == 0 {
+                    if retry.retries == 0 {
                         self.rtt
                             .observe(self.now.saturating_duration_since(tx.sent_at));
                     }
@@ -1279,12 +1309,12 @@ impl Cluster {
             } => self.on_pull_req(dst, msg, pull, block, frame_mask, xfer_len),
             WireMsg::PullReply {
                 pull,
+                msg,
                 block,
                 frame,
                 offset,
                 data,
-                ..
-            } => self.on_pull_reply(dst, pull, block, frame, offset, data),
+            } => self.on_pull_reply(dst, msg, pull, block, frame, offset, data),
             WireMsg::Notify { msg } => self.on_notify(src, dst, msg),
             WireMsg::NotifyAck { msg } => self.on_notify_ack(msg),
         }
@@ -1367,7 +1397,7 @@ impl Cluster {
                 },
             );
         } else {
-            self.xfers.deferred_undeclare.insert((node, victim.0));
+            self.nodes[node].deferred_undeclare.insert(victim);
         }
     }
 
@@ -1387,8 +1417,8 @@ impl Cluster {
             // entries are validated on pop).
             self.nodes[node].driver.note_region_idle(region);
         }
-        if idle && (owned || self.xfers.deferred_undeclare.remove(&(node, region.0))) {
-            self.xfers.pin_plans.remove(&(node, region.0));
+        if idle && (owned || self.nodes[node].deferred_undeclare.remove(&region)) {
+            self.nodes[node].pin_plans.remove(&region);
             let cost = self.cfg.profile.unpin_cost(pages);
             self.submit_kernel_work(
                 proc,
@@ -1426,7 +1456,7 @@ impl Cluster {
             n.driver.undeclare(&mut n.mem, region);
             self.emit(node, None, TraceEvent::RegionUndeclare { region });
         }
-        self.xfers.pin_plans.remove(&(node, region.0));
+        self.nodes[node].pin_plans.remove(&region);
     }
 
     // ================== on-demand pinning machinery ==================
@@ -1455,10 +1485,9 @@ impl Cluster {
         // here even while its frames are still attached.
         let r = self.nodes[node].driver.region(region);
         let (cursor, generation) = (r.valid_pages(), r.generation);
-        let plan = self
-            .xfers
+        let plan = self.nodes[node]
             .pin_plans
-            .entry((node, region.0))
+            .entry(region)
             .or_insert_with(|| PinPlan::new(proc));
         plan.target = plan.target.max(target_pages);
         plan.proc = proc;
@@ -1483,11 +1512,7 @@ impl Cluster {
         }
         if cursor < target && !in_progress {
             let now = self.now;
-            let plan = self
-                .xfers
-                .pin_plans
-                .get_mut(&(node, region.0))
-                .expect("plan");
+            let plan = self.nodes[node].pin_plans.get_mut(&region).expect("plan");
             plan.in_progress = true;
             plan.started_at = Some(now);
             // Stamp the pass with the region generation it saw: a
@@ -1512,13 +1537,9 @@ impl Cluster {
             self.submit_pin_chunk(node, proc, region, cursor, target);
         } else if cursor >= target {
             // Nothing to pin; a waiterless plan can go away.
-            let plan = self
-                .xfers
-                .pin_plans
-                .get_mut(&(node, region.0))
-                .expect("plan");
-            if plan.waiters.is_empty() && !plan.in_progress {
-                self.xfers.pin_plans.remove(&(node, region.0));
+            let plans = &mut self.nodes[node].pin_plans;
+            if plans[&region].waiters.is_empty() && !plans[&region].in_progress {
+                plans.remove(&region);
             }
         }
         satisfied
@@ -1601,7 +1622,7 @@ impl Cluster {
         }
         // The chunk is on its way to a kernel core: reserve its pages
         // against the tenant's cap until `on_pin_chunk` settles them.
-        if let Some(plan) = self.xfers.pin_plans.get_mut(&(node, region.0)) {
+        if let Some(plan) = self.nodes[node].pin_plans.get_mut(&region) {
             plan.reserved = pages;
         }
         let duration = self.cfg.profile.pin_cost(pages, cursor == 0);
@@ -1611,16 +1632,11 @@ impl Cluster {
     /// Pages reserved by in-flight pin chunks of `owner`'s *other* plans
     /// on `node` (the plan for `region` is the one being charged here).
     fn reserved_pages(&self, node: usize, owner: ProcId, region: RegionId) -> u64 {
-        self.xfers
-            .pin_plans
+        let n = &self.nodes[node];
+        n.pin_plans
             .iter()
-            .filter(|((n, rid), _)| {
-                *n == node
-                    && *rid != region.0
-                    && self.nodes[node]
-                        .driver
-                        .try_region(RegionId(*rid))
-                        .is_some_and(|r| r.owner == owner)
+            .filter(|(&rid, _)| {
+                rid != region && n.driver.try_region(rid).is_some_and(|r| r.owner == owner)
             })
             .map(|(_, p)| p.reserved)
             .sum()
@@ -1643,7 +1659,7 @@ impl Cluster {
         if let Some(r) = self.nodes[node].driver.try_region_mut(region) {
             r.pinning_in_progress = false;
         }
-        self.xfers.pin_plans.remove(&(node, region.0));
+        self.nodes[node].pin_plans.remove(&region);
         self.nodes[node].counters.bump(Counter::QuotaDenials);
         self.nodes[node].driver.note_quota_denial(owner);
         self.emit(node, Some(owner), TraceEvent::PinDenied { region, pages });
@@ -1652,10 +1668,10 @@ impl Cluster {
 
     fn on_pin_chunk(&mut self, node: usize, region: RegionId) {
         if !self.nodes[node].driver.is_declared(region) {
-            self.xfers.pin_plans.remove(&(node, region.0));
+            self.nodes[node].pin_plans.remove(&region);
             return;
         }
-        let Some(plan) = self.xfers.pin_plans.get_mut(&(node, region.0)) else {
+        let Some(plan) = self.nodes[node].pin_plans.get_mut(&region) else {
             return; // plan cancelled (transfer completed/aborted)
         };
         // The submitted chunk has arrived: its reservation against the
@@ -1673,11 +1689,7 @@ impl Cluster {
             // blindly from here would re-pin just-invalidated pages.
             // Abort the pass and restart it from the rewound cursor —
             // the simulated `mmu_notifier_retry`.
-            let plan = self
-                .xfers
-                .pin_plans
-                .get_mut(&(node, region.0))
-                .expect("plan");
+            let plan = self.nodes[node].pin_plans.get_mut(&region).expect("plan");
             plan.generation = region_gen;
             self.nodes[node].counters.bump(Counter::PinPassRestarts);
             if cursor < target {
@@ -1727,7 +1739,7 @@ impl Cluster {
                         .counters
                         .add(Counter::UnpinPages, rolled_back);
                 }
-                self.xfers.pin_plans.remove(&(node, region.0));
+                self.nodes[node].pin_plans.remove(&region);
                 self.nodes[node].counters.bump(Counter::PinFailures);
                 self.fail_region_users(node, region, "pinning failed (invalid region)");
             }
@@ -1759,11 +1771,7 @@ impl Cluster {
                 );
                 // Fire satisfied waiters.
                 let fired: Vec<PinWaiter> = {
-                    let plan = self
-                        .xfers
-                        .pin_plans
-                        .get_mut(&(node, region.0))
-                        .expect("plan");
+                    let plan = self.nodes[node].pin_plans.get_mut(&region).expect("plan");
                     let mut fired = Vec::new();
                     plan.waiters.retain(|w| {
                         if cursor >= w.threshold_pages {
@@ -1781,12 +1789,11 @@ impl Cluster {
                         Some(proc),
                         TraceEvent::PinWaitEnd { msg: w.msg, region },
                     );
-                    self.run_pin_action(w.action);
+                    self.run_pin_waiter(w);
                 }
-                let target = self
-                    .xfers
+                let target = self.nodes[node]
                     .pin_plans
-                    .get(&(node, region.0))
+                    .get(&region)
                     .map(|p| p.target)
                     .unwrap_or(0);
                 if cursor < target {
@@ -1806,7 +1813,7 @@ impl Cluster {
         // With the pin pass over, an idle pinned region is an eviction
         // candidate: file it with the pressure LRU.
         self.nodes[node].driver.note_region_idle(region);
-        if let Some(plan) = self.xfers.pin_plans.get_mut(&(node, region.0)) {
+        if let Some(plan) = self.nodes[node].pin_plans.get_mut(&region) {
             let was_running = plan.in_progress;
             plan.in_progress = false;
             if let Some(started) = plan.started_at.take() {
@@ -1815,7 +1822,7 @@ impl Cluster {
             }
             let proc = plan.proc;
             if plan.waiters.is_empty() {
-                self.xfers.pin_plans.remove(&(node, region.0));
+                self.nodes[node].pin_plans.remove(&region);
             }
             if was_running {
                 self.emit(
@@ -1830,8 +1837,9 @@ impl Cluster {
         }
     }
 
-    /// Pin `region` toward `target` pages for `proc`'s transfer and run
-    /// `action` once the cursor allows: when overlapping, after the first
+    /// Pin `region` toward `target` pages for `proc`'s transfer `msg` and
+    /// then send its rendezvous (`pull` is `None`) or start its pull, once
+    /// the cursor allows: when overlapping, after the first
     /// `presync_pages` (at once when that is zero — the action then races
     /// the pin); otherwise after the whole target.
     fn pin_then(
@@ -1840,7 +1848,8 @@ impl Cluster {
         region: RegionId,
         target: u64,
         hint: OverlapHint,
-        action: PinAction,
+        msg: MsgId,
+        pull: Option<PullId>,
     ) {
         let node = self.procs[proc.0 as usize].node;
         let threshold_pages = if hint.resolve(self.cfg.pinning.overlaps()) {
@@ -1848,49 +1857,38 @@ impl Cluster {
         } else {
             target
         };
-        let msg = match action {
-            PinAction::SendRndv(msg) => msg,
-            PinAction::RecvStart(pull) => self.xfers.recv[&pull].msg,
-        };
         let waiter = PinWaiter {
             threshold_pages,
-            action,
             msg,
+            pull,
         };
         if self.ensure_pinned(node, proc, region, target, Some(waiter)) {
-            self.run_pin_action(action);
+            self.run_pin_waiter(waiter);
         }
     }
 
-    fn run_pin_action(&mut self, action: PinAction) {
-        match action {
-            PinAction::SendRndv(msg) => {
-                if self.xfers.send.contains_key(&msg) {
-                    self.send_rndv(msg);
-                }
-            }
-            PinAction::RecvStart(pull) => {
-                if self.xfers.recv.contains_key(&pull) {
-                    self.recv_start(pull);
-                }
-            }
+    /// Run a waiter's action. Both check that the transfer still runs the
+    /// phase that queued it: `send_rndv` that the send is in flight, the
+    /// pull requests that their `PullId` is still the live pull.
+    fn run_pin_waiter(&mut self, w: PinWaiter) {
+        match w.pull {
+            None => self.send_rndv(w.msg),
+            Some(pull) => self.recv_start(w.msg, pull),
         }
     }
 
     /// After an MMU-notifier invalidation, any transfer still using the
-    /// region needs its pin plan restarted (repin on demand).
+    /// region needs its pin plan restarted (repin on demand). Every user
+    /// of a region belongs to its owner, so the target is the largest any
+    /// of them needs.
     pub(crate) fn restart_pin_plan_if_needed(&mut self, node: usize, region: RegionId) {
         let mut need: Option<(ProcId, u64)> = None;
-        for x in self.xfers.send.values() {
-            if x.node == node && x.region == region {
-                let t = self.pin_target(node, region, x.total_len);
-                let cur = need.map_or(0, |(_, t)| t);
-                need = Some((x.proc, t.max(cur)));
-            }
-        }
-        for x in self.xfers.recv.values() {
-            if x.node == node && x.region == region {
-                let t = self.pin_target(node, region, x.xfer_len);
+        for x in self.xfers.values() {
+            if let Some((_, _, len, _)) = x
+                .region_use()
+                .filter(|&(n, r, _, _)| n == node && r == region)
+            {
+                let t = self.pin_target(node, region, len);
                 let cur = need.map_or(0, |(_, t)| t);
                 need = Some((x.proc, t.max(cur)));
             }
@@ -1935,48 +1933,36 @@ impl Cluster {
         }
     }
 
-    /// Abort every transfer that depends on a region whose pinning failed.
+    /// Abort every transfer that depends on a region whose pinning failed:
+    /// sends in `MsgId` order, then pulls in `PullId` order.
     fn fail_region_users(&mut self, node: usize, region: RegionId, reason: &'static str) {
-        let sends: Vec<MsgId> = self
+        let mut users: Vec<(End, u64, MsgId)> = self
             .xfers
-            .send
             .iter()
-            .filter(|(_, x)| x.node == node && x.region == region)
-            .map(|(m, _)| *m)
+            .filter(|(_, x)| {
+                x.region_use()
+                    .is_some_and(|(n, r, ..)| n == node && r == region)
+            })
+            .map(|(&(msg, end), x)| (end, x.pull_id().map_or(msg.0, |p| p.0), msg))
             .collect();
-        for msg in sends {
-            self.fail_send(msg, reason);
-        }
-        let recvs: Vec<PullId> = self
-            .xfers
-            .recv
-            .iter()
-            .filter(|(_, x)| x.node == node && x.region == region)
-            .map(|(p, _)| *p)
-            .collect();
-        for pull in recvs {
-            self.fail_recv(pull, reason);
+        users.sort_unstable();
+        for (end, id, msg) in users {
+            let pull = (end == End::Rx).then_some(PullId(id));
+            self.fail_xfer((msg, end), pull, reason);
         }
     }
 
-    fn fail_send(&mut self, msg: MsgId, reason: &'static str) {
-        let Some(x) = self.xfers.send.remove(&msg) else {
+    /// Fail a rendezvous send (`pull` is `None`) or the pull `pull`, if
+    /// that is still what `key` runs: release its region and report.
+    fn fail_xfer(&mut self, key: XferKey, pull: Option<PullId>, reason: &'static str) {
+        if self.xfers.get(&key).is_none_or(|x| x.pull_id() != pull) {
             return;
-        };
+        }
+        let x = self.xfers.remove(&key).expect("looked up above");
+        let (node, region, _, owned) = x.region_use().expect("a region user");
         self.cancel_timer(x.retry.timer);
-        self.release_region(x.proc, x.node, x.region, x.owned);
-        self.nodes[x.node].counters.bump(Counter::RequestsFailed);
-        self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
-    }
-
-    fn fail_recv(&mut self, pull: PullId, reason: &'static str) {
-        let Some(x) = self.xfers.recv.remove(&pull) else {
-            return;
-        };
-        self.xfers.recv_by_msg.remove(&x.msg);
-        self.cancel_timer(x.retry.timer);
-        self.release_region(x.proc, x.node, x.region, x.owned);
-        self.nodes[x.node].counters.bump(Counter::RequestsFailed);
+        self.release_region(x.proc, node, region, owned);
+        self.nodes[node].counters.bump(Counter::RequestsFailed);
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
     }
 
@@ -1996,23 +1982,18 @@ impl Cluster {
         }
     }
 
-    /// The one retry path of the four retried states (eager, rendezvous,
+    /// The one retry path of the four retried phases (eager, rendezvous,
     /// pull stall, notify): count the timeout, short-circuit a dead peer,
     /// give up once the budget is spent, otherwise resend and re-arm with
     /// backoff. Only the resend, the terminal action and the counter
-    /// names differ per state.
-    fn on_retry_timer(&mut self, key: RetryKey) {
-        let Some(Retried {
-            retry,
-            proc,
-            peer,
-            msg,
-        }) = self.xfers.retried(key)
-        else {
+    /// names differ per phase.
+    fn on_retry_timer(&mut self, key: XferKey) {
+        let Some(x) = self.xfers.get_mut(&key) else {
             return;
         };
-        retry.retries += 1;
-        let retries = retry.retries;
+        x.retry.retries += 1;
+        let (retries, proc, peer, msg) = (x.retry.retries, x.proc, x.peer, key.0);
+        let (kind, id) = x.retrans(msg);
         let node = self.procs[proc.0 as usize].node;
         if self.procs[proc.0 as usize].crashed {
             return; // zombie entry (leaky fault injection): let it rot
@@ -2024,7 +2005,6 @@ impl Cluster {
             self.end_retry(key, false);
             return;
         }
-        let (kind, id) = (key.kind(), key.id());
         if retries > self.cfg.max_retries {
             self.emit(
                 node,
@@ -2034,52 +2014,56 @@ impl Cluster {
             self.end_retry(key, true);
             return;
         }
-        if let RetryKey::Rndv(msg) = key {
-            if self.xfers.send[&msg].pull_seen {
-                // Completion watchdog: the transfer is in the receiver's
-                // hands (it pulls at its own pace), so there is nothing
-                // to resend — just keep waiting for the notify with
-                // backoff. Every incoming pull request resets `retries`,
-                // so only total silence exhausts it.
-                self.nodes[node]
-                    .counters
-                    .bump(Counter::SendWatchdogTimeouts);
-                self.arm_retry(key, retries);
-                return;
-            }
+        if let Phase::Rndv(Rndv {
+            pull_seen: true, ..
+        }) = self.xfers[&key].phase
+        {
+            // Completion watchdog: the transfer is in the receiver's
+            // hands (it pulls at its own pace), so there is nothing
+            // to resend — just keep waiting for the notify with
+            // backoff. Every incoming pull request resets `retries`,
+            // so only total silence exhausts it.
+            self.nodes[node]
+                .counters
+                .bump(Counter::SendWatchdogTimeouts);
+            self.arm_retry(key, retries);
+            return;
         }
-        let counter = match key {
-            RetryKey::Eager(_) => Counter::EagerRetrans,
-            RetryKey::Rndv(_) => Counter::RndvRetrans,
-            RetryKey::Pull(_) => Counter::PullStallTimeouts,
-            RetryKey::Notify(_) => Counter::NotifyRetrans,
+        let counter = match kind {
+            RetransKind::Eager => Counter::EagerRetrans,
+            RetransKind::Rndv => Counter::RndvRetrans,
+            RetransKind::PullStall => Counter::PullStallTimeouts,
+            RetransKind::Notify => Counter::NotifyRetrans,
+            RetransKind::OptimisticRereq => unreachable!("not a timer"),
         };
         self.nodes[node].counters.bump(counter);
         self.emit(node, Some(proc), TraceEvent::Retransmit { kind, id, msg });
-        match key {
-            RetryKey::Eager(msg) => self.transmit_eager_frames(msg),
+        match &self.xfers[&key].phase {
+            Phase::EagerTx(_) => self.transmit_eager_frames(msg),
             // Re-arms itself before tracing the rendezvous.
-            RetryKey::Rndv(msg) => return self.send_rndv(msg),
-            RetryKey::Pull(pull) => {
+            Phase::Rndv(_) => return self.send_rndv(msg),
+            Phase::Pull(x) => {
                 // Re-request everything outstanding.
-                let x = &self.xfers.recv[&pull];
+                let pull = x.id;
                 let stalled: Vec<u32> = x.holes_below(x.next_block).collect();
                 for b in stalled {
-                    self.rerequest_block(pull, b);
+                    self.rerequest_block(msg, pull, b);
                 }
             }
-            RetryKey::Notify(msg) => self.transmit_notify(msg),
+            // Notify: the timerless phases never arm a timer.
+            _ => self.transmit_notify(msg),
         }
         self.arm_retry(key, retries);
     }
 
     /// A retried entry's terminal transition: its peer is gone, or
     /// (`exhausted`) its retry budget ran out.
-    fn end_retry(&mut self, key: RetryKey, exhausted: bool) {
-        match key {
-            RetryKey::Eager(msg) => {
-                let tx = self.xfers.eager_tx.remove(&msg).expect("retried entry");
-                let node = self.procs[tx.proc.0 as usize].node;
+    fn end_retry(&mut self, key: XferKey, exhausted: bool) {
+        let x = &self.xfers[&key];
+        let (proc, req, node) = (x.proc, x.req, self.procs[x.proc.0 as usize].node);
+        match &x.phase {
+            Phase::EagerTx(_) => {
+                self.xfers.remove(&key);
                 if exhausted {
                     self.nodes[node].counters.bump(Counter::EagerAbandoned);
                 }
@@ -2092,60 +2076,52 @@ impl Cluster {
                 } else {
                     "peer crashed"
                 };
-                self.notify_app(tx.proc, AppEvent::Failed(tx.req, reason));
+                self.notify_app(proc, AppEvent::Failed(req, reason));
             }
-            RetryKey::Rndv(msg) => {
+            Phase::Rndv(x) => {
                 // Before `pull_seen` the rendezvous itself never got
                 // through; after it, the pull/notify tail went silent —
                 // either way the handle errors instead of hanging.
-                let reason = match (exhausted, self.xfers.send[&msg].pull_seen) {
+                let reason = match (exhausted, x.pull_seen) {
                     (false, _) => "peer crashed",
                     (true, false) => "rendezvous timed out",
                     (true, true) => "transfer completion timed out",
                 };
-                self.fail_send(msg, reason);
+                self.fail_xfer(key, None, reason);
             }
-            RetryKey::Pull(pull) => {
+            Phase::Pull(x) => {
                 let reason = if exhausted {
                     "pull transfer stalled"
                 } else {
                     "peer crashed"
                 };
-                self.fail_recv(pull, reason);
+                self.fail_xfer(key, Some(x.id), reason);
             }
-            RetryKey::Notify(msg) => {
-                // The receive already completed locally. A dead sender
+            _ => {
+                // Notify: the receive already completed locally. A dead sender
                 // will never ack; a silent live one has its completion
                 // watchdog turn the silence into a clean send-side
                 // failure. Either way, drop the state.
-                let p = self
-                    .xfers
-                    .notify_pending
-                    .remove(&msg)
-                    .expect("retried entry");
+                self.xfers.remove(&key);
                 if exhausted {
-                    let node = self.node_of(p.proc);
                     self.nodes[node].counters.bump(Counter::NotifyAbandoned);
                 }
             }
         }
     }
 
-    /// (Re)arm a retried entry's timer, `attempt` driving the backoff.
+    /// (Re)arm an entry's retry timer, `attempt` driving the backoff.
     /// A pending timer moves; a fired one is replaced. No-op (and no
     /// timeout drawn) once the entry is gone.
-    fn arm_retry(&mut self, key: RetryKey, attempt: u32) {
-        let Some(Retried { proc, msg, .. }) = self.xfers.retried(key) else {
+    fn arm_retry(&mut self, key: XferKey, attempt: u32) {
+        let Some(x) = self.xfers.get(&key) else {
             return;
         };
-        let node = self.procs[proc.0 as usize].node;
-        let timeout = self.retrans_timeout(node, key.kind(), key.id(), msg, attempt);
+        let node = self.procs[x.proc.0 as usize].node;
+        let (kind, id) = x.retrans(key.0);
+        let timeout = self.retrans_timeout(node, kind, id, key.0, attempt);
         let at = self.now + timeout;
-        let retry = self
-            .xfers
-            .retried(key)
-            .expect("entry looked up above")
-            .retry;
+        let retry = &mut self.xfers.get_mut(&key).expect("looked up above").retry;
         let queue = &mut self.queue;
         let moved = retry.timer.take().and_then(|id| queue.reschedule(id, at));
         retry.timer =

@@ -20,6 +20,8 @@ mod xfer;
 
 pub use ctx::Ctx;
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use simcore::{
     CpuCore, EventId, EventQueue, Priority, SimDuration, SimRng, SimTime, Work as CpuWork,
 };
@@ -37,7 +39,7 @@ use crate::obs::{
 };
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 use rto::RttEstimator;
-use xfer::{RetryKey, XferTables};
+use xfer::{PendingCopy, Phase, PinPlan, Xfer, XferKey};
 
 /// Identifies a simulated process (rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -111,8 +113,8 @@ pub(crate) enum Event {
 /// Timer identities (payload of [`Event::Timer`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TimerToken {
-    /// Retransmission (or completion-watchdog) timeout of a retried entry.
-    Retry(RetryKey),
+    /// Retransmission (or completion-watchdog) timeout of a transfer end.
+    Retry(XferKey),
     /// Deferred-unpin flush epoch close on a node: drain the driver's
     /// coalesced invalidation queue in one batch.
     NotifierEpoch(usize),
@@ -203,6 +205,13 @@ pub(crate) struct Node {
     /// only when an invalidation defers while no epoch is open — never
     /// re-armed from its own firing, so an idle node stays quiescent.
     pub epoch_armed: bool,
+    /// On-demand pin plans of this node's regions.
+    pub pin_plans: BTreeMap<RegionId, PinPlan>,
+    /// Parked I/OAT copies, by completion token.
+    pub ioat_copies: BTreeMap<u64, PendingCopy>,
+    /// Cache-evicted regions that were still in use at eviction time:
+    /// undeclare them when their last use drains.
+    pub deferred_undeclare: BTreeSet<RegionId>,
 }
 
 /// One simulated process (rank) and its kernel-side identity.
@@ -230,7 +239,8 @@ pub struct Cluster {
     pub(crate) net: Network,
     pub(crate) nodes: Vec<Node>,
     pub(crate) procs: Vec<ProcSlot>,
-    pub(crate) xfers: XferTables,
+    /// Every in-flight transfer end (see `xfer` for why it is boxed).
+    pub(crate) xfers: BTreeMap<XferKey, Box<Xfer>>,
     pub(crate) next_msg: u64,
     pub(crate) next_pull: u64,
     pub(crate) next_req: u64,
@@ -272,6 +282,9 @@ impl Cluster {
                 counters: CounterSet::default(),
                 bh_core: 0,
                 epoch_armed: false,
+                pin_plans: BTreeMap::new(),
+                ioat_copies: BTreeMap::new(),
+                deferred_undeclare: BTreeSet::new(),
             })
             .collect();
         Cluster {
@@ -280,7 +293,7 @@ impl Cluster {
             net,
             nodes,
             procs: Vec::new(),
-            xfers: XferTables::default(),
+            xfers: BTreeMap::new(),
             next_msg: 0,
             next_pull: 0,
             next_req: 0,
@@ -546,18 +559,17 @@ impl Cluster {
         self.procs[proc.0 as usize].cache.cached_ids()
     }
 
-    /// In-flight transfer state entries across every protocol table —
-    /// zero means every posted operation has fully drained.
+    /// In-flight protocol state: one entry per transfer end (a receive
+    /// counts once whether it is pulling or awaiting its notify's ack),
+    /// per parked I/OAT copy and per pin plan — zero means every posted
+    /// operation has fully drained.
     pub fn inflight_xfers(&self) -> usize {
-        let x = &self.xfers;
-        x.eager_tx.len()
-            + x.eager_rx.len()
-            + x.send.len()
-            + x.recv.len()
-            + x.notify_pending.len()
-            + x.shm.len()
-            + x.ioat.len()
-            + x.pin_plans.len()
+        let per_node: usize = self
+            .nodes
+            .iter()
+            .map(|n| n.ioat_copies.len() + n.pin_plans.len())
+            .sum();
+        self.xfers.len() + per_node
     }
 
     /// Live (non-cancelled) events still pending in the queue.
@@ -828,76 +840,44 @@ impl Cluster {
         self.procs[proc.0 as usize].incarnation
     }
 
-    /// Tear down every protocol-table entry touching a dead process. The
-    /// dead side is dropped without completions; live counterparts of
-    /// *timerless* states (matched eager reassembly, shm rendezvous)
-    /// fail immediately — everything with a watchdog keeps its entry and
-    /// short-circuits when the timer fires. Each table is one filter
-    /// pass, in ascending key order, which fixes the order of the
-    /// `Failed` callbacks.
+    /// Tear down every transfer end touching a dead process, in one pass
+    /// in key order. The dead side is dropped without completions; live
+    /// counterparts of *timerless* phases (matched eager reassembly, shm
+    /// messages) fail — everything with a watchdog keeps its entry and
+    /// short-circuits when the timer fires. Eager receivers fail before
+    /// shm receivers, each in `MsgId` order.
     fn reap_crashed_xfers(&mut self, proc: ProcId) {
         let node = self.procs[proc.0 as usize].node;
-        // Sender-side eager retransmission state.
-        for (_, t) in self.xfers.eager_tx.extract_if(.., |_, t| t.proc == proc) {
-            cancel_in(&mut self.queue, t.retry.timer);
-        }
-        // Matched eager reassembly: the dead side is dropped; a live
-        // receiver mid-reassembly from the dead sender fails now — the
-        // missing fragments will never arrive and no timer guards it.
-        let orphaned: Vec<_> = self
-            .xfers
-            .eager_rx
-            .extract_if(.., |_, m| m.proc == proc || m.rx.src.proc == proc)
-            .filter(|(_, m)| m.proc != proc)
-            .map(|(_, m)| (m.proc, m.req))
-            .collect();
-        self.fail_orphans(orphaned);
-        // Rendezvous sender state.
-        for (_, x) in self.xfers.send.extract_if(.., |_, x| x.proc == proc) {
+        let (mut eager_orphans, mut shm_orphans) = (Vec::new(), Vec::new());
+        let doomed = |x: &Xfer| {
+            x.proc == proc
+                || (x.peer.proc == proc && matches!(x.phase, Phase::EagerRx(_) | Phase::Shm(_)))
+        };
+        for (_, x) in self.xfers.extract_if(.., |_, x| doomed(x)) {
             cancel_in(&mut self.queue, x.retry.timer);
+            match x.phase {
+                // A live receiver mid-reassembly from the dead sender: the
+                // missing fragments will never arrive.
+                Phase::EagerRx(_) if x.proc != proc => eager_orphans.push((x.proc, x.req)),
+                // A live receiver already matched to a dead sender's
+                // parked copy. (A live sender's queued copy-out finds its
+                // entry gone and fails on its own core, see `on_shm_send`.)
+                Phase::Shm(s) if s.dst.is_some() && x.peer.proc != proc => {
+                    shm_orphans.push((x.peer.proc, x.req))
+                }
+                _ => {}
+            }
         }
-        // Receiver pull state.
-        for (_, x) in self.xfers.recv.extract_if(.., |_, x| x.proc == proc) {
-            self.xfers.recv_by_msg.remove(&x.msg);
-            cancel_in(&mut self.queue, x.retry.timer);
-        }
-        // Completion notifies awaiting their ack.
-        for (_, p) in self
-            .xfers
-            .notify_pending
-            .extract_if(.., |_, p| p.proc == proc)
-        {
-            cancel_in(&mut self.queue, p.retry.timer);
-        }
-        // Intra-node messages touching the dead process on either side.
-        // A live receiver already matched to a dead sender's parked copy
-        // fails now (timerless); a live sender's queued copy-out finds
-        // its entry gone and fails on its own core (see `on_shm_send`).
-        let orphaned: Vec<_> = self
-            .xfers
-            .shm
-            .extract_if(.., |_, s| {
-                s.src.proc == proc
-                    || s.peer.proc == proc
-                    || s.dst.is_some_and(|(_, dp, _, _)| dp == proc)
-            })
-            .filter_map(|(_, s)| match s.dst {
-                Some((req, dp, _, _)) if s.src.proc == proc && dp != proc => Some((dp, req)),
-                _ => None,
-            })
-            .collect();
-        self.fail_orphans(orphaned);
-        // In-flight pin passes charged to the dead process; their regions
-        // are undeclared by the driver reap right after this sweep.
-        self.xfers.pin_plans.retain(|_, p| p.proc != proc);
-        // Cache-eviction undeclare intents for regions the reap covers.
-        let driver = &self.nodes[node].driver;
-        self.xfers.deferred_undeclare.retain(|&(n, rid)| {
-            n != node
-                || driver
-                    .try_region(RegionId(rid))
-                    .is_none_or(|r| r.owner != proc)
-        });
+        self.fail_orphans(eager_orphans);
+        self.fail_orphans(shm_orphans);
+        // In-flight pin passes charged to the dead process, and
+        // cache-eviction undeclare intents for its regions: the driver
+        // reap right after this sweep undeclares them all.
+        let n = &mut self.nodes[node];
+        n.pin_plans.retain(|_, p| p.proc != proc);
+        let driver = &n.driver;
+        n.deferred_undeclare
+            .retain(|&rid| driver.try_region(rid).is_none_or(|r| r.owner != proc));
         // Fence every live endpoint's unexpected queue: parked messages
         // from the dead incarnation must never match a future receive.
         let mut purged = 0usize;
@@ -1223,7 +1203,7 @@ impl Cluster {
 }
 
 /// Disarm a timer if still pending, borrowing only the queue (the crash
-/// reap cancels while it iterates the transfer tables).
+/// reap cancels while it iterates the transfer table).
 fn cancel_in(queue: &mut EventQueue<Event>, timer: Option<EventId>) {
     if let Some(id) = timer {
         queue.cancel(id);

@@ -1,12 +1,24 @@
-//! In-flight transfer state machines.
+//! In-flight transfer state: one [`Xfer`] per `(MsgId, End)`.
 //!
-//! These are plain data apart from `RecvXfer`'s first-hole cursor and the
-//! [`RetryKey`] lookup; all protocol transitions live in the engine's
-//! handlers.
-//! Tables are `BTreeMap`s so iteration order (and therefore the whole
-//! simulation) is deterministic.
+//! A transfer has a sending and a receiving end, and each end's whole
+//! life is one table entry. The fields every end has (owner, peer,
+//! request, retry timer) sit on [`Xfer`]; its [`Phase`] holds the rest.
+//! The sending end is an eager copy, a rendezvous or a parked
+//! shared-memory message; the receiving end reassembles an eager
+//! message, pulls a rendezvous, then waits for its notify's ack — the
+//! last step is an in-place phase change. A receive that fails and is
+//! retried by a retransmitted rendezvous runs a second pull under the
+//! same key; each pull keeps its own [`PullId`], and everything that
+//! names a pull checks it.
+//!
+//! These are plain data apart from [`Pull`]'s first-hole cursor; all
+//! protocol transitions live in the engine's handlers. The table is a
+//! `BTreeMap`, so iteration order (and therefore the whole simulation)
+//! is deterministic. Its values are boxed: an insert or removal shifts
+//! the entries after it within a tree node, and moving pointers keeps
+//! the eager path as fast as the per-state tables it replaced.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use simcore::{EventId, SimTime};
 use simmem::{PageSnapshot, VirtAddr};
@@ -17,42 +29,17 @@ use crate::engine::ProcId;
 use crate::obs::RetransKind;
 use crate::wire::{MsgId, PullId};
 
-/// Names one retried entry: the table it lives in and its key. The four
-/// retried states share one timer path (`Cluster::on_retry_timer`).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum RetryKey {
-    /// Sender eager retransmission ([`XferTables::eager_tx`]).
-    Eager(MsgId),
-    /// Sender rendezvous retransmission, then completion watchdog
-    /// ([`XferTables::send`]).
-    Rndv(MsgId),
-    /// Receiver pull stall ([`XferTables::recv`]).
-    Pull(PullId),
-    /// Receiver notify retransmission ([`XferTables::notify_pending`]).
-    Notify(MsgId),
+/// Which end of a transfer an entry is.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) enum End {
+    Tx,
+    Rx,
 }
 
-impl RetryKey {
-    /// The retransmission machinery, for traces.
-    pub fn kind(self) -> RetransKind {
-        match self {
-            RetryKey::Eager(_) => RetransKind::Eager,
-            RetryKey::Rndv(_) => RetransKind::Rndv,
-            RetryKey::Pull(_) => RetransKind::PullStall,
-            RetryKey::Notify(_) => RetransKind::Notify,
-        }
-    }
+/// Names one in-flight transfer end.
+pub(crate) type XferKey = (MsgId, End);
 
-    /// The raw key, for traces.
-    pub fn id(self) -> u64 {
-        match self {
-            RetryKey::Eager(m) | RetryKey::Rndv(m) | RetryKey::Notify(m) => m.0,
-            RetryKey::Pull(p) => p.0,
-        }
-    }
-}
-
-/// Retransmission state shared by every retried entry.
+/// Retransmission state of an entry.
 #[derive(Default)]
 pub(crate) struct Retry {
     /// The pending retransmission (or watchdog) timer.
@@ -61,49 +48,115 @@ pub(crate) struct Retry {
     pub retries: u32,
 }
 
-/// A retried entry as [`XferTables::retried`] finds it.
-pub(crate) struct Retried<'a> {
-    pub retry: &'a mut Retry,
+/// One end of an in-flight transfer.
+pub(crate) struct Xfer {
+    /// The process this end belongs to.
     pub proc: ProcId,
-    /// The endpoint whose answer the entry waits for.
+    /// The endpoint at the other end: the one whose answer a retried
+    /// phase waits for.
     pub peer: EndpointAddr,
-    pub msg: MsgId,
+    /// The request this end completes. A shared-memory message carries
+    /// the sender's until it is matched, then the receiver's.
+    pub req: RequestId,
+    /// Retransmission state; unused by the timerless phases (`Shm`,
+    /// `EagerRx`).
+    pub retry: Retry,
+    pub phase: Phase,
 }
 
-/// Sender-side state of an in-flight eager message (kept for
-/// retransmission until the ack arrives; the app already saw SendDone).
+/// Where an end is in its life, with the state that phase needs.
+pub(crate) enum Phase {
+    /// Sender: eager bytes kept for retransmission until the ack (the
+    /// app already saw SendDone; MX lets a late error reach the handle).
+    EagerTx(EagerTx),
+    /// Sender: rendezvous retransmission until the first pull request,
+    /// completion watchdog until the notify.
+    Rndv(Rndv),
+    /// Intra-node message parked between send-copy and receive-copy;
+    /// `proc` is the sender, `peer` the receiver.
+    Shm(Shm),
+    /// Receiver: a matched eager message still reassembling.
+    EagerRx(EagerRxMatched),
+    /// Receiver: one pull transaction, stall timer armed.
+    Pull(Pull),
+    /// Receiver: the data landed and the notify is retransmitted until
+    /// its ack.
+    Notify,
+}
+
+impl Xfer {
+    /// The shared fields and the phase, borrowed at once.
+    pub fn parts(&mut self) -> (ProcId, EndpointAddr, &mut Retry, &mut Phase) {
+        (self.proc, self.peer, &mut self.retry, &mut self.phase)
+    }
+
+    /// The pull this entry runs, if it is in its pull phase.
+    pub fn pull_id(&self) -> Option<PullId> {
+        match &self.phase {
+            Phase::Pull(p) => Some(p.id),
+            _ => None,
+        }
+    }
+
+    /// The region this end pins, as `(node, region, transfer length,
+    /// owned)`: rendezvous sends and pulls only.
+    pub fn region_use(&self) -> Option<(usize, RegionId, u64, bool)> {
+        match &self.phase {
+            Phase::Rndv(x) => Some((x.node, x.region, x.total_len, x.owned)),
+            Phase::Pull(x) => Some((x.node, x.region, x.xfer_len, x.owned)),
+            _ => None,
+        }
+    }
+
+    /// The retransmission machinery of this entry's timer and its trace
+    /// id: the `PullId` for a pull, the `MsgId` otherwise.
+    pub fn retrans(&self, msg: MsgId) -> (RetransKind, u64) {
+        match &self.phase {
+            Phase::EagerTx(_) => (RetransKind::Eager, msg.0),
+            Phase::Rndv(_) => (RetransKind::Rndv, msg.0),
+            Phase::Pull(p) => (RetransKind::PullStall, p.id.0),
+            Phase::Notify => (RetransKind::Notify, msg.0),
+            Phase::Shm(_) | Phase::EagerRx(_) => unreachable!("timerless phase retried"),
+        }
+    }
+}
+
+/// The receive side of `msg` while it still runs the pull `pull`, as
+/// `(proc, peer, retry, pull state)`. A failed receive's successor has
+/// the same key and another `PullId`: the dead pull's replies, I/OAT
+/// copies and pin waiter must not touch it.
+pub(crate) fn pull_of(
+    xfers: &mut BTreeMap<XferKey, Box<Xfer>>,
+    msg: MsgId,
+    pull: PullId,
+) -> Option<(ProcId, EndpointAddr, &mut Retry, &mut Pull)> {
+    match xfers.get_mut(&(msg, End::Rx))?.parts() {
+        (proc, peer, retry, Phase::Pull(p)) if p.id == pull => Some((proc, peer, retry, p)),
+        _ => None,
+    }
+}
+
+/// Sender-side eager state.
 pub(crate) struct EagerTx {
-    /// The application request — needed to deliver a clean failure if
-    /// retransmission is ever exhausted (the app saw SendDone already,
-    /// but MX semantics allow a late error on the handle).
-    pub req: RequestId,
-    pub proc: ProcId,
-    pub peer: EndpointAddr,
     pub match_info: u64,
     pub total_len: u64,
     /// The message bytes as they were at send time, for retransmission.
     pub data: PageSnapshot,
-    pub retry: Retry,
     /// When the current (re)transmission went out — RTT sample on ack,
     /// Karn-gated by `retry.retries == 0`.
     pub sent_at: SimTime,
 }
 
-/// Receiver-side state of a *matched* eager message still reassembling.
+/// Receiver-side state of a matched eager message.
 pub(crate) struct EagerRxMatched {
     pub rx: EagerRx,
-    pub req: RequestId,
-    pub proc: ProcId,
     pub addr: VirtAddr,
     /// Bytes to copy to the user buffer (min of sent and posted length).
     pub copy_len: u64,
 }
 
 /// Sender-side state of a rendezvous (large-message) transfer.
-pub(crate) struct SendXfer {
-    pub req: RequestId,
-    pub proc: ProcId,
-    pub peer: EndpointAddr,
+pub(crate) struct Rndv {
     pub match_info: u64,
     pub region: RegionId,
     pub node: usize,
@@ -117,9 +170,15 @@ pub(crate) struct SendXfer {
     /// window is measured from here to the first pull request, the
     /// rendezvous round trip from here to the notify).
     pub rndv_sent_at: Option<SimTime>,
-    /// Rendezvous retransmission until the first pull request, completion
-    /// watchdog after it.
-    pub retry: Retry,
+}
+
+/// Intra-node message state.
+pub(crate) struct Shm {
+    pub match_info: u64,
+    /// The message bytes, captured from the sender at send time.
+    pub data: PageSnapshot,
+    /// Set when matched: the receive buffer and the bytes to copy.
+    pub dst: Option<(VirtAddr, u64)>,
 }
 
 /// One pull block's progress on the receive side.
@@ -155,14 +214,11 @@ impl Block {
     }
 }
 
-/// Receiver-side state of a rendezvous transfer (one pull transaction).
-pub(crate) struct RecvXfer {
-    pub req: RequestId,
-    pub proc: ProcId,
-    /// The sender.
-    pub peer: EndpointAddr,
-    /// Sender's transfer id (names the sender-side region in pull reqs).
-    pub msg: MsgId,
+/// Receiver-side state of one pull transaction.
+pub(crate) struct Pull {
+    /// Tells this pull's replies, I/OAT copies and pin waiter apart from
+    /// those of an earlier, failed pull of the same transfer.
+    pub id: PullId,
     pub region: RegionId,
     pub node: usize,
     pub owned: bool,
@@ -173,8 +229,8 @@ pub(crate) struct RecvXfer {
     /// above it were never requested.
     pub next_block: u32,
     /// Lowest block index that is not complete: every block below it is.
-    /// Moves forward in [`RecvXfer::advance_first_hole`] and back only in
-    /// [`RecvXfer::unreceive`], so per-frame scans start here instead of
+    /// Moves forward in [`Pull::advance_first_hole`] and back only in
+    /// [`Pull::unreceive`], so per-frame scans start here instead of
     /// at block 0.
     pub first_hole: u32,
     /// I/OAT copies still in flight.
@@ -182,11 +238,9 @@ pub(crate) struct RecvXfer {
     /// Frames fully placed in memory.
     pub frames_placed: u64,
     pub frames_total: u64,
-    /// Pull-stall timer: re-requests every outstanding block.
-    pub retry: Retry,
 }
 
-impl RecvXfer {
+impl Pull {
     /// Move `first_hole` past the blocks that are now complete. Amortized
     /// O(1) per frame: the cursor crosses each block once per rewind.
     pub fn advance_first_hole(&mut self) {
@@ -228,15 +282,9 @@ impl RecvXfer {
     }
 }
 
-/// Receiver-side notify retransmission state (survives the RecvXfer).
-pub(crate) struct NotifyPending {
-    pub proc: ProcId,
-    pub peer: EndpointAddr,
-    pub retry: Retry,
-}
-
 /// A held I/OAT copy: bytes parked until the DMA engine finishes.
 pub(crate) struct PendingCopy {
+    pub msg: MsgId,
     pub pull: PullId,
     pub block: u32,
     pub frame: u32,
@@ -244,24 +292,17 @@ pub(crate) struct PendingCopy {
     pub data: PageSnapshot,
 }
 
-/// What to do when a region's pin cursor reaches a threshold.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PinAction {
-    /// Send the rendezvous for this send transfer.
-    SendRndv(MsgId),
-    /// Send the initial window of pull requests for this receive transfer.
-    RecvStart(PullId),
-}
-
-/// A waiter on pin progress.
+/// A transfer's protocol action queued behind a pin threshold: the
+/// rendezvous of a send, or the first pull requests of a receive.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PinWaiter {
     /// Fire when the cursor reaches this many pages.
     pub threshold_pages: u64,
-    pub action: PinAction,
-    /// Transfer whose protocol action is queued behind the threshold
-    /// (drives the pin_wait_start / pin_wait_end trace pair).
     pub msg: MsgId,
+    /// The pull to start, or `None` for the send's rendezvous. A waiter
+    /// whose pull failed stays queued; it must not start a later pull of
+    /// the same transfer.
+    pub pull: Option<PullId>,
 }
 
 /// Per-region on-demand pin plan.
@@ -303,72 +344,6 @@ impl PinPlan {
     }
 }
 
-/// Intra-node (shared-memory) message parked between send-copy and
-/// receive-copy.
-pub(crate) struct ShmParked {
-    pub src: EndpointAddr,
-    /// Destination endpoint, incarnation-stamped at post time: shm has no
-    /// watchdog, so the fence check happens when the copy-out lands.
-    pub peer: EndpointAddr,
-    pub match_info: u64,
-    /// The message bytes, captured from the sender at send time.
-    pub data: PageSnapshot,
-    /// Set when matched: (receiver request, receiver proc, dst, copy_len).
-    pub dst: Option<(RequestId, ProcId, VirtAddr, u64)>,
-}
-
-/// All in-flight state, keyed deterministically.
-#[derive(Default)]
-pub(crate) struct XferTables {
-    pub eager_tx: BTreeMap<MsgId, EagerTx>,
-    pub eager_rx: BTreeMap<MsgId, EagerRxMatched>,
-    pub send: BTreeMap<MsgId, SendXfer>,
-    pub recv: BTreeMap<PullId, RecvXfer>,
-    /// Route duplicate rndv / notify-ack to the pull transaction.
-    pub recv_by_msg: BTreeMap<MsgId, PullId>,
-    pub notify_pending: BTreeMap<MsgId, NotifyPending>,
-    pub shm: BTreeMap<MsgId, ShmParked>,
-    /// Pin plans keyed by (node, region).
-    pub pin_plans: BTreeMap<(usize, u32), PinPlan>,
-    /// Parked I/OAT copies keyed by token.
-    pub ioat: BTreeMap<u64, PendingCopy>,
-    /// Cache-evicted regions that were still in use at eviction time:
-    /// undeclare them when their last use drains.
-    pub deferred_undeclare: BTreeSet<(usize, u32)>,
-}
-
-impl XferTables {
-    /// The entry a retry timer names, if it is still in flight.
-    pub fn retried(&mut self, key: RetryKey) -> Option<Retried<'_>> {
-        match key {
-            RetryKey::Eager(msg) => self.eager_tx.get_mut(&msg).map(|t| Retried {
-                retry: &mut t.retry,
-                proc: t.proc,
-                peer: t.peer,
-                msg,
-            }),
-            RetryKey::Rndv(msg) => self.send.get_mut(&msg).map(|x| Retried {
-                retry: &mut x.retry,
-                proc: x.proc,
-                peer: x.peer,
-                msg,
-            }),
-            RetryKey::Pull(pull) => self.recv.get_mut(&pull).map(|x| Retried {
-                retry: &mut x.retry,
-                proc: x.proc,
-                peer: x.peer,
-                msg: x.msg,
-            }),
-            RetryKey::Notify(msg) => self.notify_pending.get_mut(&msg).map(|p| Retried {
-                retry: &mut p.retry,
-                proc: p.proc,
-                peer: p.peer,
-                msg,
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,7 +379,7 @@ mod tests {
         assert_eq!(b.missing_mask(), 1);
     }
 
-    fn recv_xfer(frames_per_block: &[u32]) -> RecvXfer {
+    fn recv_xfer(frames_per_block: &[u32]) -> Pull {
         let blocks = frames_per_block
             .iter()
             .map(|&frames| Block {
@@ -415,14 +390,8 @@ mod tests {
                 rerequested: false,
             })
             .collect();
-        RecvXfer {
-            req: RequestId(0),
-            proc: ProcId(0),
-            peer: EndpointAddr {
-                proc: ProcId(0),
-                incarnation: 0,
-            },
-            msg: MsgId(0),
+        Pull {
+            id: PullId(0),
             region: RegionId(0),
             node: 0,
             owned: false,
@@ -433,11 +402,10 @@ mod tests {
             ioat_pending: 0,
             frames_placed: 0,
             frames_total: 0,
-            retry: Retry::default(),
         }
     }
 
-    fn fill(x: &mut RecvXfer, block: usize) {
+    fn fill(x: &mut Pull, block: usize) {
         x.blocks[block].received |= x.blocks[block].missing_mask();
     }
 

@@ -6,10 +6,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
+use openmx_core::engine::{AppEvent, Cluster, Ctx, OverlapHint, ProcId, Process};
 
-use openmx_core::{Counter, OpenMxConfig, PinningMode, RequestId};
-use simcore::SimTime;
+use openmx_core::{Counter, OpenMxConfig, PinningMode, RequestId, TraceEvent};
+use simcore::{SimDuration, SimTime};
 
 type StartFn = Box<dyn FnMut(&mut Ctx<'_>)>;
 type EventFn = Box<dyn FnMut(&mut Ctx<'_>, AppEvent)>;
@@ -252,4 +252,167 @@ fn receive_buffer_freed_under_parked_ioat_copy_fails_cleanly() {
         run.cl.counters().get(Counter::RequestsFailed),
         failed as u64
     );
+}
+
+/// The message the second-pull scenarios move (four 64 KiB pull blocks).
+const LEN_2ND: u64 = 256 * 1024;
+const TAG_2ND: u64 = 5;
+
+/// Run a second-pull scenario on a traced two-node cluster whose
+/// processes only record their events: `script` posts every operation
+/// through [`Cluster::drive`] (sender on node 0, receiver on node 1) and
+/// returns the receive whose pull fails. Then check that each request
+/// completed once: all `sends` succeeded, that receive failed for
+/// `reason`, and the one posted behind it received the message.
+fn second_pull(
+    cfg: OpenMxConfig,
+    sends: usize,
+    reason: &str,
+    script: impl FnOnce(&mut Cluster, ProcId, ProcId) -> RequestId,
+) -> Cluster {
+    let seen: Rc<RefCell<[Vec<AppEvent>; 2]>> = Rc::default();
+    let mut cl = Cluster::new(cfg, 2);
+    cl.enable_trace();
+    for node in 0..2 {
+        let seen = seen.clone();
+        let record = move |_: &mut Ctx<'_>, ev| seen.borrow_mut()[node].push(ev);
+        cl.add_process(node, proc_of(|_| {}, record));
+    }
+    cl.step_until(SimTime::ZERO);
+    let first = script(&mut cl, ProcId(0), ProcId(1));
+    cl.run(Some(SimTime::from_nanos(60_000_000_000)));
+    let [tx_seen, rx_seen] = &*seen.borrow();
+    assert!(
+        tx_seen.len() == sends && tx_seen.iter().all(|ev| matches!(ev, AppEvent::SendDone(_))),
+        "sender saw {tx_seen:?}"
+    );
+    assert!(
+        rx_seen.len() == sends + 1
+            && matches!(
+                rx_seen.as_slice(),
+                [.., AppEvent::Failed(r, why), AppEvent::RecvDone(_, LEN_2ND)]
+                    if *r == first && *why == reason
+            ),
+        "receiver saw {rx_seen:?}"
+    );
+    assert_eq!(cl.inflight_xfers(), 0);
+    assert_eq!(cl.pending_events(), 0);
+    cl
+}
+
+/// When the receiver's node traced the events `is` picks, in order.
+fn rx_times(cl: &Cluster, is: impl Fn(&TraceEvent) -> bool) -> Vec<SimTime> {
+    let rx = cl.tracer().iter().filter(|r| r.node == 1 && is(&r.event));
+    rx.map(|r| r.time).collect()
+}
+
+/// Post the `LEN_2ND` rendezvous send.
+fn send_2nd(ctx: &mut Ctx<'_>, hint: OverlapHint) {
+    let buf = ctx.malloc(LEN_2ND);
+    ctx.write_buf(buf, &vec![0x7e; LEN_2ND as usize]);
+    ctx.isend_hinted(ProcId(1), TAG_2ND, buf, LEN_2ND, hint);
+}
+
+/// A receive fails after its pull requests went out; the rendezvous the
+/// sender retransmitted before those requests reached it then starts a
+/// second pull for the same `MsgId` (into a second posted receive),
+/// which exists when the dead pull's replies arrive. Every one of those
+/// replies is stale and lands nothing: the second pull places each frame
+/// once, from its own replies.
+#[test]
+fn a_failed_pulls_late_replies_are_stale_for_its_successor() {
+    let mut cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+    // Fixed 10 ms timers over a 1 ms link. The rendezvous goes out again
+    // at ~10 ms, while the first pull's requests (sent at ~9.5 ms) are
+    // still on the wire; it reaches the receiver at ~11 ms, after the
+    // first pull failed (~9.9 ms) and before its replies (~11.5 ms).
+    cfg.adaptive_retransmit = false;
+    cfg.retransmit_timeout = SimDuration::from_millis(10);
+    cfg.net.latency = SimDuration::from_millis(1);
+    let block_frames = (cfg.pull_block).div_ceil(simnet::frame::max_payload(cfg.net.mtu));
+    let window_frames = cfg.pull_window as u64 * block_frames;
+    let total_frames = LEN_2ND.div_ceil(cfg.pull_block) * block_frames;
+    let cl = second_pull(cfg, 1, "pinning failed (invalid region)", |cl, tx, rx| {
+        cl.drive(tx, |ctx| send_2nd(ctx, OverlapHint::Auto));
+        cl.step_until(SimTime::from_nanos(9_500_000));
+        let (buf, first) = cl.drive(rx, |ctx| {
+            let buf = ctx.malloc(LEN_2ND);
+            let first = ctx.irecv(TAG_2ND, !0, buf, LEN_2ND);
+            let other = ctx.malloc(LEN_2ND);
+            ctx.irecv(TAG_2ND, !0, other, LEN_2ND);
+            (buf, first)
+        });
+        cl.step_until(SimTime::from_nanos(9_900_000));
+        // Free the buffer under the first pull: its re-pin fails.
+        cl.drive(rx, |ctx| ctx.free(buf));
+        first
+    });
+    let rndv_rx = rx_times(&cl, |e| matches!(e, TraceEvent::RndvRx { .. }));
+    assert_eq!(
+        rndv_rx.len(),
+        2,
+        "the retransmitted rendezvous started a second pull"
+    );
+    let c = cl.counters();
+    assert_eq!(c.get(Counter::PullReplyStale), window_frames);
+    assert_eq!(c.get(Counter::PullFramesOk), total_frames);
+    assert_eq!(c.get(Counter::DupFramesRx), 0);
+}
+
+/// A receive fails (its pull stalls out) while its pin waiter is still
+/// queued behind a slow pin pass. A retransmitted rendezvous then starts
+/// a second pull for the same `MsgId` into a second receive posted on
+/// the same buffer, which queues behind the same pass. When the pass
+/// completes, the dead pull's waiter fires first and must not start the
+/// second pull a second time: one initial window of pull requests goes
+/// out, not two.
+#[test]
+fn a_failed_pulls_pin_waiter_does_not_start_its_successor() {
+    let mut cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+    // Over a 1 ms link, with one retry: the sender arms its rendezvous
+    // timer (at 1.5 ms) before any RTT sample, so it fires after the
+    // 30 ms ceiling. The eager ack (~2 ms) lands before the rendezvous
+    // reaches the receiver (~2.5 ms), so the first pull's stall timer
+    // runs at 3x that round trip and gives up after ~18 ms, while its
+    // pin pass (~35 ms) is still running. The retransmitted rendezvous
+    // (~32.5 ms) starts the second pull before the pass ends.
+    cfg.net.latency = SimDuration::from_millis(1);
+    cfg.profile.pin_per_page = SimDuration::from_micros(820);
+    cfg.retransmit_timeout = SimDuration::from_millis(30);
+    cfg.retransmit_jitter = 0.0;
+    cfg.max_retries = 1;
+    let window = cfg.pull_window as usize;
+    let cl = second_pull(cfg, 2, "pull transfer stalled", |cl, tx, rx| {
+        let first = cl.drive(rx, |ctx| {
+            let small = ctx.malloc(1024);
+            ctx.irecv(1, !0, small, 1024);
+            let buf = ctx.malloc(LEN_2ND);
+            let first = ctx.irecv(TAG_2ND, !0, buf, LEN_2ND);
+            ctx.irecv(TAG_2ND, !0, buf, LEN_2ND);
+            first
+        });
+        cl.drive(tx, |ctx| {
+            let small = ctx.malloc(1024);
+            ctx.isend(rx, 1, small, 1024);
+        });
+        cl.step_until(SimTime::from_nanos(1_500_000));
+        cl.drive(tx, |ctx| send_2nd(ctx, OverlapHint::Force));
+        first
+    });
+    let rndv_rx = rx_times(&cl, |e| matches!(e, TraceEvent::RndvRx { .. }));
+    let waits_ended = rx_times(&cl, |e| matches!(e, TraceEvent::PinWaitEnd { .. }));
+    assert_eq!(
+        rndv_rx.len(),
+        2,
+        "the retransmitted rendezvous started a second pull"
+    );
+    assert_eq!(waits_ended.len(), 2, "both pulls queued behind the pass");
+    assert_eq!(waits_ended[0], waits_ended[1]);
+    assert!(
+        waits_ended[0] > rndv_rx[1],
+        "the pass outlived the first pull"
+    );
+    let pull_reqs = rx_times(&cl, |e| matches!(e, TraceEvent::PullReq { .. }));
+    let initial = pull_reqs.iter().filter(|&&t| t == waits_ended[0]).count();
+    assert_eq!(initial, window, "one initial window of pull requests");
 }

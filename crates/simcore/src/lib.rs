@@ -9,7 +9,7 @@
 //! * [`SimRng`] — a seedable, reproducible random number generator,
 //! * [`CpuCore`] — a two-priority-level run queue modelling a host core
 //!   (bottom-half interrupt work runs ahead of queued task work, as in Linux),
-//! * [`stats`] — online statistics, log-bucketed histograms and the
+//! * [`stats`] — online statistics, a fixed-bucket latency histogram and the
 //!   least-squares fit used to extract the paper's Table 1 coefficients.
 //!
 //! Everything here is purely computational: no wall-clock time, no I/O,
@@ -27,5 +27,5 @@ pub mod time;
 pub use cpu::{CpuCore, Priority, Work, WorkId};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use stats::{linear_fit, FixedHistogram, Histogram, OnlineStats};
+pub use stats::{linear_fit, FixedHistogram, OnlineStats};
 pub use time::{Bandwidth, SimDuration, SimTime};

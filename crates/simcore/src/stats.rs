@@ -1,10 +1,8 @@
 //! Statistics utilities used by the measurement harness.
 //!
 //! * [`OnlineStats`] — Welford's single-pass mean/variance,
-//! * [`Histogram`] — log2-bucketed latency histogram with percentiles,
 //! * [`FixedHistogram`] — linear fixed-bucket latency histogram with
-//!   interpolated quantiles, for tight latency bands where log2 buckets
-//!   are too coarse,
+//!   interpolated quantiles over a known latency band,
 //! * [`linear_fit`] — ordinary least squares, used to recover the paper's
 //!   Table 1 "base + per-page" pinning-cost decomposition from sweep data.
 
@@ -121,94 +119,13 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// Log2-bucketed histogram of nanosecond durations.
-///
-/// Bucket `i` holds values in `[2^i, 2^(i+1))`; bucket 0 holds `{0, 1}` ns.
-/// Percentiles are answered at bucket resolution (upper bound), which is
-/// plenty for latency-distribution reporting.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u128,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            sum_ns: 0,
-        }
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let idx = if ns <= 1 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded values.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos((self.sum_ns / self.count as u128) as u64)
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile (0 ≤ q ≤ 1).
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "invalid quantile {q}");
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return SimDuration::from_nanos(upper);
-            }
-        }
-        SimDuration::MAX
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-    }
-}
-
 /// Linear fixed-bucket histogram of nanosecond durations.
 ///
 /// `bucket_count` equal-width buckets span `[0, range)`; values at or above
 /// `range` land in a dedicated overflow bucket. Quantiles interpolate
 /// linearly inside the winning bucket, so resolution is `range /
-/// bucket_count` — much tighter than [`Histogram`]'s power-of-two buckets
-/// when the latency band is known (pin latency, rendezvous round trips).
+/// bucket_count` when the latency band is known (pin latency, rendezvous
+/// round trips).
 #[derive(Clone, Debug)]
 pub struct FixedHistogram {
     buckets: Vec<u64>,
@@ -389,32 +306,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
         assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new();
-        for us in 1..=1000u64 {
-            h.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(h.count(), 1000);
-        // Median of 1..=1000 us lies in the bucket containing 500 us.
-        let med = h.quantile(0.5).as_nanos();
-        assert!(med >= 500_000, "median bucket upper bound {med}");
-        assert!(h.quantile(1.0) >= h.quantile(0.5));
-        let mean = h.mean().as_nanos();
-        assert!((500_000..=501_000).contains(&mean), "mean = {mean}");
-    }
-
-    #[test]
-    fn histogram_zero_and_merge() {
-        let mut a = Histogram::new();
-        a.record(SimDuration::ZERO);
-        a.record(SimDuration::from_nanos(1));
-        let mut b = Histogram::new();
-        b.record(SimDuration::from_nanos(1 << 20));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
     }
 
     #[test]
