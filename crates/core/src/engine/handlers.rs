@@ -4,11 +4,13 @@
 use simcore::{Priority, SimDuration};
 use simmem::{PageSnapshot, VirtAddr};
 
+use super::rto::RttEstimator;
 use super::xfer::{
     pull_of, Block, EagerRxMatched, EagerTx, End, PendingCopy, Phase, PinPlan, PinWaiter, Pull,
     Retry, Rndv, Shm, Xfer, XferKey,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
+use crate::config::OpenMxConfig;
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
 use crate::obs::{Counter, RetransKind, TraceEvent};
@@ -1077,10 +1079,8 @@ impl Cluster {
             return;
         };
         x.advance_first_hole();
-        // Block finished -> keep the pipeline full.
-        if x.blocks[block as usize].complete() {
-            let node = x.node;
-            let blk = x.blocks[block as usize];
+        let (node, blk, done) = (x.node, x.blocks[block as usize], x.data_done());
+        if blk.complete() {
             // Forward progress: the retry budget is for consecutive silent
             // timeouts, not for the whole (possibly long) transfer.
             retry.retries = 0;
@@ -1091,26 +1091,25 @@ impl Cluster {
                 self.rtt
                     .observe(self.now.saturating_duration_since(blk.requested_at));
             }
-            self.emit(node, Some(proc), TraceEvent::BlockDone { pull, msg, block });
-            self.request_next_block(msg, pull);
         }
         // Optimistic re-request (§4.3): receiving a frame of block `b`
         // while an *earlier* block still has holes and has not been
-        // re-requested recently means those frames were dropped.
-        let (guard, now) = (self.rerequest_guard(), self.now);
-        let mut rerequests = Vec::new();
-        if self.cfg.optimistic_rerequest {
-            if let Some((.., x)) = pull_of(&mut self.xfers, msg, pull) {
-                rerequests.extend(x.holes_below(block).filter(|&i| {
-                    now.saturating_duration_since(x.blocks[i as usize].requested_at) > guard
-                }));
-            }
+        // re-requested recently means those frames were dropped. The
+        // block requests below only touch blocks above `block`.
+        let (guard, now) = (Self::rerequest_guard(&self.cfg, &self.rtt), self.now);
+        let rerequests: Vec<u32> = if self.cfg.optimistic_rerequest {
+            let stale =
+                |&i: &u32| now.saturating_duration_since(x.blocks[i as usize].requested_at) > guard;
+            x.holes_below(block).filter(stale).collect()
+        } else {
+            Vec::new()
+        };
+        // Block finished -> keep the pipeline full.
+        if blk.complete() {
+            self.emit(node, Some(proc), TraceEvent::BlockDone { pull, msg, block });
+            self.request_next_block(msg, pull);
         }
         for b in rerequests {
-            let Some((proc, _, _, x)) = pull_of(&mut self.xfers, msg, pull) else {
-                return;
-            };
-            let node = x.node;
             self.nodes[node].counters.bump(Counter::PullRereqOptimistic);
             self.emit(
                 node,
@@ -1125,7 +1124,7 @@ impl Cluster {
         }
         // Progress: push the stall timer out.
         self.arm_retry((msg, End::Rx), 0);
-        if pull_of(&mut self.xfers, msg, pull).is_some_and(|(.., x)| x.data_done()) {
+        if done {
             self.finish_recv(msg);
         }
     }
@@ -2128,16 +2127,12 @@ impl Cluster {
             Some(moved.unwrap_or_else(|| queue.schedule(at, Event::Timer(TimerToken::Retry(key)))));
     }
 
-    fn rerequest_guard(&self) -> SimDuration {
+    fn rerequest_guard(cfg: &OpenMxConfig, rtt: &RttEstimator) -> SimDuration {
         // Enough for a round trip plus one block's serialization: frames
         // still legitimately in flight are not "missing" yet.
-        let static_guard = self.cfg.net.latency * 4
-            + self
-                .cfg
-                .net
-                .bandwidth
-                .time_for_bytes(self.cfg.pull_block * 2);
-        if !self.cfg.adaptive_retransmit {
+        let static_guard =
+            cfg.net.latency * 4 + cfg.net.bandwidth.time_for_bytes(cfg.pull_block * 2);
+        if !cfg.adaptive_retransmit {
             return static_guard;
         }
         // Under adaptive retransmission the guard also tracks the measured
@@ -2145,7 +2140,7 @@ impl Cluster {
         // the nominal round trip, and re-requesting frames that are merely
         // late produces duplicate traffic that makes the congestion worse.
         static_guard
-            .max(self.rtt.rto().unwrap_or(SimDuration::ZERO))
-            .max(self.cfg.retransmit_min)
+            .max(rtt.rto().unwrap_or(SimDuration::ZERO))
+            .max(cfg.retransmit_min)
     }
 }
