@@ -15,13 +15,7 @@ use crate::table::{Baseline, Table};
 fn pin_fully(d: &mut Driver, mem: &mut Memory, id: RegionId, chunk: u64, per_page: bool) -> u64 {
     let mut pinned = 0;
     loop {
-        let r = d.region_mut(id);
-        let p = if per_page {
-            r.pin_next_chunk_per_page(mem, chunk)
-        } else {
-            r.pin_next_chunk(mem, chunk)
-        }
-        .expect("pin");
+        let p = d.pin_chunk(mem, id, chunk, per_page).expect("pin");
         pinned += p.pages_pinned;
         if p.complete {
             return pinned;
@@ -119,8 +113,8 @@ fn churn_world(rounds: u64, eager: bool) -> (ChurnReport, Driver) {
             assert!(released.is_empty(), "drain found stale pages after repin");
             assert_eq!(cancelled, vec![id], "repin must cancel the deferred unpin");
         }
-        // Pin accounting stays exact in both worlds, every round.
-        assert_eq!(d.pinned_pages_total(), mem.frames().pinned_pages() as u64);
+        // The driver's books stay exact in both worlds, every round.
+        d.audit(&mem).assert_clean();
         assert!(d.region(id).fully_pinned());
     }
     let report = ChurnReport {

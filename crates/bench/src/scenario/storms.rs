@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use openmx_core::{
-    AppEvent, Cluster, Counter, Ctx, OpenMxConfig, PinQuota, PinningMode, ProcId, Process,
+    audit, AppEvent, Cluster, Counter, Ctx, OpenMxConfig, PinQuota, PinningMode, ProcId, Process,
     TraceEvent,
 };
 use simcore::{SimDuration, SimTime};
@@ -488,12 +488,11 @@ const CRASH_WARMUP: SimTime = SimTime::from_nanos(2_000_000);
 /// event, and a missed reap would show up as both an orphaned pin and a
 /// survivor stall.
 ///
-/// Per cycle the harness asserts the two crash fault-domain invariants
-/// directly against the driver:
+/// Per cycle the harness asserts the two crash fault-domain invariants:
 ///
-/// * **zero orphan pins** — the instant the crash returns, no region
-///   owned by the dead incarnation remains declared, and the tenant's
-///   attributed pinned-page count is zero;
+/// * **zero orphan pins** — the instant the crash returns, the state
+///   audit finds no region owned by the dead incarnation (and every
+///   other law holds);
 /// * **zero ghost completions** — the restarted incarnation never
 ///   receives a completion for a request it did not post.
 ///
@@ -541,19 +540,17 @@ pub(crate) fn crashstorm(args: &Args) -> Result<(), String> {
         cl.crash_proc(phoenix);
 
         // Invariant: the kernel exit path reaps synchronously — the
-        // instant crash_proc returns, the dead tenant owns nothing.
-        let orphans: u64 = cl
-            .driver(0)
-            .iter_regions()
-            .filter(|(_, r)| r.owner == phoenix)
-            .map(|(_, r)| r.pinned_pages().max(1))
-            .sum();
-        orphan_pins_total += orphans;
-        assert_eq!(
-            cl.driver(0).pinned_pages_of(phoenix),
-            0,
-            "cycle {cycle}: dead tenant still has attributed pins"
-        );
+        // instant crash_proc returns, the audit finds no orphan region
+        // (counted for the gate below) and no other violation.
+        let mut report = cl.audit();
+        report.violations.retain(|v| match v {
+            audit::Violation::OrphanPins { pages, .. } => {
+                orphan_pins_total += (*pages).max(1);
+                false
+            }
+            _ => true,
+        });
+        report.assert_clean();
         reaped_total += cl.counters().get(Counter::CrashReapedPages) - reaped_before;
 
         cl.run(Some(crash_at + DOWN_TIME));

@@ -111,7 +111,7 @@ impl RegionCache {
     }
 
     /// Descriptors currently cached, sorted — deterministic introspection
-    /// for invariant oracles (the map itself iterates in hash order).
+    /// for the state audit (the map itself iterates in hash order).
     pub fn cached_ids(&self) -> Vec<RegionId> {
         let mut ids: Vec<RegionId> = self.map.values().map(|(id, _)| *id).collect();
         ids.sort_by_key(|r| r.0);

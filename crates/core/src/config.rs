@@ -3,6 +3,18 @@
 use simcore::{Bandwidth, SimDuration};
 use simnet::NetConfig;
 
+/// Backoff multiplier per retry attempt of adaptive retransmission.
+pub const RETRANSMIT_BACKOFF: f64 = 2.0;
+
+/// Floor on the adaptive retransmission timeout: an RTT estimate from a
+/// fast fabric must not retransmit so eagerly that queueing jitter looks
+/// like loss. Also the least `retransmit_timeout` a configuration may set.
+pub const RETRANSMIT_MIN: SimDuration = SimDuration::from_millis(1);
+
+/// Cores per node (application processes round-robin onto cores 1..;
+/// core 0 also runs the interrupt bottom half).
+pub const CORES_PER_NODE: usize = 4;
+
 /// Cost model of one host CPU, calibrated against the paper's Table 1.
 ///
 /// `pin_base` / `pin_per_page` are the *combined* pin+unpin costs the paper
@@ -263,17 +275,9 @@ pub struct OpenMxConfig {
     /// (Jacobson/Karels) with exponential backoff per attempt, instead of
     /// re-arming the fixed `retransmit_timeout` every time.
     pub adaptive_retransmit: bool,
-    /// Backoff multiplier per retry attempt (adaptive mode).
-    pub retransmit_backoff: f64,
-    /// Floor on the adaptive timeout: an RTT estimate from a fast fabric
-    /// must not retransmit so eagerly that queueing jitter looks like loss.
-    pub retransmit_min: SimDuration,
     /// Deterministic jitter fraction applied to adaptive timeouts (breaks
     /// retransmission synchronization between transfers).
     pub retransmit_jitter: f64,
-    /// Cores per node (application processes round-robin onto cores 1..;
-    /// core 0 also runs the interrupt bottom half).
-    pub cores_per_node: usize,
     /// Physical frames per node.
     pub frames_per_node: usize,
     /// Swap pages per node.
@@ -306,10 +310,7 @@ impl OpenMxConfig {
             retransmit_timeout: SimDuration::from_secs(1),
             max_retries: 16,
             adaptive_retransmit: true,
-            retransmit_backoff: 2.0,
-            retransmit_min: SimDuration::from_millis(1),
             retransmit_jitter: 0.1,
-            cores_per_node: 4,
             frames_per_node: 64 * 1024, // 256 MiB per node
             swap_per_node: 16 * 1024,
             seed: 0x0123_4567_89ab_cdef,
@@ -330,12 +331,6 @@ impl OpenMxConfig {
         if self.max_retries < 1 {
             return Err("max_retries must be >= 1".to_string());
         }
-        if self.retransmit_backoff < 1.0 {
-            return Err(format!(
-                "retransmit_backoff = {} must be >= 1.0",
-                self.retransmit_backoff
-            ));
-        }
         if self.notifier_epoch.is_zero() {
             return Err("notifier_epoch must be > 0".to_string());
         }
@@ -345,10 +340,10 @@ impl OpenMxConfig {
                 self.retransmit_jitter
             ));
         }
-        if self.retransmit_min.is_zero() || self.retransmit_min > self.retransmit_timeout {
+        if self.retransmit_timeout < RETRANSMIT_MIN {
             return Err(format!(
-                "retransmit_min = {} must be in (0, retransmit_timeout = {}]",
-                self.retransmit_min, self.retransmit_timeout
+                "retransmit_timeout = {} is below the {RETRANSMIT_MIN} floor",
+                self.retransmit_timeout
             ));
         }
         if self.pull_block == 0 {
@@ -444,13 +439,10 @@ mod tests {
         c.max_retries = 0;
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
-        c.retransmit_backoff = 0.5;
-        assert!(c.validate().is_err());
-        let mut c = OpenMxConfig::paper_default();
         c.retransmit_jitter = 1.5;
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
-        c.retransmit_min = c.retransmit_timeout + SimDuration::from_nanos(1);
+        c.retransmit_timeout = RETRANSMIT_MIN - SimDuration::from_nanos(1);
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
         c.notifier_epoch = SimDuration::ZERO;

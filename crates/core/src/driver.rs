@@ -89,8 +89,8 @@ pub struct Driver {
     /// Per-tenant quota; `None` = single-tenant semantics.
     quota: Option<PinQuota>,
     /// Fault-injection hook: report the quota as absent to the engine's
-    /// enforcement while the invariant oracle still knows it — proves the
-    /// `QuotaExceeded` oracle fires when enforcement is broken.
+    /// enforcement while the state audit still knows it — proves the
+    /// audit's `QuotaExceeded` law fires when enforcement is broken.
     quota_disabled: bool,
     /// Regions with a deferred unpin pending: their stale suffix is still
     /// attached, awaiting the batched drain at epoch close or under
@@ -147,7 +147,7 @@ impl Driver {
         self.quota = quota;
     }
 
-    /// The installed per-tenant quota (what the invariant oracle checks).
+    /// The installed per-tenant quota (what the state audit checks).
     pub fn quota(&self) -> Option<PinQuota> {
         self.quota
     }
@@ -162,9 +162,9 @@ impl Driver {
         }
     }
 
-    /// Fault injection: keep the quota installed (so oracles still know
+    /// Fault injection: keep the quota installed (so the audit still knows
     /// the cap) but hide it from enforcement. Mutation self-tests use
-    /// this to prove the `QuotaExceeded` oracle catches a broken check.
+    /// this to prove the audit's `QuotaExceeded` law catches a broken check.
     pub fn disable_quota_enforcement_for_test(&mut self) {
         self.quota_disabled = true;
     }
@@ -304,11 +304,11 @@ impl Driver {
     }
 
     /// True if `id` names a declared region.
-    pub fn is_declared(&self, id: RegionId) -> bool {
+    pub(crate) fn is_declared(&self, id: RegionId) -> bool {
         self.regions.get(id.0 as usize).is_some_and(Option::is_some)
     }
 
-    /// Every declared region with its id, in id order (invariant oracles).
+    /// Every declared region with its id, in id order.
     pub fn iter_regions(&self) -> impl Iterator<Item = (RegionId, &DriverRegion)> {
         self.regions
             .iter()
@@ -318,8 +318,8 @@ impl Driver {
 
     /// Sum of pinned pages across every declared region. With all pinning
     /// flowing through regions this must equal the frame pool's
-    /// `pinned_pages()` at every event boundary — the harness's pin
-    /// accounting invariant.
+    /// `pinned_pages()` at every event boundary — the audit's
+    /// `PinAccounting` law.
     pub fn pinned_pages_total(&self) -> u64 {
         self.iter_regions().map(|(_, r)| r.pinned_pages()).sum()
     }
@@ -452,8 +452,9 @@ impl Driver {
     }
 
     /// The full-table-scan answer to [`Driver::regions_intersecting`].
-    /// Kept as the differential oracle (simtest cross-checks the index
-    /// against it on every notifier event) and as the `pinscale` baseline.
+    /// Kept as the differential oracle (the state audit's `IndexDiverged`
+    /// law cross-checks the index against it) and as the `pinscale`
+    /// baseline.
     pub fn regions_intersecting_naive(&self, space: AsId, range: &VpnRange) -> Vec<RegionId> {
         self.iter_regions()
             .filter(|(_, r)| r.space == space && r.layout.intersects(range))
@@ -1571,25 +1572,10 @@ mod tests {
             state
         };
         let check = |da: &Driver, db: &Driver, mem_a: &Memory, mem_b: &Memory, round: u32| {
-            assert_eq!(
-                da.pinned_pages_total(),
-                mem_a.frames().pinned_pages() as u64,
-                "deferred world accounting drifted at round {round}"
-            );
-            assert_eq!(
-                db.pinned_pages_total(),
-                mem_b.frames().pinned_pages() as u64,
-                "eager world accounting drifted at round {round}"
-            );
+            let clean = crate::Audit::default();
+            assert_eq!(da.audit(mem_a), clean, "deferred world at round {round}");
+            assert_eq!(db.audit(mem_b), clean, "eager world at round {round}");
             for (id, r) in da.iter_regions() {
-                for idx in 0..r.valid_pages() {
-                    let vpn = r.layout.vpn_of_page(idx);
-                    assert_eq!(
-                        mem_a.resident_pfn(r.space, vpn),
-                        Some(r.pinned_pfns()[idx as usize]),
-                        "deferred {id:?} exposes page {idx} whose PTE moved (round {round})"
-                    );
-                }
                 let eager = db.region(id);
                 assert!(
                     eager.valid_pages() <= r.valid_pages(),
@@ -1626,26 +1612,16 @@ mod tests {
                 // Repin region i to full in both worlds and compare what
                 // the driver reads against the application bytes.
                 2 => {
-                    loop {
-                        if da
-                            .region_mut(ids_a[i])
-                            .pin_next_chunk(&mut mem_a, 4)
-                            .unwrap()
-                            .complete
-                        {
-                            break;
-                        }
-                    }
-                    loop {
-                        if db
-                            .region_mut(ids_b[i])
-                            .pin_next_chunk(&mut mem_b, 4)
-                            .unwrap()
-                            .complete
-                        {
-                            break;
-                        }
-                    }
+                    while !da
+                        .pin_chunk(&mut mem_a, ids_a[i], 4, false)
+                        .unwrap()
+                        .complete
+                    {}
+                    while !db
+                        .pin_chunk(&mut mem_b, ids_b[i], 4, false)
+                        .unwrap()
+                        .complete
+                    {}
                     let len = PAGES * PAGE_SIZE;
                     let via_a = da.region(ids_a[i]).capture(&mem_a, 0, len).unwrap();
                     let via_b = db.region(ids_b[i]).capture(&mem_b, 0, len).unwrap();
@@ -1762,8 +1738,8 @@ mod tests {
             .unwrap();
         assert!(d.pin_chunk(&mut mem, r, 100, false).is_err());
         assert_eq!(d.pinned_pages_of(ProcId(7)), 0, "attribution rolled back");
-        assert_eq!(d.pinned_pages_total(), 0);
         assert_eq!(mem.frames().pinned_pages(), 0);
+        d.audit(&mem).assert_clean();
     }
 
     #[test]
@@ -1794,8 +1770,7 @@ mod tests {
         d.pin_chunk(&mut mem, b, 100, false).unwrap();
         assert_eq!(d.pinned_pages_of(ProcId(1)), 4);
         assert_eq!(d.pinned_pages_of(ProcId(2)), 2);
-        let total: u64 = d.tenant_stats().iter().map(|(_, t)| t.pinned_pages).sum();
-        assert_eq!(total, d.pinned_pages_total(), "Σ per-tenant == global");
+        d.audit(&mem).assert_clean();
 
         // Deferred invalidation keeps the frames attributed until the
         // drain actually releases them.

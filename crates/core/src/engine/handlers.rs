@@ -10,7 +10,7 @@ use super::xfer::{
     Retry, Rndv, Shm, Xfer, XferKey,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
-use crate::config::OpenMxConfig;
+use crate::config::{OpenMxConfig, RETRANSMIT_MIN};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
 use crate::obs::{Counter, RetransKind, TraceEvent};
@@ -2141,6 +2141,6 @@ impl Cluster {
         // late produces duplicate traffic that makes the congestion worse.
         static_guard
             .max(rtt.rto().unwrap_or(SimDuration::ZERO))
-            .max(cfg.retransmit_min)
+            .max(RETRANSMIT_MIN)
     }
 }

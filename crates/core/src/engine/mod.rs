@@ -29,7 +29,7 @@ use simmem::{AsId, Memory, SimHeap};
 use simnet::{IoatEngine, Network, NodeId, TxOutcome};
 
 use crate::cache::RegionCache;
-use crate::config::OpenMxConfig;
+use crate::config::{OpenMxConfig, CORES_PER_NODE, RETRANSMIT_BACKOFF, RETRANSMIT_MIN};
 use crate::driver::{Driver, RegionId};
 use crate::endpoint::{Endpoint, EndpointAddr, RequestId};
 use crate::obs::tracer::DEFAULT_CAPACITY;
@@ -265,14 +265,13 @@ impl Cluster {
     /// Build a cluster of `node_count` hosts with the given configuration.
     pub fn new(cfg: OpenMxConfig, node_count: usize) -> Self {
         assert!(node_count >= 1);
-        assert!(cfg.cores_per_node >= 1);
         cfg.validate().expect("invalid OpenMxConfig");
         let rng = SimRng::new(cfg.seed);
         let net = Network::new(node_count, cfg.net.clone(), rng.derive_stream("net"));
         let nodes = (0..node_count)
             .map(|_| Node {
                 mem: Memory::new(cfg.frames_per_node, cfg.swap_per_node),
-                cores: (0..cfg.cores_per_node).map(|_| CpuCore::new()).collect(),
+                cores: (0..CORES_PER_NODE).map(|_| CpuCore::new()).collect(),
                 ioat: IoatEngine::default_chipset(),
                 driver: {
                     let mut d = Driver::new(cfg.pinned_pages_limit);
@@ -386,7 +385,9 @@ impl Cluster {
     /// Run: start every process (first call only), then drain events until
     /// quiescence or `deadline`. An event scheduled past the deadline stays
     /// queued — earlier revisions popped and *discarded* it, silently
-    /// dropping one event from any continuation. Returns the final
+    /// dropping one event from any continuation. Before returning, run
+    /// [`Cluster::audit`] (its quiescence laws too when the queue
+    /// drained) and panic on the first violated law. Returns the final
     /// simulated time.
     pub fn run(&mut self, deadline: Option<SimTime>) -> SimTime {
         self.start();
@@ -409,6 +410,7 @@ impl Cluster {
                 }
             }
         }
+        self.audit().assert_clean();
         self.now
     }
 
@@ -416,8 +418,9 @@ impl Cluster {
     /// the clock to `deadline` exactly. Later events stay queued, so an
     /// external driver (the `simtest` explorer) can interleave its own
     /// actions — posting transfers, mutating address spaces — between
-    /// steps and observe invariants at a quiescent instant. Returns how
-    /// many events were dispatched.
+    /// steps and observe invariants at a quiescent instant. Unlike
+    /// [`Cluster::run`] it does not audit. Returns how many events were
+    /// dispatched.
     pub fn step_until(&mut self, deadline: SimTime) -> usize {
         self.start();
         let mut dispatched = 0usize;
@@ -454,11 +457,6 @@ impl Cluster {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of processes.
-    pub fn proc_count(&self) -> usize {
-        self.procs.len()
     }
 
     /// Cluster-wide counters: the sum of every node's
@@ -516,7 +514,7 @@ impl Cluster {
         self.procs[proc.0 as usize].node
     }
 
-    // ---- harness introspection (invariant oracles) -------------------
+    // ---- harness introspection and fault injection -------------------
 
     /// Number of nodes in the cluster.
     pub fn node_count(&self) -> usize {
@@ -535,7 +533,7 @@ impl Cluster {
 
     /// Mutable driver access — fault-injection hook for test harnesses
     /// that deliberately corrupt kernel state (e.g. forget a stale
-    /// watermark) to prove their invariant oracle catches it. Not for
+    /// watermark) to prove [`Cluster::audit`] catches it. Not for
     /// applications.
     pub fn driver_mut(&mut self, node: usize) -> &mut Driver {
         &mut self.nodes[node].driver
@@ -543,7 +541,7 @@ impl Cluster {
 
     /// Mutable memory access — fault-injection hook for test harnesses
     /// that deliberately corrupt kernel state (e.g. leak a pin) to prove
-    /// their invariant oracle catches it. Not for applications.
+    /// [`Cluster::audit`] catches it. Not for applications.
     pub fn memory_mut(&mut self, node: usize) -> &mut Memory {
         &mut self.nodes[node].mem
     }
@@ -551,12 +549,6 @@ impl Cluster {
     /// The address space backing a process.
     pub fn space_of(&self, proc: ProcId) -> AsId {
         self.procs[proc.0 as usize].space
-    }
-
-    /// Region descriptors currently held by a process's user-space cache,
-    /// sorted by id.
-    pub fn cached_region_ids(&self, proc: ProcId) -> Vec<RegionId> {
-        self.procs[proc.0 as usize].cache.cached_ids()
     }
 
     /// In-flight protocol state: one entry per transfer end (a receive
@@ -720,7 +712,8 @@ impl Cluster {
     /// marked dead (its endpoint fences and its app falls silent) but the
     /// kernel-side reap is skipped wholesale — transfers stay parked in
     /// the tables and every pin the dead tenant owned leaks. Exists so
-    /// harness mutation self-tests can prove an orphan-pin oracle fires.
+    /// harness mutation self-tests can prove the audit's `OrphanPins` law
+    /// fires.
     /// Not for applications.
     pub fn crash_proc_leaky_for_test(&mut self, proc: ProcId) {
         self.crash_proc_inner(proc, true);
@@ -833,11 +826,6 @@ impl Cluster {
     /// True while `proc` is crashed (awaiting restart).
     pub fn is_crashed(&self, proc: ProcId) -> bool {
         self.procs[proc.0 as usize].crashed
-    }
-
-    /// Current incarnation of `proc` (0 until its first restart).
-    pub fn incarnation_of(&self, proc: ProcId) -> u32 {
-        self.procs[proc.0 as usize].incarnation
     }
 
     /// Tear down every transfer end touching a dead process, in one pass
@@ -996,7 +984,7 @@ impl Cluster {
     /// retransmission off this is the configured fixed timeout; on, it is
     /// the RTT estimator's RTO (falling back to the fixed timeout before
     /// any sample) scaled by `backoff^attempt`, clamped to
-    /// `[retransmit_min, retransmit_timeout]`, with deterministic jitter
+    /// `[RETRANSMIT_MIN, retransmit_timeout]`, with deterministic jitter
     /// on top. Emits a [`TraceEvent::Backoff`] and feeds the `rto_applied`
     /// histogram so backoff decisions are observable.
     pub(crate) fn retrans_timeout(
@@ -1012,9 +1000,9 @@ impl Cluster {
             return cfg_max;
         }
         let base = self.rtt.rto().unwrap_or(cfg_max);
-        let exp = self.cfg.retransmit_backoff.powi(attempt.min(16) as i32);
+        let exp = RETRANSMIT_BACKOFF.powi(attempt.min(16) as i32);
         let scaled = (base.as_nanos() as f64 * exp).min(cfg_max.as_nanos() as f64) as u64;
-        let clamped = scaled.max(self.cfg.retransmit_min.as_nanos());
+        let clamped = scaled.max(RETRANSMIT_MIN.as_nanos());
         let jitter = 1.0 + self.cfg.retransmit_jitter * self.retrans_rng.unit_f64();
         let rto = SimDuration::from_nanos((clamped as f64 * jitter) as u64);
         self.metrics.rto_applied.record(rto);

@@ -21,6 +21,8 @@
 //!   all five pinning strategies of the paper's evaluation;
 //! * [`config`] — Table 1 CPU cost profiles and every knob the paper's
 //!   experiments sweep;
+//! * [`audit`] — the state laws (pin books, caches, transfer table),
+//!   checked by [`Cluster::run`] before every return;
 //! * [`obs`] — observability: typed trace events over the whole pinning
 //!   lifecycle, a bounded ring-buffer tracer, latency histograms,
 //!   Chrome-trace/CSV exporters, and the causal span builder that
@@ -30,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod cache;
 pub mod config;
 pub mod driver;
@@ -40,6 +43,7 @@ pub mod obs;
 pub mod region;
 pub mod wire;
 
+pub use audit::Audit;
 pub use cache::{CacheOutcome, RegionCache};
 pub use config::{CpuProfile, OpenMxConfig, PinningMode};
 pub use driver::{Driver, PinQuota, RegionId};

@@ -403,7 +403,7 @@ impl DriverRegion {
 
     /// The physical frames behind pages `0..pinned_pages()`, in page order
     /// (differential tests compare the batched and per-page pin paths).
-    pub fn pinned_pfns(&self) -> &[Pfn] {
+    pub(crate) fn pinned_pfns(&self) -> &[Pfn] {
         &self.pfns
     }
 
@@ -470,7 +470,7 @@ impl DriverRegion {
     /// Deliberately forget the stale watermark (fault injection only):
     /// pages a notifier invalidation marked stale become protocol-visible
     /// again even though their PTEs moved — exactly the lost-callback bug
-    /// the simtest `StaleVisible` oracle exists to catch. Returns the
+    /// the audit's `StaleVisible` law exists to catch. Returns the
     /// pages exposed.
     #[doc(hidden)]
     pub fn forget_stale_watermark_for_test(&mut self) -> u64 {

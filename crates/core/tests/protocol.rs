@@ -617,7 +617,6 @@ fn pull_replies_keep_the_bytes_of_their_send_time() {
         after.iter().all(|&b| b == NEW),
         "a reply cut after the overwrite delivered the old bytes"
     );
-    assert_eq!(cl.inflight_xfers(), 0);
 }
 
 /// A process that records whether its send completed.
@@ -683,7 +682,6 @@ fn eager_retransmits_keep_the_bytes_of_their_send_time() {
         "the retransmission delivered bytes written after SendDone"
     );
     assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
-    assert_eq!(cl.inflight_xfers(), 0);
 }
 
 /// A shared-memory message that arrives before its receive is posted is
@@ -719,7 +717,6 @@ fn parked_shm_messages_keep_the_bytes_of_their_send_time() {
         "the parked message delivered bytes written after SendDone"
     );
     assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
-    assert_eq!(cl.inflight_xfers(), 0);
 }
 
 #[test]
@@ -747,5 +744,4 @@ fn send_to_a_missing_peer_fails_cleanly() {
     cl.run(None);
     assert_eq!(*failed.borrow(), vec!["no such peer"]);
     assert_eq!(cl.counters().get(Counter::RequestsFailed), 1);
-    assert_eq!(cl.inflight_xfers(), 0);
 }

@@ -239,6 +239,11 @@ impl Memory {
         Ok(())
     }
 
+    /// True if `id` names a live space with a notifier registered.
+    pub fn has_notifier(&self, id: AsId) -> bool {
+        self.space(id).is_ok_and(|s| s.notifier)
+    }
+
     fn space(&self, id: AsId) -> Result<&AddressSpace, MemError> {
         self.spaces
             .get(id.0 as usize)

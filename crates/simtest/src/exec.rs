@@ -6,14 +6,11 @@
 //! application completions, and check every invariant. The run ends with
 //! a quiescence phase (drain all events) and a final conservation check.
 //!
-//! The oracle's invariants:
+//! The oracle is the core state audit ([`Cluster::audit`]: pin books,
+//! tenant quotas, stale pages, orphan pins, cache coherence and, once the
+//! queue is empty, transfer and region leaks) plus the checks only the
+//! harness can make, because only it knows what was posted:
 //!
-//! * **Pin accounting** — the driver's per-region pinned-page sum equals
-//!   the frame pool's pin count at every tick; no pinned frame belongs to
-//!   a region of a dead address space.
-//! * **Cache coherence** — every descriptor in a user-space region cache
-//!   names a declared region; no descriptor appears twice on a node; at
-//!   clean quiescence the declared set *is* the union of the caches.
 //! * **Completion conservation** — every posted operation completes
 //!   exactly once (success or clean error) before the queue drains; a
 //!   receive whose partner failed is excused, everything else that never
@@ -32,9 +29,9 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use openmx_core::{AppEvent, Cluster, Ctx, ProcId, Process};
+use openmx_core::{audit, AppEvent, Cluster, Ctx, ProcId, Process};
 use simcore::{SimDuration, SimRng};
-use simmem::{AsId, VirtAddr, Vpn, VpnRange, PAGE_SIZE};
+use simmem::{AsId, VirtAddr, PAGE_SIZE};
 
 use crate::schedule::{
     encode, profile_by_name, schedule_cfg, ChurnKind, Op, Schedule, BUFS_PER_PROC, BUF_LEN, TICK,
@@ -57,52 +54,8 @@ const QUIESCE_CHUNKS: usize = 4000;
 /// An invariant violation the oracle detected.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Violation {
-    /// Driver region accounting disagrees with the frame pool.
-    PinAccounting {
-        /// Node where the books diverged.
-        node: usize,
-        /// Pages the driver thinks are pinned (sum over regions).
-        declared: u64,
-        /// Pages the frame pool says are pinned.
-        pinned: u64,
-    },
-    /// A region still holds pins although its address space is gone.
-    DeadSpacePin {
-        /// Node of the offending driver.
-        node: usize,
-        /// The offending region id.
-        region: u32,
-    },
-    /// A user-space cache holds a descriptor the driver never declared
-    /// (or already tore down).
-    CacheIncoherent {
-        /// Process whose cache is stale.
-        proc: usize,
-        /// The dangling descriptor.
-        region: u32,
-    },
-    /// The same descriptor appears in two cache entries on one node.
-    CacheDuplicate {
-        /// Node where the duplicate lives.
-        node: usize,
-        /// The duplicated descriptor.
-        region: u32,
-    },
-    /// At clean quiescence, declared regions and cached descriptors
-    /// disagree — a declaration leaked past the cache (or vice versa).
-    RegionLeak {
-        /// Node with the imbalance.
-        node: usize,
-        /// Regions the driver still holds.
-        declared: usize,
-        /// Descriptors user-space caches still hold.
-        cached: usize,
-    },
-    /// Protocol state survived a fully clean run.
-    XferLeak {
-        /// Entries left across the engine's transfer tables.
-        count: usize,
-    },
+    /// A state law of the core audit ([`Cluster::audit`]) failed.
+    State(audit::Violation),
     /// A request completed twice.
     DoubleCompletion {
         /// The request.
@@ -129,64 +82,6 @@ pub enum Violation {
         /// First differing byte offset.
         offset: usize,
     },
-    /// The driver's notifier interval index answered a routing query
-    /// differently from the naive full-table intersect scan.
-    IndexDiverged {
-        /// Node whose driver index diverged.
-        node: usize,
-        /// The address space queried.
-        space: u32,
-        /// Start vpn of the diverging query window.
-        start_vpn: u64,
-    },
-    /// A page inside a region's protocol-visible (valid) prefix has a
-    /// PTE that no longer maps the attached pinned frame. This is the
-    /// differential oracle for the deferred-unpin path: the old eager
-    /// path could never reach this state because it unpinned every
-    /// invalidated page inside the notifier event itself, so any hit
-    /// means the deferral exposed a stale page to the protocol.
-    StaleVisible {
-        /// Node whose driver exposed the stale page.
-        node: usize,
-        /// The offending region.
-        region: u32,
-        /// Region-relative page index inside the valid prefix.
-        page: u64,
-    },
-    /// A tenant's attributed pinned pages exceeded its hard quota cap.
-    QuotaExceeded {
-        /// Node whose driver let the tenant through.
-        node: usize,
-        /// The over-cap process.
-        proc: u32,
-        /// Pages attributed to the tenant.
-        pinned: u64,
-        /// The profile's hard cap.
-        cap: u64,
-    },
-    /// The per-tenant attributed pinned-page sum disagrees with the
-    /// driver's global pinned count — attribution leaked or double-counted
-    /// somewhere on the pin/unpin/evict path.
-    TenantAccounting {
-        /// Node where the books diverged.
-        node: usize,
-        /// Sum of per-tenant attributed pages.
-        attributed: u64,
-        /// The driver's global pinned count.
-        pinned: u64,
-    },
-    /// A crashed process still owns driver state — its kernel exit path
-    /// failed to reap a region (and whatever pins it held).
-    OrphanPins {
-        /// Node whose driver kept the dead tenant's state.
-        node: usize,
-        /// The crashed owner.
-        proc: u32,
-        /// The region that survived the crash.
-        region: u32,
-        /// Pages the orphaned region still holds pinned.
-        pages: u64,
-    },
     /// A completion was delivered for a request posted by a process
     /// incarnation that has since crashed.
     GhostCompletion {
@@ -211,36 +106,7 @@ pub enum Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::PinAccounting {
-                node,
-                declared,
-                pinned,
-            } => write!(
-                f,
-                "pin accounting: node {node} driver says {declared} pages pinned, frame pool says {pinned}"
-            ),
-            Violation::DeadSpacePin { node, region } => write!(
-                f,
-                "dead-space pin: node {node} region {region} holds pins for a destroyed space"
-            ),
-            Violation::CacheIncoherent { proc, region } => write!(
-                f,
-                "cache incoherent: proc {proc} caches undeclared region {region}"
-            ),
-            Violation::CacheDuplicate { node, region } => {
-                write!(f, "cache duplicate: node {node} region {region} cached twice")
-            }
-            Violation::RegionLeak {
-                node,
-                declared,
-                cached,
-            } => write!(
-                f,
-                "region leak: node {node} has {declared} declared vs {cached} cached at quiescence"
-            ),
-            Violation::XferLeak { count } => {
-                write!(f, "xfer leak: {count} protocol table entries after a clean run")
-            }
+            Violation::State(v) => write!(f, "{v}"),
             Violation::DoubleCompletion { req } => {
                 write!(f, "double completion: request {req}")
             }
@@ -248,49 +114,17 @@ impl fmt::Display for Violation {
                 write!(f, "unknown completion: request {req}")
             }
             Violation::ShortRecv { req, got, want } => {
-                write!(f, "short recv: request {req} delivered {got} of {want} bytes")
+                write!(
+                    f,
+                    "short recv: request {req} delivered {got} of {want} bytes"
+                )
             }
             Violation::DataMismatch { req, offset } => {
-                write!(f, "data mismatch: request {req} first diverges at byte {offset}")
+                write!(
+                    f,
+                    "data mismatch: request {req} first diverges at byte {offset}"
+                )
             }
-            Violation::IndexDiverged {
-                node,
-                space,
-                start_vpn,
-            } => write!(
-                f,
-                "index diverged: node {node} space {space} window at vpn {start_vpn} routed differently than the naive scan"
-            ),
-            Violation::StaleVisible { node, region, page } => write!(
-                f,
-                "stale visible: node {node} region {region} page {page} is protocol-visible but its PTE left the pinned frame"
-            ),
-            Violation::QuotaExceeded {
-                node,
-                proc,
-                pinned,
-                cap,
-            } => write!(
-                f,
-                "quota exceeded: node {node} proc {proc} holds {pinned} pinned pages over its hard cap of {cap}"
-            ),
-            Violation::TenantAccounting {
-                node,
-                attributed,
-                pinned,
-            } => write!(
-                f,
-                "tenant accounting: node {node} attributes {attributed} pages across tenants but {pinned} are pinned"
-            ),
-            Violation::OrphanPins {
-                node,
-                proc,
-                region,
-                pages,
-            } => write!(
-                f,
-                "orphan pins: node {node} region {region} (owner proc {proc}, {pages} pages pinned) survived its owner's crash"
-            ),
             Violation::GhostCompletion { req } => write!(
                 f,
                 "ghost completion: request {req} completed after its owner crashed"
@@ -334,12 +168,12 @@ pub enum Mutation {
     },
     /// Disable per-tenant quota enforcement in every driver while the
     /// profile still advertises a quota — tenants sail past their hard
-    /// cap and the per-tick quota oracle must notice.
+    /// cap and the per-tick audit's quota law must notice.
     SkipQuota,
     /// Crash ops mark the process dead but skip the kernel exit path's
     /// reap wholesale — every pin the dead tenant owned leaks and its
-    /// transfer-table entries rot. The per-tick orphan-pin oracle must
-    /// notice on the very next tick.
+    /// transfer-table entries rot. The per-tick audit's orphan-pin law
+    /// must notice on the very next tick.
     LeakOnCrash,
 }
 
@@ -387,6 +221,7 @@ enum Side {
 }
 
 /// One posted transfer and everything the oracle knows about it.
+#[derive(Default)]
 struct Pair {
     send_req: u64,
     recv_req: Option<u64>,
@@ -429,9 +264,6 @@ impl Pair {
     fn settled(&self) -> bool {
         self.send_settled() && self.recv_settled()
     }
-    fn clean(&self) -> bool {
-        self.send_done && self.recv_done && !self.send_failed && !self.recv_failed
-    }
 }
 
 /// A receive the schedule posts late so the message arrives unexpected.
@@ -440,8 +272,6 @@ struct PendingRecv {
     ticks_left: u32,
     tag: u64,
     receiver: usize,
-    raddr: VirtAddr,
-    len: u64,
 }
 
 struct Harness {
@@ -453,16 +283,10 @@ struct Harness {
     pending_recvs: Vec<PendingRecv>,
     children: BTreeMap<usize, AsId>,
     events: Rc<RefCell<Vec<(ProcId, AppEvent)>>>,
-    /// Which processes are currently crashed (awaiting restart).
-    crashed: Vec<bool>,
     /// Requests whose owning incarnation crashed before they settled: any
     /// completion delivered for one of these is a ghost.
     ghost_reqs: BTreeSet<u64>,
     rng: SimRng,
-    /// The profile's per-tenant hard cap, sourced from the schedule (not
-    /// the driver) so a mutation that blinds enforcement cannot also
-    /// blind the oracle.
-    quota_cap: Option<u64>,
     mutation: Option<Mutation>,
     completions: usize,
     violations: Vec<Violation>,
@@ -523,60 +347,32 @@ impl Harness {
                 let sb = *sbuf as usize % BUFS_PER_PROC;
                 let rb = *rbuf as usize % BUFS_PER_PROC;
                 let len = (*len as u64).clamp(1, BUF_LEN);
-                if self.crashed[sp] {
+                if cl.is_crashed(ProcId(sp as u32)) {
                     return; // dead sender: nothing to drive
                 }
-                if self.crashed[dp] {
-                    // Send into a dead peer: post only the send. It must
-                    // settle with a clean failure through the dead-peer
-                    // short-circuits — never hang, never SendDone.
-                    self.ensure_mapped(cl, sp, sb);
-                    self.taint_touching(sp, sb);
-                    let mut data = vec![0u8; len as usize];
-                    self.rng.fill_bytes(&mut data);
-                    let saddr = self.bufs[sp][sb];
-                    cl.drive(ProcId(sp as u32), |ctx| ctx.write_buf(saddr, &data));
-                    let pair = self.pairs.len();
-                    let tag = 0x5e5e_0000 + pair as u64;
-                    let sreq = cl.drive(ProcId(sp as u32), |ctx| {
-                        ctx.isend(ProcId(dp as u32), tag, saddr, len)
-                    });
-                    self.pairs.push(Pair {
-                        send_req: sreq.0,
-                        recv_req: None,
-                        sender: sp,
-                        receiver: dp,
-                        sbuf: sb,
-                        rbuf: rb,
-                        raddr: self.bufs[dp][rb],
-                        len,
-                        snapshot: data,
-                        tainted: true,
-                        send_done: false,
-                        send_failed: false,
-                        recv_done: false,
-                        recv_failed: false,
-                        send_excused: false,
-                        recv_excused: true,
-                    });
-                    self.by_req.insert(sreq.0, (pair, Side::Send));
-                    return;
-                }
+                // Send into a dead peer: post only the send. It must
+                // settle with a clean failure through the dead-peer
+                // short-circuits — never hang, never SendDone.
+                let dead_peer = cl.is_crashed(ProcId(dp as u32));
                 self.ensure_mapped(cl, sp, sb);
-                self.ensure_mapped(cl, dp, rb);
-
+                if !dead_peer {
+                    self.ensure_mapped(cl, dp, rb);
+                }
                 // A concurrent delivery into the source or target buffer
                 // makes this pair's final bytes order-dependent.
-                let birth_taint = self.pairs.iter().any(|p| {
-                    !p.recv_done
-                        && !p.recv_failed
-                        && ((p.receiver == dp && p.rbuf == rb)
-                            || (p.receiver == sp && p.rbuf == sb))
-                });
+                let birth_taint = dead_peer
+                    || self.pairs.iter().any(|p| {
+                        !p.recv_done
+                            && !p.recv_failed
+                            && ((p.receiver == dp && p.rbuf == rb)
+                                || (p.receiver == sp && p.rbuf == sb))
+                    });
                 // Writing the pattern mutates the source under any pair
                 // already reading it; the new delivery mutates the target.
                 self.taint_touching(sp, sb);
-                self.taint_touching(dp, rb);
+                if !dead_peer {
+                    self.taint_touching(dp, rb);
+                }
 
                 let mut data = vec![0u8; len as usize];
                 self.rng.fill_bytes(&mut data);
@@ -586,54 +382,27 @@ impl Harness {
                 let pair = self.pairs.len();
                 let tag = 0x5e5e_0000 + pair as u64;
                 let raddr = self.bufs[dp][rb];
-                if *recv_first {
-                    self.pairs.push(Pair {
-                        send_req: 0,
-                        recv_req: None,
-                        sender: sp,
-                        receiver: dp,
-                        sbuf: sb,
-                        rbuf: rb,
-                        raddr,
-                        len,
-                        snapshot: data,
-                        tainted: birth_taint,
-                        send_done: false,
-                        send_failed: false,
-                        recv_done: false,
-                        recv_failed: false,
-                        send_excused: false,
-                        recv_excused: false,
-                    });
+                self.pairs.push(Pair {
+                    sender: sp,
+                    receiver: dp,
+                    sbuf: sb,
+                    rbuf: rb,
+                    raddr,
+                    len,
+                    snapshot: data,
+                    tainted: birth_taint,
+                    recv_excused: dead_peer,
+                    ..Pair::default()
+                });
+                if *recv_first && !dead_peer {
                     self.post_recv(cl, pair, tag);
-                    let sreq = cl.drive(ProcId(sp as u32), |ctx| {
-                        ctx.isend(ProcId(dp as u32), tag, saddr, len)
-                    });
-                    self.pairs[pair].send_req = sreq.0;
-                    self.by_req.insert(sreq.0, (pair, Side::Send));
-                } else {
-                    let sreq = cl.drive(ProcId(sp as u32), |ctx| {
-                        ctx.isend(ProcId(dp as u32), tag, saddr, len)
-                    });
-                    self.pairs.push(Pair {
-                        send_req: sreq.0,
-                        recv_req: None,
-                        sender: sp,
-                        receiver: dp,
-                        sbuf: sb,
-                        rbuf: rb,
-                        raddr,
-                        len,
-                        snapshot: data,
-                        tainted: birth_taint,
-                        send_done: false,
-                        send_failed: false,
-                        recv_done: false,
-                        recv_failed: false,
-                        send_excused: false,
-                        recv_excused: false,
-                    });
-                    self.by_req.insert(sreq.0, (pair, Side::Send));
+                }
+                let sreq = cl.drive(ProcId(sp as u32), |ctx| {
+                    ctx.isend(ProcId(dp as u32), tag, saddr, len)
+                });
+                self.pairs[pair].send_req = sreq.0;
+                self.by_req.insert(sreq.0, (pair, Side::Send));
+                if !*recv_first && !dead_peer {
                     // Post the receive a few ticks late: the message (or
                     // its rendezvous) arrives unexpected.
                     self.pending_recvs.push(PendingRecv {
@@ -641,14 +410,12 @@ impl Harness {
                         ticks_left: 3,
                         tag,
                         receiver: dp,
-                        raddr,
-                        len,
                     });
                 }
             }
             Op::Churn { proc, buf, kind } => {
                 let p = *proc as usize % self.nprocs;
-                if self.crashed[p] {
+                if cl.is_crashed(ProcId(p as u32)) {
                     return; // no address space to churn
                 }
                 let b = *buf as usize % BUFS_PER_PROC;
@@ -714,7 +481,7 @@ impl Harness {
             }
             Op::Crash { proc } => {
                 let p = *proc as usize % self.nprocs;
-                if self.crashed[p] {
+                if cl.is_crashed(ProcId(p as u32)) {
                     return;
                 }
                 // Excuse both sides owned by the dying incarnation:
@@ -750,7 +517,6 @@ impl Harness {
                 for b in 0..BUFS_PER_PROC {
                     self.mapped[p][b] = false;
                 }
-                self.crashed[p] = true;
                 if matches!(self.mutation, Some(Mutation::LeakOnCrash)) {
                     cl.crash_proc_leaky_for_test(ProcId(p as u32));
                 } else {
@@ -759,7 +525,7 @@ impl Harness {
             }
             Op::Restart { proc } => {
                 let p = *proc as usize % self.nprocs;
-                if !self.crashed[p] {
+                if !cl.is_crashed(ProcId(p as u32)) {
                     return;
                 }
                 cl.restart_proc(
@@ -768,37 +534,24 @@ impl Harness {
                         events: self.events.clone(),
                     }),
                 );
-                self.crashed[p] = false;
                 // Buffers keep their old virtual addresses; `ensure_mapped`
                 // remaps them into the fresh space as ops touch them.
             }
         }
     }
 
-    fn tick_pending_recvs(&mut self, cl: &mut Cluster) {
+    /// Count one tick off every delayed receive and post the ones now
+    /// due — or, with `flush`, all of them — in posting order.
+    fn post_due_recvs(&mut self, cl: &mut Cluster, flush: bool) {
         let mut due = Vec::new();
-        for pr in self.pending_recvs.iter_mut() {
-            if pr.ticks_left == 0 {
-                continue;
-            }
+        self.pending_recvs.retain_mut(|pr| {
             pr.ticks_left -= 1;
-            if pr.ticks_left == 0 {
-                due.push((pr.pair, pr.tag, pr.receiver, pr.raddr, pr.len));
+            let post = flush || pr.ticks_left == 0;
+            if post {
+                due.push((pr.pair, pr.tag));
             }
-        }
-        self.pending_recvs.retain(|pr| pr.ticks_left > 0);
-        for (pair, tag, _receiver, _raddr, _len) in due {
-            self.post_recv(cl, pair, tag);
-        }
-    }
-
-    fn flush_pending_recvs(&mut self, cl: &mut Cluster) {
-        let due: Vec<(usize, u64)> = self
-            .pending_recvs
-            .iter()
-            .map(|pr| (pr.pair, pr.tag))
-            .collect();
-        self.pending_recvs.clear();
+            !post
+        });
         for (pair, tag) in due {
             self.post_recv(cl, pair, tag);
         }
@@ -880,127 +633,8 @@ impl Harness {
     }
 
     fn check_invariants(&mut self, cl: &Cluster) {
-        for node in 0..cl.node_count() {
-            let declared = cl.driver(node).pinned_pages_total();
-            let pinned = cl.memory(node).frames().pinned_pages() as u64;
-            if declared != pinned {
-                self.violations.push(Violation::PinAccounting {
-                    node,
-                    declared,
-                    pinned,
-                });
-            }
-            // Tenant books: attribution must partition the global pinned
-            // count, and (when the profile runs quotas) no tenant may sit
-            // over its hard cap at any tick.
-            let tenants = cl.driver(node).tenant_stats();
-            let attributed: u64 = tenants.iter().map(|(_, t)| t.pinned_pages).sum();
-            if attributed != declared {
-                self.violations.push(Violation::TenantAccounting {
-                    node,
-                    attributed,
-                    pinned: declared,
-                });
-            }
-            if let Some(cap) = self.quota_cap {
-                for (proc, t) in &tenants {
-                    if t.pinned_pages > cap {
-                        self.violations.push(Violation::QuotaExceeded {
-                            node,
-                            proc: proc.0,
-                            pinned: t.pinned_pages,
-                            cap,
-                        });
-                    }
-                }
-            }
-            for (rid, r) in cl.driver(node).iter_regions() {
-                // Crash fault domain: a dead tenant must leave nothing
-                // behind — the kernel exit path reaps every region it
-                // owned, pinned or not, before the tick ends.
-                let owner = r.owner.0 as usize;
-                if owner < self.nprocs && self.crashed[owner] {
-                    self.violations.push(Violation::OrphanPins {
-                        node,
-                        proc: r.owner.0,
-                        region: rid.0,
-                        pages: r.pinned_pages(),
-                    });
-                    continue;
-                }
-                if r.pinned_pages() > 0 && !cl.memory(node).space_exists(r.space) {
-                    self.violations.push(Violation::DeadSpacePin {
-                        node,
-                        region: rid.0,
-                    });
-                    continue;
-                }
-                if !cl.memory(node).space_exists(r.space) {
-                    continue;
-                }
-                // Deferred-unpin differential check: every page the
-                // region exposes to the protocol (the valid prefix —
-                // stale pages past the watermark are excluded) must
-                // still be mapped to the exact frame that was pinned.
-                // The eager path trivially satisfies this by unpinning
-                // inside the event; the deferral must too.
-                for idx in 0..r.valid_pages() {
-                    let vpn = r.layout.vpn_of_page(idx);
-                    if cl.memory(node).resident_pfn(r.space, vpn)
-                        != Some(r.pinned_pfns()[idx as usize])
-                    {
-                        self.violations.push(Violation::StaleVisible {
-                            node,
-                            region: rid.0,
-                            page: idx,
-                        });
-                    }
-                }
-            }
-            // Notifier-routing cross-check: for every declared segment
-            // range (and a window widened one page past each boundary),
-            // the interval index must agree with the naive intersect
-            // scan — a false negative here is a region a real munmap
-            // would have silently failed to unpin.
-            let driver = cl.driver(node);
-            for (_, r) in driver.iter_regions() {
-                for seg in r.layout.segments() {
-                    let exact = seg.page_range();
-                    let probe =
-                        VpnRange::new(Vpn(exact.start.0.saturating_sub(1)), Vpn(exact.end.0 + 1));
-                    for q in [exact, probe] {
-                        if driver.regions_intersecting(r.space, &q)
-                            != driver.regions_intersecting_naive(r.space, &q)
-                        {
-                            self.violations.push(Violation::IndexDiverged {
-                                node,
-                                space: r.space.0,
-                                start_vpn: q.start.0,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let mut per_node_seen: BTreeMap<usize, BTreeSet<u32>> = BTreeMap::new();
-        for p in 0..self.nprocs {
-            let proc = ProcId(p as u32);
-            let node = cl.node_of(proc);
-            for rid in cl.cached_region_ids(proc) {
-                if !cl.driver(node).is_declared(rid) {
-                    self.violations.push(Violation::CacheIncoherent {
-                        proc: p,
-                        region: rid.0,
-                    });
-                }
-                if !per_node_seen.entry(node).or_default().insert(rid.0) {
-                    self.violations.push(Violation::CacheDuplicate {
-                        node,
-                        region: rid.0,
-                    });
-                }
-            }
-        }
+        let state = cl.audit().violations.into_iter().map(Violation::State);
+        self.violations.extend(state);
     }
 
     fn inject_leak_pin(&mut self, cl: &mut Cluster) {
@@ -1113,10 +747,8 @@ pub fn run_schedule(s: &Schedule, mutation: Option<Mutation>) -> RunOutcome {
         pending_recvs: Vec::new(),
         children: BTreeMap::new(),
         events,
-        crashed: vec![false; nprocs],
         ghost_reqs: BTreeSet::new(),
         rng: SimRng::new(s.seed).derive_stream("harness"),
-        quota_cap: profile.pin_quota.map(|q| q.hard_cap),
         mutation,
         completions: 0,
         violations: Vec::new(),
@@ -1145,7 +777,7 @@ pub fn run_schedule(s: &Schedule, mutation: Option<Mutation>) -> RunOutcome {
                 _ => 1,
             };
             for _ in 0..ticks {
-                h.tick_pending_recvs(&mut cl);
+                h.post_due_recvs(&mut cl, false);
                 let t = cl.now() + TICK;
                 cl.step_until(t);
                 h.drain(&mut cl);
@@ -1163,7 +795,7 @@ pub fn run_schedule(s: &Schedule, mutation: Option<Mutation>) -> RunOutcome {
         }
         // Quiescence: post any still-delayed receives, then drain the
         // event queue completely (timers included) in bounded chunks.
-        h.flush_pending_recvs(&mut cl);
+        h.post_due_recvs(&mut cl, true);
         let mut chunks = 0usize;
         while cl.next_event_time().is_some() && chunks < QUIESCE_CHUNKS {
             let t = cl.now() + QUIESCE_CHUNK;
@@ -1175,54 +807,24 @@ pub fn run_schedule(s: &Schedule, mutation: Option<Mutation>) -> RunOutcome {
             }
             chunks += 1;
         }
-        if cl.next_event_time().is_some() {
-            // The queue never went quiet: timers re-arming forever.
-            h.violations.push(Violation::Hang {
-                outstanding: h.pairs.iter().filter(|p| !p.settled()).count(),
-                inflight: cl.inflight_xfers(),
-            });
-            break 'run;
-        }
-        // Tear down forked children, then final conservation checks.
-        let children: Vec<(usize, AsId)> = std::mem::take(&mut h.children).into_iter().collect();
-        for (p, child) in children {
-            let node = cl.node_of(ProcId(p as u32));
-            let _ = cl.vm_destroy_space(node, child);
+        // Tear down forked children once the queue went quiet; the final
+        // audit below then runs on an empty queue, so its quiescence laws
+        // apply. A queue that never went quiet (timers re-arming forever)
+        // or an operation that never completed is a hang.
+        let quiet = cl.next_event_time().is_none();
+        if quiet {
+            for (p, child) in std::mem::take(&mut h.children) {
+                let node = cl.node_of(ProcId(p as u32));
+                let _ = cl.vm_destroy_space(node, child);
+            }
         }
         let outstanding = h.pairs.iter().filter(|p| !p.settled()).count();
-        if outstanding > 0 {
+        if !quiet || outstanding > 0 {
             h.violations.push(Violation::Hang {
                 outstanding,
                 inflight: cl.inflight_xfers(),
             });
             break 'run;
-        }
-        if h.pairs.iter().all(|p| p.clean()) {
-            let inflight = cl.inflight_xfers();
-            if inflight != 0 {
-                h.violations.push(Violation::XferLeak { count: inflight });
-            }
-            for node in 0..cl.node_count() {
-                let declared: BTreeSet<u32> = cl
-                    .driver(node)
-                    .iter_regions()
-                    .map(|(rid, _)| rid.0)
-                    .collect();
-                let mut cached: BTreeSet<u32> = BTreeSet::new();
-                for p in 0..nprocs {
-                    let proc = ProcId(p as u32);
-                    if cl.node_of(proc) == node {
-                        cached.extend(cl.cached_region_ids(proc).iter().map(|r| r.0));
-                    }
-                }
-                if declared != cached {
-                    h.violations.push(Violation::RegionLeak {
-                        node,
-                        declared: declared.len(),
-                        cached: cached.len(),
-                    });
-                }
-            }
         }
         h.check_invariants(&cl);
     }
@@ -1369,7 +971,7 @@ mod tests {
         assert!(
             out.violations
                 .iter()
-                .any(|v| matches!(v, Violation::PinAccounting { .. })),
+                .any(|v| matches!(v, Violation::State(audit::Violation::PinAccounting { .. }))),
             "{:?}",
             out.violations
         );
@@ -1428,7 +1030,7 @@ mod tests {
         assert!(
             out.violations
                 .iter()
-                .any(|v| matches!(v, Violation::StaleVisible { .. })),
+                .any(|v| matches!(v, Violation::State(audit::Violation::StaleVisible { .. }))),
             "{:?}",
             out.violations
         );
@@ -1473,7 +1075,7 @@ mod tests {
         assert!(
             out.violations
                 .iter()
-                .any(|v| matches!(v, Violation::QuotaExceeded { .. })),
+                .any(|v| matches!(v, Violation::State(audit::Violation::QuotaExceeded { .. }))),
             "skipped quota not caught: {:?}",
             out.violations
         );
@@ -1533,9 +1135,10 @@ mod tests {
     fn leak_on_crash_trips_orphan_pins() {
         let out = run_schedule(&crash_cycle(), Some(Mutation::LeakOnCrash));
         assert!(
-            out.violations
-                .iter()
-                .any(|v| matches!(v, Violation::OrphanPins { proc: 0, .. })),
+            out.violations.iter().any(|v| matches!(
+                v,
+                Violation::State(audit::Violation::OrphanPins { proc: 0, .. })
+            )),
             "leaky crash not caught: {:?}",
             out.violations
         );

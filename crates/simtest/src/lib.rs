@@ -8,8 +8,9 @@
 //! are using. After every tick an invariant oracle cross-checks the
 //! layers against each other:
 //!
-//! * pin accounting (driver books vs. frame pool, no pins in dead spaces),
-//! * driver/cache coherence (every cached descriptor declared, no leaks),
+//! * the core state audit (`openmx_core::Cluster::audit`): pin and tenant
+//!   books, quotas, stale pages, orphan pins, driver/cache coherence and,
+//!   once the queue is empty, transfer and region leaks;
 //! * completion conservation (every posted op completes exactly once),
 //! * end-to-end data integrity (delivered bytes match a pure-Rust model
 //!   of the sender's buffer at post time).

@@ -260,7 +260,6 @@ pub fn schedule_cfg(s: &Schedule, p: &Profile) -> OpenMxConfig {
     let mut cfg = OpenMxConfig::with_mode(PinningMode::OverlappedCached);
     cfg.seed = s.seed;
     cfg.max_retries = 6;
-    cfg.adaptive_retransmit = true;
     cfg.retransmit_timeout = SimDuration::from_millis(20);
     cfg.cache_capacity = 4;
     cfg.notifier_epoch = TICK * 5;

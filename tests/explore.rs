@@ -9,7 +9,7 @@
 //!   bug classes it claims to, and that the shrinker minimizes a failure
 //!   to a handful of ops whose repro string replays deterministically.
 
-use openmx_core::Counter;
+use openmx_core::{audit, Counter};
 use simtest::{
     decode, encode, explore, generate, profile_by_name, profiles, run_schedule_catching, shrink,
     Mutation, Violation,
@@ -261,7 +261,7 @@ fn leak_on_crash_is_caught_and_replays() {
     assert!(
         out.violations
             .iter()
-            .any(|v| matches!(v, Violation::OrphanPins { .. })),
+            .any(|v| matches!(v, Violation::State(audit::Violation::OrphanPins { .. }))),
         "leaky crash not caught: {:?}",
         out.violations
     );
@@ -282,7 +282,7 @@ fn injected_pin_leak_is_caught_shrinks_and_replays() {
     assert!(
         out.violations
             .iter()
-            .any(|v| matches!(v, Violation::PinAccounting { .. })),
+            .any(|v| matches!(v, Violation::State(audit::Violation::PinAccounting { .. }))),
         "leaked pin not caught: {:?}",
         out.violations
     );
@@ -318,7 +318,7 @@ fn forgotten_stale_watermark_is_caught() {
     assert!(
         out.violations
             .iter()
-            .any(|v| matches!(v, Violation::StaleVisible { .. })),
+            .any(|v| matches!(v, Violation::State(audit::Violation::StaleVisible { .. }))),
         "forgotten watermark not caught: {:?}",
         out.violations
     );
@@ -341,7 +341,7 @@ fn skipped_quota_enforcement_is_caught() {
     assert!(
         out.violations
             .iter()
-            .any(|v| matches!(v, Violation::QuotaExceeded { .. })),
+            .any(|v| matches!(v, Violation::State(audit::Violation::QuotaExceeded { .. }))),
         "skipped quota not caught: {:?}",
         out.violations
     );

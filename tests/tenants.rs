@@ -1,5 +1,8 @@
 //! Multi-tenant behaviour at the engine level: pin-quota denials, per-tenant
 //! attribution, and the pin-budget ledger when a pin pass fails part-way.
+//! `Cluster::run` audits the pin ledger and the tenant books (see
+//! `openmx_core::audit`) before it returns, so every test here checks
+//! them.
 
 mod common;
 
@@ -13,22 +16,6 @@ use simmem::{VirtAddr, PAGE_SIZE};
 
 const PAGES: u64 = 80;
 const LEN: u64 = PAGES * PAGE_SIZE;
-
-/// The per-node pin ledger: every page ever pinned is either still attached
-/// to a region or was credited to one of the unpin counters.
-fn assert_ledger_balances(cl: &Cluster, node: usize) {
-    let c = cl.node_counters(node);
-    let pinned = cl.driver(node).pinned_pages_total();
-    assert_eq!(
-        c.get(Counter::PinPages),
-        c.get(Counter::UnpinPages) + c.get(Counter::PressureUnpinnedPages) + pinned,
-        "node {node} pin ledger out of balance: pin_pages={} unpin_pages={} \
-         pressure_unpinned_pages={} attached={pinned}",
-        c.get(Counter::PinPages),
-        c.get(Counter::UnpinPages),
-        c.get(Counter::PressureUnpinnedPages),
-    );
-}
 
 struct TailSender {
     buf: Rc<Cell<VirtAddr>>,
@@ -115,7 +102,6 @@ fn failed_partial_pin_keeps_the_unpin_ledger_exact() {
     // nothing stays attributed to the sender.
     assert_eq!(cl.driver(0).pinned_pages_total(), 0);
     assert_eq!(cl.driver(0).pinned_pages_of(ProcId(0)), 0);
-    assert_ledger_balances(&cl, 0);
 }
 
 struct QuotaSender {
@@ -231,9 +217,8 @@ fn quota_hard_cap_denies_cleanly_without_touching_neighbours() {
     assert_eq!(c0.get(Counter::QuotaDenials), 1);
     assert!(cl.tracer().iter().any(|r| r.kind() == "pin_denied"));
 
-    // Per-tenant attribution: the denied tenant holds nothing, the
-    // neighbour's cached region stays pinned and attributed, and the
-    // per-tenant sum matches the driver's global count.
+    // Per-tenant attribution: the denied tenant holds nothing and the
+    // neighbour's cached region stays pinned and attributed.
     let d = cl.driver(0);
     assert_eq!(d.pinned_pages_of(ProcId(0)), 0);
     assert_eq!(d.pinned_pages_of(ProcId(1)), 32);
@@ -246,13 +231,10 @@ fn quota_hard_cap_denies_cleanly_without_touching_neighbours() {
     assert_eq!(small.quota_denials, 0);
     assert_eq!(small.pinned_pages, 32);
     assert_eq!(small.evictions_suffered_from_others, 0);
-    let sum: u64 = stats.iter().map(|(_, t)| t.pinned_pages).sum();
-    assert_eq!(sum, d.pinned_pages_total());
-    assert_ledger_balances(&cl, 0);
 }
 
 /// A generous quota is invisible: the stream completes byte-identical with
-/// zero denials, and attribution still sums to the global pinned count.
+/// zero denials (and the run's audit finds the tenant books exact).
 #[test]
 fn generous_quota_does_not_perturb_a_healthy_stream() {
     let mut c = cfg(PinningMode::OverlappedCached);
@@ -262,10 +244,4 @@ fn generous_quota_does_not_perturb_a_healthy_stream() {
     });
     let (cl, _) = verified_stream(&c, 512 * 1024, 4);
     assert_eq!(cl.counters().get(Counter::QuotaDenials), 0);
-    for node in 0..2 {
-        let d = cl.driver(node);
-        let sum: u64 = d.tenant_stats().iter().map(|(_, t)| t.pinned_pages).sum();
-        assert_eq!(sum, d.pinned_pages_total());
-        assert_ledger_balances(&cl, node);
-    }
 }
