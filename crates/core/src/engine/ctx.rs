@@ -2,7 +2,7 @@
 //! do inside its callbacks.
 
 use simcore::SimDuration;
-use simmem::VirtAddr;
+use simmem::{PageSnapshot, VirtAddr};
 
 use super::{Cluster, OverlapHint, ProcId, SyscallAction, Work};
 use crate::endpoint::RequestId;
@@ -74,6 +74,20 @@ impl<'a> Ctx<'a> {
             .mem
             .write(space, addr, data)
             .expect("write_buf fault");
+        self.cl.dispatch_notifier_events(node, &events);
+    }
+
+    /// Land `data` in this process's memory by reference to its pages:
+    /// [`Memory::land`](simmem::Memory::land), otherwise as
+    /// [`Ctx::write_buf`] of its bytes.
+    pub fn land_buf(&mut self, addr: VirtAddr, data: &PageSnapshot) {
+        let idx = self.proc.0 as usize;
+        let node = self.cl.procs[idx].node;
+        let space = self.cl.procs[idx].space;
+        let events = self.cl.nodes[node]
+            .mem
+            .land(space, addr, data)
+            .expect("land_buf fault");
         self.cl.dispatch_notifier_events(node, &events);
     }
 

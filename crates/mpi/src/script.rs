@@ -9,13 +9,14 @@
 //! either a specific source (exact) or any source (mask off the high bits).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use openmx_core::engine::{AppEvent, Ctx, ProcId, Process};
 use openmx_core::RequestId;
 use simcore::{SimDuration, SimTime};
-use simmem::VirtAddr;
+use simmem::{page_chunks, PageSnapshot, VirtAddr, VpnRange, PAGE_SIZE};
 
 /// One operation within a step.
 #[derive(Clone, Debug)]
@@ -141,6 +142,27 @@ pub fn key(src_rank: usize, tag: u32) -> u64 {
 /// Mask for tag-only (any-source) matching.
 pub const ANY_SOURCE_MASK: u64 = 0x0000_0000_ffff_ffff;
 
+// Byte `j` of a pattern depends on `j % 256` only, and 256 divides
+// `PAGE_SIZE`, so it depends only on the page offset it lands at: one page
+// holds every page of a buffer's pattern.
+const _: () = assert!(PAGE_SIZE.is_multiple_of(256));
+
+/// The init pattern of a `size`-byte buffer at `addr` (byte `j` is
+/// `(j as u8) ^ salt`), by reference to one template page: every whole
+/// page of the buffer is that page, and a partial first or last page is
+/// the matching range of it. Landing it copies only the partial pages.
+fn init_pattern(addr: VirtAddr, size: u64, salt: u8) -> PageSnapshot {
+    let off = addr.page_offset();
+    let template: Arc<[u8]> = (0..PAGE_SIZE)
+        .map(|k| (k.wrapping_sub(off) as u8) ^ salt)
+        .collect();
+    let mut snap = PageSnapshot::with_capacity(VpnRange::covering(addr, size).len() as usize);
+    for (_, start, len) in page_chunks(addr, size) {
+        snap.push(Arc::clone(&template), start, len);
+    }
+    snap
+}
+
 /// Executes a [`Script`] as an engine [`Process`].
 pub struct ScriptProcess {
     rank: usize,
@@ -151,7 +173,7 @@ pub struct ScriptProcess {
     // runtime state
     bufs: Vec<VirtAddr>,
     step: usize,
-    outstanding: HashMap<RequestId, ()>,
+    outstanding: HashSet<RequestId>,
     computes_outstanding: u32,
 }
 
@@ -166,16 +188,15 @@ impl ScriptProcess {
             recorder,
             bufs: Vec::new(),
             step: 0,
-            outstanding: HashMap::new(),
+            outstanding: HashSet::new(),
             computes_outstanding: 0,
         }
     }
 
     fn issue_step(&mut self, ctx: &mut Ctx<'_>) {
         while self.step < self.script.steps.len() {
-            let ops = self.script.steps[self.step].ops.clone();
-            for op in ops {
-                match op {
+            for i in 0..self.script.steps[self.step].ops.len() {
+                match self.script.steps[self.step].ops[i].clone() {
                     Op::Send {
                         to,
                         tag,
@@ -189,7 +210,7 @@ impl ScriptProcess {
                             self.bufs[buf].add(offset),
                             len,
                         );
-                        self.outstanding.insert(req, ());
+                        self.outstanding.insert(req);
                     }
                     Op::Recv {
                         from,
@@ -199,7 +220,7 @@ impl ScriptProcess {
                         len,
                     } => {
                         let req = ctx.irecv(key(from, tag), !0, self.bufs[buf].add(offset), len);
-                        self.outstanding.insert(req, ());
+                        self.outstanding.insert(req);
                     }
                     Op::RecvAny {
                         tag,
@@ -213,7 +234,7 @@ impl ScriptProcess {
                             self.bufs[buf].add(offset),
                             len,
                         );
-                        self.outstanding.insert(req, ());
+                        self.outstanding.insert(req);
                     }
                     Op::Compute { dur } => {
                         ctx.compute(dur, self.step as u64);
@@ -260,8 +281,7 @@ impl Process for ScriptProcess {
         for (i, &size) in self.script.buffers.iter().enumerate() {
             let addr = ctx.malloc(size);
             if let Some(salt) = self.script.init[i] {
-                let data: Vec<u8> = (0..size).map(|j| (j as u8) ^ salt).collect();
-                ctx.write_buf(addr, &data);
+                ctx.land_buf(addr, &init_pattern(addr, size, salt));
             }
             self.bufs.push(addr);
         }
@@ -273,7 +293,7 @@ impl Process for ScriptProcess {
         match event {
             AppEvent::SendDone(req) | AppEvent::RecvDone(req, _) => {
                 let was = self.outstanding.remove(&req);
-                assert!(was.is_some(), "completion for unknown request");
+                assert!(was, "completion for unknown request");
                 self.maybe_advance(ctx);
             }
             AppEvent::ComputeDone(_) => {
@@ -285,7 +305,7 @@ impl Process for ScriptProcess {
                 // A late failure (e.g. an eager send erroring after its
                 // SendDone) names a request that is no longer outstanding;
                 // it must only be recorded, not re-complete the step.
-                if self.outstanding.remove(&req).is_some() {
+                if self.outstanding.remove(&req) {
                     self.maybe_advance(ctx);
                 }
             }
@@ -302,6 +322,45 @@ mod tests {
         assert_ne!(key(0, 5), key(1, 5));
         assert_eq!(key(3, 5) & ANY_SOURCE_MASK, key(7, 5) & ANY_SOURCE_MASK);
         assert_ne!(key(3, 5) & ANY_SOURCE_MASK, key(3, 6) & ANY_SOURCE_MASK);
+    }
+
+    #[test]
+    fn init_pattern_matches_the_byte_formula_and_shares_its_whole_pages() {
+        for off in [0, 1, 100, PAGE_SIZE - 1] {
+            for size in [
+                0,
+                1,
+                PAGE_SIZE - 1,
+                PAGE_SIZE,
+                PAGE_SIZE + 1,
+                3 * PAGE_SIZE + 17,
+            ] {
+                for salt in [0x00, 0xa5] {
+                    let addr = VirtAddr(0x40_0000 + off);
+                    let snap = init_pattern(addr, size, salt);
+                    let want: Vec<u8> = (0..size).map(|j| (j as u8) ^ salt).collect();
+                    assert_eq!(snap.to_vec(), want, "offset {off} size {size}");
+
+                    let mut whole = Vec::new();
+                    let mut r = snap.reader();
+                    loop {
+                        if let Some(page) = r.whole_page() {
+                            whole.push(page);
+                        } else if r.bytes(u64::MAX).is_empty() {
+                            break;
+                        }
+                    }
+                    let expect = page_chunks(addr, size)
+                        .filter(|&(_, _, n)| n == PAGE_SIZE)
+                        .count();
+                    assert_eq!(whole.len(), expect, "offset {off} size {size}");
+                    assert!(
+                        whole.iter().all(|p| Arc::ptr_eq(p, &whole[0])),
+                        "offset {off} size {size}: whole pages not shared"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
