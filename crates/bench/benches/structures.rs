@@ -169,9 +169,10 @@ fn bench_pin_path(b: &Bench) {
     }
 }
 
-/// One pull reply's byte path: the sender captures two pinned pages, the
+/// One pull reply's byte path: the sender captures its pinned pages, the
 /// receiver lands them in its own pinned pages (separate `Memory`s, as on
-/// two nodes), walking a 64-page buffer frame by frame.
+/// two nodes), walking a 64-page buffer frame by frame. 8 KiB frames move
+/// whole pages only; 8,968-byte jumbo frames split pages.
 fn bench_pull_reply(b: &Bench) {
     const PAGES: u64 = 64;
     const FRAME: u64 = 2 * PAGE_SIZE;
@@ -200,6 +201,30 @@ fn bench_pull_reply(b: &Bench) {
         offset = (offset + FRAME) % (PAGES * PAGE_SIZE);
         black_box(data.len())
     });
+
+    // Jumbo frames split about every other destination page across two
+    // frames. Into a fresh destination (each pass over the buffer lands
+    // the other of two senders) the first piece of a split page is copied
+    // and the second takes the sender's page; into a steady-state one
+    // (every pass lands the same sender) each page already holds it.
+    const JUMBO: u64 = 8968;
+    let senders = [pinned(0x5a), pinned(0xa5)];
+    for (name, flip) in [("fresh", 1), ("steady", 0)] {
+        let (mut dst_mem, dst) = pinned(0);
+        let (mut offset, mut sender) = (0, 0);
+        b.bench(&format!("pull-reply 8968 B capture+land, {name}"), || {
+            let len = JUMBO.min(PAGES * PAGE_SIZE - offset);
+            let (src_mem, src) = &senders[sender];
+            let data = src.capture(src_mem, offset, len).unwrap();
+            dst.land(&mut dst_mem, offset, &data).unwrap();
+            offset += len;
+            if offset == PAGES * PAGE_SIZE {
+                offset = 0;
+                sender ^= flip;
+            }
+            black_box(data.len())
+        });
+    }
 }
 
 /// One 4 KiB eager message's byte path: the sender captures its

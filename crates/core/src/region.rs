@@ -141,15 +141,7 @@ impl RegionLayout {
     /// # Panics
     /// Panics if the range exceeds the region.
     pub fn for_each_chunk(&self, offset: u64, len: u64, mut f: impl FnMut(u64, Vpn, u64, u64)) {
-        // checked_add: a hostile offset near u64::MAX must not wrap past
-        // the bound and walk the segment list with garbage offsets.
-        assert!(
-            offset
-                .checked_add(len)
-                .is_some_and(|end| end <= self.total_len),
-            "region access out of bounds: {offset}+{len} > {}",
-            self.total_len
-        );
+        self.assert_in_bounds(offset, len);
         let mut remaining = len;
         let mut off = offset;
         for m in &self.segs {
@@ -174,16 +166,38 @@ impl RegionLayout {
     }
 
     /// The flattened page indexes covering bytes `[offset, offset+len)`,
-    /// as an inclusive range `(first, last)`.
+    /// as an inclusive range `(first, last)`: the pages of the first and
+    /// the last byte.
+    ///
+    /// # Panics
+    /// Panics if the range is empty or exceeds the region.
     pub fn page_index_span(&self, offset: u64, len: u64) -> (u64, u64) {
         assert!(len > 0, "empty span");
-        let mut first = u64::MAX;
-        let mut last = 0;
-        self.for_each_chunk(offset, len, |idx, _, _, _| {
-            first = first.min(idx);
-            last = last.max(idx);
-        });
-        (first, last)
+        self.assert_in_bounds(offset, len);
+        (
+            self.page_of_byte(offset),
+            self.page_of_byte(offset + len - 1),
+        )
+    }
+
+    /// The flattened page index of region byte `offset`, which must lie
+    /// inside the region.
+    fn page_of_byte(&self, offset: u64) -> u64 {
+        let m = &self.segs[self.segs.partition_point(|m| m.byte_start <= offset) - 1];
+        let vpn = m.seg.addr.add(offset - m.byte_start).vpn();
+        m.page_start + (vpn.0 - m.seg.addr.vpn().0)
+    }
+
+    fn assert_in_bounds(&self, offset: u64, len: u64) {
+        // checked_add: a hostile offset near u64::MAX must not wrap past
+        // the bound and walk the segment list with garbage offsets.
+        assert!(
+            offset
+                .checked_add(len)
+                .is_some_and(|end| end <= self.total_len),
+            "region access out of bounds: {offset}+{len} > {}",
+            self.total_len
+        );
     }
 
     /// True if any page of the region falls in `range` of space `space`
@@ -533,9 +547,10 @@ impl DriverRegion {
     }
 
     /// Driver landing of `data` at region offset `offset` (pull-reply
-    /// placement on the receive side). A destination page that `data`
-    /// covers with one whole captured page takes that page by reference;
-    /// every other piece is copied. Fails if the range is not pinned yet.
+    /// placement on the receive side). A destination page that the landing
+    /// leaves equal to a captured page takes that page by reference (see
+    /// [`simmem::FrameAllocator::land`]); every other piece is copied.
+    /// Fails if the range is not pinned yet.
     pub fn land(
         &self,
         mem: &mut Memory,
@@ -612,6 +627,71 @@ mod tests {
         // Byte PAGE_SIZE (first byte of segment 2) maps to page index 1.
         assert_eq!(l.page_index_span(PAGE_SIZE, 1), (1, 1));
         assert_eq!(l.page_index_span(0, 3 * PAGE_SIZE), (0, 2));
+    }
+
+    /// The chunk walk `page_index_span` replaced: the least and greatest
+    /// page index it visits.
+    fn span_by_walk(l: &RegionLayout, offset: u64, len: u64) -> (u64, u64) {
+        let (mut first, mut last) = (u64::MAX, 0);
+        l.for_each_chunk(offset, len, |idx, _, _, _| {
+            first = first.min(idx);
+            last = last.max(idx);
+        });
+        (first, last)
+    }
+
+    #[test]
+    fn page_index_span_matches_the_chunk_walk() {
+        let mut rng = SimRng::new(7);
+        for case in 0..200 {
+            // Unaligned segments of up to three pages, anywhere, some
+            // sharing a page with their neighbour.
+            let mut at = 0x10_0000 + rng.below(PAGE_SIZE);
+            let segs: Vec<Segment> = (0..1 + rng.below(5))
+                .map(|_| {
+                    let len = 1 + rng.below(3 * PAGE_SIZE);
+                    let seg = Segment {
+                        addr: VirtAddr(at),
+                        len,
+                    };
+                    at += len + rng.below(4) * rng.below(3 * PAGE_SIZE);
+                    seg
+                })
+                .collect();
+            let l = RegionLayout::new(&segs);
+            let total = l.total_len();
+            let mut spans: Vec<(u64, u64)> = (0..20)
+                .map(|_| {
+                    let off = rng.below(total);
+                    (off, 1 + rng.below(total - off))
+                })
+                .collect();
+            // Spans that end on a segment's last byte, and whole segments.
+            let mut end = 0;
+            for seg in &segs {
+                end += seg.len;
+                spans.push((0, end));
+                spans.push((end - 1, 1));
+                spans.push((end - seg.len, seg.len));
+            }
+            for (off, len) in spans {
+                assert_eq!(
+                    l.page_index_span(off, len),
+                    span_by_walk(&l, off, len),
+                    "case {case}: span {off}+{len} of {segs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn page_index_span_rejects_a_span_past_the_end() {
+        let l = RegionLayout::new(&[Segment {
+            addr: VirtAddr(0x10_0000 + 5),
+            len: PAGE_SIZE,
+        }]);
+        l.page_index_span(PAGE_SIZE - 1, 2);
     }
 
     #[test]
@@ -877,47 +957,68 @@ mod tests {
         bytes
     }
 
+    /// The in-page offset of every byte of `r`, in region order.
+    fn page_offsets(r: &DriverRegion) -> Vec<u64> {
+        let mut offs = Vec::new();
+        r.layout
+            .for_each_chunk(0, r.layout.total_len(), |_, _, off, n| {
+                offs.extend(off..off + n)
+            });
+        offs
+    }
+
     #[test]
     fn capture_land_matches_a_byte_copy() {
         const LEN: u64 = 6 * PAGE_SIZE;
-        // Source and destination shapes of LEN bytes each: page-aligned
-        // (the only case whole pages can move by reference), unaligned,
-        // and vectorial, with page offsets differing between the sides.
+        // Source and destination shapes of LEN bytes each: page-aligned,
+        // unaligned, and vectorial. Only pairs whose page offsets agree
+        // can move pages by reference.
         let aligned = vec![(0, 0, LEN)];
         let vector_aligned = vec![(2, 0, 2 * PAGE_SIZE), (8, 0, 4 * PAGE_SIZE)];
         let unaligned = vec![(1, 100, LEN)];
         let vector_odd = vec![(0, 3000, 5000), (10, 17, LEN - 5000 - 700), (20, 64, 700)];
         let shapes = [&aligned, &vector_aligned, &unaligned, &vector_odd];
         let mut rng = SimRng::new(42);
-        let (mut installed, mut copied) = (0u64, 0u64);
+        let (mut whole, mut copied) = (0u64, 0u64);
+        // Partial pieces installed, for pairs whose offsets agree / differ.
+        let (mut assembled, mut assembled_offset) = (0u64, 0u64);
         for src_shape in shapes {
             for dst_shape in shapes {
                 let (mut smem, sspace, src) = pinned_region(src_shape, 0x11);
                 let (mut dmem, _, dst) = pinned_region(dst_shape, 0x22);
+                let agree = page_offsets(&src) == page_offsets(&dst);
                 let mut model = vec![0x22u8; LEN as usize];
                 let mut src_bytes = scribble(&mut smem, sspace, &src, 0);
                 for round in 1..=40u64 {
                     let off = rng.below(LEN);
                     let len = 1 + rng.below(LEN - off);
-                    let span = off as usize..(off + len) as usize;
-                    let snap = src.capture(&smem, off, len).unwrap();
-                    dst.land(&mut dmem, off, &snap).unwrap();
-                    model[span.clone()].copy_from_slice(&src_bytes[span]);
-                    // Classify each destination page the landing touched.
+                    // Two frames, each captured on its own, as pull replies
+                    // are: the page around the split lands in two pieces.
+                    let split = rng.below(len + 1);
                     let src_pages: Vec<Arc<[u8]>> = src
                         .pinned_pfns()
                         .iter()
                         .map(|&p| smem.share_phys(p))
                         .collect();
-                    dst.layout.for_each_chunk(off, len, |idx, _, _, n| {
-                        let page = dmem.share_phys(dst.pinned_pfns()[idx as usize]);
-                        if src_pages.iter().any(|s| Arc::ptr_eq(s, &page)) {
-                            assert_eq!(n, PAGE_SIZE, "only whole pages install");
-                            installed += 1;
-                        } else {
-                            copied += 1;
+                    for (off, len) in [(off, split), (off + split, len - split)] {
+                        if len == 0 {
+                            continue;
                         }
-                    });
+                        let snap = src.capture(&smem, off, len).unwrap();
+                        dst.land(&mut dmem, off, &snap).unwrap();
+                        // Classify each destination page this frame touched.
+                        dst.layout.for_each_chunk(off, len, |idx, _, _, n| {
+                            let page = dmem.share_phys(dst.pinned_pfns()[idx as usize]);
+                            match (src_pages.iter().any(|s| Arc::ptr_eq(s, &page)), n) {
+                                (false, _) => copied += 1,
+                                (true, PAGE_SIZE) => whole += 1,
+                                (true, _) if agree => assembled += 1,
+                                (true, _) => assembled_offset += 1,
+                            }
+                        });
+                    }
+                    let span = off as usize..(off + len) as usize;
+                    model[span.clone()].copy_from_slice(&src_bytes[span]);
                     // Overwrite the source; nothing already landed may change.
                     src_bytes = scribble(&mut smem, sspace, &src, round);
                     let got = dst.capture(&dmem, 0, LEN).unwrap().to_vec();
@@ -925,8 +1026,10 @@ mod tests {
                 }
             }
         }
-        assert!(installed > 0, "the install branch never ran");
+        assert!(whole > 0, "no whole page installed");
         assert!(copied > 0, "the copy branch never ran");
+        assert!(assembled > 0, "no page assembled from two frames installed");
+        assert_eq!(assembled_offset, 0, "installed across differing offsets");
     }
 
     /// Differential harness: drive the batched and per-page pin paths over

@@ -4,10 +4,11 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
 use openmx_core::{Counter, OpenMxConfig, PinningMode};
-use simmem::VirtAddr;
+use simmem::{page_chunks, VirtAddr, PAGE_SIZE};
 
 /// Harness process driven by closures, to keep the scenarios compact.
 type StartFn = Box<dyn FnMut(&mut Ctx<'_>)>;
@@ -717,6 +718,83 @@ fn parked_shm_messages_keep_the_bytes_of_their_send_time() {
         "the parked message delivered bytes written after SendDone"
     );
     assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
+}
+
+/// The backing page of every page `[addr, addr + len)` of `proc` touches.
+fn pages_of(cl: &Cluster, proc: ProcId, addr: VirtAddr, len: u64) -> Vec<Arc<[u8]>> {
+    let mem = cl.memory(cl.node_of(proc));
+    let space = cl.space_of(proc);
+    page_chunks(addr, len)
+        .map(|(vpn, _, _)| mem.share_phys(mem.resident_pfn(space, vpn).expect("resident")))
+        .collect()
+}
+
+/// Two round trips of a 1 MiB rendezvous pingpong at jumbo MTU, whose
+/// receive buffers start `shift` bytes into their allocation. Returns the
+/// cluster, proc 0's send buffer, proc 1's receive buffer and proc 0's
+/// echo buffer.
+fn split_page_pingpong(shift: u64) -> (Cluster, VirtAddr, VirtAddr, VirtAddr) {
+    const LEN: u64 = 1 << 20;
+    let cfg = OpenMxConfig::with_mode(PinningMode::OverlappedCached);
+    assert_eq!(cfg.net.mtu, simnet::frame::MTU_JUMBO);
+    let mut cl = Cluster::new(cfg, 2);
+    let p0 = cl.add_process(0, proc_of(|_| {}, |_, _| {}));
+    let p1 = cl.add_process(1, proc_of(|_| {}, |_, _| {}));
+    cl.step_until(simcore::SimTime::ZERO);
+    let (send, echo) = cl.drive(p0, |ctx| {
+        let send = ctx.malloc(LEN);
+        // A different byte at every offset of the buffer.
+        let data: Vec<u8> = (0..LEN).map(|i| (i / 3 + i / PAGE_SIZE) as u8).collect();
+        ctx.write_buf(send, &data);
+        (send, ctx.malloc(LEN + PAGE_SIZE).add(shift))
+    });
+    let recv = cl.drive(p1, |ctx| ctx.malloc(LEN + PAGE_SIZE).add(shift));
+    for _ in 0..2 {
+        cl.drive(p1, |ctx| ctx.irecv(0, !0, recv, LEN));
+        cl.drive(p0, |ctx| ctx.isend(p1, 0, send, LEN));
+        cl.run(None);
+        cl.drive(p0, |ctx| ctx.irecv(1, !0, echo, LEN));
+        cl.drive(p1, |ctx| ctx.isend(p0, 1, recv, LEN));
+        cl.run(None);
+    }
+    let c = cl.counters();
+    assert_eq!(c.get(Counter::RndvMsgsTx), 4);
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
+    let want = cl.read_proc(p0, send, LEN);
+    assert!(cl.read_proc(p1, recv, LEN) == want, "shift {shift}");
+    assert!(cl.read_proc(p0, echo, LEN) == want, "shift {shift}");
+    (cl, send, recv, echo)
+}
+
+/// Jumbo pull-reply frames (8,968 bytes) split about every other page
+/// across two frames. A page whose two pieces land at the offsets they
+/// were captured from ends up equal to the sender's page and takes it by
+/// reference; at differing offsets every page is copied, and the bytes
+/// are the same either way.
+#[test]
+fn pages_split_across_pull_replies_land_by_reference_when_offsets_agree() {
+    const LEN: u64 = 1 << 20;
+    let (cl, send, recv, echo) = split_page_pingpong(0);
+    assert_eq!((send.page_offset(), recv.page_offset()), (0, 0));
+    let sent = pages_of(&cl, ProcId(0), send, LEN);
+    for (proc, buf) in [(ProcId(1), recv), (ProcId(0), echo)] {
+        let got = pages_of(&cl, proc, buf, LEN);
+        assert_eq!(got.len(), sent.len());
+        for (i, (g, s)) in got.iter().zip(&sent).enumerate() {
+            assert!(Arc::ptr_eq(g, s), "{proc:?}: page {i} is not the sender's");
+        }
+    }
+
+    let (cl, send, recv, echo) = split_page_pingpong(100);
+    let sent = pages_of(&cl, ProcId(0), send, LEN);
+    for (proc, buf) in [(ProcId(1), recv), (ProcId(0), echo)] {
+        for page in pages_of(&cl, proc, buf, LEN) {
+            assert!(
+                !sent.iter().any(|s| Arc::ptr_eq(s, &page)),
+                "{proc:?}: a page moved by reference across differing offsets"
+            );
+        }
+    }
 }
 
 #[test]

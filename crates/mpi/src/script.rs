@@ -344,8 +344,9 @@ mod tests {
                     let mut whole = Vec::new();
                     let mut r = snap.reader();
                     loop {
-                        if let Some(page) = r.whole_page() {
-                            whole.push(page);
+                        if let Some(page) = r.page_at(0, PAGE_SIZE) {
+                            whole.push(Arc::clone(page));
+                            r.bytes(PAGE_SIZE);
                         } else if r.bytes(u64::MAX).is_empty() {
                             break;
                         }

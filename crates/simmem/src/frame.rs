@@ -214,16 +214,29 @@ impl FrameAllocator {
         snap.push(self.share(pfn), offset, len);
     }
 
-    /// Write the next `len` bytes of `src` into the frame at `offset`. A
-    /// whole page that `src` holds as one whole captured page is installed
-    /// by reference; anything else is copied.
+    /// Write the next `len` bytes of `src` into the frame at `offset`.
+    ///
+    /// When those bytes are one piece of a captured page `S`, at the offset
+    /// they were captured from, and the frame's bytes outside the piece
+    /// already equal `S`'s, the copy would leave the frame equal to `S`: the
+    /// frame takes `S` by reference instead (nothing at all if it already
+    /// holds `S`). A whole page is the case with nothing outside. Every
+    /// other piece is copied.
     ///
     /// # Panics
     /// Panics if `src` runs out before `len` bytes.
     pub fn land(&mut self, pfn: Pfn, offset: u64, len: u64, src: &mut SnapshotReader<'_>) {
-        if len == PAGE_SIZE {
-            if let Some(page) = src.whole_page() {
-                self.install(pfn, page);
+        if let Some(page) = src.page_at(offset, len) {
+            let (start, end) = (offset as usize, (offset + len) as usize);
+            let zero = &self.zero;
+            let f = live(&mut self.frames, pfn);
+            let cur = f.data.as_ref().unwrap_or(zero);
+            let held = Arc::ptr_eq(cur, page);
+            if held || (cur[..start] == page[..start] && cur[end..] == page[end..]) {
+                if !held {
+                    f.data = Some(Arc::clone(page));
+                }
+                src.bytes(len);
                 return;
             }
         }
@@ -439,6 +452,84 @@ mod tests {
         fa.put(a);
         fa.put(b);
         assert_eq!(fa.allocated(), 0);
+    }
+
+    /// A captured page `S` of distinct bytes, as a one-piece snapshot.
+    fn captured(fa: &mut FrameAllocator) -> (Arc<[u8]>, PageSnapshot) {
+        let s = fa.alloc().unwrap();
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        fa.write(s, 0, &bytes);
+        let mut snap = PageSnapshot::default();
+        fa.capture(s, 0, PAGE_SIZE, &mut snap);
+        (fa.share(s), snap)
+    }
+
+    /// Land bytes `[start, start + len)` of `snap` at `at` in `pfn`.
+    fn land_part(
+        fa: &mut FrameAllocator,
+        pfn: Pfn,
+        at: u64,
+        snap: &PageSnapshot,
+        start: u64,
+        len: u64,
+    ) {
+        fa.land(pfn, at, len, &mut snap.slice(start, len).reader());
+    }
+
+    #[test]
+    fn two_aligned_halves_of_a_page_land_by_reference() {
+        let mut fa = FrameAllocator::new(2);
+        let (page, snap) = captured(&mut fa);
+        let d = fa.alloc().unwrap();
+        land_part(&mut fa, d, 0, &snap, 0, 1000);
+        assert!(
+            !Arc::ptr_eq(&fa.share(d), &page),
+            "the first half is copied"
+        );
+        land_part(&mut fa, d, 1000, &snap, 1000, PAGE_SIZE - 1000);
+        assert!(Arc::ptr_eq(&fa.share(d), &page), "the second half installs");
+    }
+
+    #[test]
+    fn a_write_between_the_halves_is_kept() {
+        let mut fa = FrameAllocator::new(2);
+        let (page, snap) = captured(&mut fa);
+        let d = fa.alloc().unwrap();
+        land_part(&mut fa, d, 0, &snap, 0, 1000);
+        fa.write(d, 20, &[0xee]);
+        land_part(&mut fa, d, 1000, &snap, 1000, PAGE_SIZE - 1000);
+        assert!(!Arc::ptr_eq(&fa.share(d), &page));
+        let mut want = page.to_vec();
+        want[20] = 0xee;
+        assert_eq!(page_of(&fa, d), want);
+    }
+
+    #[test]
+    fn a_piece_of_the_page_a_frame_holds_changes_nothing() {
+        let mut fa = FrameAllocator::new(2);
+        let (page, snap) = captured(&mut fa);
+        let d = fa.alloc().unwrap();
+        fa.install(d, Arc::clone(&page));
+        let count = Arc::strong_count(&page);
+        land_part(&mut fa, d, 100, &snap, 100, 50);
+        assert_eq!(Arc::strong_count(&page), count);
+        assert!(Arc::ptr_eq(&fa.share(d), &page));
+    }
+
+    #[test]
+    fn a_piece_at_another_offset_is_copied() {
+        let mut fa = FrameAllocator::new(2);
+        let (page, snap) = captured(&mut fa);
+        let d = fa.alloc().unwrap();
+        // The frame already equals S outside [1000, 1100); the piece is
+        // S's bytes [1001, 1101), one byte off its captured offset.
+        fa.install(d, Arc::clone(&page));
+        fa.write(d, 1000, &[0; 100]);
+        land_part(&mut fa, d, 1000, &snap, 1001, 100);
+        assert!(!Arc::ptr_eq(&fa.share(d), &page));
+        let mut want = page.to_vec();
+        want.copy_within(1001..1101, 1000);
+        assert_eq!(page_of(&fa, d), want);
     }
 
     #[test]

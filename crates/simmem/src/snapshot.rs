@@ -163,15 +163,12 @@ pub struct SnapshotReader<'a> {
 }
 
 impl<'a> SnapshotReader<'a> {
-    /// If the cursor is at the start of a piece that is one whole page,
-    /// consume it and return the page; otherwise consume nothing.
-    pub fn whole_page(&mut self) -> Option<Arc<[u8]>> {
+    /// The page the next `len` bytes come from, if they are all one piece
+    /// and sit at byte `offset` of that page. Consumes nothing.
+    pub fn page_at(&self, offset: u64, len: u64) -> Option<&'a Arc<[u8]>> {
         let p = self.pieces.get(self.piece)?;
-        if self.at != 0 || p.start != 0 || p.len != PAGE_SIZE as usize {
-            return None;
-        }
-        self.piece += 1;
-        Some(Arc::clone(&p.page))
+        let start = p.start + self.at;
+        (start == offset as usize && p.len - self.at >= len as usize).then_some(&p.page)
     }
 
     /// Consume and return up to `max` contiguous bytes (fewer at the end of
@@ -215,20 +212,27 @@ mod tests {
     }
 
     #[test]
-    fn reader_yields_whole_pages_only_at_a_piece_start() {
+    fn reader_names_the_page_of_bytes_at_their_captured_offset() {
         let mut s = PageSnapshot::default();
         s.push(page(7), 0, PAGE_SIZE);
         s.push(page(8), 0, PAGE_SIZE);
         s.push(page(9), 1, 4);
         let mut r = s.reader();
-        assert_eq!(r.whole_page().unwrap()[0], 7);
+        assert_eq!(r.page_at(0, PAGE_SIZE).unwrap()[0], 7);
+        assert_eq!(r.bytes(PAGE_SIZE).len(), PAGE_SIZE as usize);
         assert_eq!(r.bytes(16), &[8u8; 16][..]);
-        assert!(r.whole_page().is_none(), "mid-piece");
+        assert!(r.page_at(0, 16).is_none(), "mid-piece, other offset");
+        assert_eq!(r.page_at(16, PAGE_SIZE - 16).unwrap()[0], 8);
+        assert!(
+            r.page_at(16, PAGE_SIZE - 15).is_none(),
+            "runs past the piece"
+        );
         assert_eq!(r.bytes(u64::MAX).len(), PAGE_SIZE as usize - 16);
-        assert!(r.whole_page().is_none(), "partial piece");
+        assert!(r.page_at(0, 4).is_none(), "piece starts at byte 1");
+        assert_eq!(r.page_at(1, 4).unwrap()[0], 9);
         assert_eq!(r.bytes(u64::MAX), &[9u8; 4][..]);
         assert!(r.bytes(1).is_empty());
-        assert!(r.whole_page().is_none());
+        assert!(r.page_at(0, 0).is_none(), "exhausted");
     }
 
     /// Three pieces: 10 bytes of page 1, a whole page 2, 6 bytes of page 3.
@@ -263,7 +267,11 @@ mod tests {
         }
         // The whole middle page stays a whole page, so it can land by
         // reference.
-        assert!(s.slice(10, PAGE_SIZE).reader().whole_page().is_some());
+        assert!(s
+            .slice(10, PAGE_SIZE)
+            .reader()
+            .page_at(0, PAGE_SIZE)
+            .is_some());
         assert_eq!(s.slice(4, 8).chunks().count(), 2);
     }
 

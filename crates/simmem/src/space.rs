@@ -448,8 +448,9 @@ impl Memory {
 
     /// Land `data` at `addr`: the same walk, faults, COW breaks, events and
     /// errors as [`Memory::write`] of its bytes. A destination page that
-    /// `data` covers with one whole captured page takes that page by
-    /// reference; every other piece is copied.
+    /// the landing leaves equal to a captured page takes that page by
+    /// reference (see [`FrameAllocator::land`]); every other piece is
+    /// copied.
     pub fn land(
         &mut self,
         id: AsId,

@@ -88,6 +88,15 @@ enum Op {
         alloc_idx: usize,
         offset: u64,
     },
+    /// Land a held snapshot in two parts split at `split`, at the page
+    /// offset it was captured from, as two pull-reply frames land the two
+    /// halves of a page.
+    LandParts {
+        snap_idx: usize,
+        alloc_idx: usize,
+        page: u64,
+        split: u64,
+    },
     /// Fork the space (dropping the previous child), so that later writes
     /// to its resident pages break COW.
     Fork,
@@ -104,7 +113,7 @@ fn random_offset(rng: &mut SimRng) -> u64 {
 }
 
 fn random_op(rng: &mut SimRng) -> Op {
-    match rng.below(14) {
+    match rng.below(15) {
         // Now and then more than a page-table leaf (512 pages), so that
         // allocations straddle a leaf boundary.
         0 if rng.chance(0.125) => Op::Mmap {
@@ -171,6 +180,12 @@ fn random_op(rng: &mut SimRng) -> Op {
             alloc_idx: rng.next_u64() as usize,
             offset: random_offset(rng),
         },
+        13 => Op::LandParts {
+            snap_idx: rng.next_u64() as usize,
+            alloc_idx: rng.next_u64() as usize,
+            page: rng.below(1 << 11),
+            split: rng.next_u64(),
+        },
         _ => Op::Fork,
     }
 }
@@ -219,6 +234,9 @@ impl Twins {
 struct Coverage {
     /// Destination pages that took a captured page by reference.
     installed: u64,
+    /// Destination pages landed in two pieces that took the captured page
+    /// by reference.
+    assembled: u64,
     cow_breaks: u64,
     protection_faults: u64,
     holes: u64,
@@ -239,6 +257,7 @@ fn memory_agrees_with_reference_model() {
         run_reference_case(case, ops, &mut coverage);
     }
     assert!(coverage.installed > 0, "{coverage:?}");
+    assert!(coverage.assembled > 0, "{coverage:?}");
     assert!(coverage.cow_breaks > 0, "{coverage:?}");
     assert!(coverage.protection_faults > 0, "{coverage:?}");
     assert!(coverage.holes > 0, "{coverage:?}");
@@ -259,8 +278,9 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
     // Reference: absolute byte address -> value (unwritten bytes are 0).
     let mut reference: HashMap<u64, u8> = HashMap::new();
     let mut pins: Vec<Vec<simmem::Pfn>> = Vec::new();
-    // Snapshots taken so far, each with the model's bytes at capture time.
-    let mut snapshots: Vec<(PageSnapshot, Vec<u8>)> = Vec::new();
+    // Snapshots taken so far, each with the model's bytes at capture time
+    // and the page offset of its first byte.
+    let mut snapshots: Vec<(PageSnapshot, Vec<u8>, u64)> = Vec::new();
 
     for op in ops {
         match op {
@@ -445,7 +465,11 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
                     let pfn = m.both(case, |mem| resident(mem, space, vpn));
                     m.mem.frames().capture(pfn, off, n, &mut snap);
                 }
-                snapshots.push((snap, model_bytes(&reference, start.0, len)));
+                snapshots.push((
+                    snap,
+                    model_bytes(&reference, start.0, len),
+                    start.page_offset(),
+                ));
             }
             Op::Install {
                 from_idx,
@@ -474,7 +498,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
                 m.mem.land_phys(pfns[0], 0, PAGE_SIZE, &mut snap.reader());
                 m.twin.write_phys(pfns[0], 0, &bytes);
                 m.both(case, |mem| mem.unpin_pages(&pfns));
-                snapshots.push((snap, bytes.clone()));
+                snapshots.push((snap, bytes.clone(), 0));
                 for (i, &b) in bytes.iter().enumerate() {
                     reference.insert(to.0 + i as u64, b);
                 }
@@ -500,7 +524,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
                         assert!(snap.to_vec() == buf, "case {case}: capture differs");
                         let model = model_bytes(&reference, start.0, len);
                         assert!(buf == model, "case {case}: capture differs from the model");
-                        snapshots.push((snap, model));
+                        snapshots.push((snap, model, start.page_offset()));
                     }
                     (Err(got), Err(want)) => {
                         assert_eq!(got, want, "case {case}: capture error");
@@ -517,43 +541,79 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
                 if allocs.is_empty() || snapshots.is_empty() {
                     continue;
                 }
-                let (snap, bytes) = &snapshots[snap_idx % snapshots.len()];
+                let (snap, bytes, _) = &snapshots[snap_idx % snapshots.len()];
                 let a = &allocs[alloc_idx % allocs.len()];
                 let start = a.addr.add(offset % (a.pages * PAGE_SIZE));
-                let got = m.mem.land(space, start, snap);
-                let want = m.twin.write(space, start, bytes);
-                assert_eq!(got, want, "case {case}: land and write differ");
-                // The bytes before the failing page were landed.
-                let landed = match got {
-                    Ok(events) => {
-                        coverage.cow_breaks += events
-                            .iter()
-                            .filter(|e| e.cause == InvalidateCause::CowBreak)
-                            .count() as u64;
-                        snap.len()
-                    }
-                    Err(MemError::ProtectionFault(page)) => {
-                        coverage.protection_faults += 1;
-                        page.0.saturating_sub(start.0)
-                    }
-                    Err(MemError::BadAddress(page)) => {
-                        coverage.holes += 1;
-                        page.0.saturating_sub(start.0)
-                    }
-                    Err(e) => panic!("case {case}: unexpected land error {e}"),
-                };
-                for (i, &b) in bytes[..landed as usize].iter().enumerate() {
-                    reference.insert(start.0 + i as u64, b);
-                }
+                let landed = land(
+                    &mut m,
+                    case,
+                    space,
+                    start,
+                    snap,
+                    bytes,
+                    &mut reference,
+                    coverage,
+                );
                 // A whole captured page lands by reference on a whole
                 // destination page.
-                let mut src = snap.reader();
                 if start.is_page_aligned() && landed >= PAGE_SIZE {
-                    if let Some(page) = src.whole_page() {
+                    if let Some(page) = snap.reader().page_at(0, PAGE_SIZE) {
                         let pfn = m.mem.resident_pfn(space, start.vpn()).unwrap();
-                        assert!(Arc::ptr_eq(&page, &m.mem.share_phys(pfn)), "case {case}");
+                        assert!(Arc::ptr_eq(page, &m.mem.share_phys(pfn)), "case {case}");
                         coverage.installed += 1;
                     }
+                }
+            }
+            Op::LandParts {
+                snap_idx,
+                alloc_idx,
+                page,
+                split,
+            } => {
+                if allocs.is_empty() || snapshots.is_empty() {
+                    continue;
+                }
+                let (snap, bytes, page_off) = &snapshots[snap_idx % snapshots.len()];
+                let a = &allocs[alloc_idx % allocs.len()];
+                let start = a.addr.add(page % a.pages * PAGE_SIZE + page_off);
+                let split = split % (snap.len() + 1);
+                let (first, second) = bytes.split_at(split as usize);
+                let landed = land(
+                    &mut m,
+                    case,
+                    space,
+                    start,
+                    &snap.slice(0, split),
+                    first,
+                    &mut reference,
+                    coverage,
+                );
+                if landed < split {
+                    continue;
+                }
+                let at = start.add(split);
+                let rest = snap.slice(split, snap.len() - split);
+                let landed = land(
+                    &mut m,
+                    case,
+                    space,
+                    at,
+                    &rest,
+                    second,
+                    &mut reference,
+                    coverage,
+                );
+                // The page the split falls in lands in two pieces. When the
+                // snapshot covers all of it, it ends up equal to the
+                // captured page and takes it by reference.
+                let page_start = at.page_floor().0;
+                let covered = page_start >= start.0 && page_start + PAGE_SIZE <= at.0 + landed;
+                if !at.is_page_aligned() && split > 0 && covered {
+                    let page = rest.reader().page_at(at.page_offset(), 1).cloned();
+                    let page = page.expect("the parts land at their captured offsets");
+                    let pfn = m.mem.resident_pfn(space, at.vpn()).unwrap();
+                    assert!(Arc::ptr_eq(&page, &m.mem.share_phys(pfn)), "case {case}");
+                    coverage.assembled += 1;
                 }
             }
             Op::Fork => {
@@ -577,7 +637,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
             "case {case}"
         );
         // Invariant: no later operation changes a snapshot's bytes.
-        for (i, (snap, want)) in snapshots.iter().enumerate() {
+        for (i, (snap, want, _)) in snapshots.iter().enumerate() {
             assert!(snap.to_vec() == *want, "case {case}: snapshot {i} changed");
         }
     }
@@ -610,6 +670,48 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
         assert_eq!(mem.frames().allocated(), 0, "case {case}");
         assert_eq!(mem.frames().pinned_pages(), 0, "case {case}");
     }
+}
+
+/// Land `snap` at `start` in `m.mem` and write `bytes` there in the twin;
+/// both must agree. Records the landed bytes in `reference` and returns
+/// how many landed before the first failing page.
+#[allow(clippy::too_many_arguments)]
+fn land(
+    m: &mut Twins,
+    case: u32,
+    space: AsId,
+    start: VirtAddr,
+    snap: &PageSnapshot,
+    bytes: &[u8],
+    reference: &mut HashMap<u64, u8>,
+    coverage: &mut Coverage,
+) -> u64 {
+    let got = m.mem.land(space, start, snap);
+    let want = m.twin.write(space, start, bytes);
+    assert_eq!(got, want, "case {case}: land and write differ");
+    // The bytes before the failing page were landed.
+    let landed = match got {
+        Ok(events) => {
+            coverage.cow_breaks += events
+                .iter()
+                .filter(|e| e.cause == InvalidateCause::CowBreak)
+                .count() as u64;
+            snap.len()
+        }
+        Err(MemError::ProtectionFault(page)) => {
+            coverage.protection_faults += 1;
+            page.0.saturating_sub(start.0)
+        }
+        Err(MemError::BadAddress(page)) => {
+            coverage.holes += 1;
+            page.0.saturating_sub(start.0)
+        }
+        Err(e) => panic!("case {case}: unexpected land error {e}"),
+    };
+    for (i, &b) in bytes[..landed as usize].iter().enumerate() {
+        reference.insert(start.0 + i as u64, b);
+    }
+    landed
 }
 
 /// Data written before a fork is visible in both spaces; writes after the
