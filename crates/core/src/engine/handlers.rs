@@ -4,7 +4,7 @@
 use simcore::{Priority, SimDuration};
 use simmem::{PageSnapshot, VirtAddr};
 
-use super::rto::RttEstimator;
+use super::rto::{retrans_timeout, RttEstimator};
 use super::xfer::{
     pull_of, Block, EagerRxMatched, EagerTx, End, PendingCopy, Phase, PinPlan, PinWaiter, Pull,
     Retry, Rndv, Shm, Xfer, XferKey,
@@ -14,7 +14,7 @@ use crate::config::{OpenMxConfig, RETRANSMIT_MIN};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
 use crate::obs::{Counter, RetransKind, TraceEvent};
-use crate::region::{DeclareError, Segment};
+use crate::region::{DeclareError, RegionAccessError, Segment};
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 
 /// The process whose core a sliced work item belongs to.
@@ -1017,15 +1017,21 @@ impl Cluster {
             return; // duplicate frame
         }
         let (node, region, xfer_len) = (x.node, x.region, x.xfer_len);
-        let len = data.len();
 
         // The decisive check of the overlapped design: has the pin cursor
         // passed the touched pages? If not, drop the packet (§3.3) and let
-        // re-request recover it once pinning catches up.
-        let pinned = self.nodes[node]
-            .driver
-            .region(region)
-            .pinned_through(offset, len);
+        // re-request recover it once pinning catches up. A CPU copy lands
+        // now and `land` makes the check; an I/OAT copy is checked here.
+        let pinned = if self.cfg.use_ioat {
+            let r = self.nodes[node].driver.region(region);
+            r.pinned_through(offset, data.len())
+        } else {
+            let n = &mut self.nodes[node];
+            match n.driver.region(region).land(&mut n.mem, offset, &data) {
+                Ok(()) => true,
+                Err(RegionAccessError::NotPinned) => false,
+            }
+        };
         if !pinned {
             self.nodes[node].counters.bump(Counter::OverlapMissRx);
             self.nodes[node]
@@ -1050,7 +1056,7 @@ impl Cluster {
         if self.cfg.use_ioat {
             let token = self.next_ioat_token;
             self.next_ioat_token += 1;
-            let done = self.nodes[node].ioat.submit(self.now, len);
+            let done = self.nodes[node].ioat.submit(self.now, data.len());
             self.queue.schedule(done, Event::IoatDone { node, token });
             let copy = PendingCopy {
                 msg,
@@ -1063,9 +1069,6 @@ impl Cluster {
             self.nodes[node].ioat_copies.insert(token, copy);
             x.ioat_pending += 1;
         } else {
-            let n = &mut self.nodes[node];
-            let r = n.driver.region(region);
-            r.land(&mut n.mem, offset, &data).expect("pinned write");
             x.frames_placed += 1;
         }
 
@@ -1096,10 +1099,15 @@ impl Cluster {
         // while an *earlier* block still has holes and has not been
         // re-requested recently means those frames were dropped. The
         // block requests below only touch blocks above `block`.
-        let (guard, now) = (Self::rerequest_guard(&self.cfg, &self.rtt), self.now);
-        let rerequests: Vec<u32> = if self.cfg.optimistic_rerequest {
-            let stale =
-                |&i: &u32| now.saturating_duration_since(x.blocks[i as usize].requested_at) > guard;
+        let (cfg, rtt, now) = (&self.cfg, &self.rtt, self.now);
+        let rerequests: Vec<u32> = if cfg.optimistic_rerequest {
+            // The guard is computed at the first candidate: most frames
+            // have none.
+            let mut guard = None;
+            let stale = |&i: &u32| {
+                let guard = *guard.get_or_insert_with(|| Self::rerequest_guard(cfg, rtt));
+                now.saturating_duration_since(x.blocks[i as usize].requested_at) > guard
+            };
             x.holes_below(block).filter(stale).collect()
         } else {
             Vec::new()
@@ -1221,16 +1229,20 @@ impl Cluster {
         );
     }
 
-    fn bh_duration(&self, node: usize, msg: &WireMsg) -> SimDuration {
+    /// Bottom-half CPU time of one received frame. Copy costs go through
+    /// `copy_cost`, the memo of the profile's `memcpy_cost`.
+    fn bh_duration(&mut self, node: usize, msg: &WireMsg) -> SimDuration {
         let p = &self.cfg.profile;
         match msg {
-            WireMsg::Eager { data, .. } => p.pkt_processing + p.memcpy_cost(data.len()),
+            WireMsg::Eager { data, .. } => {
+                p.pkt_processing + self.copy_cost.time_for_bytes(data.len())
+            }
             WireMsg::PullReply { data, .. } => {
                 p.pkt_processing
                     + if self.cfg.use_ioat {
                         self.nodes[node].ioat.submit_cost()
                     } else {
-                        p.memcpy_cost(data.len())
+                        self.copy_cost.time_for_bytes(data.len())
                     }
             }
             _ => p.pkt_processing,
@@ -2113,14 +2125,24 @@ impl Cluster {
     /// A pending timer moves; a fired one is replaced. No-op (and no
     /// timeout drawn) once the entry is gone.
     fn arm_retry(&mut self, key: XferKey, attempt: u32) {
-        let Some(x) = self.xfers.get(&key) else {
+        let Some(x) = self.xfers.get_mut(&key) else {
             return;
         };
         let node = self.procs[x.proc.0 as usize].node;
         let (kind, id) = x.retrans(key.0);
-        let timeout = self.retrans_timeout(node, kind, id, key.0, attempt);
+        let timeout = retrans_timeout(
+            &self.cfg,
+            &self.rtt,
+            &mut self.retrans_rng,
+            &mut self.metrics,
+            &mut self.tracer,
+            self.now,
+            node,
+            (kind, id, key.0),
+            attempt,
+        );
         let at = self.now + timeout;
-        let retry = &mut self.xfers.get_mut(&key).expect("looked up above").retry;
+        let retry = &mut x.retry;
         let queue = &mut self.queue;
         let moved = retry.timer.take().and_then(|id| queue.reschedule(id, at));
         retry.timer =

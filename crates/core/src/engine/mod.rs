@@ -23,19 +23,19 @@ pub use ctx::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
 
 use simcore::{
-    CpuCore, EventId, EventQueue, Priority, SimDuration, SimRng, SimTime, Work as CpuWork,
+    CpuCore, EventId, EventQueue, MemoBandwidth, Priority, SimDuration, SimRng, SimTime,
+    Work as CpuWork,
 };
 use simmem::{AsId, Memory, SimHeap};
 use simnet::{IoatEngine, Network, NodeId, TxOutcome};
 
 use crate::cache::RegionCache;
-use crate::config::{OpenMxConfig, CORES_PER_NODE, RETRANSMIT_BACKOFF, RETRANSMIT_MIN};
+use crate::config::{OpenMxConfig, CORES_PER_NODE};
 use crate::driver::{Driver, RegionId};
 use crate::endpoint::{Endpoint, EndpointAddr, RequestId};
 use crate::obs::tracer::DEFAULT_CAPACITY;
 use crate::obs::{
-    CacheStats, Counter, CounterSet, FaultKind, Metrics, RetransKind, TraceEvent, TraceRecord,
-    Tracer,
+    CacheStats, Counter, CounterSet, FaultKind, Metrics, TraceEvent, TraceRecord, Tracer,
 };
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 use rto::RttEstimator;
@@ -256,6 +256,9 @@ pub struct Cluster {
     /// Dedicated stream for retransmission-timeout jitter (keeps backoff
     /// decisions independent of the fabric's loss draws).
     retrans_rng: SimRng,
+    /// The profile's `memcpy_cost`, remembering the last size: the full
+    /// pull-reply frames of a transfer all repeat it.
+    copy_cost: MemoBandwidth,
 }
 
 impl Cluster {
@@ -287,6 +290,7 @@ impl Cluster {
             })
             .collect();
         Cluster {
+            copy_cost: MemoBandwidth::new(cfg.profile.memcpy_bw),
             cfg,
             queue: EventQueue::new(),
             net,
@@ -978,46 +982,6 @@ impl Cluster {
         let p = &self.procs[proc.0 as usize];
         let (node, core) = (p.node, p.core);
         self.submit_work(node, core, Priority::Kernel, duration, work);
-    }
-
-    /// The retransmission timeout for a timer (re)arm. With adaptive
-    /// retransmission off this is the configured fixed timeout; on, it is
-    /// the RTT estimator's RTO (falling back to the fixed timeout before
-    /// any sample) scaled by `backoff^attempt`, clamped to
-    /// `[RETRANSMIT_MIN, retransmit_timeout]`, with deterministic jitter
-    /// on top. Emits a [`TraceEvent::Backoff`] and feeds the `rto_applied`
-    /// histogram so backoff decisions are observable.
-    pub(crate) fn retrans_timeout(
-        &mut self,
-        node: usize,
-        kind: RetransKind,
-        id: u64,
-        msg: MsgId,
-        attempt: u32,
-    ) -> SimDuration {
-        let cfg_max = self.cfg.retransmit_timeout;
-        if !self.cfg.adaptive_retransmit {
-            return cfg_max;
-        }
-        let base = self.rtt.rto().unwrap_or(cfg_max);
-        let exp = RETRANSMIT_BACKOFF.powi(attempt.min(16) as i32);
-        let scaled = (base.as_nanos() as f64 * exp).min(cfg_max.as_nanos() as f64) as u64;
-        let clamped = scaled.max(RETRANSMIT_MIN.as_nanos());
-        let jitter = 1.0 + self.cfg.retransmit_jitter * self.retrans_rng.unit_f64();
-        let rto = SimDuration::from_nanos((clamped as f64 * jitter) as u64);
-        self.metrics.rto_applied.record(rto);
-        self.emit(
-            node,
-            None,
-            TraceEvent::Backoff {
-                kind,
-                id,
-                msg,
-                attempt,
-                rto_nanos: rto.as_nanos(),
-            },
-        );
-        rto
     }
 
     /// Hand a frame to the fabric; schedules its arrival — twice, when the

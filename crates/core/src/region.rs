@@ -557,12 +557,13 @@ impl DriverRegion {
         offset: u64,
         data: &PageSnapshot,
     ) -> Result<(), RegionAccessError> {
-        if !self.pinned_through(offset, data.len()) {
+        let len = data.len();
+        if !self.pinned_through(offset, len) {
             return Err(RegionAccessError::NotPinned);
         }
         let mut src = data.reader();
         self.layout
-            .for_each_chunk(offset, data.len(), |idx, _vpn, page_off, n| {
+            .for_each_chunk(offset, len, |idx, _vpn, page_off, n| {
                 mem.land_phys(self.pfns[idx as usize], page_off, n, &mut src);
             });
         Ok(())
@@ -574,7 +575,7 @@ mod tests {
     use super::*;
     use simcore::SimRng;
     use simmem::Prot;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     fn setup(pages: u64) -> (Memory, AsId, VirtAddr) {
         let mut mem = Memory::new(4096, 0);
@@ -995,7 +996,7 @@ mod tests {
                     // Two frames, each captured on its own, as pull replies
                     // are: the page around the split lands in two pieces.
                     let split = rng.below(len + 1);
-                    let src_pages: Vec<Arc<[u8]>> = src
+                    let src_pages: Vec<Rc<[u8]>> = src
                         .pinned_pfns()
                         .iter()
                         .map(|&p| smem.share_phys(p))
@@ -1009,7 +1010,7 @@ mod tests {
                         // Classify each destination page this frame touched.
                         dst.layout.for_each_chunk(off, len, |idx, _, _, n| {
                             let page = dmem.share_phys(dst.pinned_pfns()[idx as usize]);
-                            match (src_pages.iter().any(|s| Arc::ptr_eq(s, &page)), n) {
+                            match (src_pages.iter().any(|s| Rc::ptr_eq(s, &page)), n) {
                                 (false, _) => copied += 1,
                                 (true, PAGE_SIZE) => whole += 1,
                                 (true, _) if agree => assembled += 1,

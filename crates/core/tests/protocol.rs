@@ -4,10 +4,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
-use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::{Counter, OpenMxConfig, PinningMode};
+use openmx_core::engine::{AppEvent, Cluster, Ctx, OverlapHint, ProcId, Process};
+use openmx_core::{Counter, OpenMxConfig, PinningMode, TraceEvent};
+use simcore::{SimDuration, SimTime};
 use simmem::{page_chunks, VirtAddr, PAGE_SIZE};
 
 /// Harness process driven by closures, to keep the scenarios compact.
@@ -721,7 +721,7 @@ fn parked_shm_messages_keep_the_bytes_of_their_send_time() {
 }
 
 /// The backing page of every page `[addr, addr + len)` of `proc` touches.
-fn pages_of(cl: &Cluster, proc: ProcId, addr: VirtAddr, len: u64) -> Vec<Arc<[u8]>> {
+fn pages_of(cl: &Cluster, proc: ProcId, addr: VirtAddr, len: u64) -> Vec<Rc<[u8]>> {
     let mem = cl.memory(cl.node_of(proc));
     let space = cl.space_of(proc);
     page_chunks(addr, len)
@@ -781,7 +781,7 @@ fn pages_split_across_pull_replies_land_by_reference_when_offsets_agree() {
         let got = pages_of(&cl, proc, buf, LEN);
         assert_eq!(got.len(), sent.len());
         for (i, (g, s)) in got.iter().zip(&sent).enumerate() {
-            assert!(Arc::ptr_eq(g, s), "{proc:?}: page {i} is not the sender's");
+            assert!(Rc::ptr_eq(g, s), "{proc:?}: page {i} is not the sender's");
         }
     }
 
@@ -790,11 +790,85 @@ fn pages_split_across_pull_replies_land_by_reference_when_offsets_agree() {
     for (proc, buf) in [(ProcId(1), recv), (ProcId(0), echo)] {
         for page in pages_of(&cl, proc, buf, LEN) {
             assert!(
-                !sent.iter().any(|s| Arc::ptr_eq(s, &page)),
+                !sent.iter().any(|s| Rc::ptr_eq(s, &page)),
                 "{proc:?}: a page moved by reference across differing offsets"
             );
         }
     }
+}
+
+/// On the CPU-copy path `DriverRegion::land` makes the overlapped
+/// design's pin check itself. A pull-reply frame that reaches past the
+/// pin cursor is dropped whole: none of its bytes land, one drop is
+/// counted, and the re-request still delivers the sender's bytes.
+#[test]
+fn an_overlap_miss_lands_none_of_the_dropped_frame() {
+    // One 64 KiB block: its frames cut the buffer into disjoint ranges.
+    const LEN: u64 = 64 * 1024;
+    const OLD: u8 = 0x11;
+    let mut cfg = OpenMxConfig::with_mode(PinningMode::Overlapped);
+    assert!(!cfg.use_ioat && cfg.eager_threshold < LEN && cfg.pull_block == LEN);
+    // The pin cursor moves a page at a time, and a frame's pages take
+    // longer to pin than its wire time: the pull replies outrun it.
+    cfg.pin_chunk_pages = 1;
+    cfg.profile.pin_per_page = SimDuration::from_micros(10);
+    let chunk = simnet::frame::max_payload(cfg.net.mtu);
+    let mut cl = Cluster::new(cfg, 2);
+    cl.enable_trace();
+    let tx = cl.add_process(0, proc_of(|_| {}, |_, _| {}));
+    let rx = cl.add_process(1, proc_of(|_| {}, |_, _| {}));
+    cl.step_until(SimTime::ZERO);
+    let recv_buf = cl.drive(rx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.write_buf(buf, &vec![OLD; LEN as usize]);
+        ctx.irecv(5, !0, buf, LEN);
+        buf
+    });
+    let send_buf = cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        let data: Vec<u8> = (0..LEN).map(|i| (0x20 + i % 200) as u8).collect();
+        ctx.write_buf(buf, &data);
+        // The sender pins before its rendezvous, so every reply is cut.
+        ctx.isend_hinted(rx, 5, buf, LEN, OverlapHint::Disable);
+        buf
+    });
+    let rx_node = cl.node_of(rx);
+    let count = |cl: &Cluster, c| cl.node_counters(rx_node).get(c);
+    let dropped_before = loop {
+        let dropped = count(&cl, Counter::FramesDroppedUnpinned);
+        let t = cl.next_event_time().expect("no overlap miss happened");
+        cl.step_until(t);
+        if count(&cl, Counter::OverlapMissRx) > 0 {
+            break dropped;
+        }
+    };
+    assert_eq!(count(&cl, Counter::OverlapMissRx), 1);
+    assert_eq!(
+        count(&cl, Counter::FramesDroppedUnpinned),
+        dropped_before + 1
+    );
+    let offset = cl
+        .tracer()
+        .iter()
+        .find_map(|r| match r.event {
+            TraceEvent::OverlapMissRx { offset, .. } => Some(offset),
+            _ => None,
+        })
+        .expect("the miss is traced");
+    assert!(
+        count(&cl, Counter::PullFramesOk) > 0,
+        "no frame landed first"
+    );
+    let len = chunk.min(LEN - offset);
+    assert!(
+        cl.read_proc(rx, recv_buf.add(offset), len)
+            .iter()
+            .all(|&b| b == OLD),
+        "the dropped frame's bytes [{offset}, +{len}) landed"
+    );
+    cl.run(None);
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
+    assert!(cl.read_proc(rx, recv_buf, LEN) == cl.read_proc(tx, send_buf, LEN));
 }
 
 #[test]

@@ -11,7 +11,6 @@
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use openmx_core::engine::{AppEvent, Ctx, ProcId, Process};
 use openmx_core::RequestId;
@@ -153,12 +152,12 @@ const _: () = assert!(PAGE_SIZE.is_multiple_of(256));
 /// the matching range of it. Landing it copies only the partial pages.
 fn init_pattern(addr: VirtAddr, size: u64, salt: u8) -> PageSnapshot {
     let off = addr.page_offset();
-    let template: Arc<[u8]> = (0..PAGE_SIZE)
+    let template: Rc<[u8]> = (0..PAGE_SIZE)
         .map(|k| (k.wrapping_sub(off) as u8) ^ salt)
         .collect();
     let mut snap = PageSnapshot::with_capacity(VpnRange::covering(addr, size).len() as usize);
     for (_, start, len) in page_chunks(addr, size) {
-        snap.push(Arc::clone(&template), start, len);
+        snap.push(Rc::clone(&template), start, len);
     }
     snap
 }
@@ -345,7 +344,7 @@ mod tests {
                     let mut r = snap.reader();
                     loop {
                         if let Some(page) = r.page_at(0, PAGE_SIZE) {
-                            whole.push(Arc::clone(page));
+                            whole.push(Rc::clone(page));
                             r.bytes(PAGE_SIZE);
                         } else if r.bytes(u64::MAX).is_empty() {
                             break;
@@ -356,7 +355,7 @@ mod tests {
                         .count();
                     assert_eq!(whole.len(), expect, "offset {off} size {size}");
                     assert!(
-                        whole.iter().all(|p| Arc::ptr_eq(p, &whole[0])),
+                        whole.iter().all(|p| Rc::ptr_eq(p, &whole[0])),
                         "offset {off} size {size}: whole pages not shared"
                     );
                 }

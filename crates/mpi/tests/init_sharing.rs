@@ -3,7 +3,7 @@
 //! copy-on-write keeps a later write to one page from showing anywhere
 //! else.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmx_core::{OpenMxConfig, PinningMode, ProcId};
 use openmx_mpi::collectives::JobBuilder;
@@ -27,7 +27,7 @@ fn whole_pages_share_one_template_and_a_write_breaks_only_its_page() {
     let (node, space) = (cl.node_of(proc), cl.space_of(proc));
 
     // The backing page of every page the buffer covers whole.
-    let whole_pages = |cl: &openmx_core::Cluster| -> Vec<Arc<[u8]>> {
+    let whole_pages = |cl: &openmx_core::Cluster| -> Vec<Rc<[u8]>> {
         let mem = cl.memory(node);
         page_chunks(addr, MIB)
             .filter(|&(_, _, n)| n == PAGE_SIZE)
@@ -42,7 +42,7 @@ fn whole_pages_share_one_template_and_a_write_breaks_only_its_page() {
     let pages = whole_pages(&cl);
     assert!(pages.len() as u64 >= MIB / PAGE_SIZE - 1);
     assert!(
-        pages.iter().all(|p| Arc::ptr_eq(p, &pages[0])),
+        pages.iter().all(|p| Rc::ptr_eq(p, &pages[0])),
         "every whole page shares one template"
     );
     drop(pages);
@@ -57,7 +57,7 @@ fn whole_pages_share_one_template_and_a_write_breaks_only_its_page() {
     assert_eq!(cl.read_proc(proc, addr, MIB), want);
 
     let pages = whole_pages(&cl);
-    let written = pages.iter().filter(|p| !Arc::ptr_eq(p, &pages[0])).count();
+    let written = pages.iter().filter(|p| !Rc::ptr_eq(p, &pages[0])).count();
     assert_eq!(written, 1, "only the written page left the template");
     cl.audit().assert_clean();
 }

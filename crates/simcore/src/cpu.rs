@@ -96,10 +96,14 @@ impl<T> CpuCore<T> {
     pub fn submit(&mut self, now: SimTime, work: Work<T>) -> Option<Completion> {
         let id = WorkId(self.next_id);
         self.next_id += 1;
-        self.queues[work.priority as usize].push_back((id, work));
         if self.running.is_none() && !self.held {
-            self.start_next(now)
+            // Every step that leaves the core idle and un-held ran
+            // `start_next` and found nothing, so no queued work can be
+            // ahead of this chunk: start it without queueing it.
+            debug_assert!(self.queues.iter().all(VecDeque::is_empty));
+            Some(self.start(now, id, work))
         } else {
+            self.queues[work.priority as usize].push_back((id, work));
             None
         }
     }
@@ -153,15 +157,15 @@ impl<T> CpuCore<T> {
 
     fn start_next(&mut self, now: SimTime) -> Option<Completion> {
         debug_assert!(self.running.is_none() && !self.held);
-        for q in &mut self.queues {
-            if let Some((id, work)) = q.pop_front() {
-                let at = now + work.duration;
-                self.busy += work.duration;
-                self.running = Some((id, at, work.payload));
-                return Some(Completion { id, at });
-            }
-        }
-        None
+        let (id, work) = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
+        Some(self.start(now, id, work))
+    }
+
+    fn start(&mut self, now: SimTime, id: WorkId, work: Work<T>) -> Completion {
+        let at = now + work.duration;
+        self.busy += work.duration;
+        self.running = Some((id, at, work.payload));
+        Completion { id, at }
     }
 
     /// True if nothing is running or queued.
@@ -362,6 +366,130 @@ mod tests {
         c.on_complete(t(5));
         c.on_complete(t(12));
         assert_eq!(c.busy_time(), d(12));
+    }
+
+    /// The core's contract written plainly: three FIFO lists, one running
+    /// slot, the hold flag, and nothing that skips a list.
+    #[derive(Default)]
+    struct Model {
+        queues: [Vec<(u64, SimDuration, u64)>; 3],
+        running: Option<(u64, SimTime, u64)>,
+        held: bool,
+        next_id: u64,
+        busy: SimDuration,
+    }
+
+    impl Model {
+        fn submit(
+            &mut self,
+            now: SimTime,
+            prio: Priority,
+            dur: SimDuration,
+            tag: u64,
+        ) -> Option<(u64, SimTime)> {
+            let id = self.next_id;
+            self.next_id += 1;
+            self.queues[prio as usize].push((id, dur, tag));
+            if self.running.is_none() && !self.held {
+                self.start_next(now)
+            } else {
+                None
+            }
+        }
+
+        fn start_next(&mut self, now: SimTime) -> Option<(u64, SimTime)> {
+            let q = self.queues.iter_mut().find(|q| !q.is_empty())?;
+            let (id, dur, tag) = q.remove(0);
+            self.busy += dur;
+            self.running = Some((id, now + dur, tag));
+            Some((id, now + dur))
+        }
+
+        fn complete(&mut self) -> (u64, u64) {
+            let (id, _, tag) = self.running.take().expect("model running");
+            self.held = true;
+            (id, tag)
+        }
+
+        fn resume(&mut self, now: SimTime) -> Option<(u64, SimTime)> {
+            self.held = false;
+            self.start_next(now)
+        }
+
+        fn cancel(&mut self, id: u64) -> Option<u64> {
+            for q in &mut self.queues {
+                if let Some(pos) = q.iter().position(|w| w.0 == id) {
+                    return Some(q.remove(pos).2);
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn matches_a_plain_queue_model_under_random_operations() {
+        let ours = |c: Option<Completion>| c.map(|c| (c.id.0, c.at));
+        let (mut idle_submits, mut held_submits, mut cancels) = (0, 0, 0);
+        for seed in 0..40 {
+            let mut rng = crate::SimRng::new(seed);
+            let (mut c, mut m) = (CpuCore::new(), Model::default());
+            let mut now = SimTime::ZERO;
+            for step in 0..300u64 {
+                match rng.below(8) {
+                    0..=2 => {
+                        let prio = [Priority::BottomHalf, Priority::Kernel, Priority::Task]
+                            [rng.below(3) as usize];
+                        let dur = SimDuration::from_nanos(1 + rng.below(50));
+                        now += SimDuration::from_nanos(rng.below(20));
+                        if let Some((_, at, _)) = c.running {
+                            now = now.min(at);
+                        }
+                        if c.running.is_none() {
+                            if c.held {
+                                held_submits += 1;
+                            } else {
+                                idle_submits += 1;
+                            }
+                        }
+                        let work = Work {
+                            duration: dur,
+                            priority: prio,
+                            payload: step,
+                        };
+                        assert_eq!(ours(c.submit(now, work)), m.submit(now, prio, dur, step));
+                    }
+                    3..=5 if c.held => {
+                        assert_eq!(ours(c.resume(now)), m.resume(now), "seed {seed}");
+                    }
+                    3..=5 => {
+                        let Some((_, at, _)) = c.running else {
+                            continue;
+                        };
+                        now = at;
+                        let (id, tag) = c.complete(now);
+                        assert_eq!((id.0, tag), m.complete(), "seed {seed}");
+                        if rng.chance(0.5) {
+                            assert_eq!(ours(c.resume(now)), m.resume(now));
+                        }
+                    }
+                    _ => {
+                        let id = rng.below(m.next_id + 1);
+                        let got = c.cancel_queued(WorkId(id));
+                        cancels += u64::from(got.is_some());
+                        assert_eq!(got, m.cancel(id), "seed {seed}");
+                    }
+                }
+                for prio in [Priority::BottomHalf, Priority::Kernel, Priority::Task] {
+                    assert_eq!(c.queued_at(prio), m.queues[prio as usize].len());
+                }
+                let model_idle = m.running.is_none() && m.queues.iter().all(Vec::is_empty);
+                assert_eq!(c.is_idle(), model_idle, "seed {seed} step {step}");
+                assert_eq!(c.busy_time(), m.busy);
+            }
+        }
+        assert!(idle_submits > 50, "{idle_submits} submits to an idle core");
+        assert!(held_submits > 50, "{held_submits} submits while held");
+        assert!(cancels > 50, "{cancels} cancellations");
     }
 
     #[test]

@@ -347,7 +347,12 @@ impl Bandwidth {
             return SimDuration::ZERO;
         }
         let ns = (bytes as f64) * 1e9 / self.0;
-        SimDuration::from_nanos(ns.ceil() as u64)
+        // `ns.ceil() as u64` without the `ceil` (a library call on baseline
+        // x86-64): truncate, then add one if that dropped a fraction. Equal
+        // for every `ns >= 0`, since below 2^53 the truncation is exact and
+        // above it `ns` is already whole (or saturates either way).
+        let whole = ns as u64;
+        SimDuration::from_nanos(whole.saturating_add(u64::from((whole as f64) < ns)))
     }
 
     /// The rate achieved by moving `bytes` in `elapsed` time.
@@ -361,6 +366,38 @@ impl Bandwidth {
             "cannot measure bandwidth over zero time"
         );
         Bandwidth::from_bytes_per_sec(bytes as f64 * 1e9 / elapsed.as_nanos() as f64)
+    }
+}
+
+/// A [`Bandwidth`] that remembers its last answer. Full frames of one
+/// transfer repeat one size, so a run of them costs a compare per call
+/// instead of a division. Exact: a repeat returns the stored result of
+/// the same division.
+#[derive(Clone, Copy, Debug)]
+pub struct MemoBandwidth {
+    bw: Bandwidth,
+    bytes: u64,
+    time: SimDuration,
+}
+
+impl MemoBandwidth {
+    /// A memo over `bw`, empty (zero bytes take zero time).
+    pub fn new(bw: Bandwidth) -> Self {
+        MemoBandwidth {
+            bw,
+            bytes: 0,
+            time: SimDuration::ZERO,
+        }
+    }
+
+    /// [`Bandwidth::time_for_bytes`] of the memo's rate.
+    #[inline]
+    pub fn time_for_bytes(&mut self, bytes: u64) -> SimDuration {
+        if bytes != self.bytes {
+            self.bytes = bytes;
+            self.time = self.bw.time_for_bytes(bytes);
+        }
+        self.time
     }
 }
 
@@ -421,6 +458,34 @@ mod tests {
         assert_eq!(bw.time_for_bytes(0), SimDuration::ZERO);
         // Rounds up: 1 byte at 1.25 GB/s is 0.8 ns -> 1 ns.
         assert_eq!(bw.time_for_bytes(1), SimDuration::from_nanos(1));
+    }
+
+    #[test]
+    fn time_for_bytes_rounds_up_like_ceil() {
+        let mut rng = crate::SimRng::new(26);
+        for bps in [1.0, 3.0, 0.9e9, 1.25e9, 2.5e9 / 3.0, 1e-3, 1e300] {
+            let bw = Bandwidth::from_bytes_per_sec(bps);
+            let mut memo = MemoBandwidth::new(bw);
+            let sizes = (0..2000).map(|_| rng.below(1 << 24)).chain([
+                0,
+                1,
+                9018,
+                9018,
+                1 << 40,
+                u64::MAX,
+                u64::MAX,
+            ]);
+            for bytes in sizes {
+                let want = if bytes == 0 {
+                    0
+                } else {
+                    ((bytes as f64) * 1e9 / bps).ceil() as u64
+                };
+                let got = bw.time_for_bytes(bytes);
+                assert_eq!(got.as_nanos(), want, "{bytes} bytes at {bps} B/s");
+                assert_eq!(memo.time_for_bytes(bytes), got, "memo, {bytes} B");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! ## Copy-on-write page storage
 //!
-//! A frame's bytes live in a reference-counted page (`Arc<[u8]>`) that
+//! A frame's bytes live in a reference-counted page (`Rc<[u8]>`) that
 //! other holders may share: a [`PageSnapshot`] taken
 //! by [`FrameAllocator::share`], another frame that received the page
 //! through [`FrameAllocator::install`], or a swap slot. Sharing is
@@ -26,7 +26,7 @@
 //! *mappings* of the frame and drives the address-space COW in
 //! [`crate::Memory`].
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::addr::{Pfn, PAGE_SIZE};
 use crate::error::MemError;
@@ -37,7 +37,7 @@ use crate::snapshot::{PageSnapshot, SnapshotReader};
 /// pointer's only niche already encodes `data: None`.)
 struct Frame {
     /// The frame's bytes; `None` until first written (demand-zero).
-    data: Option<Arc<[u8]>>,
+    data: Option<Rc<[u8]>>,
     refcount: u32,
     pin_count: u32,
 }
@@ -59,7 +59,7 @@ pub struct FrameAllocator {
     pinned_peak: usize,
     /// The page an unwritten frame reads as. Never written in place: the
     /// allocator's own reference keeps it shared, so writes copy it.
-    zero: Arc<[u8]>,
+    zero: Rc<[u8]>,
 }
 
 impl FrameAllocator {
@@ -181,20 +181,20 @@ impl FrameAllocator {
         let off = offset as usize;
         let zero = &self.zero;
         let f = live(&mut self.frames, pfn);
-        if let Some(page) = f.data.as_mut().and_then(Arc::get_mut) {
+        if let Some(page) = f.data.as_mut().and_then(Rc::get_mut) {
             page[off..off + data.len()].copy_from_slice(data);
         } else if data.len() == PAGE_SIZE as usize {
             f.data = Some(data.into());
         } else {
-            let page = f.data.get_or_insert_with(|| Arc::clone(zero));
-            Arc::make_mut(page)[off..off + data.len()].copy_from_slice(data);
+            let page = f.data.get_or_insert_with(|| Rc::clone(zero));
+            Rc::make_mut(page)[off..off + data.len()].copy_from_slice(data);
         }
     }
 
     /// A reference to the frame's current page. Later writes to the frame
     /// do not show through it; an unwritten frame shares the zero page.
-    pub fn share(&self, pfn: Pfn) -> Arc<[u8]> {
-        Arc::clone(self.frame(pfn).data.as_ref().unwrap_or(&self.zero))
+    pub fn share(&self, pfn: Pfn) -> Rc<[u8]> {
+        Rc::clone(self.frame(pfn).data.as_ref().unwrap_or(&self.zero))
     }
 
     /// Make `page` the frame's contents without copying it. The frame and
@@ -203,7 +203,7 @@ impl FrameAllocator {
     ///
     /// # Panics
     /// Panics if `page` is not exactly one page long.
-    pub fn install(&mut self, pfn: Pfn, page: Arc<[u8]>) {
+    pub fn install(&mut self, pfn: Pfn, page: Rc<[u8]>) {
         assert_eq!(page.len(), PAGE_SIZE as usize, "install of a partial page");
         self.frame_mut(pfn).data = Some(page);
     }
@@ -231,10 +231,10 @@ impl FrameAllocator {
             let zero = &self.zero;
             let f = live(&mut self.frames, pfn);
             let cur = f.data.as_ref().unwrap_or(zero);
-            let held = Arc::ptr_eq(cur, page);
+            let held = Rc::ptr_eq(cur, page);
             if held || (cur[..start] == page[..start] && cur[end..] == page[end..]) {
                 if !held {
-                    f.data = Some(Arc::clone(page));
+                    f.data = Some(Rc::clone(page));
                 }
                 src.bytes(len);
                 return;
@@ -455,7 +455,7 @@ mod tests {
     }
 
     /// A captured page `S` of distinct bytes, as a one-piece snapshot.
-    fn captured(fa: &mut FrameAllocator) -> (Arc<[u8]>, PageSnapshot) {
+    fn captured(fa: &mut FrameAllocator) -> (Rc<[u8]>, PageSnapshot) {
         let s = fa.alloc().unwrap();
         let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
         fa.write(s, 0, &bytes);
@@ -482,12 +482,9 @@ mod tests {
         let (page, snap) = captured(&mut fa);
         let d = fa.alloc().unwrap();
         land_part(&mut fa, d, 0, &snap, 0, 1000);
-        assert!(
-            !Arc::ptr_eq(&fa.share(d), &page),
-            "the first half is copied"
-        );
+        assert!(!Rc::ptr_eq(&fa.share(d), &page), "the first half is copied");
         land_part(&mut fa, d, 1000, &snap, 1000, PAGE_SIZE - 1000);
-        assert!(Arc::ptr_eq(&fa.share(d), &page), "the second half installs");
+        assert!(Rc::ptr_eq(&fa.share(d), &page), "the second half installs");
     }
 
     #[test]
@@ -498,7 +495,7 @@ mod tests {
         land_part(&mut fa, d, 0, &snap, 0, 1000);
         fa.write(d, 20, &[0xee]);
         land_part(&mut fa, d, 1000, &snap, 1000, PAGE_SIZE - 1000);
-        assert!(!Arc::ptr_eq(&fa.share(d), &page));
+        assert!(!Rc::ptr_eq(&fa.share(d), &page));
         let mut want = page.to_vec();
         want[20] = 0xee;
         assert_eq!(page_of(&fa, d), want);
@@ -509,11 +506,11 @@ mod tests {
         let mut fa = FrameAllocator::new(2);
         let (page, snap) = captured(&mut fa);
         let d = fa.alloc().unwrap();
-        fa.install(d, Arc::clone(&page));
-        let count = Arc::strong_count(&page);
+        fa.install(d, Rc::clone(&page));
+        let count = Rc::strong_count(&page);
         land_part(&mut fa, d, 100, &snap, 100, 50);
-        assert_eq!(Arc::strong_count(&page), count);
-        assert!(Arc::ptr_eq(&fa.share(d), &page));
+        assert_eq!(Rc::strong_count(&page), count);
+        assert!(Rc::ptr_eq(&fa.share(d), &page));
     }
 
     #[test]
@@ -523,10 +520,10 @@ mod tests {
         let d = fa.alloc().unwrap();
         // The frame already equals S outside [1000, 1100); the piece is
         // S's bytes [1001, 1101), one byte off its captured offset.
-        fa.install(d, Arc::clone(&page));
+        fa.install(d, Rc::clone(&page));
         fa.write(d, 1000, &[0; 100]);
         land_part(&mut fa, d, 1000, &snap, 1001, 100);
-        assert!(!Arc::ptr_eq(&fa.share(d), &page));
+        assert!(!Rc::ptr_eq(&fa.share(d), &page));
         let mut want = page.to_vec();
         want.copy_within(1001..1101, 1000);
         assert_eq!(page_of(&fa, d), want);

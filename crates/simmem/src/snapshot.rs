@@ -6,13 +6,13 @@
 //! taken: a write to a shared page copies the page first.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::addr::PAGE_SIZE;
 
 #[derive(Clone)]
 struct Piece {
-    page: Arc<[u8]>,
+    page: Rc<[u8]>,
     start: usize,
     len: usize,
 }
@@ -45,7 +45,7 @@ impl PageSnapshot {
     /// # Panics
     /// Panics if `page` is not one page long or the range does not lie
     /// within it.
-    pub fn push(&mut self, page: Arc<[u8]>, start: u64, len: u64) {
+    pub fn push(&mut self, page: Rc<[u8]>, start: u64, len: u64) {
         assert_eq!(
             page.len(),
             PAGE_SIZE as usize,
@@ -106,7 +106,7 @@ impl PageSnapshot {
             }
             let n = (p.len - skip).min(want);
             out.pieces.push(Piece {
-                page: Arc::clone(&p.page),
+                page: Rc::clone(&p.page),
                 start: p.start + skip,
                 len: n,
             });
@@ -165,7 +165,7 @@ pub struct SnapshotReader<'a> {
 impl<'a> SnapshotReader<'a> {
     /// The page the next `len` bytes come from, if they are all one piece
     /// and sit at byte `offset` of that page. Consumes nothing.
-    pub fn page_at(&self, offset: u64, len: u64) -> Option<&'a Arc<[u8]>> {
+    pub fn page_at(&self, offset: u64, len: u64) -> Option<&'a Rc<[u8]>> {
         let p = self.pieces.get(self.piece)?;
         let start = p.start + self.at;
         (start == offset as usize && p.len - self.at >= len as usize).then_some(&p.page)
@@ -192,7 +192,7 @@ impl<'a> SnapshotReader<'a> {
 mod tests {
     use super::*;
 
-    fn page(fill: u8) -> Arc<[u8]> {
+    fn page(fill: u8) -> Rc<[u8]> {
         vec![fill; PAGE_SIZE as usize].into()
     }
 

@@ -36,7 +36,7 @@
 //! survive `munmap` until the driver drops its pins, exactly as pages held
 //! by `get_user_pages` do.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange};
 use crate::error::MemError;
@@ -89,7 +89,7 @@ struct AddressSpace {
 /// Swap slots hold the swapped-out page by reference (see
 /// [`FrameAllocator::share`]); swap-out and swap-in copy no bytes.
 struct SwapSpace {
-    slots: Vec<Option<Arc<[u8]>>>,
+    slots: Vec<Option<Rc<[u8]>>>,
     free: Vec<u32>,
     used: usize,
 }
@@ -103,14 +103,14 @@ impl SwapSpace {
         }
     }
 
-    fn store(&mut self, data: Arc<[u8]>) -> Result<u32, MemError> {
+    fn store(&mut self, data: Rc<[u8]>) -> Result<u32, MemError> {
         let slot = self.free.pop().ok_or(MemError::OutOfSwap)?;
         self.slots[slot as usize] = Some(data);
         self.used += 1;
         Ok(slot)
     }
 
-    fn load(&mut self, slot: u32) -> Arc<[u8]> {
+    fn load(&mut self, slot: u32) -> Rc<[u8]> {
         let data = self.slots[slot as usize]
             .take()
             .expect("load from free swap slot");
@@ -700,7 +700,7 @@ impl Memory {
 
     /// A frame's current page, by reference (see
     /// [`FrameAllocator::share`]).
-    pub fn share_phys(&self, pfn: Pfn) -> Arc<[u8]> {
+    pub fn share_phys(&self, pfn: Pfn) -> Rc<[u8]> {
         self.frames.share(pfn)
     }
 

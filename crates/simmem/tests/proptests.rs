@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use simcore::SimRng;
 use simmem::{
@@ -559,7 +559,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
                 if start.is_page_aligned() && landed >= PAGE_SIZE {
                     if let Some(page) = snap.reader().page_at(0, PAGE_SIZE) {
                         let pfn = m.mem.resident_pfn(space, start.vpn()).unwrap();
-                        assert!(Arc::ptr_eq(page, &m.mem.share_phys(pfn)), "case {case}");
+                        assert!(Rc::ptr_eq(page, &m.mem.share_phys(pfn)), "case {case}");
                         coverage.installed += 1;
                     }
                 }
@@ -612,7 +612,7 @@ fn run_reference_case(case: u32, ops: Vec<Op>, coverage: &mut Coverage) {
                     let page = rest.reader().page_at(at.page_offset(), 1).cloned();
                     let page = page.expect("the parts land at their captured offsets");
                     let pfn = m.mem.resident_pfn(space, at.vpn()).unwrap();
-                    assert!(Arc::ptr_eq(&page, &m.mem.share_phys(pfn)), "case {case}");
+                    assert!(Rc::ptr_eq(&page, &m.mem.share_phys(pfn)), "case {case}");
                     coverage.assembled += 1;
                 }
             }

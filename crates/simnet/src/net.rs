@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{Bandwidth, SimDuration, SimRng, SimTime};
+use simcore::{Bandwidth, MemoBandwidth, SimDuration, SimRng, SimTime};
 
 use crate::frame::wire_bytes;
 
@@ -319,6 +319,8 @@ struct LinkState {
 /// The fabric.
 pub struct Network {
     cfg: NetConfig,
+    /// Serialization time of the last frame size (full frames repeat it).
+    ser: MemoBandwidth,
     /// Per-node sender-side busy-until (NIC TX serialization).
     tx_free: Vec<SimTime>,
     /// Per-node receiver-side busy-until (switch egress serialization).
@@ -335,6 +337,7 @@ impl Network {
         assert!(nodes >= 1);
         cfg.validate().expect("invalid NetConfig");
         Network {
+            ser: MemoBandwidth::new(cfg.bandwidth),
             cfg,
             tx_free: vec![SimTime::ZERO; nodes],
             egress_free: vec![SimTime::ZERO; nodes],
@@ -373,8 +376,7 @@ impl Network {
         let d = dst.0 as usize;
         self.stats.frames_sent += 1;
 
-        let wire = wire_bytes(payload);
-        let ser = self.cfg.bandwidth.time_for_bytes(wire);
+        let ser = self.ser.time_for_bytes(wire_bytes(payload));
 
         // Ingress: wait for the NIC TX path, then serialize.
         let tx_start = now.max(self.tx_free[s]);
@@ -513,6 +515,28 @@ mod tests {
         let a2 = deliver(n.transmit(SimTime::ZERO, NodeId(0), NodeId(1), full));
         let ser = n.config().bandwidth.time_for_bytes(wire_bytes(full));
         assert_eq!(a2.duration_since(a1), ser, "pipeline rate = line rate");
+    }
+
+    #[test]
+    fn interleaved_frame_sizes_keep_their_own_serialization_time() {
+        // A full frame, a short one, a control frame, full ones again:
+        // every size change must miss the serialization memo, every repeat
+        // must hit it, and both must give the hand-computed arrival.
+        let mut n = net(2);
+        let cfg = n.config().clone();
+        let full = max_payload(MTU_JUMBO);
+        let (mut tx_free, mut egress_free) = (SimTime::ZERO, SimTime::ZERO);
+        for (i, payload) in [full, 1000, 0, full, full, 1000, 1000, 0, full]
+            .into_iter()
+            .enumerate()
+        {
+            let now = SimTime::from_nanos(i as u64 * 3000);
+            let ser = cfg.bandwidth.time_for_bytes(wire_bytes(payload));
+            tx_free = now.max(tx_free) + ser;
+            egress_free = (tx_free + cfg.latency).max(egress_free) + ser;
+            let at = deliver(n.transmit(now, NodeId(0), NodeId(1), payload));
+            assert_eq!(at, egress_free, "frame {i}, {payload} B");
+        }
     }
 
     #[test]
