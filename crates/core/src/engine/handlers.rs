@@ -1229,20 +1229,16 @@ impl Cluster {
         );
     }
 
-    /// Bottom-half CPU time of one received frame. Copy costs go through
-    /// `copy_cost`, the memo of the profile's `memcpy_cost`.
-    fn bh_duration(&mut self, node: usize, msg: &WireMsg) -> SimDuration {
+    fn bh_duration(&self, node: usize, msg: &WireMsg) -> SimDuration {
         let p = &self.cfg.profile;
         match msg {
-            WireMsg::Eager { data, .. } => {
-                p.pkt_processing + self.copy_cost.time_for_bytes(data.len())
-            }
+            WireMsg::Eager { data, .. } => p.pkt_processing + p.memcpy_cost(data.len()),
             WireMsg::PullReply { data, .. } => {
                 p.pkt_processing
                     + if self.cfg.use_ioat {
                         self.nodes[node].ioat.submit_cost()
                     } else {
-                        self.copy_cost.time_for_bytes(data.len())
+                        p.memcpy_cost(data.len())
                     }
             }
             _ => p.pkt_processing,
@@ -2130,23 +2126,28 @@ impl Cluster {
         };
         let node = self.procs[x.proc.0 as usize].node;
         let (kind, id) = x.retrans(key.0);
-        let timeout = retrans_timeout(
-            &self.cfg,
-            &self.rtt,
-            &mut self.retrans_rng,
-            &mut self.metrics,
-            &mut self.tracer,
-            self.now,
-            node,
-            (kind, id, key.0),
-            attempt,
-        );
-        let at = self.now + timeout;
+        let rto = retrans_timeout(&self.cfg, &self.rtt, &mut self.retrans_rng, attempt);
+        let at = self.now + rto.unwrap_or(self.cfg.retransmit_timeout);
         let retry = &mut x.retry;
         let queue = &mut self.queue;
         let moved = retry.timer.take().and_then(|id| queue.reschedule(id, at));
         retry.timer =
             Some(moved.unwrap_or_else(|| queue.schedule(at, Event::Timer(TimerToken::Retry(key)))));
+        // Backoff decisions are observable: the histogram and the trace.
+        if let Some(rto) = rto {
+            self.metrics.rto_applied.record(rto);
+            self.emit(
+                node,
+                None,
+                TraceEvent::Backoff {
+                    kind,
+                    id,
+                    msg: key.0,
+                    attempt,
+                    rto_nanos: rto.as_nanos(),
+                },
+            );
+        }
     }
 
     fn rerequest_guard(cfg: &OpenMxConfig, rtt: &RttEstimator) -> SimDuration {

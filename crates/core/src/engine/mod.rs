@@ -23,8 +23,7 @@ pub use ctx::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
 
 use simcore::{
-    CpuCore, EventId, EventQueue, MemoBandwidth, Priority, SimDuration, SimRng, SimTime,
-    Work as CpuWork,
+    CpuCore, EventId, EventQueue, Priority, SimDuration, SimRng, SimTime, Work as CpuWork,
 };
 use simmem::{AsId, Memory, SimHeap};
 use simnet::{IoatEngine, Network, NodeId, TxOutcome};
@@ -256,9 +255,6 @@ pub struct Cluster {
     /// Dedicated stream for retransmission-timeout jitter (keeps backoff
     /// decisions independent of the fabric's loss draws).
     retrans_rng: SimRng,
-    /// The profile's `memcpy_cost`, remembering the last size: the full
-    /// pull-reply frames of a transfer all repeat it.
-    copy_cost: MemoBandwidth,
 }
 
 impl Cluster {
@@ -290,7 +286,6 @@ impl Cluster {
             })
             .collect();
         Cluster {
-            copy_cost: MemoBandwidth::new(cfg.profile.memcpy_bw),
             cfg,
             queue: EventQueue::new(),
             net,

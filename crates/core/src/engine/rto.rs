@@ -7,11 +7,9 @@
 //! exchanges contribute no samples, since their ack could answer either
 //! transmission.
 
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimRng};
 
 use crate::config::{OpenMxConfig, RETRANSMIT_BACKOFF, RETRANSMIT_MIN};
-use crate::obs::{Metrics, RetransKind, TraceEvent, TraceRecord, Tracer};
-use crate::wire::MsgId;
 
 /// Smoothed RTT + variance in the classic fixed-gain form:
 /// `srtt += (sample - srtt) / 8`, `rttvar += (|sample - srtt| - rttvar) / 4`,
@@ -57,33 +55,22 @@ impl RttEstimator {
     }
 }
 
-/// The retransmission timeout for a timer (re)arm. With adaptive
-/// retransmission off this is the configured fixed timeout; on, it is
-/// the RTT estimator's RTO (falling back to the fixed timeout before
+/// The adaptive retransmission timeout for a timer (re)arm: the RTT
+/// estimator's RTO (falling back to the configured fixed timeout before
 /// any sample) scaled by `backoff^attempt`, clamped to
-/// `[RETRANSMIT_MIN, retransmit_timeout]`, with deterministic jitter
-/// on top. Records a [`TraceEvent::Backoff`] (`backoff` names its kind,
-/// id and message) and feeds the `rto_applied` histogram so backoff
-/// decisions are observable.
-///
-/// It takes the cluster's fields one by one, so the caller can keep a
-/// transfer-table entry borrowed across the call.
-#[allow(clippy::too_many_arguments)]
+/// `[RETRANSMIT_MIN, retransmit_timeout]`, with deterministic jitter on
+/// top. `None` with adaptive retransmission off: the caller then uses the
+/// fixed timeout, and no backoff decision was made.
 pub(crate) fn retrans_timeout(
     cfg: &OpenMxConfig,
     rtt: &RttEstimator,
     rng: &mut SimRng,
-    metrics: &mut Metrics,
-    tracer: &mut Tracer,
-    now: SimTime,
-    node: usize,
-    (kind, id, msg): (RetransKind, u64, MsgId),
     attempt: u32,
-) -> SimDuration {
-    let cfg_max = cfg.retransmit_timeout;
+) -> Option<SimDuration> {
     if !cfg.adaptive_retransmit {
-        return cfg_max;
+        return None;
     }
+    let cfg_max = cfg.retransmit_timeout;
     let mut scaled = rtt.rto().unwrap_or(cfg_max).as_nanos() as f64;
     // A first arm scales by `backoff^0 == 1.0`, and `x * 1.0 == x`.
     if attempt > 0 {
@@ -91,21 +78,7 @@ pub(crate) fn retrans_timeout(
     }
     let clamped = (scaled.min(cfg_max.as_nanos() as f64) as u64).max(RETRANSMIT_MIN.as_nanos());
     let jitter = 1.0 + cfg.retransmit_jitter * rng.unit_f64();
-    let rto = SimDuration::from_nanos((clamped as f64 * jitter) as u64);
-    metrics.rto_applied.record(rto);
-    tracer.record(TraceRecord {
-        time: now,
-        node,
-        proc: None,
-        event: TraceEvent::Backoff {
-            kind,
-            id,
-            msg,
-            attempt,
-            rto_nanos: rto.as_nanos(),
-        },
-    });
-    rto
+    Some(SimDuration::from_nanos((clamped as f64 * jitter) as u64))
 }
 
 #[cfg(test)]

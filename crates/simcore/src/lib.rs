@@ -28,4 +28,4 @@ pub use cpu::{CpuCore, Priority, Work, WorkId};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use stats::{linear_fit, FixedHistogram, OnlineStats};
-pub use time::{Bandwidth, MemoBandwidth, SimDuration, SimTime};
+pub use time::{Bandwidth, SimDuration, SimTime};

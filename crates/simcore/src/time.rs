@@ -369,38 +369,6 @@ impl Bandwidth {
     }
 }
 
-/// A [`Bandwidth`] that remembers its last answer. Full frames of one
-/// transfer repeat one size, so a run of them costs a compare per call
-/// instead of a division. Exact: a repeat returns the stored result of
-/// the same division.
-#[derive(Clone, Copy, Debug)]
-pub struct MemoBandwidth {
-    bw: Bandwidth,
-    bytes: u64,
-    time: SimDuration,
-}
-
-impl MemoBandwidth {
-    /// A memo over `bw`, empty (zero bytes take zero time).
-    pub fn new(bw: Bandwidth) -> Self {
-        MemoBandwidth {
-            bw,
-            bytes: 0,
-            time: SimDuration::ZERO,
-        }
-    }
-
-    /// [`Bandwidth::time_for_bytes`] of the memo's rate.
-    #[inline]
-    pub fn time_for_bytes(&mut self, bytes: u64) -> SimDuration {
-        if bytes != self.bytes {
-            self.bytes = bytes;
-            self.time = self.bw.time_for_bytes(bytes);
-        }
-        self.time
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,16 +433,10 @@ mod tests {
         let mut rng = crate::SimRng::new(26);
         for bps in [1.0, 3.0, 0.9e9, 1.25e9, 2.5e9 / 3.0, 1e-3, 1e300] {
             let bw = Bandwidth::from_bytes_per_sec(bps);
-            let mut memo = MemoBandwidth::new(bw);
-            let sizes = (0..2000).map(|_| rng.below(1 << 24)).chain([
-                0,
-                1,
-                9018,
-                9018,
-                1 << 40,
-                u64::MAX,
-                u64::MAX,
-            ]);
+            let sizes =
+                (0..2000)
+                    .map(|_| rng.below(1 << 24))
+                    .chain([0, 1, 9018, 1 << 40, u64::MAX]);
             for bytes in sizes {
                 let want = if bytes == 0 {
                     0
@@ -483,7 +445,6 @@ mod tests {
                 };
                 let got = bw.time_for_bytes(bytes);
                 assert_eq!(got.as_nanos(), want, "{bytes} bytes at {bps} B/s");
-                assert_eq!(memo.time_for_bytes(bytes), got, "memo, {bytes} B");
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{Bandwidth, MemoBandwidth, SimDuration, SimRng, SimTime};
+use simcore::{Bandwidth, SimDuration, SimRng, SimTime};
 
 use crate::frame::wire_bytes;
 
@@ -319,8 +319,6 @@ struct LinkState {
 /// The fabric.
 pub struct Network {
     cfg: NetConfig,
-    /// Serialization time of the last frame size (full frames repeat it).
-    ser: MemoBandwidth,
     /// Per-node sender-side busy-until (NIC TX serialization).
     tx_free: Vec<SimTime>,
     /// Per-node receiver-side busy-until (switch egress serialization).
@@ -337,7 +335,6 @@ impl Network {
         assert!(nodes >= 1);
         cfg.validate().expect("invalid NetConfig");
         Network {
-            ser: MemoBandwidth::new(cfg.bandwidth),
             cfg,
             tx_free: vec![SimTime::ZERO; nodes],
             egress_free: vec![SimTime::ZERO; nodes],
@@ -376,7 +373,8 @@ impl Network {
         let d = dst.0 as usize;
         self.stats.frames_sent += 1;
 
-        let ser = self.ser.time_for_bytes(wire_bytes(payload));
+        let wire = wire_bytes(payload);
+        let ser = self.cfg.bandwidth.time_for_bytes(wire);
 
         // Ingress: wait for the NIC TX path, then serialize.
         let tx_start = now.max(self.tx_free[s]);
@@ -520,8 +518,7 @@ mod tests {
     #[test]
     fn interleaved_frame_sizes_keep_their_own_serialization_time() {
         // A full frame, a short one, a control frame, full ones again:
-        // every size change must miss the serialization memo, every repeat
-        // must hit it, and both must give the hand-computed arrival.
+        // each frame is serialized for its own size, at both hops.
         let mut n = net(2);
         let cfg = n.config().clone();
         let full = max_payload(MTU_JUMBO);
