@@ -29,6 +29,18 @@ fn bench_sendrecv(b: &Bench) {
     });
 }
 
+/// The eager path: a 4 KiB SendRecv ring of 4 ranks on 2 nodes over a
+/// fabric that loses 1% of frames, so retransmissions run too.
+fn bench_sendrecv_eager_lossy(b: &Bench) {
+    b.bench("sim_imb_sendrecv_4KiB_lossy", || {
+        let mut cfg = OpenMxConfig::with_mode(PinningMode::OverlappedCached);
+        cfg.net.loss_probability = 0.01;
+        let (scripts, mark) = imb_job(ImbKernel::SendRecv, 4, 4 << 10, 2, 1000);
+        let (_cl, records) = run_job(&cfg, 2, 2, scripts);
+        black_box(summarize(&records, mark, 1000).avg_iter)
+    });
+}
+
 /// Table 2's NPB IS row: one scaled-down iteration pair.
 fn bench_is(b: &Bench) {
     b.bench("sim_npb_is/is_2iter_4ranks", || {
@@ -48,5 +60,6 @@ fn main() {
         .sample_window(Duration::from_millis(200));
     bench_pingpong(&b);
     bench_sendrecv(&b);
+    bench_sendrecv_eager_lossy(&b);
     bench_is(&b);
 }

@@ -6,7 +6,7 @@
 //! `k & mask == match_info & mask`. Both queues are FIFO, so matching is
 //! deterministic.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use simmem::{PageSnapshot, VirtAddr};
 
@@ -185,12 +185,19 @@ impl Unexpected {
 }
 
 /// One process's endpoint: matching queues and duplicate suppression.
+///
+/// Duplicate suppression keeps one bit per message id: bit `id % 64` of
+/// word `id / 64` is set once message `id` is fully handled. Message ids
+/// are dense and cluster-global (the engine hands them out from 1), so
+/// the bitmap is an exact set of completed ids that costs one bit per id
+/// up to the highest completed one, with no hashing. It is never pruned;
+/// a restarted process gets a fresh, empty endpoint.
 pub struct Endpoint {
     posted: VecDeque<PostedRecv>,
     unexpected: VecDeque<Unexpected>,
     /// Eager/rndv messages already fully handled — duplicates (from
-    /// retransmission) of these are re-acked and dropped.
-    completed: HashSet<MsgId>,
+    /// retransmission) of these are re-acked and dropped. One bit per id.
+    completed: Vec<u64>,
 }
 
 impl Default for Endpoint {
@@ -205,7 +212,7 @@ impl Endpoint {
         Endpoint {
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            completed: HashSet::new(),
+            completed: Vec::new(),
         }
     }
 
@@ -251,12 +258,19 @@ impl Endpoint {
 
     /// Record a fully handled message id for duplicate suppression.
     pub fn mark_completed(&mut self, msg: MsgId) {
-        self.completed.insert(msg);
+        let word = (msg.0 / 64) as usize;
+        if word >= self.completed.len() {
+            self.completed.resize(word + 1, 0);
+        }
+        self.completed[word] |= 1 << (msg.0 % 64);
     }
 
     /// Was this message id already fully handled?
     pub fn is_completed(&self, msg: MsgId) -> bool {
-        self.completed.contains(&msg)
+        usize::try_from(msg.0 / 64)
+            .ok()
+            .and_then(|word| self.completed.get(word))
+            .is_some_and(|bits| bits >> (msg.0 % 64) & 1 == 1)
     }
 
     /// Queue depths `(posted, unexpected)` — for tests and stats.
@@ -400,6 +414,44 @@ mod tests {
         assert!(!ep.is_completed(MsgId(3)));
         ep.mark_completed(MsgId(3));
         assert!(ep.is_completed(MsgId(3)));
+    }
+
+    /// The bitmap answers every query as a plain ordered set of the
+    /// marked ids would: word edges, a long gap, ids far above the
+    /// highest marked word, and random mark/query runs.
+    #[test]
+    fn completed_bitmap_matches_a_set_model() {
+        use std::collections::BTreeSet;
+
+        use simcore::SimRng;
+
+        let edges = [1, 63, 64, 65, 1_000_065, 1_000_066];
+        for seed in 0..20 {
+            let mut rng = SimRng::new(seed);
+            let mut ep = Endpoint::new();
+            let mut model = BTreeSet::new();
+            for step in 0..2_000 {
+                let id = match rng.below(4) {
+                    0 => edges[rng.below(edges.len() as u64) as usize],
+                    1 => 1 + rng.below(200),
+                    2 => 1_000_000 + rng.below(200),
+                    _ => rng.next_u64(),
+                };
+                let msg = MsgId(id);
+                if id < 2_000_000 && rng.chance(0.5) {
+                    ep.mark_completed(msg);
+                    model.insert(msg);
+                }
+                assert_eq!(
+                    ep.is_completed(msg),
+                    model.contains(&msg),
+                    "seed {seed} step {step} id {id}"
+                );
+            }
+            for id in edges.into_iter().chain([0, 2_000_000, u64::MAX]) {
+                assert_eq!(ep.is_completed(MsgId(id)), model.contains(&MsgId(id)));
+            }
+        }
     }
 
     #[test]

@@ -384,23 +384,22 @@ impl Cluster {
         let mtu = self.cfg.net.mtu;
         let now = self.now;
         let key = (msg, End::Tx);
-        let Some(x) = self.xfers.get(&key) else {
+        let Some(x) = self.xfers.get_mut(&key) else {
             return; // acked and reclaimed while this work was queued
         };
-        let src = self.addr_of(x.proc);
-        let x = self.xfers.get_mut(&key).expect("looked up above");
         let Phase::EagerTx(tx) = &mut x.phase else {
             unreachable!("eager send")
         };
         tx.sent_at = now;
-        let (peer, match_info, total) = (x.peer, tx.match_info, tx.total_len);
+        let (proc, peer, match_info, total) = (x.proc, x.peer, tx.match_info, tx.total_len);
+        // The payload leaves the table while its fragments go out, so each
+        // one is transmitted as it is cut; `transmit` never reads the table.
+        let data = std::mem::take(&mut tx.data);
+        let src = self.addr_of(proc);
         let frag_count = simnet::frame::frame_count(total, mtu) as u32;
-        let mut frames = Vec::new();
         for frag in 0..frag_count {
             let offset = frag as u64 * chunk;
-            let flen = chunk.min(total - offset);
-            let data = tx.data.slice(offset, flen);
-            frames.push(Frame {
+            self.transmit(Frame {
                 src,
                 dst: peer,
                 msg: WireMsg::Eager {
@@ -410,13 +409,18 @@ impl Cluster {
                     frag_count,
                     total_len: total,
                     offset,
-                    data,
+                    data: data.slice(offset, chunk.min(total - offset)),
                 },
             });
         }
-        for f in frames {
-            self.transmit(f);
-        }
+        let x = self
+            .xfers
+            .get_mut(&key)
+            .expect("transmit keeps the transfer");
+        let Phase::EagerTx(tx) = &mut x.phase else {
+            unreachable!("eager send")
+        };
+        tx.data = data;
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -568,6 +568,21 @@ impl Cluster {
         self.queue.len()
     }
 
+    /// The frames on the wire, each with its arrival time, in arrival
+    /// order (frames due at the same instant in no particular order).
+    pub fn frames_in_flight(&self) -> Vec<(SimTime, &Frame)> {
+        let mut frames: Vec<_> = self
+            .queue
+            .iter()
+            .filter_map(|(at, event)| match event {
+                Event::FrameArrival(frame) => Some((at, frame)),
+                _ => None,
+            })
+            .collect();
+        frames.sort_by_key(|&(at, _)| at);
+        frames
+    }
+
     // ---- harness VM churn (the hostile-application model) ------------
     //
     // These mutate a process's address space *from outside* — the moves a

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, OverlapHint, ProcId, Process};
-use openmx_core::{Counter, OpenMxConfig, PinningMode, TraceEvent};
+use openmx_core::{Counter, OpenMxConfig, PinningMode, TraceEvent, WireMsg};
 use simcore::{SimDuration, SimTime};
 use simmem::{page_chunks, VirtAddr, PAGE_SIZE};
 
@@ -683,6 +683,119 @@ fn eager_retransmits_keep_the_bytes_of_their_send_time() {
         "the retransmission delivered bytes written after SendDone"
     );
     assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
+}
+
+/// The eager frames on the wire, as `(frag, frag_count, offset, len)` in
+/// arrival order.
+fn eager_frames_in_flight(cl: &Cluster) -> Vec<(u32, u32, u64, u64)> {
+    cl.frames_in_flight()
+        .into_iter()
+        .filter_map(|(_, f)| match &f.msg {
+            WireMsg::Eager {
+                frag,
+                frag_count,
+                offset,
+                data,
+                ..
+            } => Some((*frag, *frag_count, *offset, data.len())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A multi-frame eager message goes on the wire whole, one fragment per
+/// frame in fragment order, on its first send and again when its ack is
+/// lost; the receiver answers the duplicate with re-acks and delivers the
+/// message once.
+#[test]
+fn eager_fragments_tile_the_message_on_every_transmission() {
+    const LEN: u64 = 10 * 1024;
+    let mut cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+    cfg.net.mtu = simnet::frame::MTU_STANDARD;
+    assert!(LEN < cfg.eager_threshold);
+    // A loss chain that starts out dropping everything and leaves that
+    // state for good after one frame: the receiver's first frame back, the
+    // ack, is the only frame lost.
+    let first_frame_lost = simnet::GilbertElliott {
+        p_good_to_bad: 1.0,
+        p_bad_to_good: 0.0,
+        loss_good: 1.0,
+        loss_bad: 0.0,
+    };
+    cfg.net.faults.set_link(
+        1,
+        0,
+        simnet::FaultProfile {
+            burst: Some(first_frame_lost),
+            ..simnet::FaultProfile::default()
+        },
+    );
+    let frags = simnet::frame::frame_count(LEN, cfg.net.mtu);
+    assert!(frags > 1);
+    let mut cl = Cluster::new(cfg, 2);
+    let delivered = Rc::new(RefCell::new(0));
+    let seen = delivered.clone();
+    let tx = cl.add_process(0, proc_of(|_| {}, |_, _| {}));
+    let rx = cl.add_process(
+        1,
+        proc_of(
+            |_| {},
+            move |_, ev| {
+                if let AppEvent::RecvDone(_, len) = ev {
+                    assert_eq!(len, LEN);
+                    *seen.borrow_mut() += 1;
+                }
+            },
+        ),
+    );
+    cl.step_until(SimTime::ZERO);
+    let recv_buf = cl.drive(rx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.irecv(5, !0, buf, LEN);
+        buf
+    });
+    let bytes: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.write_buf(buf, &bytes);
+        ctx.isend(rx, 5, buf, LEN);
+    });
+    // A transmission starts at each instant eager frames are on the wire
+    // after none were; all of its frames leave in that one instant.
+    let mut transmissions = Vec::new();
+    let mut on_wire = false;
+    while let Some(t) = cl.next_event_time() {
+        cl.step_until(t);
+        let frames = eager_frames_in_flight(&cl);
+        if !on_wire && !frames.is_empty() {
+            transmissions.push(frames.clone());
+        }
+        on_wire = !frames.is_empty();
+    }
+    cl.run(None);
+    assert_eq!(transmissions.len(), 2, "the first send and one resend");
+    for frames in &transmissions {
+        assert_eq!(frames.len() as u64, frags, "{frames:?}");
+        let mut end = 0;
+        for (i, &(frag, count, offset, len)) in frames.iter().enumerate() {
+            assert_eq!((frag as usize, count as u64), (i, frags), "{frames:?}");
+            assert_eq!(offset, end, "fragments tile the message: {frames:?}");
+            end += len;
+        }
+        assert_eq!(end, LEN, "{frames:?}");
+    }
+    let c = cl.counters();
+    assert_eq!(c.get(Counter::EagerRetrans), 1);
+    assert_eq!(c.get(Counter::RequestsFailed), 0);
+    let net = cl.net_stats();
+    assert_eq!(net.frames_burst_lost, 1, "only the first ack was lost");
+    assert_eq!(
+        net.frames_sent,
+        2 * frags + 1 + frags,
+        "two transmissions, the lost ack, and one re-ack per duplicate fragment"
+    );
+    assert_eq!(*delivered.borrow(), 1, "the duplicate was not delivered");
+    assert_eq!(cl.read_proc(rx, recv_buf, LEN), bytes);
 }
 
 /// A shared-memory message that arrives before its receive is posted is

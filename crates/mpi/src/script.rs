@@ -9,7 +9,6 @@
 //! either a specific source (exact) or any source (mask off the high bits).
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Ctx, ProcId, Process};
@@ -172,7 +171,9 @@ pub struct ScriptProcess {
     // runtime state
     bufs: Vec<VirtAddr>,
     step: usize,
-    outstanding: HashSet<RequestId>,
+    /// The current step's requests not yet completed. A step holds a few,
+    /// so a list searched front to back is enough.
+    outstanding: Vec<RequestId>,
     computes_outstanding: u32,
 }
 
@@ -187,7 +188,7 @@ impl ScriptProcess {
             recorder,
             bufs: Vec::new(),
             step: 0,
-            outstanding: HashSet::new(),
+            outstanding: Vec::new(),
             computes_outstanding: 0,
         }
     }
@@ -209,7 +210,7 @@ impl ScriptProcess {
                             self.bufs[buf].add(offset),
                             len,
                         );
-                        self.outstanding.insert(req);
+                        self.outstanding.push(req);
                     }
                     Op::Recv {
                         from,
@@ -219,7 +220,7 @@ impl ScriptProcess {
                         len,
                     } => {
                         let req = ctx.irecv(key(from, tag), !0, self.bufs[buf].add(offset), len);
-                        self.outstanding.insert(req);
+                        self.outstanding.push(req);
                     }
                     Op::RecvAny {
                         tag,
@@ -233,7 +234,7 @@ impl ScriptProcess {
                             self.bufs[buf].add(offset),
                             len,
                         );
-                        self.outstanding.insert(req);
+                        self.outstanding.push(req);
                     }
                     Op::Compute { dur } => {
                         ctx.compute(dur, self.step as u64);
@@ -264,6 +265,15 @@ impl ScriptProcess {
         ctx.stop();
     }
 
+    /// Take `req` off the outstanding list; false if it was not on it.
+    fn complete(&mut self, req: RequestId) -> bool {
+        let Some(i) = self.outstanding.iter().position(|&r| r == req) else {
+            return false;
+        };
+        self.outstanding.swap_remove(i);
+        true
+    }
+
     fn maybe_advance(&mut self, ctx: &mut Ctx<'_>) {
         if self.outstanding.is_empty() && self.computes_outstanding == 0 {
             self.recorder.borrow_mut()[self.rank]
@@ -291,7 +301,7 @@ impl Process for ScriptProcess {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: AppEvent) {
         match event {
             AppEvent::SendDone(req) | AppEvent::RecvDone(req, _) => {
-                let was = self.outstanding.remove(&req);
+                let was = self.complete(req);
                 assert!(was, "completion for unknown request");
                 self.maybe_advance(ctx);
             }
@@ -304,7 +314,7 @@ impl Process for ScriptProcess {
                 // A late failure (e.g. an eager send erroring after its
                 // SendDone) names a request that is no longer outstanding;
                 // it must only be recorded, not re-complete the step.
-                if self.outstanding.remove(&req) {
+                if self.complete(req) {
                     self.maybe_advance(ctx);
                 }
             }

@@ -170,6 +170,14 @@ impl<T> EventQueue<T> {
         self.heap.first().map(|key| key.time)
     }
 
+    /// Every pending event with its time, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &T)> + '_ {
+        self.heap.iter().map(|key| {
+            let payload = self.slots[key.slot as usize].payload.as_ref();
+            (key.time, payload.expect("a heap key names a live slot"))
+        })
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -503,6 +511,11 @@ mod tests {
                 }
                 q.check_invariants();
                 assert_eq!(q.len(), model.live.len(), "seed {seed} step {step}");
+                let mut pending: Vec<_> = q.iter().map(|(at, &p)| (at, p)).collect();
+                let mut live: Vec<_> = model.live.iter().map(|&(at, _, p)| (at, p)).collect();
+                pending.sort_unstable();
+                live.sort_unstable();
+                assert_eq!(pending, live, "seed {seed} step {step}");
             }
             while let Some(ev) = q.pop() {
                 assert_eq!(Some(ev), model.pop(), "seed {seed} drain");

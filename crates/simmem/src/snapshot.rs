@@ -93,7 +93,15 @@ impl PageSnapshot {
             start.checked_add(len).is_some_and(|end| end <= total),
             "slice {start}+{len} past the end of a {total}-byte snapshot"
         );
-        let mut out = PageSnapshot::default();
+        // A slice needs at most one piece per page its `len` bytes touch
+        // when each piece covers a page of its own; pieces that share a
+        // page only make the buffer grow.
+        let pages = match len {
+            0 => 0,
+            n => (n - 1).div_ceil(PAGE_SIZE) + 1,
+        };
+        let pieces = pages.min(self.pieces.len() as u64);
+        let mut out = PageSnapshot::with_capacity(pieces as usize);
         let mut skip = start as usize;
         let mut want = len as usize;
         for p in &self.pieces {
