@@ -15,11 +15,11 @@ pub enum Flag {
     Smoke,
     /// `--out PATH`: where to write the baseline JSON.
     Out,
-    /// `--seeds N`: seeds per cell.
+    /// `--seeds N`: seeds per profile.
     Seeds,
     /// `--start N`: the first seed.
     Start,
-    /// `--profile P`: restrict to one simtest op-mix profile.
+    /// `--profile P`: restrict to one simtest profile.
     Profile,
 }
 
@@ -41,9 +41,9 @@ impl Flag {
                 " PATH",
                 "baseline JSON (default BENCH_<scenario>.json)",
             ),
-            Flag::Seeds => ("--seeds", " N", "seeds per cell (chaos: 8, explore: 70)"),
+            Flag::Seeds => ("--seeds", " N", "seeds per profile (default 70)"),
             Flag::Start => ("--start", " N", "first seed (default 0)"),
-            Flag::Profile => ("--profile", " P", "one op-mix profile only"),
+            Flag::Profile => ("--profile", " P", "one explorer profile only"),
         }
     }
 }
@@ -191,12 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_holds_the_fourteen_scenarios_once() {
+    fn registry_holds_each_scenario_once() {
         let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
         assert_eq!(
             names.join(" "),
             "table1 fig6 fig7 table2 overload ablation timeline core tenantstorm crashstorm \
-             churnstorm pinscale chaos explore"
+             churnstorm pinscale explore"
         );
     }
 
@@ -224,14 +224,14 @@ mod tests {
         let err = |s: &str, argv: &str| parse(scenario(s), &words(argv)).unwrap_err();
         assert_eq!(err("core", "--out"), "--out needs a value");
         assert_eq!(
-            err("chaos", "--seeds x"),
+            err("explore", "--seeds x"),
             "--seeds takes a number, got \"x\""
         );
         assert_eq!(err("explore", "--seeds"), "--seeds needs a value");
         assert_eq!(err("core", "--bogus"), "unknown flag: --bogus");
         assert_eq!(err("fig6", "--smoke"), "fig6 does not take --smoke");
         assert_eq!(
-            err("chaos", "--max-retries 8"),
+            err("explore", "--max-retries 8"),
             "unknown flag: --max-retries"
         );
         assert_eq!(err("explore", "--shrink 10"), "unknown flag: --shrink");

@@ -3,9 +3,11 @@
 
 use std::fmt::Display;
 
-use openmx_core::{Counter, OpenMxConfig, PinningMode, ProcId};
+use openmx_core::{Counter, CounterSet, OpenMxConfig, PinningMode, ProcId};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::run_job;
+use simcore::SimDuration;
+use simnet::FaultProfile;
 
 use crate::cli::Args;
 use crate::pingpong::{paper_cfg, pingpong_throughput, send_step};
@@ -43,7 +45,9 @@ fn knob<V: Copy + Display + Send + Sync>(
 /// * region-cache capacity — LRU thrash point,
 /// * presync pages — the §4.3 mitigation's cost in the normal case,
 /// * allreduce algorithm — reduce + bcast vs recursive doubling,
-/// * optimistic re-request — recovery latency under loss.
+/// * optimistic re-request — recovery latency under loss,
+/// * retransmission policy — duplicates of the fixed timer vs adaptive
+///   backoff under loss and delay jitter.
 ///
 /// Run: `cargo run --release -p openmx-bench -- ablation`
 pub(crate) fn ablation(_: &Args) -> Result<(), String> {
@@ -171,8 +175,73 @@ pub(crate) fn ablation(_: &Args) -> Result<(), String> {
         |cfg, on| {
             cfg.net.loss_probability = 0.01;
             cfg.optimistic_rerequest = on;
-            cfg.retransmit_timeout = simcore::SimDuration::from_millis(100);
+            cfg.retransmit_timeout = SimDuration::from_millis(100);
         },
+    );
+
+    // ---- retransmission policy under loss and jitter -------------------------
+    // The fixed baseline is the pre-adaptive protocol: a flat 1 s timer and
+    // the static re-request guard. That guard assumes the nominal round
+    // trip, so a frame delayed past it is re-requested while still in
+    // flight and arrives twice; the adaptive guard tracks the measured RTO
+    // and leaves merely-late frames alone.
+    let faults = FaultProfile {
+        loss: 0.05,
+        reorder: 0.3,
+        reorder_jitter: SimDuration::from_micros(400),
+        ..FaultProfile::default()
+    };
+    let len = 1u64 << 20;
+    let runs = parallel_map(
+        (0..8u64).flat_map(|s| [(s, false), (s, true)]).collect(),
+        |(s, adaptive)| {
+            let mut cfg = OpenMxConfig::with_mode(PinningMode::OverlappedCached);
+            cfg.seed = 0xd0b0_0000 + s;
+            cfg.max_retries = 16;
+            cfg.adaptive_retransmit = adaptive;
+            cfg.retransmit_timeout = SimDuration::from_millis(if adaptive { 50 } else { 1000 });
+            cfg.net.faults.set_link(0, 1, faults);
+            cfg.net.faults.set_link(1, 0, faults);
+            let mut b = JobBuilder::new(2);
+            let sbuf = b.alloc(len, |_| Some(0x6b));
+            let rbuf = b.alloc(len, |_| None);
+            for _ in 0..5 {
+                send_step(&mut b, (0, 1), sbuf, rbuf, len);
+            }
+            let (mut cl, records) = run_job(&cfg, 2, 1, b.scripts);
+            let got = cl.read_proc(ProcId(1), records[1].buffer_addrs[rbuf], len);
+            assert!(
+                records
+                    .iter()
+                    .all(|r| r.failures.is_empty() && r.finished.is_some())
+                    && got.iter().enumerate().all(|(i, &v)| v == (i as u8) ^ 0x6b),
+                "seed {s} (adaptive: {adaptive}) did not deliver every message intact"
+            );
+            (adaptive, cl.counters())
+        },
+    );
+    let sum = |want: bool| -> CounterSet {
+        runs.iter()
+            .filter(|(adaptive, _)| *adaptive == want)
+            .map(|(_, c)| c.clone())
+            .sum()
+    };
+    let (fixed, adaptive) = (sum(false), sum(true));
+    let mut t = Table::new(
+        "ablation: retransmission policy under 5% loss + 30% reorder (1 MiB × 5, sum over 8 seeds)",
+        &["policy", "dup frames rx", "retransmits"],
+    );
+    for (policy, c) in [("fixed 1 s", &fixed), ("adaptive", &adaptive)] {
+        t.row(vec![
+            policy.into(),
+            format!("{}", c.duplicates_rx()),
+            format!("{}", c.retransmits()),
+        ]);
+    }
+    t.print();
+    assert!(
+        adaptive.duplicates_rx() <= fixed.duplicates_rx(),
+        "adaptive backoff received more duplicates than the fixed timer"
     );
 
     println!(
@@ -188,7 +257,10 @@ pub(crate) fn ablation(_: &Args) -> Result<(), String> {
          * a region cache smaller than the working set thrashes back to\n\
            pin-per-comm behaviour (44 evictions, zero hits at capacity 4).\n\
          * presync costs a little normal-load throughput for §4.3 insurance.\n\
-         * optimistic re-request is what keeps loss recovery off the 1 s path."
+         * optimistic re-request is what keeps loss recovery off the 1 s path.\n\
+         * under jitter the fixed re-request guard fires on frames that are\n\
+           late, not lost, and each one arrives twice; the adaptive guard\n\
+           waits out the measured RTO instead."
     );
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! The scenario registry behind `bench <name>`: the paper's tables and
 //! figures, the ablations and timelines, the committed-baseline sweeps,
-//! the storms and the soaks.
+//! the storms and the explorer soak.
 
 mod ablation;
 mod driver;
@@ -13,7 +13,6 @@ use crate::cli::{Args, Flag, Scenario};
 
 const NONE: &[Flag] = &[];
 const BASELINE: &[Flag] = &[Flag::Smoke, Flag::Out];
-const SOAK: &[Flag] = &[Flag::Smoke, Flag::Seeds];
 const EXPLORE: &[Flag] = &[Flag::Smoke, Flag::Seeds, Flag::Start, Flag::Profile];
 
 const fn scenario(
@@ -32,7 +31,7 @@ const fn scenario(
 
 /// Every scenario, in `bench list` order.
 #[rustfmt::skip]
-pub static SCENARIOS: [Scenario; 14] = [
+pub static SCENARIOS: [Scenario; 13] = [
     scenario("table1",      NONE,     figures::table1,
         "Table 1: pin+unpin overhead per host, microbench and end-to-end"),
     scenario("fig6",        NONE,     figures::fig6,
@@ -57,8 +56,6 @@ pub static SCENARIOS: [Scenario; 14] = [
         "trim/remap notifier churn: deferred vs eager unpinning"),
     scenario("pinscale",    BASELINE, driver::pinscale,
         "driver work counts vs region count: routing, eviction, pins"),
-    scenario("chaos",       SOAK,     soak::chaos,
-        "hostile-fabric soak: no hangs, clean failures, retransmit policy"),
     scenario("explore",     EXPLORE,  soak::explore,
         "simulation-tester soak: zero invariant violations"),
 ];

@@ -1,16 +1,44 @@
 //! Figures 2 / 3 / 5 as event timelines of one large-message transfer,
 //! on the console and as Chrome-trace and span-tree JSON.
 
-use std::rc::Rc;
-
-use openmx_core::engine::{Cluster, ProcId};
-use openmx_core::{OpenMxConfig, PinningMode};
+use openmx_core::engine::{Cluster, Ctx, ProcId, Process};
+use openmx_core::{AppEvent, OpenMxConfig, PinningMode};
 use simmem::{VirtAddr, PAGE_SIZE};
 
 use super::storms::Sink;
-use crate::chaos::Streamer;
 use crate::cli::Args;
 use crate::table::write_artifact;
+
+/// Streams `msgs_left` messages of `len` bytes to `peer` on `tag`, one at
+/// a time, and stops once every send has completed or failed.
+struct Streamer {
+    peer: ProcId,
+    tag: u64,
+    len: u64,
+    msgs_left: u32,
+    buf: VirtAddr,
+}
+
+impl Process for Streamer {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.buf = ctx.malloc(self.len);
+        let pat: Vec<u8> = (0..self.len).map(|i| (i as u8) ^ 0x6b).collect();
+        ctx.write_buf(self.buf, &pat);
+        ctx.isend(self.peer, self.tag, self.buf, self.len);
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+        match ev {
+            AppEvent::SendDone(_) | AppEvent::Failed(..) => {}
+            other => panic!("streamer: unexpected event {other:?}"),
+        }
+        self.msgs_left -= 1;
+        if self.msgs_left == 0 {
+            ctx.stop();
+        } else {
+            ctx.isend(self.peer, self.tag, self.buf, self.len);
+        }
+    }
+}
 
 fn show(mode: PinningMode, header: &str) -> Result<(), String> {
     let cfg = OpenMxConfig::with_mode(mode);
@@ -25,8 +53,6 @@ fn show(mode: PinningMode, header: &str) -> Result<(), String> {
             len,
             msgs_left: 2,
             buf: VirtAddr(0),
-            clean: Rc::default(),
-            done: Rc::default(),
         }),
     );
     cl.add_process(1, Sink::boxed(42, len / PAGE_SIZE, 2));

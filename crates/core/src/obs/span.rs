@@ -414,8 +414,8 @@ fn json_escape(s: &str) -> String {
 /// (its `dropped_events` is the tracer's), and the last `last_n`
 /// correlated spans (by end time) each with its critical-path breakdown.
 /// Works with a disabled tracer too — the dump is then metrics-only
-/// (`spans` is empty), which is how chaos jobs (tracing off) still ship
-/// state with every failure.
+/// (`spans` is empty), which is how a simtest schedule that panicked
+/// before its tracer could be read still ships state.
 pub fn post_mortem_json(
     reason: &str,
     repro: Option<&str>,

@@ -1,5 +1,7 @@
 //! The seeded explorer: generate → run → (on failure) shrink → report.
 
+use openmx_core::CounterSet;
+
 use crate::exec::{run_schedule_catching, Violation};
 use crate::schedule::{encode, generate, Profile, Schedule};
 use crate::shrink::shrink;
@@ -39,6 +41,10 @@ pub struct ExploreReport {
     pub completions: usize,
     /// Ops applied across all runs.
     pub ops_executed: usize,
+    /// Engine counters summed over all runs: faults the fabric injected,
+    /// frames it lost, retransmissions and duplicates discarded show
+    /// whether the profile's fabric actually bit.
+    pub counters: CounterSet,
     /// Every failing seed, shrunk and packaged.
     pub failures: Vec<FailureCase>,
 }
@@ -61,6 +67,9 @@ pub fn explore(
         report.xfers += out.xfers;
         report.completions += out.completions;
         report.ops_executed += out.ops_executed;
+        report.counters = [std::mem::take(&mut report.counters), out.counters]
+            .into_iter()
+            .sum();
         if out.violations.is_empty() {
             continue;
         }

@@ -142,9 +142,10 @@ pub struct Profile {
     pub sizes: &'static [u32],
 }
 
-/// The explorer's profile axis: VM-churn-heavy on a clean fabric, a
-/// transfer-heavy mix over a hostile fabric, and a rendezvous-heavy mix
-/// under a tight pinned-page ceiling (pressure eviction always active).
+/// The explorer's profile axis: six op mixes (VM churn on a clean
+/// fabric, transfers over a hostile fabric, pin-budget pressure, trim
+/// storms, tenant quotas, crash/restart storms), then the fault fabrics
+/// one at a time under the transfer-heavy and the crash/restart mixes.
 pub fn profiles() -> Vec<Profile> {
     let clean = FaultProfile::default();
     let hostile = FaultProfile {
@@ -155,7 +156,7 @@ pub fn profiles() -> Vec<Profile> {
         duplicate: 0.05,
         ..FaultProfile::default()
     };
-    vec![
+    let mut mixes = vec![
         Profile {
             name: "churn",
             faults: clean,
@@ -241,7 +242,50 @@ pub fn profiles() -> Vec<Profile> {
             weights: [40, 5, 5, 2, 0, 0, 0, 4, 6, 9, 29],
             sizes: &[2048, 16384, 131072, 262144],
         },
-    ]
+    ];
+    // One hostile behavior per fabric under `lossy`'s transfer-heavy mix
+    // (`lossy` itself is all of them at once), and a clean, lossy,
+    // duplicating and mixed fabric under `crashstorm`'s crash/restart mix.
+    let burst = FaultProfile {
+        burst: Some(GilbertElliott::bursty(0.05, 8.0)),
+        ..clean
+    };
+    let reorder = FaultProfile {
+        reorder: 0.15,
+        reorder_jitter: SimDuration::from_micros(200),
+        ..clean
+    };
+    let dup = FaultProfile {
+        duplicate: 0.10,
+        ..clean
+    };
+    let loss = FaultProfile {
+        loss: 0.03,
+        ..clean
+    };
+    let lossdup = FaultProfile {
+        loss: 0.02,
+        duplicate: 0.05,
+        reorder: 0.05,
+        reorder_jitter: SimDuration::from_micros(100),
+        ..clean
+    };
+    let (lossy, crashstorm) = (mixes[1].clone(), mixes[5].clone());
+    let over = |mix: &Profile, name, faults| Profile {
+        name,
+        faults,
+        ..mix.clone()
+    };
+    mixes.extend([
+        over(&lossy, "burst", burst),
+        over(&lossy, "reorder", reorder),
+        over(&lossy, "dup", dup),
+        over(&crashstorm, "crash", clean),
+        over(&crashstorm, "crashloss", loss),
+        over(&crashstorm, "crashdup", dup),
+        over(&crashstorm, "crashlossdup", lossdup),
+    ]);
+    mixes
 }
 
 /// Look a profile up by name.

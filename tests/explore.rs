@@ -6,8 +6,9 @@
 //! * a pinned corpus of repro strings (schedules that exercise every
 //!   churn kind against in-flight transfers) replayed verbatim,
 //! * mutation tests proving the invariant oracle actually catches the
-//!   bug classes it claims to, and that the shrinker minimizes a failure
-//!   to a handful of ops whose repro string replays deterministically.
+//!   bug classes it claims to, under the clean op mixes and under every
+//!   fault fabric, and that the shrinker minimizes a failure to a
+//!   handful of ops whose repro string replays deterministically.
 
 use openmx_core::{audit, Counter};
 use simtest::{
@@ -15,8 +16,42 @@ use simtest::{
     Mutation, Violation,
 };
 
+/// The one-fault-at-a-time fabric profiles: bursty loss, reordering and
+/// duplication under the transfer-heavy mix, then a clean, lossy,
+/// duplicating and mixed fabric under the crash/restart mix.
+const FABRICS: [&str; 7] = [
+    "burst",
+    "reorder",
+    "dup",
+    "crash",
+    "crashloss",
+    "crashdup",
+    "crashlossdup",
+];
+
+/// How many of seeds 0..5 of profile `name` catch mutation `m` with a
+/// violation matching `hit`.
+fn seeds_caught(name: &str, m: Option<Mutation>, hit: fn(&Violation) -> bool) -> usize {
+    let p = profile_by_name(name).unwrap();
+    (0..5)
+        .filter(|&seed| {
+            let out = run_schedule_catching(&generate(seed, &p), m);
+            out.violations.iter().any(hit)
+        })
+        .count()
+}
+
 #[test]
 fn explore_smoke_all_profiles() {
+    let clean: Vec<&str> = profiles()
+        .iter()
+        .filter(|p| p.faults.is_clean())
+        .map(|p| p.name)
+        .collect();
+    assert_eq!(
+        clean,
+        ["churn", "pressure", "trimstorm", "tenantmix", "crash"]
+    );
     for p in profiles() {
         let r = explore(&p, 0, 3, 10);
         assert_eq!(r.runs, 3);
@@ -33,6 +68,13 @@ fn explore_smoke_all_profiles() {
             "profile {} observed no completions",
             p.name
         );
+        // A fault fabric must actually bite, and a clean one must not.
+        let bit = r.counters.faults_injected() + r.counters.get(Counter::NetFramesLost);
+        if p.faults.is_clean() {
+            assert_eq!(bit, 0, "clean profile {} lost or faulted frames", p.name);
+        } else {
+            assert!(bit > 0, "profile {} injected nothing", p.name);
+        }
     }
 }
 
@@ -267,6 +309,14 @@ fn leak_on_crash_is_caught_and_replays() {
     );
     let again = run_schedule_catching(&s, m);
     assert_eq!(out.violations, again.violations);
+    let orphans =
+        |v: &Violation| matches!(v, Violation::State(audit::Violation::OrphanPins { .. }));
+    for name in &FABRICS[3..] {
+        assert!(
+            seeds_caught(name, m, orphans) > 0,
+            "leaky crash not caught under {name}"
+        );
+    }
 }
 
 /// Acceptance mutation: a deliberately leaked page pin must be caught by
@@ -303,6 +353,17 @@ fn injected_pin_leak_is_caught_shrinks_and_replays() {
     assert!(!a.violations.is_empty(), "shrunk repro no longer fails");
     assert_eq!(a.violations, b.violations, "replay is not deterministic");
     assert_eq!(a.ops_executed, b.ops_executed);
+
+    // Every seed of every fault fabric catches it too.
+    let pin_accounting =
+        |v: &Violation| matches!(v, Violation::State(audit::Violation::PinAccounting { .. }));
+    for name in FABRICS {
+        assert_eq!(
+            seeds_caught(name, m, pin_accounting),
+            5,
+            "leaked pin not caught under {name}"
+        );
+    }
 }
 
 /// A forgotten stale watermark (equivalently: a lost MMU-notifier
@@ -325,6 +386,14 @@ fn forgotten_stale_watermark_is_caught() {
     // Two replays of the same (schedule, mutation) agree exactly.
     let again = run_schedule_catching(&s, m);
     assert_eq!(out.violations, again.violations);
+    let stale =
+        |v: &Violation| matches!(v, Violation::State(audit::Violation::StaleVisible { .. }));
+    for name in FABRICS {
+        assert!(
+            seeds_caught(name, m, stale) > 0,
+            "forgotten watermark not caught under {name}"
+        );
+    }
 }
 
 /// Quota enforcement switched off behind the oracle's back must surface
@@ -365,4 +434,11 @@ fn swallowed_completion_is_caught() {
         "swallowed completion not caught: {:?}",
         out.violations
     );
+    let hang = |v: &Violation| matches!(v, Violation::Hang { .. });
+    for name in FABRICS {
+        assert!(
+            seeds_caught(name, m, hang) > 0,
+            "swallowed completion not caught under {name}"
+        );
+    }
 }
