@@ -1,6 +1,6 @@
-//! Microbenchmarks of the hot data structures: the event queue, the region
-//! cache, the page-fault/pin path, the pull-reply and eager byte paths and
-//! the core run queue. These measure
+//! Microbenchmarks of the hot data structures: the event queue and its
+//! core lanes, the region cache, the page-fault/pin path, the pull-reply
+//! and eager byte paths and the core run queue. These measure
 //! *wall-clock* cost of the simulator itself (the simulated costs are the
 //! `bench` scenarios' business).
 
@@ -9,7 +9,7 @@ use openmx_core::cache::{CacheOutcome, RegionCache};
 use openmx_core::driver::Driver;
 use openmx_core::region::{DriverRegion, Segment};
 use openmx_core::RegionId;
-use simcore::{CpuCore, EventQueue, Priority, SimDuration, SimTime, Work};
+use simcore::{CpuCore, Due, EventQueue, Priority, SimDuration, SimTime, Work};
 use simmem::{Memory, Prot, VirtAddr, PAGE_SIZE};
 
 fn bench_event_queue(b: &Bench) {
@@ -73,6 +73,79 @@ fn bench_event_queue(b: &Bench) {
             black_box(v)
         });
     }
+}
+
+const CORE_LANES: usize = 8;
+
+/// The engine's mix on a two-node eager workload: eight cores, and about
+/// five in six pops a core completion. A finished chunk mostly chains the
+/// next chunk on its core; every sixth puts a frame on the wire and
+/// leaves the core idle. An arriving frame starts a chunk on an idle
+/// core, or waits as a timer while that core is busy. Durations come in
+/// three sizes, so many pops tie. With `lanes` each core completion sets
+/// the core's lane; without, it is an ordinary heap event, as in the
+/// engine before cores had lanes. Returns a hash of the `(time, what)`
+/// pop sequence.
+fn core_mix(lanes: bool, pops: u64) -> u64 {
+    let mut q = EventQueue::<Due<u64>>::with_lanes(if lanes { CORE_LANES } else { 0 });
+    let set_lane = |q: &mut EventQueue<Due<u64>>, lane: usize, at: SimTime| {
+        if lanes {
+            q.set_lane(lane, at);
+        } else {
+            q.schedule(at, Due::Lane(lane));
+        }
+    };
+    let chunk = |k: u64| SimDuration::from_nanos(100 * (1 + k % 3));
+    let mut busy = [true; CORE_LANES];
+    for (lane, k) in (0..CORE_LANES).zip(0..) {
+        set_lane(&mut q, lane, SimTime::ZERO + chunk(k));
+    }
+    for v in 0..4 {
+        q.schedule(SimTime::ZERO + chunk(v), Due::Event(v));
+    }
+    let mut hash = 0u64;
+    for k in 0..pops {
+        let (t, due) = q.pop_due().expect("the mix keeps its depth");
+        let what = match due {
+            Due::Lane(lane) | Due::Event(Due::Lane(lane)) => {
+                if k % 6 != 0 {
+                    set_lane(&mut q, lane, t + chunk(k));
+                } else {
+                    busy[lane] = false;
+                    q.schedule(t + chunk(k) * 5, Due::Event(k));
+                }
+                lane as u64
+            }
+            Due::Event(Due::Event(v)) => {
+                let lane = (v % CORE_LANES as u64) as usize;
+                if busy[lane] {
+                    q.schedule(t + chunk(v), Due::Event(v + 1));
+                } else {
+                    busy[lane] = true;
+                    set_lane(&mut q, lane, t + chunk(v));
+                }
+                1 << 32 | v
+            }
+        };
+        hash = (hash ^ t.as_nanos() ^ what << 8).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+fn bench_core_lanes(b: &Bench) {
+    const POPS: u64 = 1000;
+    assert_eq!(
+        core_mix(true, 100 * POPS),
+        core_mix(false, 100 * POPS),
+        "core lanes pop in the heap-only order"
+    );
+    b.bench("event_queue 8 core lanes, engine mix 1k pops", || {
+        black_box(core_mix(true, POPS))
+    });
+    b.bench(
+        "event_queue core completions as heap events 1k pops",
+        || black_box(core_mix(false, POPS)),
+    );
 }
 
 fn bench_region_cache(b: &Bench) {
@@ -258,7 +331,7 @@ fn bench_cpu_core(b: &Bench) {
     b.bench("cpu_core submit/complete 1k mixed", || {
         let mut core = CpuCore::new();
         let mut now = SimTime::ZERO;
-        let mut next = core
+        let mut at = core
             .submit(
                 now,
                 Work {
@@ -285,11 +358,11 @@ fn bench_cpu_core(b: &Bench) {
         }
         let mut sum = 0u64;
         loop {
-            now = next.at;
-            let (_, v, n) = core.on_complete(now);
+            now = at;
+            let (v, next) = core.on_complete(now);
             sum += v;
-            match n {
-                Some(c) => next = c,
+            match next {
+                Some(next) => at = next,
                 None => break,
             }
         }
@@ -300,6 +373,7 @@ fn bench_cpu_core(b: &Bench) {
 fn main() {
     let b = Bench::new();
     bench_event_queue(&b);
+    bench_core_lanes(&b);
     bench_region_cache(&b);
     bench_pin_path(&b);
     bench_pull_reply(&b);

@@ -3,8 +3,8 @@
 //!
 //! [`Driver::audit`] checks one node's kernel-side books; [`Cluster::audit`]
 //! adds the orphan-pin, cache and counter-ledger laws and, when the event
-//! queue is empty, the quiescence laws [`Violation::XferLeak`] and
-//! [`Violation::RegionLeak`]. [`Cluster::run`] audits before every return
+//! queue is empty and no core is running, the quiescence laws
+//! [`Violation::XferLeak`] and [`Violation::RegionLeak`]. [`Cluster::run`] audits before every return
 //! and panics on the first violation; `Cluster::step_until` does not, so a
 //! stepping driver (simtest, the benchmark loop) audits when it chooses.
 //! [`Violation::StaleVisible`] applies only to spaces with an MMU notifier
@@ -354,8 +354,9 @@ fn driver_laws(
 
 impl Cluster {
     /// Check every node's driver, the pin ledgers, the region caches and,
-    /// when the event queue is empty, the quiescence laws. See the
-    /// [module docs](crate::audit) for the laws.
+    /// when the event queue is empty, the quiescence laws. A running
+    /// core's completion sits on its queue lane, so a busy core is not
+    /// quiescent. See the [module docs](crate::audit) for the laws.
     pub fn audit(&self) -> Audit {
         let mut out = Vec::new();
         let crashed = |p: ProcId| self.procs.get(p.0 as usize).is_some_and(|s| s.crashed);
@@ -396,7 +397,7 @@ impl Cluster {
                 }
             }
         }
-        if self.queue.peek_time().is_none() {
+        if self.queue.is_empty() {
             let count = self.inflight_xfers();
             if count != 0 {
                 out.push(Violation::XferLeak { count });

@@ -1,7 +1,7 @@
 //! Event handlers: the MXoE protocol state machine, on-demand pinning,
 //! overlap-miss recovery, and completion plumbing.
 
-use simcore::{Priority, SimDuration};
+use simcore::{Due, Priority, SimDuration};
 use simmem::{PageSnapshot, VirtAddr};
 
 use super::rto::{retrans_timeout, RttEstimator};
@@ -10,7 +10,7 @@ use super::xfer::{
     Retry, Rndv, Shm, Xfer, XferKey,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
-use crate::config::{OpenMxConfig, RETRANSMIT_MIN};
+use crate::config::{OpenMxConfig, CORES_PER_NODE, RETRANSMIT_MIN};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
 use crate::obs::{Counter, RetransKind, TraceEvent};
@@ -29,25 +29,27 @@ fn work_owner(w: &Work) -> ProcId {
 }
 
 impl Cluster {
-    pub(crate) fn dispatch(&mut self, ev: Event) {
-        match ev {
-            Event::FrameArrival(frame) => self.on_frame_arrival(frame),
-            Event::CoreDone { node, core } => self.on_core_done(node, core),
-            Event::IoatDone { node, token } => self.on_ioat_done(node, token),
-            Event::Timer(token) => self.on_timer(token),
+    pub(crate) fn dispatch(&mut self, due: Due<Event>) {
+        match due {
+            Due::Lane(lane) => self.on_core_done(lane),
+            Due::Event(Event::FrameArrival(frame)) => self.on_frame_arrival(frame),
+            Due::Event(Event::IoatDone { node, token }) => self.on_ioat_done(node, token),
+            Due::Event(Event::Timer(token)) => self.on_timer(token),
         }
     }
 
     // ================== CPU completion plumbing ==================
 
-    fn on_core_done(&mut self, node: usize, core: usize) {
+    /// The running chunk of the core that owns `lane` finished.
+    fn on_core_done(&mut self, lane: usize) {
+        let (node, core) = (lane / CORES_PER_NODE, lane % CORES_PER_NODE);
         // Hold the core while the handler runs so that follow-up work it
         // submits (next pin chunk, next compute slice) is considered
         // before already-queued lower-priority items start.
-        let (_id, work) = self.nodes[node].cores[core].complete(self.now);
+        let work = self.nodes[node].cores[core].complete(self.now);
         self.handle_work(work);
-        if let Some(c) = self.nodes[node].cores[core].resume(self.now) {
-            self.queue.schedule(c.at, Event::CoreDone { node, core });
+        if let Some(at) = self.nodes[node].cores[core].resume(self.now) {
+            self.queue.set_lane(lane, at);
         }
     }
 

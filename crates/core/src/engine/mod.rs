@@ -97,12 +97,12 @@ pub trait Process {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: AppEvent);
 }
 
-/// Engine events.
+/// Engine events. A core's completion is not one: core `core` of `node`
+/// owns lane `node * CORES_PER_NODE + core` of the event queue, set while
+/// a chunk runs there.
 pub(crate) enum Event {
     /// A frame reached its destination NIC (raise interrupt).
     FrameArrival(Frame),
-    /// The running work chunk on (node, core) finished.
-    CoreDone { node: usize, core: usize },
     /// An I/OAT copy finished on `node`.
     IoatDone { node: usize, token: u64 },
     /// A protocol timer fired.
@@ -287,7 +287,7 @@ impl Cluster {
             .collect();
         Cluster {
             cfg,
-            queue: EventQueue::new(),
+            queue: EventQueue::with_lanes(node_count * CORES_PER_NODE),
             net,
             nodes,
             procs: Vec::new(),
@@ -392,9 +392,9 @@ impl Cluster {
         self.start();
         match deadline {
             None => {
-                while let Some((t, ev)) = self.queue.pop() {
+                while let Some((t, due)) = self.queue.pop_due() {
                     self.now = t;
-                    self.dispatch(ev);
+                    self.dispatch(due);
                 }
             }
             Some(d) => {
@@ -403,9 +403,9 @@ impl Cluster {
                         self.now = d;
                         break;
                     }
-                    let (t, ev) = self.queue.pop().expect("peeked event");
+                    let (t, due) = self.queue.pop_due().expect("peeked event");
                     self.now = t;
-                    self.dispatch(ev);
+                    self.dispatch(due);
                 }
             }
         }
@@ -419,7 +419,7 @@ impl Cluster {
     /// actions — posting transfers, mutating address spaces — between
     /// steps and observe invariants at a quiescent instant. Unlike
     /// [`Cluster::run`] it does not audit. Returns how many events were
-    /// dispatched.
+    /// dispatched, each core completion counting as one.
     pub fn step_until(&mut self, deadline: SimTime) -> usize {
         self.start();
         let mut dispatched = 0usize;
@@ -427,9 +427,9 @@ impl Cluster {
             if t > deadline {
                 break;
             }
-            let (t, ev) = self.queue.pop().expect("peeked event");
+            let (t, due) = self.queue.pop_due().expect("peeked event");
             self.now = t;
-            self.dispatch(ev);
+            self.dispatch(due);
             dispatched += 1;
         }
         if deadline > self.now {
@@ -438,8 +438,8 @@ impl Cluster {
         dispatched
     }
 
-    /// Timestamp of the next pending event, if any — `None` means the
-    /// simulation is quiescent.
+    /// Timestamp of the next pending event or core completion, if any —
+    /// `None` means the simulation is quiescent.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -563,7 +563,8 @@ impl Cluster {
         self.xfers.len() + per_node
     }
 
-    /// Live (non-cancelled) events still pending in the queue.
+    /// Live (non-cancelled) events still pending in the queue, each
+    /// running core's completion counting as one.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -934,8 +935,8 @@ impl Cluster {
         });
     }
 
-    /// Submit CPU work on (node, core); schedules the completion event if
-    /// the core was idle.
+    /// Submit CPU work on (node, core); sets the core's lane if the core
+    /// was idle.
     pub(crate) fn submit_work(
         &mut self,
         node: usize,
@@ -952,8 +953,8 @@ impl Cluster {
                 payload: work,
             },
         );
-        if let Some(c) = completion {
-            self.queue.schedule(c.at, Event::CoreDone { node, core });
+        if let Some(at) = completion {
+            self.queue.set_lane(node * CORES_PER_NODE + core, at);
         }
     }
 

@@ -56,6 +56,39 @@ fn run_panics_on_a_pin_leaked_behind_the_drivers_back() {
     cl.run(None);
 }
 
+/// A running core is pending work. Under pin-per-comm a rendezvous send
+/// pins its whole buffer before the rendezvous goes out, so from the
+/// syscall until then the sender's core is the only thing running: no
+/// frame, no timer. At each of those instants one completion is pending
+/// and due, the audit does not treat the cluster as quiescent although
+/// the transfer and its pin plan are in flight, and `step_until` counts
+/// the completion as one event.
+#[test]
+fn a_running_core_is_pending_work() {
+    const LEN: u64 = 1 << 20;
+    let mut cl = Cluster::new(OpenMxConfig::with_mode(PinningMode::PinPerComm), 2);
+    let tx = cl.add_process(0, idle());
+    cl.add_process(1, idle());
+    cl.step_until(SimTime::ZERO);
+    assert_eq!(cl.pending_events(), 0);
+    cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.isend(ProcId(1), 1, buf, LEN);
+    });
+    let mut in_flight_steps = 0;
+    while cl.frames_in_flight().is_empty() {
+        assert_eq!(cl.pending_events(), 1, "only the sender's core runs");
+        let t = cl
+            .next_event_time()
+            .expect("a running core is pending work");
+        assert!(t > cl.now());
+        assert_eq!(cl.audit().violations, vec![], "no quiescence laws at {t:?}");
+        in_flight_steps += usize::from(cl.inflight_xfers() > 0);
+        assert_eq!(cl.step_until(t), 1, "one core completion at {t:?}");
+    }
+    assert!(in_flight_steps >= 2, "{in_flight_steps} pin chunks ran");
+}
+
 /// Regression: a rendezvous sender whose peer dies between the rndv
 /// notify and the first pull request used to grind through the full
 /// retry budget before erroring. The rndv watchdog must now observe the

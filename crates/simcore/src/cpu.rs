@@ -3,18 +3,19 @@
 //! The paper's §4.3 overload scenario depends on one scheduling fact: the
 //! receive path (bottom-half interrupt handler) is "strongly privileged" and
 //! can exhaust a core, starving the application task that is trying to pin
-//! pages. We model a core as a non-preemptive run queue with two priority
-//! levels — [`Priority::BottomHalf`] always runs before [`Priority::Task`] —
-//! where each work item is a bounded chunk of CPU time (pin batches,
-//! per-packet processing, memcpy chunks). Chunking makes the model
+//! pages. We model a core as a non-preemptive run queue with three priority
+//! levels — [`Priority::BottomHalf`] before [`Priority::Kernel`] before
+//! [`Priority::Task`] — where each work item is a bounded chunk of CPU time
+//! (pin batches, per-packet processing, memcpy chunks). Chunking makes the model
 //! effectively preemptive at chunk granularity, exactly like the real
 //! softirq/task interleaving the paper describes.
 //!
 //! The core does not own a clock. The simulation engine drives it:
 //!
 //! ```text
-//! engine: submit(now, work) ──► Some(Completion{at}) ──► schedule event at `at`
-//! event fires: on_complete(now) ──► (finished payload, next Completion?)
+//! engine: submit(now, work) ──► Some(at) ──► set the core's queue lane at `at`
+//! lane fires: complete(now) ──► finished payload; handler runs
+//!             resume(now)   ──► next completion time?
 //! ```
 
 use std::collections::VecDeque;
@@ -34,10 +35,6 @@ pub enum Priority {
     Task = 2,
 }
 
-/// Opaque identifier of a submitted work item.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct WorkId(u64);
-
 /// A bounded chunk of CPU time carrying a caller-defined payload.
 #[derive(Clone, Debug)]
 pub struct Work<T> {
@@ -49,25 +46,15 @@ pub struct Work<T> {
     pub payload: T,
 }
 
-/// A pending completion the engine must turn into a scheduled event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Completion {
-    /// Which work item will finish.
-    pub id: WorkId,
-    /// When it will finish.
-    pub at: SimTime,
-}
-
 /// A simulated host core: three-level non-preemptive run queue.
 pub struct CpuCore<T> {
-    queues: [VecDeque<(WorkId, Work<T>)>; 3],
-    running: Option<(WorkId, SimTime, T)>,
+    queues: [VecDeque<Work<T>>; 3],
+    /// The running chunk's completion time and payload.
+    running: Option<(SimTime, T)>,
     /// Between [`CpuCore::complete`] and [`CpuCore::resume`]: the engine is
     /// executing the finished work's handler, which may enqueue follow-up
     /// work that must be considered before the next item starts.
     held: bool,
-    next_id: u64,
-    busy: SimDuration,
 }
 
 impl<T> Default for CpuCore<T> {
@@ -83,27 +70,23 @@ impl<T> CpuCore<T> {
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             running: None,
             held: false,
-            next_id: 0,
-            busy: SimDuration::ZERO,
         }
     }
 
     /// Submit a chunk of work. If the core is idle the chunk starts
-    /// immediately and the returned [`Completion`] must be scheduled as an
-    /// engine event; if the core is busy the chunk queues and `None` is
+    /// immediately and its completion time is returned for the engine to
+    /// schedule; if the core is busy the chunk queues and `None` is
     /// returned (its completion will surface from a later
-    /// [`CpuCore::on_complete`]).
-    pub fn submit(&mut self, now: SimTime, work: Work<T>) -> Option<Completion> {
-        let id = WorkId(self.next_id);
-        self.next_id += 1;
+    /// [`CpuCore::resume`]).
+    pub fn submit(&mut self, now: SimTime, work: Work<T>) -> Option<SimTime> {
         if self.running.is_none() && !self.held {
             // Every step that leaves the core idle and un-held ran
             // `start_next` and found nothing, so no queued work can be
             // ahead of this chunk: start it without queueing it.
             debug_assert!(self.queues.iter().all(VecDeque::is_empty));
-            Some(self.start(now, id, work))
+            Some(self.start(now, work))
         } else {
-            self.queues[work.priority as usize].push_back((id, work));
+            self.queues[work.priority as usize].push_back(work);
             None
         }
     }
@@ -117,19 +100,19 @@ impl<T> CpuCore<T> {
     /// # Panics
     /// Panics if no work is running or if `now` disagrees with the promised
     /// completion time — both indicate an engine bookkeeping bug.
-    pub fn complete(&mut self, now: SimTime) -> (WorkId, T) {
-        let (id, at, payload) = self
+    pub fn complete(&mut self, now: SimTime) -> T {
+        let (at, payload) = self
             .running
             .take()
             .expect("complete called on an idle core");
         assert_eq!(at, now, "completion fired at the wrong time");
         self.held = true;
-        (id, payload)
+        payload
     }
 
     /// Release the hold taken by [`CpuCore::complete`] and start the next
-    /// queued item, if any.
-    pub fn resume(&mut self, now: SimTime) -> Option<Completion> {
+    /// queued item, if any, returning its completion time.
+    pub fn resume(&mut self, now: SimTime) -> Option<SimTime> {
         assert!(self.held, "resume without a pending completion");
         self.held = false;
         self.start_next(now)
@@ -137,50 +120,21 @@ impl<T> CpuCore<T> {
 
     /// Convenience for tests and simple drivers: complete-and-resume with
     /// no handler in between.
-    pub fn on_complete(&mut self, now: SimTime) -> (WorkId, T, Option<Completion>) {
-        let (id, payload) = self.complete(now);
-        let next = self.resume(now);
-        (id, payload, next)
+    pub fn on_complete(&mut self, now: SimTime) -> (T, Option<SimTime>) {
+        let payload = self.complete(now);
+        (payload, self.resume(now))
     }
 
-    /// Remove a not-yet-started work item from the queues. Returns its
-    /// payload if it was still queued; `None` if it already started or
-    /// finished.
-    pub fn cancel_queued(&mut self, id: WorkId) -> Option<T> {
-        for q in &mut self.queues {
-            if let Some(pos) = q.iter().position(|(wid, _)| *wid == id) {
-                return q.remove(pos).map(|(_, w)| w.payload);
-            }
-        }
-        None
-    }
-
-    fn start_next(&mut self, now: SimTime) -> Option<Completion> {
+    fn start_next(&mut self, now: SimTime) -> Option<SimTime> {
         debug_assert!(self.running.is_none() && !self.held);
-        let (id, work) = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
-        Some(self.start(now, id, work))
+        let work = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
+        Some(self.start(now, work))
     }
 
-    fn start(&mut self, now: SimTime, id: WorkId, work: Work<T>) -> Completion {
+    fn start(&mut self, now: SimTime, work: Work<T>) -> SimTime {
         let at = now + work.duration;
-        self.busy += work.duration;
-        self.running = Some((id, at, work.payload));
-        Completion { id, at }
-    }
-
-    /// True if nothing is running or queued.
-    pub fn is_idle(&self) -> bool {
-        self.running.is_none() && self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Number of queued (not yet started) items at `prio`.
-    pub fn queued_at(&self, prio: Priority) -> usize {
-        self.queues[prio as usize].len()
-    }
-
-    /// Total CPU time consumed by started work (utilization numerator).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
+        self.running = Some((at, work.payload));
+        at
     }
 }
 
@@ -191,68 +145,63 @@ mod tests {
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1000)
     }
-    fn d(us: u64) -> SimDuration {
-        SimDuration::from_micros(us)
-    }
-    fn task(us: u64, tag: &'static str) -> Work<&'static str> {
+    fn work(prio: Priority, us: u64, tag: &'static str) -> Work<&'static str> {
         Work {
-            duration: d(us),
-            priority: Priority::Task,
+            duration: SimDuration::from_micros(us),
+            priority: prio,
             payload: tag,
         }
     }
+    fn task(us: u64, tag: &'static str) -> Work<&'static str> {
+        work(Priority::Task, us, tag)
+    }
     fn bh(us: u64, tag: &'static str) -> Work<&'static str> {
-        Work {
-            duration: d(us),
-            priority: Priority::BottomHalf,
-            payload: tag,
+        work(Priority::BottomHalf, us, tag)
+    }
+
+    /// Complete-and-resume until the core runs dry, from the completion
+    /// due at `at`; the payloads in completion order and the final time.
+    fn drain(c: &mut CpuCore<&'static str>, mut at: SimTime) -> (Vec<&'static str>, SimTime) {
+        let mut order = Vec::new();
+        loop {
+            let (p, next) = c.on_complete(at);
+            order.push(p);
+            match next {
+                Some(next) => at = next,
+                None => return (order, at),
+            }
         }
     }
 
     #[test]
     fn idle_core_starts_immediately() {
         let mut c = CpuCore::new();
-        let comp = c.submit(t(0), task(5, "a")).expect("should start");
-        assert_eq!(comp.at, t(5));
-        assert!(!c.is_idle());
-        let (_, payload, next) = c.on_complete(t(5));
-        assert_eq!(payload, "a");
-        assert!(next.is_none());
-        assert!(c.is_idle());
+        assert_eq!(c.submit(t(0), task(5, "a")), Some(t(5)));
+        assert_eq!(c.submit(t(1), task(5, "b")), None, "busy core queues");
+        assert_eq!(c.on_complete(t(5)), ("a", Some(t(10))));
+        assert_eq!(c.on_complete(t(10)), ("b", None));
+        assert_eq!(c.submit(t(12), task(1, "c")), Some(t(13)), "idle again");
     }
 
     #[test]
     fn fifo_within_priority() {
         let mut c = CpuCore::new();
-        c.submit(t(0), task(5, "a")).unwrap();
+        let first = c.submit(t(0), task(5, "a")).unwrap();
         assert!(c.submit(t(0), task(5, "b")).is_none());
         assert!(c.submit(t(0), task(5, "c")).is_none());
-        let (_, p, n) = c.on_complete(t(5));
-        assert_eq!(p, "a");
-        assert_eq!(n.unwrap().at, t(10));
-        let (_, p, n) = c.on_complete(t(10));
-        assert_eq!(p, "b");
-        assert_eq!(n.unwrap().at, t(15));
-        let (_, p, n) = c.on_complete(t(15));
-        assert_eq!(p, "c");
-        assert!(n.is_none());
+        assert_eq!(drain(&mut c, first), (vec!["a", "b", "c"], t(15)));
     }
 
     #[test]
     fn bottom_half_jumps_the_queue() {
         let mut c = CpuCore::new();
-        c.submit(t(0), task(10, "pin")).unwrap();
+        let first = c.submit(t(0), task(10, "pin")).unwrap();
         c.submit(t(1), task(10, "pin2"));
         c.submit(t(2), bh(3, "rx"));
-        // Running pin is NOT preempted (non-preemptive chunks)...
-        let (_, p, n) = c.on_complete(t(10));
-        assert_eq!(p, "pin");
-        // ...but the bottom half runs before the queued task chunk.
-        assert_eq!(n.unwrap().at, t(13));
-        let (_, p, _n) = c.on_complete(t(13));
-        assert_eq!(p, "rx");
-        let (_, p, _) = c.on_complete(t(23));
-        assert_eq!(p, "pin2");
+        // The running pin is NOT preempted (non-preemptive chunks), but the
+        // bottom half runs before the queued task chunk.
+        assert_eq!(c.on_complete(first), ("pin", Some(t(13))));
+        assert_eq!(drain(&mut c, t(13)), (vec!["rx", "pin2"], t(23)));
     }
 
     #[test]
@@ -260,28 +209,18 @@ mod tests {
         // The §4.3 scenario: BH chunks keep arriving before the core drains,
         // so the task chunk never runs.
         let mut c = CpuCore::new();
-        c.submit(t(0), task(10, "pin")).unwrap(); // starts at 0, done at 10
+        let first = c.submit(t(0), task(10, "pin")).unwrap();
         c.submit(t(0), task(10, "pin-rest"));
-        let mut now = t(10);
         // While pin runs, a BH storm arrives.
         for i in 0..100 {
             c.submit(t(1 + i), bh(10, "rx"));
         }
-        // Drain 100 BH chunks; pin-rest must come out last.
-        let mut order = Vec::new();
-        let (_, p, mut next) = c.on_complete(now);
-        order.push(p);
-        while let Some(comp) = next {
-            now = comp.at;
-            let (_, p, n) = c.on_complete(now);
-            order.push(p);
-            next = n;
-        }
+        let (order, end) = drain(&mut c, first);
         assert_eq!(order.first(), Some(&"pin"));
         assert_eq!(order.last(), Some(&"pin-rest"));
         assert_eq!(order.len(), 102);
         // pin-rest completed only after ~1 ms of BH work.
-        assert_eq!(now, t(10 + 100 * 10 + 10));
+        assert_eq!(end, t(10 + 100 * 10 + 10));
     }
 
     #[test]
@@ -290,93 +229,35 @@ mod tests {
         // chunk. With the hold protocol the follow-up chunk runs before a
         // task item that was already queued.
         let mut c = CpuCore::new();
-        c.submit(
-            t(0),
-            Work {
-                duration: d(5),
-                priority: Priority::Kernel,
-                payload: "pin1",
-            },
-        )
-        .unwrap();
+        let first = c.submit(t(0), work(Priority::Kernel, 5, "pin1")).unwrap();
         c.submit(t(0), task(5, "syscall"));
-        let (_, p) = c.complete(t(5));
-        assert_eq!(p, "pin1");
+        assert_eq!(c.complete(first), "pin1");
         // Handler submits the next chunk while the core is held.
-        assert!(c
-            .submit(
-                t(5),
-                Work {
-                    duration: d(5),
-                    priority: Priority::Kernel,
-                    payload: "pin2"
-                },
-            )
-            .is_none());
+        assert!(c.submit(t(5), work(Priority::Kernel, 5, "pin2")).is_none());
         let next = c.resume(t(5)).unwrap();
-        assert_eq!(next.at, t(10));
-        let (_, p, _) = c.on_complete(t(10));
-        assert_eq!(p, "pin2", "kernel chunk chains ahead of the syscall");
-        let (_, p, _) = c.on_complete(t(15));
-        assert_eq!(p, "syscall");
+        assert_eq!(next, t(10));
+        assert_eq!(drain(&mut c, next), (vec!["pin2", "syscall"], t(15)));
     }
 
     #[test]
     fn kernel_work_runs_before_task_after_bh() {
         let mut c = CpuCore::new();
-        c.submit(t(0), task(10, "compute")).unwrap();
-        c.submit(
-            t(1),
-            Work {
-                duration: d(2),
-                priority: Priority::Kernel,
-                payload: "pin",
-            },
-        );
+        let first = c.submit(t(0), task(10, "compute")).unwrap();
+        c.submit(t(1), work(Priority::Kernel, 2, "pin"));
         c.submit(t(2), bh(1, "rx"));
         c.submit(t(2), task(10, "compute2"));
-        let (_, p, _) = c.on_complete(t(10));
-        assert_eq!(p, "compute");
-        let (_, p, _) = c.on_complete(t(11));
-        assert_eq!(p, "rx", "bottom half first");
-        let (_, p, _) = c.on_complete(t(13));
-        assert_eq!(p, "pin", "kernel work before queued task work");
-        let (_, p, _) = c.on_complete(t(23));
-        assert_eq!(p, "compute2");
-    }
-
-    #[test]
-    fn cancel_queued_removes_pending_only() {
-        let mut c = CpuCore::new();
-        let first = c.submit(t(0), task(5, "a")).unwrap();
-        c.submit(t(0), task(5, "b"));
-        // "a" already started: cannot cancel.
-        assert!(c.cancel_queued(first.id).is_none());
-        // find b's id by cancelling the only queued item
-        assert_eq!(c.queued_at(Priority::Task), 1);
-        let (_, _p, n) = c.on_complete(t(5));
-        assert!(n.is_some());
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut c = CpuCore::new();
-        c.submit(t(0), task(5, "a")).unwrap();
-        c.submit(t(0), task(7, "b"));
-        c.on_complete(t(5));
-        c.on_complete(t(12));
-        assert_eq!(c.busy_time(), d(12));
+        let (order, end) = drain(&mut c, first);
+        assert_eq!(order, ["compute", "rx", "pin", "compute2"]);
+        assert_eq!(end, t(23));
     }
 
     /// The core's contract written plainly: three FIFO lists, one running
     /// slot, the hold flag, and nothing that skips a list.
     #[derive(Default)]
     struct Model {
-        queues: [Vec<(u64, SimDuration, u64)>; 3],
-        running: Option<(u64, SimTime, u64)>,
+        queues: [Vec<(SimDuration, u64)>; 3],
+        running: Option<(SimTime, u64)>,
         held: bool,
-        next_id: u64,
-        busy: SimDuration,
     }
 
     impl Model {
@@ -386,10 +267,8 @@ mod tests {
             prio: Priority,
             dur: SimDuration,
             tag: u64,
-        ) -> Option<(u64, SimTime)> {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.queues[prio as usize].push((id, dur, tag));
+        ) -> Option<SimTime> {
+            self.queues[prio as usize].push((dur, tag));
             if self.running.is_none() && !self.held {
                 self.start_next(now)
             } else {
@@ -397,99 +276,74 @@ mod tests {
             }
         }
 
-        fn start_next(&mut self, now: SimTime) -> Option<(u64, SimTime)> {
+        fn start_next(&mut self, now: SimTime) -> Option<SimTime> {
             let q = self.queues.iter_mut().find(|q| !q.is_empty())?;
-            let (id, dur, tag) = q.remove(0);
-            self.busy += dur;
-            self.running = Some((id, now + dur, tag));
-            Some((id, now + dur))
+            let (dur, tag) = q.remove(0);
+            self.running = Some((now + dur, tag));
+            Some(now + dur)
         }
 
-        fn complete(&mut self) -> (u64, u64) {
-            let (id, _, tag) = self.running.take().expect("model running");
+        fn complete(&mut self) -> u64 {
+            let (_, tag) = self.running.take().expect("model running");
             self.held = true;
-            (id, tag)
+            tag
         }
 
-        fn resume(&mut self, now: SimTime) -> Option<(u64, SimTime)> {
+        fn resume(&mut self, now: SimTime) -> Option<SimTime> {
             self.held = false;
             self.start_next(now)
-        }
-
-        fn cancel(&mut self, id: u64) -> Option<u64> {
-            for q in &mut self.queues {
-                if let Some(pos) = q.iter().position(|w| w.0 == id) {
-                    return Some(q.remove(pos).2);
-                }
-            }
-            None
         }
     }
 
     #[test]
     fn matches_a_plain_queue_model_under_random_operations() {
-        let ours = |c: Option<Completion>| c.map(|c| (c.id.0, c.at));
-        let (mut idle_submits, mut held_submits, mut cancels) = (0, 0, 0);
+        let (mut idle_submits, mut held_submits, mut completions) = (0, 0, 0);
         for seed in 0..40 {
             let mut rng = crate::SimRng::new(seed);
             let (mut c, mut m) = (CpuCore::new(), Model::default());
             let mut now = SimTime::ZERO;
             for step in 0..300u64 {
-                match rng.below(8) {
+                match rng.below(6) {
                     0..=2 => {
                         let prio = [Priority::BottomHalf, Priority::Kernel, Priority::Task]
                             [rng.below(3) as usize];
                         let dur = SimDuration::from_nanos(1 + rng.below(50));
                         now += SimDuration::from_nanos(rng.below(20));
-                        if let Some((_, at, _)) = c.running {
+                        if let Some((at, _)) = m.running {
                             now = now.min(at);
-                        }
-                        if c.running.is_none() {
-                            if c.held {
-                                held_submits += 1;
-                            } else {
-                                idle_submits += 1;
-                            }
+                        } else if m.held {
+                            held_submits += 1;
+                        } else {
+                            idle_submits += 1;
                         }
                         let work = Work {
                             duration: dur,
                             priority: prio,
                             payload: step,
                         };
-                        assert_eq!(ours(c.submit(now, work)), m.submit(now, prio, dur, step));
+                        let expect = m.submit(now, prio, dur, step);
+                        assert_eq!(c.submit(now, work), expect, "seed {seed} step {step}");
                     }
-                    3..=5 if c.held => {
-                        assert_eq!(ours(c.resume(now)), m.resume(now), "seed {seed}");
+                    _ if m.held => {
+                        assert_eq!(c.resume(now), m.resume(now), "seed {seed} step {step}");
                     }
-                    3..=5 => {
-                        let Some((_, at, _)) = c.running else {
+                    _ => {
+                        let Some((at, _)) = m.running else {
                             continue;
                         };
                         now = at;
-                        let (id, tag) = c.complete(now);
-                        assert_eq!((id.0, tag), m.complete(), "seed {seed}");
+                        assert_eq!(c.complete(now), m.complete(), "seed {seed} step {step}");
+                        completions += 1;
                         if rng.chance(0.5) {
-                            assert_eq!(ours(c.resume(now)), m.resume(now));
+                            assert_eq!(c.resume(now), m.resume(now), "seed {seed} step {step}");
                         }
                     }
-                    _ => {
-                        let id = rng.below(m.next_id + 1);
-                        let got = c.cancel_queued(WorkId(id));
-                        cancels += u64::from(got.is_some());
-                        assert_eq!(got, m.cancel(id), "seed {seed}");
-                    }
                 }
-                for prio in [Priority::BottomHalf, Priority::Kernel, Priority::Task] {
-                    assert_eq!(c.queued_at(prio), m.queues[prio as usize].len());
-                }
-                let model_idle = m.running.is_none() && m.queues.iter().all(Vec::is_empty);
-                assert_eq!(c.is_idle(), model_idle, "seed {seed} step {step}");
-                assert_eq!(c.busy_time(), m.busy);
             }
         }
         assert!(idle_submits > 50, "{idle_submits} submits to an idle core");
         assert!(held_submits > 50, "{held_submits} submits while held");
-        assert!(cancels > 50, "{cancels} cancellations");
+        assert!(completions > 1_000, "{completions} completions");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! * [`SimTime`] / [`SimDuration`] — virtual time with nanosecond resolution,
 //! * [`Bandwidth`] — byte-rate arithmetic for link/copy-engine models,
 //! * [`EventQueue`] — a stable priority queue of timed events whose pending
-//!   entries can be cancelled or moved in place,
+//!   entries can be cancelled or moved in place, plus a fixed set of
+//!   payload-free completion lanes ranked in the same order,
 //! * [`SimRng`] — a seedable, reproducible random number generator,
-//! * [`CpuCore`] — a two-priority-level run queue modelling a host core
-//!   (bottom-half interrupt work runs ahead of queued task work, as in Linux),
+//! * [`CpuCore`] — a three-priority-level run queue modelling a host core
+//!   (bottom half ≻ kernel work ≻ task, as in Linux),
 //! * [`stats`] — online statistics, a fixed-bucket latency histogram and the
 //!   least-squares fit used to extract the paper's Table 1 coefficients.
 //!
@@ -24,8 +25,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use cpu::{CpuCore, Priority, Work, WorkId};
-pub use queue::{EventId, EventQueue};
+pub use cpu::{CpuCore, Priority, Work};
+pub use queue::{Due, EventId, EventQueue};
 pub use rng::SimRng;
 pub use stats::{linear_fit, FixedHistogram, OnlineStats};
 pub use time::{Bandwidth, SimDuration, SimTime};

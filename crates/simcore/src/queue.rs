@@ -20,6 +20,18 @@
 //! — the retransmission timers that every unit of progress pushes out —
 //! and is indistinguishable from cancelling it and scheduling its payload
 //! anew.
+//!
+//! A queue may also own a fixed set of *lanes*
+//! ([`EventQueue::with_lanes`]). A lane is a completion slot with no
+//! payload that holds at most one pending time: the engine gives one to
+//! each simulated core, which never has more than one chunk running.
+//! [`EventQueue::set_lane`] draws the lane's sequence number from the same
+//! counter as [`EventQueue::schedule`], and [`EventQueue::pop_due`],
+//! `peek_time`, `len` and the not-into-the-past check rank lanes and heap
+//! events together by `(time, seq)`. A lane therefore pops exactly where
+//! the same completion scheduled as a heap event would have popped. The
+//! earliest lane is cached, so peeking stays O(1); only popping a lane
+//! rescans the lanes.
 
 use crate::time::SimTime;
 
@@ -33,6 +45,41 @@ pub struct EventId {
 /// Slot sequence number meaning "no live event": the occupant fired or was
 /// cancelled. Sequence numbers count up from zero and never reach it.
 const VACANT: u64 = u64::MAX;
+
+/// Rank of an idle lane (and of "nothing pending"): above every real
+/// rank, whose sequence number is below [`VACANT`].
+const IDLE: u128 = u128::MAX;
+
+/// `(time, seq)` as one number, compared without branches.
+fn rank(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The time half of a [`rank`].
+fn rank_time(rank: u128) -> SimTime {
+    SimTime::from_nanos((rank >> 64) as u64)
+}
+
+/// The lowest rank in `lanes` and its index (`(IDLE, 0)` while every lane
+/// is idle).
+fn first_lane(lanes: &[u128]) -> (u128, usize) {
+    let mut first = (IDLE, 0);
+    for (lane, &r) in lanes.iter().enumerate() {
+        if r < first.0 {
+            first = (r, lane);
+        }
+    }
+    first
+}
+
+/// What [`EventQueue::pop_due`] took off the queue.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Due<T> {
+    /// A scheduled event's payload.
+    Event(T),
+    /// The completion set on this lane.
+    Lane(usize),
+}
 
 /// A heap entry: the ordering key of one live event and the slot holding
 /// its payload.
@@ -49,9 +96,8 @@ impl Key {
         self.rank() < other.rank()
     }
 
-    /// `(time, seq)` as one number, compared without branches.
     fn rank(&self) -> u128 {
-        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
+        rank(self.time, self.seq)
     }
 }
 
@@ -69,6 +115,12 @@ pub struct EventQueue<T> {
     slots: Vec<Slot<T>>,
     /// Vacant slots, reused last-freed first.
     free: Vec<u32>,
+    /// Each lane's pending rank, or [`IDLE`].
+    lanes: Vec<u128>,
+    /// The lowest entry of `lanes` and its index (any index while every
+    /// lane is idle).
+    first_lane: (u128, usize),
+    busy_lanes: usize,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -80,12 +132,20 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue.
+    /// An empty queue without lanes.
     pub fn new() -> Self {
+        Self::with_lanes(0)
+    }
+
+    /// An empty queue with `lanes` idle lanes, numbered from zero.
+    pub fn with_lanes(lanes: usize) -> Self {
         EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            lanes: vec![IDLE; lanes],
+            first_lane: (IDLE, 0),
+            busy_lanes: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -155,22 +215,66 @@ impl<T> EventQueue<T> {
         Some(EventId { slot: id.slot, seq })
     }
 
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+    /// Mark `lane` due at `time`. The lane takes the next sequence
+    /// number, exactly as [`EventQueue::schedule`] would, and pops from
+    /// [`EventQueue::pop_due`] as [`Due::Lane`].
+    ///
+    /// # Panics
+    /// Panics if the lane is already pending, or if `time` is earlier than
+    /// the last popped event, like [`EventQueue::schedule`].
+    pub fn set_lane(&mut self, lane: usize, time: SimTime) {
+        self.check_not_past(time);
+        assert_eq!(self.lanes[lane], IDLE, "lane {lane} is already pending");
+        let r = rank(time, self.take_seq());
+        self.lanes[lane] = r;
+        self.busy_lanes += 1;
+        if r < self.first_lane.0 {
+            self.first_lane = (r, lane);
+        }
+    }
+
+    /// Remove and return the earliest pending event or lane.
+    pub fn pop_due(&mut self) -> Option<(SimTime, Due<T>)> {
+        let (lane_rank, lane) = self.first_lane;
+        if lane_rank < self.heap.first().map_or(IDLE, Key::rank) {
+            self.lanes[lane] = IDLE;
+            self.busy_lanes -= 1;
+            self.first_lane = first_lane(&self.lanes);
+            self.last_popped = rank_time(lane_rank);
+            return Some((self.last_popped, Due::Lane(lane)));
+        }
         if self.heap.is_empty() {
             return None;
         }
         let key = self.remove_key(0);
         self.last_popped = key.time;
-        Some((key.time, self.release(key.slot)))
+        Some((key.time, Due::Event(self.release(key.slot))))
     }
 
-    /// The timestamp of the next pending event.
+    /// Remove and return the earliest pending event.
+    ///
+    /// # Panics
+    /// Panics if the earliest entry is a lane: a queue with lanes pops
+    /// through [`EventQueue::pop_due`].
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_due().map(|(time, due)| match due {
+            Due::Event(payload) => (time, payload),
+            Due::Lane(lane) => panic!("lane {lane} is due: pop lanes with pop_due"),
+        })
+    }
+
+    /// The timestamp of the next pending event or lane.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|key| key.time)
+        let first = self
+            .heap
+            .first()
+            .map_or(IDLE, Key::rank)
+            .min(self.first_lane.0);
+        (first != IDLE).then(|| rank_time(first))
     }
 
-    /// Every pending event with its time, in no particular order.
+    /// Every pending event with its time, in no particular order. Lanes
+    /// carry no payload and are not listed.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &T)> + '_ {
         self.heap.iter().map(|key| {
             let payload = self.slots[key.slot as usize].payload.as_ref();
@@ -178,18 +282,18 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Number of pending events.
+    /// Number of pending events and lanes.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.busy_lanes
     }
 
-    /// True if no events are pending.
+    /// True if no event or lane is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// The timestamp of the most recently popped event — the queue's notion
-    /// of "now".
+    /// The timestamp of the most recently popped event or lane — the
+    /// queue's notion of "now".
     pub fn now(&self) -> SimTime {
         self.last_popped
     }
@@ -246,9 +350,17 @@ impl<T> EventQueue<T> {
     }
 
     /// Assert the structure's invariants: heap order, every key's slot
-    /// pointing back at it, and vacant slots holding nothing.
+    /// pointing back at it, vacant slots holding nothing, and the cached
+    /// first lane and lane count matching the lanes.
     #[cfg(test)]
     fn check_invariants(&self) {
+        let first = self.lanes.iter().copied().min().unwrap_or(IDLE);
+        assert_eq!(self.first_lane.0, first, "cached first lane");
+        if first != IDLE {
+            assert_eq!(self.lanes[self.first_lane.1], first, "first lane index");
+        }
+        let busy = self.lanes.iter().filter(|&&r| r != IDLE).count();
+        assert_eq!(self.busy_lanes, busy, "busy lanes");
         for (i, key) in self.heap.iter().enumerate() {
             if i > 0 {
                 assert!(
@@ -261,7 +373,11 @@ impl<T> EventQueue<T> {
             assert_eq!(s.seq, key.seq, "slot {} holds another event", key.slot);
         }
         let occupied = self.slots.iter().filter(|s| s.seq != VACANT).count();
-        assert_eq!(occupied, self.len(), "occupied slots vs pending events");
+        assert_eq!(
+            occupied,
+            self.heap.len(),
+            "occupied slots vs pending events"
+        );
         for s in &self.slots {
             assert_eq!(s.payload.is_some(), s.seq != VACANT, "payload vs occupancy");
         }
@@ -523,6 +639,134 @@ mod tests {
             assert_eq!(model.pop(), None);
             q.check_invariants();
         }
+    }
+
+    /// Lanes against a reference queue in which every lane completion is
+    /// an ordinary heap event: with the same operations (times drawn from
+    /// a few instants, so ties abound) both pop the same
+    /// `(time, identity)` sequence, and agree on `peek_time` and `len`
+    /// throughout.
+    #[test]
+    fn lanes_pop_like_heap_events() {
+        const LANES: usize = 8;
+        let (mut lane_pops, mut ties) = (0, 0);
+        for seed in 0..30 {
+            let mut rng = crate::rng::SimRng::new(seed);
+            let mut q = EventQueue::with_lanes(LANES);
+            let mut reference: EventQueue<Due<u64>> = EventQueue::new();
+            let mut busy = [false; LANES];
+            let mut ids: Vec<(EventId, EventId)> = Vec::new();
+            let mut last = None;
+            for step in 0..2_000u64 {
+                let at = q.now() + SimDuration::from_nanos(rng.below(4));
+                match rng.below(14) {
+                    0..=2 => {
+                        let id = q.schedule(at, step);
+                        ids.push((id, reference.schedule(at, Due::Event(step))));
+                    }
+                    3..=5 => {
+                        let lane = rng.below(LANES as u64) as usize;
+                        if !busy[lane] {
+                            busy[lane] = true;
+                            q.set_lane(lane, at);
+                            reference.schedule(at, Due::Lane(lane));
+                        }
+                    }
+                    6 if !ids.is_empty() => {
+                        let (id, ref_id) = ids[rng.below(ids.len() as u64) as usize];
+                        assert_eq!(
+                            q.cancel(id),
+                            reference.cancel(ref_id),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    7 if !ids.is_empty() => {
+                        let (id, ref_id) = ids[rng.below(ids.len() as u64) as usize];
+                        let moved = q.reschedule(id, at);
+                        let ref_moved = reference.reschedule(ref_id, at);
+                        assert_eq!(
+                            moved.is_some(),
+                            ref_moved.is_some(),
+                            "seed {seed} step {step}"
+                        );
+                        if let (Some(id), Some(ref_id)) = (moved, ref_moved) {
+                            ids.push((id, ref_id));
+                        }
+                    }
+                    8..=11 => {
+                        let popped = q.pop_due();
+                        assert_eq!(popped, reference.pop(), "seed {seed} step {step}");
+                        if let Some((time, due)) = popped {
+                            if let Due::Lane(lane) = due {
+                                busy[lane] = false;
+                                lane_pops += 1;
+                            }
+                            ties += u64::from(last == Some(time));
+                            last = Some(time);
+                        }
+                    }
+                    _ => {}
+                }
+                q.check_invariants();
+                assert_eq!(
+                    q.peek_time(),
+                    reference.peek_time(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(q.len(), reference.len(), "seed {seed} step {step}");
+                assert_eq!(q.is_empty(), reference.is_empty());
+            }
+            while let Some(popped) = q.pop_due() {
+                assert_eq!(Some(popped), reference.pop(), "seed {seed} drain");
+            }
+            assert_eq!(reference.pop(), None);
+            q.check_invariants();
+        }
+        assert!(lane_pops > 5_000, "{lane_pops} lane pops");
+        assert!(ties > 5_000, "{ties} pops tied with the one before");
+    }
+
+    #[test]
+    fn a_lane_ties_after_events_scheduled_before_it() {
+        let mut q = EventQueue::with_lanes(2);
+        q.schedule(t(5), "a");
+        q.set_lane(1, t(5));
+        q.schedule(t(5), "b");
+        q.set_lane(0, t(4));
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(t(4)));
+        assert_eq!(q.pop_due(), Some((t(4), Due::Lane(0))));
+        assert_eq!(q.pop_due(), Some((t(5), Due::Event("a"))));
+        assert_eq!(q.pop_due(), Some((t(5), Due::Lane(1))));
+        assert_eq!(q.pop_due(), Some((t(5), Due::Event("b"))));
+        assert_eq!(q.now(), t(5));
+        assert!(q.is_empty());
+        assert_eq!(q.pop_due(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 is already pending")]
+    fn setting_a_pending_lane_panics() {
+        let mut q: EventQueue<()> = EventQueue::with_lanes(4);
+        q.set_lane(3, t(1));
+        q.set_lane(3, t(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn setting_a_lane_into_the_past_panics() {
+        let mut q = EventQueue::with_lanes(1);
+        q.schedule(t(10), ());
+        q.pop();
+        q.set_lane(0, t(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 0 is due")]
+    fn pop_refuses_a_due_lane() {
+        let mut q: EventQueue<()> = EventQueue::with_lanes(1);
+        q.set_lane(0, t(1));
+        q.pop();
     }
 
     #[test]
