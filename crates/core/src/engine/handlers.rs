@@ -9,7 +9,9 @@ use super::xfer::{
     pull_of, Block, EagerRxMatched, EagerTx, End, PendingCopy, Phase, PinPlan, PinWaiter, Pull,
     Retry, Rndv, Shm, Xfer, XferKey,
 };
-use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
+use super::{
+    AppEvent, Cluster, CopyWork, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work,
+};
 use crate::config::{OpenMxConfig, CORES_PER_NODE, RETRANSMIT_MIN};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
@@ -17,18 +19,8 @@ use crate::obs::{Counter, RetransKind, TraceEvent};
 use crate::region::{DeclareError, RegionAccessError, Segment};
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 
-/// The process whose core a sliced work item belongs to.
-fn work_owner(w: &Work) -> ProcId {
-    match w {
-        Work::EagerCopyOut { owner, .. } => *owner,
-        Work::EagerDeliver { owner, .. } => *owner,
-        Work::ShmSend { owner, .. } => *owner,
-        Work::ShmDeliver { owner, .. } => *owner,
-        _ => unreachable!("only copy works are sliced"),
-    }
-}
-
 impl Cluster {
+    #[inline(always)]
     pub(crate) fn dispatch(&mut self, due: Due<Event>) {
         match due {
             Due::Lane(lane) => self.on_core_done(lane),
@@ -41,6 +33,7 @@ impl Cluster {
     // ================== CPU completion plumbing ==================
 
     /// The running chunk of the core that owns `lane` finished.
+    #[inline(always)]
     fn on_core_done(&mut self, lane: usize) {
         let (node, core) = (lane / CORES_PER_NODE, lane % CORES_PER_NODE);
         // Hold the core while the handler runs so that follow-up work it
@@ -53,6 +46,7 @@ impl Cluster {
         }
     }
 
+    #[inline(always)]
     fn handle_work(&mut self, work: Work) {
         match work {
             Work::Syscall { proc, action } => self.on_syscall(proc, action),
@@ -84,15 +78,12 @@ impl Cluster {
                     );
                 }
             }
-            Work::EagerCopyOut { owner, msg, req } => self.on_eager_copy_out(owner, msg, req),
-            Work::EagerDeliver { msg, .. } => self.on_eager_deliver(msg),
-            Work::ShmSend { owner, msg, req } => self.on_shm_send(owner, msg, req),
-            Work::ShmDeliver { msg, .. } => self.on_shm_deliver(msg),
+            Work::Copy(copy) => self.on_copy_done(copy),
             Work::Slice { then, remaining } => {
                 if remaining.is_zero() {
-                    self.handle_work(*then);
+                    self.on_copy_done(then);
                 } else {
-                    let proc = work_owner(&then);
+                    let proc = then.owner();
                     let slice = Cluster::COMPUTE_SLICE.min(remaining);
                     self.submit_proc_work(
                         proc,
@@ -107,8 +98,19 @@ impl Cluster {
         }
     }
 
+    /// A copy finished, whole or as its last slice.
+    fn on_copy_done(&mut self, copy: CopyWork) {
+        match copy {
+            CopyWork::EagerCopyOut { owner, msg, req } => self.on_eager_copy_out(owner, msg, req),
+            CopyWork::EagerDeliver { msg, .. } => self.on_eager_deliver(msg),
+            CopyWork::ShmSend { owner, msg, req } => self.on_shm_send(owner, msg, req),
+            CopyWork::ShmDeliver { msg, .. } => self.on_shm_deliver(msg),
+        }
+    }
+
     // ================== syscalls ==================
 
+    #[inline]
     fn on_syscall(&mut self, proc: ProcId, action: SyscallAction) {
         // A syscall queued behind other work when its issuer crashed dies
         // with the process — the kernel entry path checks the task state.
@@ -213,10 +215,9 @@ impl Cluster {
             }),
         );
         let cost = SimDuration::from_nanos(500) + self.cfg.profile.memcpy_cost(len);
-        self.submit_sliced_proc_work(
-            proc,
+        self.submit_sliced_copy(
             cost,
-            Work::ShmSend {
+            CopyWork::ShmSend {
                 owner: proc,
                 msg,
                 req,
@@ -285,10 +286,9 @@ impl Cluster {
         x.req = posted.req;
         let receiver = x.peer.proc;
         let cost = self.cfg.profile.memcpy_cost(copy_len);
-        self.submit_sliced_proc_work(
-            receiver,
+        self.submit_sliced_copy(
             cost,
-            Work::ShmDeliver {
+            CopyWork::ShmDeliver {
                 owner: receiver,
                 msg,
             },
@@ -359,10 +359,9 @@ impl Cluster {
         );
         let frags = simnet::frame::frame_count(len, self.cfg.net.mtu);
         let cost = self.cfg.profile.memcpy_cost(len) + self.cfg.profile.tx_setup.times(frags);
-        self.submit_sliced_proc_work(
-            proc,
+        self.submit_sliced_copy(
             cost,
-            Work::EagerCopyOut {
+            CopyWork::EagerCopyOut {
                 owner: proc,
                 msg,
                 req,
@@ -458,7 +457,7 @@ impl Cluster {
             if m.rx.absorb(frag, offset, data) {
                 let cost = self.cfg.profile.memcpy_cost(m.copy_len);
                 let proc = x.proc;
-                self.submit_sliced_proc_work(proc, cost, Work::EagerDeliver { owner: proc, msg });
+                self.submit_sliced_copy(cost, CopyWork::EagerDeliver { owner: proc, msg });
             }
             return;
         }
@@ -481,7 +480,7 @@ impl Cluster {
                 self.insert_eager_rx(dst, posted.req, rx, posted.addr, copy_len);
                 if complete {
                     let cost = self.cfg.profile.memcpy_cost(copy_len);
-                    self.submit_sliced_proc_work(dst, cost, Work::EagerDeliver { owner: dst, msg });
+                    self.submit_sliced_copy(cost, CopyWork::EagerDeliver { owner: dst, msg });
                 }
             }
             None => {
@@ -777,11 +776,7 @@ impl Cluster {
                 self.insert_eager_rx(proc, req, rx, addr, copy_len);
                 if complete {
                     let cost = self.cfg.profile.memcpy_cost(copy_len);
-                    self.submit_sliced_proc_work(
-                        proc,
-                        cost,
-                        Work::EagerDeliver { owner: proc, msg },
-                    );
+                    self.submit_sliced_copy(cost, CopyWork::EagerDeliver { owner: proc, msg });
                 }
             }
             Some(Unexpected::Rndv {
@@ -1212,6 +1207,7 @@ impl Cluster {
 
     // ================== frame reception ==================
 
+    #[inline]
     fn on_frame_arrival(&mut self, frame: Frame) {
         let dst = frame.dst.proc;
         let node = self.procs[dst.0 as usize].node;
@@ -1235,6 +1231,7 @@ impl Cluster {
         );
     }
 
+    #[inline]
     fn bh_duration(&self, node: usize, msg: &WireMsg) -> SimDuration {
         let p = &self.cfg.profile;
         match msg {

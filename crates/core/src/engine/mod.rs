@@ -144,6 +144,19 @@ pub(crate) enum Work {
         token: u64,
         remaining: SimDuration,
     },
+    /// A copy charged in one piece.
+    Copy(CopyWork),
+    /// One bounded slice of a longer copy; `then` fires when the whole
+    /// chain has been charged (keeps long copies preemptible at slice
+    /// granularity).
+    Slice {
+        then: CopyWork,
+        remaining: SimDuration,
+    },
+}
+
+/// The copies a process's core runs, the only work that is sliced.
+pub(crate) enum CopyWork {
     /// Sender-side eager copy into the static pinned buffer + tx setup.
     EagerCopyOut {
         owner: ProcId,
@@ -160,13 +173,18 @@ pub(crate) enum Work {
     },
     /// Intra-node receive copy.
     ShmDeliver { owner: ProcId, msg: MsgId },
-    /// One bounded slice of a longer work item; `then` fires when the
-    /// whole chain has been charged (keeps long copies preemptible at
-    /// slice granularity).
-    Slice {
-        then: Box<Work>,
-        remaining: SimDuration,
-    },
+}
+
+impl CopyWork {
+    /// The process whose core runs the copy.
+    fn owner(&self) -> ProcId {
+        match self {
+            CopyWork::EagerCopyOut { owner, .. }
+            | CopyWork::EagerDeliver { owner, .. }
+            | CopyWork::ShmSend { owner, .. }
+            | CopyWork::ShmDeliver { owner, .. } => *owner,
+        }
+    }
 }
 
 /// Deferred syscall bodies.
@@ -923,6 +941,7 @@ impl Cluster {
     }
 
     /// Record one trace event (free when tracing is off).
+    #[inline]
     pub(crate) fn emit(&mut self, node: usize, proc: Option<ProcId>, event: TraceEvent) {
         if !self.tracer.is_enabled() {
             return;
@@ -937,6 +956,7 @@ impl Cluster {
 
     /// Submit CPU work on (node, core); sets the core's lane if the core
     /// was idle.
+    #[inline(always)]
     pub(crate) fn submit_work(
         &mut self,
         node: usize,
@@ -959,28 +979,26 @@ impl Cluster {
     }
 
     /// Submit work on a process's application core at Task priority.
+    #[inline(always)]
     pub(crate) fn submit_proc_work(&mut self, proc: ProcId, duration: SimDuration, work: Work) {
         let p = &self.procs[proc.0 as usize];
         let (node, core) = (p.node, p.core);
         self.submit_work(node, core, Priority::Task, duration, work);
     }
 
-    /// Submit Task work on a process's core, sliced into bounded chunks
-    /// so interrupts and kernel work interleave during long copies.
-    pub(crate) fn submit_sliced_proc_work(
-        &mut self,
-        proc: ProcId,
-        duration: SimDuration,
-        work: Work,
-    ) {
+    /// Submit a copy at Task priority on its owner's core, sliced into
+    /// bounded chunks so interrupts and kernel work interleave during
+    /// long copies.
+    pub(crate) fn submit_sliced_copy(&mut self, duration: SimDuration, copy: CopyWork) {
+        let proc = copy.owner();
         if duration <= Self::COMPUTE_SLICE {
-            self.submit_proc_work(proc, duration, work);
+            self.submit_proc_work(proc, duration, Work::Copy(copy));
         } else {
             self.submit_proc_work(
                 proc,
                 Self::COMPUTE_SLICE,
                 Work::Slice {
-                    then: Box::new(work),
+                    then: copy,
                     remaining: duration - Self::COMPUTE_SLICE,
                 },
             );
@@ -1057,11 +1075,13 @@ impl Cluster {
     }
 
     /// Arm a protocol timer.
+    #[inline]
     pub(crate) fn arm_timer(&mut self, after: SimDuration, token: TimerToken) -> EventId {
         self.queue.schedule(self.now + after, Event::Timer(token))
     }
 
     /// Disarm a timer if still pending.
+    #[inline]
     pub(crate) fn cancel_timer(&mut self, id: Option<EventId>) {
         cancel_in(&mut self.queue, id);
     }
@@ -1135,6 +1155,7 @@ impl Cluster {
     /// incarnation. Addresses stored in protocol state across a peer's
     /// crash keep the old stamp, which is exactly what lets the receive
     /// path fence pre-crash traffic.
+    #[inline]
     pub(crate) fn addr_of(&self, proc: ProcId) -> EndpointAddr {
         EndpointAddr {
             proc,
@@ -1145,17 +1166,20 @@ impl Cluster {
     /// True when the endpoint this address names no longer exists: the
     /// process is dead, or it restarted and the address carries a stale
     /// incarnation.
+    #[inline]
     pub(crate) fn endpoint_gone(&self, addr: EndpointAddr) -> bool {
         let s = &self.procs[addr.proc.0 as usize];
         s.crashed || s.incarnation != addr.incarnation
     }
 
     /// Frame payload capacity of the fabric.
+    #[inline]
     pub(crate) fn frame_payload(&self) -> u64 {
         simnet::frame::max_payload(self.cfg.net.mtu)
     }
 
     /// Build a control frame.
+    #[inline]
     pub(crate) fn frame(&self, src: ProcId, dst: EndpointAddr, msg: WireMsg) -> Frame {
         Frame {
             src: self.addr_of(src),
@@ -1167,6 +1191,7 @@ impl Cluster {
 
 /// Disarm a timer if still pending, borrowing only the queue (the crash
 /// reap cancels while it iterates the transfer table).
+#[inline]
 fn cancel_in(queue: &mut EventQueue<Event>, timer: Option<EventId>) {
     if let Some(id) = timer {
         queue.cancel(id);

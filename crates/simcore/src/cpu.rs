@@ -78,6 +78,7 @@ impl<T> CpuCore<T> {
     /// schedule; if the core is busy the chunk queues and `None` is
     /// returned (its completion will surface from a later
     /// [`CpuCore::resume`]).
+    #[inline(always)]
     pub fn submit(&mut self, now: SimTime, work: Work<T>) -> Option<SimTime> {
         if self.running.is_none() && !self.held {
             // Every step that leaves the core idle and un-held ran
@@ -100,20 +101,24 @@ impl<T> CpuCore<T> {
     /// # Panics
     /// Panics if no work is running or if `now` disagrees with the promised
     /// completion time — both indicate an engine bookkeeping bug.
+    #[inline(always)]
     pub fn complete(&mut self, now: SimTime) -> T {
-        let (at, payload) = self
-            .running
-            .take()
-            .expect("complete called on an idle core");
-        assert_eq!(at, now, "completion fired at the wrong time");
-        self.held = true;
-        payload
+        match self.running.take() {
+            Some((at, payload)) if at == now => {
+                self.held = true;
+                payload
+            }
+            running => bad_completion(running.map(|(at, _)| at), now),
+        }
     }
 
     /// Release the hold taken by [`CpuCore::complete`] and start the next
     /// queued item, if any, returning its completion time.
+    #[inline(always)]
     pub fn resume(&mut self, now: SimTime) -> Option<SimTime> {
-        assert!(self.held, "resume without a pending completion");
+        if !self.held {
+            resume_without_completion();
+        }
         self.held = false;
         self.start_next(now)
     }
@@ -125,17 +130,33 @@ impl<T> CpuCore<T> {
         (payload, self.resume(now))
     }
 
+    #[inline(always)]
     fn start_next(&mut self, now: SimTime) -> Option<SimTime> {
         debug_assert!(self.running.is_none() && !self.held);
         let work = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
         Some(self.start(now, work))
     }
 
+    #[inline(always)]
     fn start(&mut self, now: SimTime, work: Work<T>) -> SimTime {
         let at = now + work.duration;
         self.running = Some((at, work.payload));
         at
     }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_completion(running: Option<SimTime>, now: SimTime) -> ! {
+    let at = running.expect("complete called on an idle core");
+    assert_eq!(at, now, "completion fired at the wrong time");
+    unreachable!("a completion that fired on time")
+}
+
+#[cold]
+#[inline(never)]
+fn resume_without_completion() -> ! {
+    panic!("resume without a pending completion")
 }
 
 #[cfg(test)]

@@ -51,17 +51,20 @@ const VACANT: u64 = u64::MAX;
 const IDLE: u128 = u128::MAX;
 
 /// `(time, seq)` as one number, compared without branches.
+#[inline(always)]
 fn rank(time: SimTime, seq: u64) -> u128 {
     (u128::from(time.as_nanos()) << 64) | u128::from(seq)
 }
 
 /// The time half of a [`rank`].
+#[inline(always)]
 fn rank_time(rank: u128) -> SimTime {
     SimTime::from_nanos((rank >> 64) as u64)
 }
 
 /// The lowest rank in `lanes` and its index (`(IDLE, 0)` while every lane
 /// is idle).
+#[inline(always)]
 fn first_lane(lanes: &[u128]) -> (u128, usize) {
     let mut first = (IDLE, 0);
     for (lane, &r) in lanes.iter().enumerate() {
@@ -92,10 +95,12 @@ struct Key {
 
 impl Key {
     /// Whether `self` pops before `other`.
+    #[inline]
     fn before(&self, other: &Key) -> bool {
         self.rank() < other.rank()
     }
 
+    #[inline]
     fn rank(&self) -> u128 {
         rank(self.time, self.seq)
     }
@@ -157,6 +162,7 @@ impl<T> EventQueue<T> {
     /// # Panics
     /// Panics if `time` is earlier than the last popped event: the
     /// simulation may not schedule into its own past.
+    #[inline]
     pub fn schedule(&mut self, time: SimTime, payload: T) -> EventId {
         self.check_not_past(time);
         let seq = self.take_seq();
@@ -184,6 +190,7 @@ impl<T> EventQueue<T> {
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (not yet popped or cancelled). Cancelling an already
     /// fired event is a harmless no-op returning `false`.
+    #[inline]
     pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(pos) = self.pending_pos(id) else {
             return false;
@@ -203,6 +210,7 @@ impl<T> EventQueue<T> {
     /// # Panics
     /// Panics if `time` is earlier than the last popped event, like
     /// [`EventQueue::schedule`].
+    #[inline]
     pub fn reschedule(&mut self, id: EventId, time: SimTime) -> Option<EventId> {
         self.check_not_past(time);
         let pos = self.pending_pos(id)?;
@@ -222,9 +230,12 @@ impl<T> EventQueue<T> {
     /// # Panics
     /// Panics if the lane is already pending, or if `time` is earlier than
     /// the last popped event, like [`EventQueue::schedule`].
+    #[inline(always)]
     pub fn set_lane(&mut self, lane: usize, time: SimTime) {
         self.check_not_past(time);
-        assert_eq!(self.lanes[lane], IDLE, "lane {lane} is already pending");
+        if self.lanes[lane] != IDLE {
+            lane_already_pending(lane, self.lanes[lane]);
+        }
         let r = rank(time, self.take_seq());
         self.lanes[lane] = r;
         self.busy_lanes += 1;
@@ -234,6 +245,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Remove and return the earliest pending event or lane.
+    #[inline(always)]
     pub fn pop_due(&mut self) -> Option<(SimTime, Due<T>)> {
         let (lane_rank, lane) = self.first_lane;
         if lane_rank < self.heap.first().map_or(IDLE, Key::rank) {
@@ -264,6 +276,7 @@ impl<T> EventQueue<T> {
     }
 
     /// The timestamp of the next pending event or lane.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         let first = self
             .heap
@@ -298,14 +311,14 @@ impl<T> EventQueue<T> {
         self.last_popped
     }
 
+    #[inline(always)]
     fn check_not_past(&self, time: SimTime) {
-        assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time:?} < {:?}",
-            self.last_popped
-        );
+        if time < self.last_popped {
+            scheduled_into_the_past(time, self.last_popped);
+        }
     }
 
+    #[inline(always)]
     fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -313,6 +326,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Heap position of the event `id` names, if it is still pending.
+    #[inline]
     fn pending_pos(&self, id: EventId) -> Option<usize> {
         match self.slots.get(id.slot as usize) {
             Some(s) if s.seq == id.seq => Some(s.pos as usize),
@@ -321,6 +335,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Vacate `slot`, whose key has left the heap, and return its payload.
+    #[inline]
     fn release(&mut self, slot: u32) -> T {
         let s = &mut self.slots[slot as usize];
         s.seq = VACANT;
@@ -330,6 +345,7 @@ impl<T> EventQueue<T> {
 
     /// Take the key at `pos` out of the heap, filling the hole with the
     /// last key and sifting that into place.
+    #[inline]
     fn remove_key(&mut self, pos: usize) -> Key {
         let key = self.heap.swap_remove(pos);
         if pos < self.heap.len() {
@@ -340,6 +356,7 @@ impl<T> EventQueue<T> {
 
     /// Sift the key at `pos`, whose ordering just changed, to where it
     /// belongs.
+    #[inline]
     fn restore(&mut self, pos: usize) {
         let (heap, slots) = (&mut self.heap[..], &mut self.slots[..]);
         if pos > 0 && heap[pos].before(&heap[(pos - 1) / 2]) {
@@ -391,15 +408,30 @@ impl<T> EventQueue<T> {
     }
 }
 
+#[cold]
+#[inline(never)]
+fn lane_already_pending(lane: usize, rank: u128) -> ! {
+    assert_eq!(rank, IDLE, "lane {lane} is already pending");
+    unreachable!("an idle lane")
+}
+
+#[cold]
+#[inline(never)]
+fn scheduled_into_the_past(time: SimTime, last_popped: SimTime) -> ! {
+    panic!("scheduling into the past: {time:?} < {last_popped:?}")
+}
+
 // The sift helpers take the heap and the slots as two slices, since every
 // key they move writes its new index into its slot.
 
 /// Write `key` at heap index `pos` and record that index in its slot.
+#[inline]
 fn place<T>(heap: &mut [Key], slots: &mut [Slot<T>], pos: usize, key: Key) {
     heap[pos] = key;
     slots[key.slot as usize].pos = pos as u32;
 }
 
+#[inline]
 fn sift_up<T>(heap: &mut [Key], slots: &mut [Slot<T>], mut pos: usize) {
     let key = heap[pos];
     while pos > 0 {
@@ -413,6 +445,7 @@ fn sift_up<T>(heap: &mut [Key], slots: &mut [Slot<T>], mut pos: usize) {
     place(heap, slots, pos, key);
 }
 
+#[inline]
 fn sift_down<T>(heap: &mut [Key], slots: &mut [Slot<T>], mut pos: usize) {
     let key = heap[pos];
     let len = heap.len();

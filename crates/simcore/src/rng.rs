@@ -57,6 +57,7 @@ impl SimRng {
     }
 
     /// A raw 64-bit draw (xoshiro256** output function).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -75,6 +76,7 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
         // Rejection sampling over the widest multiple of `n`, so the draw
@@ -101,8 +103,11 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics unless `0.0 <= p <= 1.0`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "invalid probability {p}");
+        if !(0.0..=1.0).contains(&p) {
+            invalid_probability(p);
+        }
         if p == 0.0 {
             false
         } else if p == 1.0 {
@@ -113,6 +118,7 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
+    #[inline]
     pub fn unit_f64(&mut self) -> f64 {
         // 53 uniform mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -133,6 +139,12 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn invalid_probability(p: f64) -> ! {
+    panic!("invalid probability {p}")
 }
 
 impl std::fmt::Debug for SimRng {

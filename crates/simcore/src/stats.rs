@@ -157,6 +157,7 @@ impl FixedHistogram {
     }
 
     /// Record one duration.
+    #[inline]
     pub fn record(&mut self, d: SimDuration) {
         let ns = d.as_nanos();
         let idx = (ns / self.width_ns) as usize;

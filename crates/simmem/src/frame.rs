@@ -20,7 +20,10 @@
 //! invisible to readers because every write to a shared page copies it
 //! first, so a holder keeps the bytes the page had when it took its
 //! reference. A frame that was never written holds no page at all and
-//! reads as zeros; allocating one costs no memory.
+//! reads as zeros; allocating one costs no memory. Every unwritten frame
+//! of a thread shares one zero page, whichever allocator it belongs to,
+//! so a zero piece captured on one node lands on an unwritten frame of
+//! another as the page that frame already holds.
 //!
 //! This byte-storage sharing is separate from `refcount`, which counts
 //! *mappings* of the frame and drives the address-space COW in
@@ -42,6 +45,13 @@ struct Frame {
     pin_count: u32,
 }
 
+thread_local! {
+    /// The page every unwritten frame of this thread reads as. Never
+    /// written in place: this reference keeps it shared, so writes copy
+    /// it. An `Rc` stays on its thread, as does every cluster.
+    static ZERO_PAGE: Rc<[u8]> = vec![0u8; PAGE_SIZE as usize].into();
+}
+
 /// The allocated frame `pfn` of `frames`.
 fn live(frames: &mut [Frame], pfn: Pfn) -> &mut Frame {
     let f = &mut frames[pfn.0 as usize];
@@ -57,8 +67,8 @@ pub struct FrameAllocator {
     pinned_pages: usize,
     /// High-water mark of simultaneously pinned pages.
     pinned_peak: usize,
-    /// The page an unwritten frame reads as. Never written in place: the
-    /// allocator's own reference keeps it shared, so writes copy it.
+    /// The page an unwritten frame reads as: the thread's shared
+    /// [`ZERO_PAGE`].
     zero: Rc<[u8]>,
 }
 
@@ -78,7 +88,7 @@ impl FrameAllocator {
             allocated: 0,
             pinned_pages: 0,
             pinned_peak: 0,
-            zero: vec![0u8; PAGE_SIZE as usize].into(),
+            zero: ZERO_PAGE.with(Rc::clone),
         }
     }
 
@@ -436,6 +446,21 @@ mod tests {
         assert!(zero.iter().all(|&x| x == 0));
         let b = fa.alloc().unwrap();
         assert!(fa.share(b).iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn a_zero_piece_lands_on_another_allocator_as_held() {
+        let (mut src, mut dst) = (FrameAllocator::new(1), FrameAllocator::new(1));
+        let (a, b) = (src.alloc().unwrap(), dst.alloc().unwrap());
+        assert!(Rc::ptr_eq(&src.share(a), &dst.share(b)), "one zero page");
+        let mut snap = PageSnapshot::default();
+        src.capture(a, 0, PAGE_SIZE, &mut snap);
+        let count = Rc::strong_count(&dst.share(b));
+        let mut reader = snap.reader();
+        dst.land(b, 0, PAGE_SIZE, &mut reader);
+        assert!(reader.bytes(1).is_empty(), "the piece was consumed");
+        assert!(dst.frames[b.0 as usize].data.is_none(), "still unwritten");
+        assert_eq!(Rc::strong_count(&dst.share(b)), count);
     }
 
     #[test]

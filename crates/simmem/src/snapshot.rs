@@ -18,6 +18,7 @@ struct Piece {
 }
 
 impl Piece {
+    #[inline]
     fn bytes(&self) -> &[u8] {
         &self.page[self.start..self.start + self.len]
     }
@@ -34,6 +35,7 @@ pub struct PageSnapshot {
 
 impl PageSnapshot {
     /// An empty snapshot with room for `pieces` page ranges.
+    #[inline]
     pub fn with_capacity(pieces: usize) -> Self {
         PageSnapshot {
             pieces: Vec::with_capacity(pieces),
@@ -45,16 +47,13 @@ impl PageSnapshot {
     /// # Panics
     /// Panics if `page` is not one page long or the range does not lie
     /// within it.
+    #[inline]
     pub fn push(&mut self, page: Rc<[u8]>, start: u64, len: u64) {
-        assert_eq!(
-            page.len(),
-            PAGE_SIZE as usize,
-            "snapshot piece of a non-page"
-        );
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= PAGE_SIZE),
-            "snapshot piece {start}+{len} outside its page"
-        );
+        if page.len() != PAGE_SIZE as usize
+            || start.checked_add(len).is_none_or(|end| end > PAGE_SIZE)
+        {
+            bad_piece(page.len(), start, len);
+        }
         self.pieces.push(Piece {
             page,
             start: start as usize,
@@ -74,6 +73,7 @@ impl PageSnapshot {
     }
 
     /// Total bytes held.
+    #[inline]
     pub fn len(&self) -> u64 {
         self.pieces.iter().map(|p| p.len as u64).sum()
     }
@@ -87,12 +87,12 @@ impl PageSnapshot {
     ///
     /// # Panics
     /// Panics if the range runs past the end of the snapshot.
+    #[inline]
     pub fn slice(&self, start: u64, len: u64) -> PageSnapshot {
         let total = self.len();
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= total),
-            "slice {start}+{len} past the end of a {total}-byte snapshot"
-        );
+        if start.checked_add(len).is_none_or(|end| end > total) {
+            slice_past_end(start, len, total);
+        }
         // A slice needs at most one piece per page its `len` bytes touch
         // when each piece covers a page of its own; pieces that share a
         // page only make the buffer grow.
@@ -125,6 +125,7 @@ impl PageSnapshot {
     }
 
     /// Append the bytes of `other` after these.
+    #[inline]
     pub fn append(&mut self, other: PageSnapshot) {
         if self.pieces.is_empty() {
             *self = other;
@@ -144,6 +145,7 @@ impl PageSnapshot {
     }
 
     /// A cursor that consumes the bytes front to back.
+    #[inline]
     pub fn reader(&self) -> SnapshotReader<'_> {
         SnapshotReader {
             pieces: &self.pieces,
@@ -151,6 +153,19 @@ impl PageSnapshot {
             at: 0,
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_piece(page_len: usize, start: u64, len: u64) -> ! {
+    assert_eq!(page_len, PAGE_SIZE as usize, "snapshot piece of a non-page");
+    panic!("snapshot piece {start}+{len} outside its page")
+}
+
+#[cold]
+#[inline(never)]
+fn slice_past_end(start: u64, len: u64, total: u64) -> ! {
+    panic!("slice {start}+{len} past the end of a {total}-byte snapshot")
 }
 
 impl fmt::Debug for PageSnapshot {
@@ -173,6 +188,7 @@ pub struct SnapshotReader<'a> {
 impl<'a> SnapshotReader<'a> {
     /// The page the next `len` bytes come from, if they are all one piece
     /// and sit at byte `offset` of that page. Consumes nothing.
+    #[inline]
     pub fn page_at(&self, offset: u64, len: u64) -> Option<&'a Rc<[u8]>> {
         let p = self.pieces.get(self.piece)?;
         let start = p.start + self.at;
@@ -181,6 +197,7 @@ impl<'a> SnapshotReader<'a> {
 
     /// Consume and return up to `max` contiguous bytes (fewer at the end of
     /// a piece; empty once the snapshot is exhausted).
+    #[inline]
     pub fn bytes(&mut self, max: u64) -> &'a [u8] {
         let Some(p) = self.pieces.get(self.piece) else {
             return &[];

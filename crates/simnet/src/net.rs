@@ -362,13 +362,11 @@ impl Network {
     /// Panics on out-of-range nodes, on `src == dst` (loopback never
     /// reaches the wire in Open-MX — the library short-circuits it), and
     /// on payloads exceeding the MTU.
+    #[inline]
     pub fn transmit(&mut self, now: SimTime, src: NodeId, dst: NodeId, payload: u64) -> TxOutcome {
-        assert_ne!(src, dst, "loopback frames do not cross the fabric");
-        assert!(
-            payload <= crate::frame::max_payload(self.cfg.mtu),
-            "payload {payload} exceeds MTU {}",
-            self.cfg.mtu
-        );
+        if src == dst || payload > crate::frame::max_payload(self.cfg.mtu) {
+            bad_frame(src, dst, payload, self.cfg.mtu);
+        }
         let s = src.0 as usize;
         let d = dst.0 as usize;
         self.stats.frames_sent += 1;
@@ -476,6 +474,13 @@ impl Network {
     pub fn stats(&self) -> NetStats {
         self.stats
     }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_frame(src: NodeId, dst: NodeId, payload: u64, mtu: u64) -> ! {
+    assert_ne!(src, dst, "loopback frames do not cross the fabric");
+    panic!("payload {payload} exceeds MTU {mtu}")
 }
 
 #[cfg(test)]
