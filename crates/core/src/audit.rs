@@ -132,9 +132,10 @@ pub enum Violation {
         /// Pages the driver's regions still hold.
         attached: u64,
     },
-    /// Protocol state survived to quiescence.
+    /// Protocol state survived to quiescence: a transfer end, a parked
+    /// I/OAT copy or a region's pin pass.
     XferLeak {
-        /// Entries left across the engine's transfer tables.
+        /// What [`Cluster::inflight_xfers`] counts.
         count: usize,
     },
     /// At quiescence, declared regions and cached descriptors disagree —

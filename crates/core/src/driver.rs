@@ -495,7 +495,7 @@ impl Driver {
                 .get_mut(id.0 as usize)
                 .and_then(Option::as_mut)
                 .expect("indexed region exists");
-            if region.unpinned() && !region.pinning_in_progress {
+            if region.unpinned() && !region.pinning() {
                 continue;
             }
             let staled = region.mark_stale(&*mem, &event.range);
@@ -544,7 +544,7 @@ impl Driver {
                 .get_mut(id.0 as usize)
                 .and_then(Option::as_mut)
                 .expect("indexed region exists");
-            if region.unpinned() && !region.pinning_in_progress {
+            if region.unpinned() && !region.pinning() {
                 continue;
             }
             region.generation += 1;
@@ -603,7 +603,7 @@ impl Driver {
     /// fallback rebuild [`Driver::pressure_evict`] allows itself.
     pub fn note_region_idle(&mut self, id: RegionId) {
         if let Some(r) = self.try_region(id) {
-            if r.use_count == 0 && !r.unpinned() && !r.pinning_in_progress {
+            if r.evictable() {
                 let entry = Reverse((r.last_use, id.0));
                 let owner = r.owner;
                 self.tenants.entry(owner).or_default().lru.push(entry);
@@ -628,7 +628,7 @@ impl Driver {
         }
         for (i, r) in self.regions.iter().enumerate() {
             if let Some(r) = r {
-                if r.use_count == 0 && !r.unpinned() && !r.pinning_in_progress {
+                if r.evictable() {
                     self.tenants
                         .entry(r.owner)
                         .or_default()
@@ -657,7 +657,7 @@ impl Driver {
         // A region whose pin pass is currently running is not idle:
         // evicting it would race the repin it is in the middle of (the
         // cursor grows right back, and the eviction bought nothing).
-        if r.use_count != 0 || r.unpinned() || r.pinning_in_progress {
+        if !r.evictable() {
             return Ok(None);
         }
         let (real_owner, last_use) = (r.owner, r.last_use);
@@ -849,6 +849,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PinPass;
     use simmem::{Prot, VirtAddr, Vpn, PAGE_SIZE};
 
     fn setup() -> (Memory, simmem::AsId, VirtAddr) {
@@ -1405,7 +1406,7 @@ mod tests {
                 }],
             )
             .unwrap();
-        d.region_mut(r).pinning_in_progress = true;
+        d.region_mut(r).pass = Some(PinPass::new(2, 0, SimTime::ZERO));
         let events = mem.munmap(space, addr, 2 * PAGE_SIZE).unwrap();
         let hit = d.handle_invalidate(&mut mem, &events[0]);
         // Nothing is behind the cursor yet, so there is nothing the pass
@@ -1415,8 +1416,8 @@ mod tests {
         assert!(hit.is_empty());
         assert_eq!(d.region(r).generation, 0, "no stale pages, no restart");
         assert!(
-            d.region(r).pinning_in_progress,
-            "the pass flag stays with the engine's restart logic"
+            d.region(r).pinning(),
+            "the pass stays with the engine's restart logic"
         );
         // The real race: pages already behind the cursor when the unmap
         // lands. They go stale at once, the generation bump restarts the
@@ -1510,7 +1511,7 @@ mod tests {
             .unwrap();
         d.region_mut(r1).pin_next_chunk(&mut mem, 100).unwrap();
         d.region_mut(r1).last_use = SimTime::from_nanos(10);
-        d.region_mut(r1).pinning_in_progress = true;
+        d.region_mut(r1).pass = Some(PinPass::new(4, 0, SimTime::ZERO));
         d.region_mut(r2).pin_next_chunk(&mut mem, 100).unwrap();
         d.region_mut(r2).last_use = SimTime::from_nanos(20);
 

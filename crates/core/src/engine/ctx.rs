@@ -4,7 +4,7 @@
 use simcore::SimDuration;
 use simmem::{PageSnapshot, VirtAddr};
 
-use super::{Cluster, OverlapHint, ProcId, SyscallAction, Work};
+use super::{Cluster, OverlapHint, ProcId, SyscallAction, Task, Work};
 use crate::endpoint::RequestId;
 use crate::region::Segment;
 
@@ -216,16 +216,11 @@ impl<'a> Ctx<'a> {
     /// Long phases run as bounded slices so interrupts and kernel work
     /// interleave, as the scheduler's timer tick would allow.
     pub fn compute(&mut self, duration: SimDuration, token: u64) {
-        let slice = Cluster::COMPUTE_SLICE.min(duration);
-        self.cl.submit_proc_work(
-            self.proc,
-            slice,
-            Work::Compute {
-                proc: self.proc,
-                token,
-                remaining: duration - slice,
-            },
-        );
+        let task = Task::ComputeDone {
+            owner: self.proc,
+            token,
+        };
+        self.cl.submit_task(duration, task);
     }
 
     /// Drop an application-level marker into the trace (free; no-op when

@@ -6,12 +6,10 @@ use simmem::{PageSnapshot, VirtAddr};
 
 use super::rto::{retrans_timeout, RttEstimator};
 use super::xfer::{
-    pull_of, Block, EagerRxMatched, EagerTx, End, PendingCopy, Phase, PinPlan, PinWaiter, Pull,
+    pull_of, Block, EagerRxMatched, EagerTx, End, PendingCopy, Phase, PinPass, PinWaiter, Pull,
     Retry, Rndv, Shm, Xfer, XferKey,
 };
-use super::{
-    AppEvent, Cluster, CopyWork, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work,
-};
+use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, Task, TimerToken, Work};
 use crate::config::{OpenMxConfig, CORES_PER_NODE, RETRANSMIT_MIN};
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
@@ -55,33 +53,11 @@ impl Cluster {
                 node,
                 region,
                 owner,
-                undeclare,
-            } => self.on_unpin_region(node, region, owner, undeclare),
+            } => self.on_unpin_region(node, region, owner),
             Work::BhFrame(frame) => self.on_bh_frame(frame),
-            Work::Compute {
-                proc,
-                token,
-                remaining,
-            } => {
-                if remaining.is_zero() {
-                    self.notify_app(proc, AppEvent::ComputeDone(token));
-                } else {
-                    let slice = Cluster::COMPUTE_SLICE.min(remaining);
-                    self.submit_proc_work(
-                        proc,
-                        slice,
-                        Work::Compute {
-                            proc,
-                            token,
-                            remaining: remaining - slice,
-                        },
-                    );
-                }
-            }
-            Work::Copy(copy) => self.on_copy_done(copy),
             Work::Slice { then, remaining } => {
                 if remaining.is_zero() {
-                    self.on_copy_done(then);
+                    self.on_task_done(then);
                 } else {
                     let proc = then.owner();
                     let slice = Cluster::COMPUTE_SLICE.min(remaining);
@@ -98,13 +74,16 @@ impl Cluster {
         }
     }
 
-    /// A copy finished, whole or as its last slice.
-    fn on_copy_done(&mut self, copy: CopyWork) {
-        match copy {
-            CopyWork::EagerCopyOut { owner, msg, req } => self.on_eager_copy_out(owner, msg, req),
-            CopyWork::EagerDeliver { msg, .. } => self.on_eager_deliver(msg),
-            CopyWork::ShmSend { owner, msg, req } => self.on_shm_send(owner, msg, req),
-            CopyWork::ShmDeliver { msg, .. } => self.on_shm_deliver(msg),
+    /// A task's last slice finished.
+    fn on_task_done(&mut self, task: Task) {
+        match task {
+            Task::EagerCopyOut { owner, msg, req } => self.on_eager_copy_out(owner, msg, req),
+            Task::EagerDeliver { msg, .. } => self.on_eager_deliver(msg),
+            Task::ShmSend { owner, msg, req } => self.on_shm_send(owner, msg, req),
+            Task::ShmDeliver { msg, .. } => self.on_shm_deliver(msg),
+            Task::ComputeDone { owner, token } => {
+                self.notify_app(owner, AppEvent::ComputeDone(token))
+            }
         }
     }
 
@@ -215,9 +194,9 @@ impl Cluster {
             }),
         );
         let cost = SimDuration::from_nanos(500) + self.cfg.profile.memcpy_cost(len);
-        self.submit_sliced_copy(
+        self.submit_task(
             cost,
-            CopyWork::ShmSend {
+            Task::ShmSend {
                 owner: proc,
                 msg,
                 req,
@@ -286,9 +265,9 @@ impl Cluster {
         x.req = posted.req;
         let receiver = x.peer.proc;
         let cost = self.cfg.profile.memcpy_cost(copy_len);
-        self.submit_sliced_copy(
+        self.submit_task(
             cost,
-            CopyWork::ShmDeliver {
+            Task::ShmDeliver {
                 owner: receiver,
                 msg,
             },
@@ -359,9 +338,9 @@ impl Cluster {
         );
         let frags = simnet::frame::frame_count(len, self.cfg.net.mtu);
         let cost = self.cfg.profile.memcpy_cost(len) + self.cfg.profile.tx_setup.times(frags);
-        self.submit_sliced_copy(
+        self.submit_task(
             cost,
-            CopyWork::EagerCopyOut {
+            Task::EagerCopyOut {
                 owner: proc,
                 msg,
                 req,
@@ -457,7 +436,7 @@ impl Cluster {
             if m.rx.absorb(frag, offset, data) {
                 let cost = self.cfg.profile.memcpy_cost(m.copy_len);
                 let proc = x.proc;
-                self.submit_sliced_copy(cost, CopyWork::EagerDeliver { owner: proc, msg });
+                self.submit_task(cost, Task::EagerDeliver { owner: proc, msg });
             }
             return;
         }
@@ -480,7 +459,7 @@ impl Cluster {
                 self.insert_eager_rx(dst, posted.req, rx, posted.addr, copy_len);
                 if complete {
                     let cost = self.cfg.profile.memcpy_cost(copy_len);
-                    self.submit_sliced_copy(cost, CopyWork::EagerDeliver { owner: dst, msg });
+                    self.submit_task(cost, Task::EagerDeliver { owner: dst, msg });
                 }
             }
             None => {
@@ -565,7 +544,7 @@ impl Cluster {
         hint: OverlapHint,
     ) {
         let node = self.procs[proc.0 as usize].node;
-        let Ok((region, owned)) = self.acquire_region(proc, segments) else {
+        let Ok(region) = self.acquire_region(proc, segments) else {
             self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.notify_app(proc, AppEvent::Failed(req, "send region rejected (empty)"));
             return;
@@ -584,14 +563,13 @@ impl Cluster {
                     region,
                     node,
                     total_len: len,
-                    owned,
                     pull_seen: false,
                     rndv_sent_at: None,
                 }),
             }),
         );
         self.nodes[node].counters.bump(Counter::RndvMsgsTx);
-        self.pin_then(proc, region, target, hint, msg, None);
+        self.pin_then(node, region, target, hint, msg, None);
     }
 
     /// (Re)send the rendezvous and (re)arm its retransmission timer.
@@ -704,7 +682,7 @@ impl Cluster {
             self.emit(node, Some(proc), TraceEvent::OverlapMissTx { msg, block });
             // Make sure pinning is (still) progressing toward the end.
             let target = self.pin_target(node, region, limit);
-            self.ensure_pinned(node, proc, region, target, None);
+            self.ensure_pinned(node, region, target, None);
         }
         for (f, off, data) in replies {
             let frame = self.frame(
@@ -740,7 +718,7 @@ impl Cluster {
         if let Some(sent) = s.rndv_sent_at {
             self.metrics.rndv_rtt.record(self.now.duration_since(sent));
         }
-        self.release_region(proc, s.node, s.region, s.owned);
+        self.release_region(s.node, s.region);
         self.emit(s.node, Some(proc), TraceEvent::SendDone { msg });
         self.notify_app(proc, AppEvent::SendDone(x.req));
     }
@@ -776,7 +754,7 @@ impl Cluster {
                 self.insert_eager_rx(proc, req, rx, addr, copy_len);
                 if complete {
                     let cost = self.cfg.profile.memcpy_cost(copy_len);
-                    self.submit_sliced_copy(cost, CopyWork::EagerDeliver { owner: proc, msg });
+                    self.submit_task(cost, Task::EagerDeliver { owner: proc, msg });
                 }
             }
             Some(Unexpected::Rndv {
@@ -833,7 +811,7 @@ impl Cluster {
                 len: reg_len,
             }],
         );
-        let Ok((region, owned)) = acquired else {
+        let Ok(region) = acquired else {
             // Zero-length posted buffer: fail the receive cleanly; the
             // sender recovers through its normal retry/timeout path.
             self.nodes[node].counters.bump(Counter::RequestsFailed);
@@ -874,7 +852,6 @@ impl Cluster {
                     id: pull,
                     region,
                     node,
-                    owned,
                     xfer_len,
                     blocks,
                     next_block: 0,
@@ -887,7 +864,7 @@ impl Cluster {
         );
         self.arm_retry((msg, End::Rx), 0);
         self.emit(node, Some(proc), TraceEvent::RndvRx { msg, len: xfer_len });
-        self.pin_then(proc, region, target, posted.hint, msg, Some(pull));
+        self.pin_then(node, region, target, posted.hint, msg, Some(pull));
     }
 
     /// Send the initial window of pull requests.
@@ -1049,7 +1026,7 @@ impl Cluster {
                 TraceEvent::PacketDrop { pull, msg, offset },
             );
             let target = self.pin_target(node, region, xfer_len);
-            self.ensure_pinned(node, proc, region, target, None);
+            self.ensure_pinned(node, region, target, None);
             return;
         }
         self.nodes[node].counters.bump(Counter::PullFramesOk);
@@ -1174,7 +1151,7 @@ impl Cluster {
         self.transmit_notify(msg);
         self.arm_retry((msg, End::Rx), 0);
         debug_assert_eq!(p.frames_placed, p.frames_total, "placed every frame");
-        self.release_region(proc, p.node, p.region, p.owned);
+        self.release_region(p.node, p.region);
         self.emit(
             p.node,
             Some(proc),
@@ -1341,61 +1318,58 @@ impl Cluster {
         &mut self,
         proc: ProcId,
         segments: Vec<Segment>,
-    ) -> Result<(RegionId, bool), DeclareError> {
+    ) -> Result<RegionId, DeclareError> {
         let idx = proc.0 as usize;
         let node = self.procs[idx].node;
         let space = self.procs[idx].space;
-        let (rid, owned) = if self.cfg.pinning.caches() {
-            match self.procs[idx].cache.lookup(&segments) {
-                crate::cache::CacheOutcome::Hit(rid) => {
-                    self.nodes[node].counters.bump(Counter::CacheHit);
-                    self.emit(node, Some(proc), TraceEvent::CacheHit { region: rid });
-                    (rid, false)
-                }
-                crate::cache::CacheOutcome::Miss => {
+        let caches = self.cfg.pinning.caches();
+        let rid = match caches.then(|| self.procs[idx].cache.lookup(&segments)) {
+            Some(crate::cache::CacheOutcome::Hit(rid)) => {
+                self.nodes[node].counters.bump(Counter::CacheHit);
+                self.emit(node, Some(proc), TraceEvent::CacheHit { region: rid });
+                rid
+            }
+            lookup => {
+                if lookup.is_some() {
                     self.nodes[node].counters.bump(Counter::CacheMiss);
                     self.emit(node, Some(proc), TraceEvent::CacheMiss);
-                    let rid = self.nodes[node]
-                        .driver
-                        .declare_owned(space, proc, &segments)?;
-                    let pages = self.nodes[node].driver.region(rid).layout.total_pages();
-                    self.emit(
-                        node,
-                        Some(proc),
-                        TraceEvent::RegionDeclare { region: rid, pages },
-                    );
+                }
+                let rid = self.nodes[node]
+                    .driver
+                    .declare_owned(space, proc, &segments)?;
+                let r = self.nodes[node].driver.region_mut(rid);
+                // Without a cache, the one communication that declared
+                // the region is its only use.
+                r.undeclare_when_idle = !caches;
+                let pages = r.layout.total_pages();
+                self.emit(
+                    node,
+                    Some(proc),
+                    TraceEvent::RegionDeclare { region: rid, pages },
+                );
+                if caches {
                     if let Some(victim) = self.procs[idx].cache.insert(segments, rid) {
                         self.evict_cached_region(proc, node, victim);
                     }
-                    (rid, false)
                 }
+                rid
             }
-        } else {
-            let rid = self.nodes[node]
-                .driver
-                .declare_owned(space, proc, &segments)?;
-            let pages = self.nodes[node].driver.region(rid).layout.total_pages();
-            self.emit(
-                node,
-                Some(proc),
-                TraceEvent::RegionDeclare { region: rid, pages },
-            );
-            (rid, true)
         };
         let now = self.now;
         let r = self.nodes[node].driver.region_mut(rid);
         r.use_count += 1;
         r.last_use = now;
-        Ok((rid, owned))
+        Ok(rid)
     }
 
-    /// LRU-evicted cache entry: undeclare now if idle, else defer.
+    /// LRU-evicted cache entry: undeclare now if idle, else at its last
+    /// release.
     fn evict_cached_region(&mut self, proc: ProcId, node: usize, victim: RegionId) {
         self.nodes[node].counters.bump(Counter::CacheEvictions);
         self.emit(node, Some(proc), TraceEvent::CacheEvict { region: victim });
-        if self.nodes[node].driver.region(victim).use_count == 0 {
-            let pages = self.nodes[node].driver.region(victim).pinned_pages();
-            let cost = self.cfg.profile.unpin_cost(pages);
+        let r = self.nodes[node].driver.region_mut(victim);
+        if r.use_count == 0 {
+            let cost = self.cfg.profile.unpin_cost(r.pinned_pages());
             self.submit_kernel_work(
                 proc,
                 cost,
@@ -1403,70 +1377,63 @@ impl Cluster {
                     node,
                     region: victim,
                     owner: proc,
-                    undeclare: true,
                 },
             );
         } else {
-            self.nodes[node].deferred_undeclare.insert(victim);
+            r.undeclare_when_idle = true;
         }
     }
 
-    /// Drop one communication's use of a region; schedule unpin/undeclare
-    /// when appropriate.
-    fn release_region(&mut self, proc: ProcId, node: usize, region: RegionId, owned: bool) {
+    /// Drop one communication's use of a region; schedule its unpin and
+    /// undeclare when it is idle and marked to go.
+    fn release_region(&mut self, node: usize, region: RegionId) {
         let now = self.now;
         let r = self.nodes[node].driver.region_mut(region);
         assert!(r.use_count > 0, "release of unused region");
         r.use_count -= 1;
         r.last_use = now;
         let idle = r.use_count == 0;
-        let pages = r.pinned_pages();
+        let (pages, owner, undeclare) = (r.pinned_pages(), r.owner, r.undeclare_when_idle);
         if idle {
             // The region just became an eviction candidate (it may be
             // unpinned/undeclared below, which the LRU tolerates — heap
             // entries are validated on pop).
             self.nodes[node].driver.note_region_idle(region);
         }
-        if idle && (owned || self.nodes[node].deferred_undeclare.remove(&region)) {
-            self.nodes[node].pin_plans.remove(&region);
+        if idle && undeclare {
+            self.take_pin_pass(node, region);
             let cost = self.cfg.profile.unpin_cost(pages);
             self.submit_kernel_work(
-                proc,
+                owner,
                 cost,
                 Work::UnpinRegion {
                     node,
                     region,
-                    owner: proc,
-                    undeclare: true,
+                    owner,
                 },
             );
         }
     }
 
-    fn on_unpin_region(&mut self, node: usize, region: RegionId, owner: ProcId, undeclare: bool) {
-        if !self.nodes[node].driver.is_declared(region) {
-            return;
-        }
+    fn on_unpin_region(&mut self, node: usize, region: RegionId, owner: ProcId) {
         // A crash reap may have freed this region id and a later declare
         // recycled it: a stale queued unpin must not touch the new owner's
-        // region.
-        if self.nodes[node].driver.region(region).owner != owner {
+        // region. A late communication may have re-acquired the region
+        // (cached modes only re-use via the cache, which no longer knows
+        // it, so this only guards pathological interleavings).
+        if self.nodes[node]
+            .driver
+            .try_region(region)
+            .is_none_or(|r| r.owner != owner || r.use_count > 0)
+        {
             return;
         }
-        // A late communication may have re-acquired the region (cached
-        // modes only re-use via the cache, which no longer knows it, so
-        // this only guards pathological interleavings).
-        if self.nodes[node].driver.region(region).use_count > 0 {
-            return;
-        }
+        self.take_pin_pass(node, region);
         let n = &mut self.nodes[node];
         let pages = n.driver.unpin_region(&mut n.mem, region);
         n.counters.add(Counter::UnpinPages, pages);
-        if undeclare {
-            n.driver.undeclare(&mut n.mem, region);
-            self.emit(node, None, TraceEvent::RegionUndeclare { region });
-        }
-        self.nodes[node].pin_plans.remove(&region);
+        n.driver.undeclare(&mut n.mem, region);
+        self.emit(node, None, TraceEvent::RegionUndeclare { region });
     }
 
     // ================== on-demand pinning machinery ==================
@@ -1479,101 +1446,91 @@ impl Cluster {
         last + 1
     }
 
-    /// Ensure the region's pin cursor is heading for `target_pages`.
+    /// Take `region`'s pin pass off it and give the pages its in-flight
+    /// chunk reserved back to the owner's headroom.
+    fn take_pin_pass(&mut self, node: usize, region: RegionId) -> Option<PinPass> {
+        let r = self.nodes[node].driver.try_region_mut(region)?;
+        let pass = r.pass.take()?;
+        self.procs[r.owner.0 as usize].pin_reserved -= pass.reserved;
+        Some(pass)
+    }
+
+    /// Ensure the region's pin cursor is heading for `target_pages`,
+    /// starting a pass charged to the region's owner if none runs.
     /// Returns true if `waiter`'s threshold is already satisfied (the
     /// caller runs the action itself); otherwise the waiter queues.
     pub(crate) fn ensure_pinned(
         &mut self,
         node: usize,
-        proc: ProcId,
         region: RegionId,
         target_pages: u64,
         waiter: Option<PinWaiter>,
     ) -> bool {
+        let now = self.now;
+        let r = self.nodes[node].driver.region_mut(region);
         // The protocol-visible cursor: stale pages awaiting a deferred
         // unpin are excluded, so an invalidated tail reads as unpinned
         // here even while its frames are still attached.
-        let r = self.nodes[node].driver.region(region);
-        let (cursor, generation) = (r.valid_pages(), r.generation);
-        let plan = self.nodes[node]
-            .pin_plans
-            .entry(region)
-            .or_insert_with(|| PinPlan::new(proc));
-        plan.target = plan.target.max(target_pages);
-        plan.proc = proc;
-        let satisfied = waiter.is_none_or(|w| cursor >= w.threshold_pages);
-        if let Some(w) = waiter {
-            if !satisfied {
-                plan.waiters.push(w);
-            }
-        }
-        let target = plan.target;
-        let in_progress = plan.in_progress;
-        if let Some(w) = waiter {
-            if !satisfied {
-                // The transfer's protocol action is now queued behind the
-                // pin cursor: open its pin-wait interval.
-                self.emit(
-                    node,
-                    Some(proc),
-                    TraceEvent::PinWaitStart { msg: w.msg, region },
-                );
-            }
-        }
-        if cursor < target && !in_progress {
-            let now = self.now;
-            let plan = self.nodes[node].pin_plans.get_mut(&region).expect("plan");
-            plan.in_progress = true;
-            plan.started_at = Some(now);
+        let (cursor, owner) = (r.valid_pages(), r.owner);
+        let starts = r.pass.is_none() && cursor < target_pages;
+        if starts {
             // Stamp the pass with the region generation it saw: a
             // notifier invalidation bumps the region's copy, and the
             // mismatch restarts the pass at its next chunk.
-            plan.generation = generation;
-            // Mirror into the driver's region state: the notifier and the
-            // pressure evictor must see that a pin pass is in flight even
-            // while the cursor still reads zero.
-            self.nodes[node]
-                .driver
-                .region_mut(region)
-                .pinning_in_progress = true;
+            r.pass = Some(PinPass::new(target_pages, r.generation, now));
+        }
+        let satisfied = waiter.is_none_or(|w| cursor >= w.threshold_pages);
+        let Some(pass) = r.pass.as_mut() else {
+            return satisfied; // nothing to pin
+        };
+        pass.target = pass.target.max(target_pages);
+        let target = pass.target;
+        if let Some(w) = waiter.filter(|_| !satisfied) {
+            pass.waiters.push(w);
+            // The transfer's protocol action is now queued behind the
+            // pin cursor: open its pin-wait interval.
             self.emit(
                 node,
-                Some(proc),
+                Some(owner),
+                TraceEvent::PinWaitStart { msg: w.msg, region },
+            );
+        }
+        if starts {
+            self.emit(
+                node,
+                Some(owner),
                 TraceEvent::PinStart {
                     region,
                     target_pages: target,
                 },
             );
-            self.submit_pin_chunk(node, proc, region, cursor, target);
-        } else if cursor >= target {
-            // Nothing to pin; a waiterless plan can go away.
-            let plans = &mut self.nodes[node].pin_plans;
-            if plans[&region].waiters.is_empty() && !plans[&region].in_progress {
-                plans.remove(&region);
-            }
+            self.submit_pin_chunk(node, region, cursor, target);
         }
         satisfied
     }
 
-    fn submit_pin_chunk(
-        &mut self,
-        node: usize,
-        proc: ProcId,
-        region: RegionId,
-        cursor: u64,
-        target: u64,
-    ) {
+    fn submit_pin_chunk(&mut self, node: usize, region: RegionId, cursor: u64, target: u64) {
         let pages = self.cfg.pin_chunk_pages.min(target - cursor);
+        let owner = self.nodes[node].driver.region(region).owner;
         // Per-tenant hard cap, enforced before the chunk is charged: a
         // tenant out of headroom pays with its own idle regions and,
         // failing that, has the pass denied — it never pushes the whole
         // node into pressure eviction of other tenants' working sets.
-        // In-flight chunks of the same tenant count via their plans'
+        // In-flight chunks of the tenant's other passes count via their
         // reservations, so two passes racing the last of the headroom
         // cannot both squeeze through.
         if let Some(q) = self.nodes[node].driver.enforced_quota() {
-            let owner = self.nodes[node].driver.region(region).owner;
-            let reserved = self.reserved_pages(node, owner, region);
+            let own = self.nodes[node].driver.region(region).pass.as_ref();
+            let reserved =
+                self.procs[owner.0 as usize].pin_reserved - own.map_or(0, |p| p.reserved);
+            debug_assert_eq!(
+                reserved,
+                (self.nodes[node].driver.iter_regions())
+                    .filter(|&(rid, r)| rid != region && r.owner == owner)
+                    .filter_map(|(_, r)| r.pass.as_ref().map(|p| p.reserved))
+                    .sum::<u64>(),
+                "the sum over the owner's other passes"
+            );
             let over_cap =
                 |d: &crate::Driver| d.pinned_pages_of(owner) + reserved + pages > q.hard_cap;
             if over_cap(&self.nodes[node].driver) {
@@ -1618,7 +1575,7 @@ impl Cluster {
         let now = self.now;
         let evicted = {
             let n = &mut self.nodes[node];
-            n.driver.pressure_evict(&mut n.mem, pages, now, Some(proc))
+            n.driver.pressure_evict(&mut n.mem, pages, now, Some(owner))
         };
         for (rid, p) in evicted {
             self.emit(
@@ -1632,24 +1589,13 @@ impl Cluster {
         }
         // The chunk is on its way to a kernel core: reserve its pages
         // against the tenant's cap until `on_pin_chunk` settles them.
-        if let Some(plan) = self.nodes[node].pin_plans.get_mut(&region) {
-            plan.reserved = pages;
+        if let Some(pass) = self.nodes[node].driver.region_mut(region).pass.as_mut() {
+            let held = &mut self.procs[owner.0 as usize].pin_reserved;
+            *held = *held - pass.reserved + pages;
+            pass.reserved = pages;
         }
         let duration = self.cfg.profile.pin_cost(pages, cursor == 0);
-        self.submit_kernel_work(proc, duration, Work::PinChunk { node, region });
-    }
-
-    /// Pages reserved by in-flight pin chunks of `owner`'s *other* plans
-    /// on `node` (the plan for `region` is the one being charged here).
-    fn reserved_pages(&self, node: usize, owner: ProcId, region: RegionId) -> u64 {
-        let n = &self.nodes[node];
-        n.pin_plans
-            .iter()
-            .filter(|(&rid, _)| {
-                rid != region && n.driver.try_region(rid).is_some_and(|r| r.owner == owner)
-            })
-            .map(|(_, p)| p.reserved)
-            .sum()
+        self.submit_kernel_work(owner, duration, Work::PinChunk { node, region });
     }
 
     /// Deny a pin pass that cannot proceed without busting its tenant's
@@ -1666,10 +1612,7 @@ impl Cluster {
         if released > 0 {
             self.nodes[node].counters.add(Counter::UnpinPages, released);
         }
-        if let Some(r) = self.nodes[node].driver.try_region_mut(region) {
-            r.pinning_in_progress = false;
-        }
-        self.nodes[node].pin_plans.remove(&region);
+        self.take_pin_pass(node, region);
         self.nodes[node].counters.bump(Counter::QuotaDenials);
         self.nodes[node].driver.note_quota_denial(owner);
         self.emit(node, Some(owner), TraceEvent::PinDenied { region, pages });
@@ -1677,40 +1620,36 @@ impl Cluster {
     }
 
     fn on_pin_chunk(&mut self, node: usize, region: RegionId) {
-        if !self.nodes[node].driver.is_declared(region) {
-            self.nodes[node].pin_plans.remove(&region);
-            return;
-        }
-        let Some(plan) = self.nodes[node].pin_plans.get_mut(&region) else {
-            return; // plan cancelled (transfer completed/aborted)
+        let Some(r) = self.nodes[node].driver.try_region_mut(region) else {
+            return; // region undeclared while the chunk was queued
+        };
+        let (owner, region_gen, cursor) = (r.owner, r.generation, r.valid_pages());
+        let Some(pass) = r.pass.as_mut() else {
+            return; // pass dropped (transfer completed/aborted)
         };
         // The submitted chunk has arrived: its reservation against the
         // tenant's cap settles into the attributed pin count below.
-        plan.reserved = 0;
-        let (target, proc, plan_gen) = (plan.target, plan.proc, plan.generation);
-        let (region_gen, cursor) = {
-            let r = self.nodes[node].driver.region(region);
-            (r.generation, r.valid_pages())
-        };
-        if region_gen != plan_gen {
+        self.procs[owner.0 as usize].pin_reserved -= pass.reserved;
+        pass.reserved = 0;
+        let target = pass.target;
+        if region_gen != pass.generation {
             // A notifier invalidation landed while this pass was in
             // flight: the chunk just charged was computed against a
             // cursor the invalidation has since rewound, and pinning
             // blindly from here would re-pin just-invalidated pages.
             // Abort the pass and restart it from the rewound cursor —
             // the simulated `mmu_notifier_retry`.
-            let plan = self.nodes[node].pin_plans.get_mut(&region).expect("plan");
-            plan.generation = region_gen;
+            pass.generation = region_gen;
             self.nodes[node].counters.bump(Counter::PinPassRestarts);
             if cursor < target {
-                self.submit_pin_chunk(node, proc, region, cursor, target);
+                self.submit_pin_chunk(node, region, cursor, target);
             } else {
-                self.finish_pin_plan(node, region, cursor);
+                self.finish_pin_pass(node, region, cursor);
             }
             return;
         }
         if cursor >= target {
-            self.finish_pin_plan(node, region, cursor);
+            self.finish_pin_pass(node, region, cursor);
             return;
         }
         let want = self.cfg.pin_chunk_pages.min(target - cursor);
@@ -1749,7 +1688,7 @@ impl Cluster {
                         .counters
                         .add(Counter::UnpinPages, rolled_back);
                 }
-                self.nodes[node].pin_plans.remove(&region);
+                self.take_pin_pass(node, region);
                 self.nodes[node].counters.bump(Counter::PinFailures);
                 self.fail_region_users(node, region, "pinning failed (invalid region)");
             }
@@ -1772,7 +1711,7 @@ impl Cluster {
                 let cursor = self.nodes[node].driver.region(region).valid_pages();
                 self.emit(
                     node,
-                    Some(proc),
+                    Some(owner),
                     TraceEvent::PinChunk {
                         region,
                         pages: progress.pages_pinned,
@@ -1781,9 +1720,10 @@ impl Cluster {
                 );
                 // Fire satisfied waiters.
                 let fired: Vec<PinWaiter> = {
-                    let plan = self.nodes[node].pin_plans.get_mut(&region).expect("plan");
+                    let r = self.nodes[node].driver.region_mut(region);
+                    let pass = r.pass.as_mut().expect("a running pass");
                     let mut fired = Vec::new();
-                    plan.waiters.retain(|w| {
+                    pass.waiters.retain(|w| {
                         if cursor >= w.threshold_pages {
                             fired.push(*w);
                             false
@@ -1796,72 +1736,61 @@ impl Cluster {
                 for w in fired {
                     self.emit(
                         node,
-                        Some(proc),
+                        Some(owner),
                         TraceEvent::PinWaitEnd { msg: w.msg, region },
                     );
                     self.run_pin_waiter(w);
                 }
-                let target = self.nodes[node]
-                    .pin_plans
-                    .get(&region)
-                    .map(|p| p.target)
-                    .unwrap_or(0);
+                let r = self.nodes[node].driver.region(region);
+                let target = r.pass.as_ref().map_or(0, |p| p.target);
                 if cursor < target {
-                    self.submit_pin_chunk(node, proc, region, cursor, target);
+                    self.submit_pin_chunk(node, region, cursor, target);
                 } else {
-                    self.finish_pin_plan(node, region, cursor);
+                    self.finish_pin_pass(node, region, cursor);
                 }
             }
         }
     }
 
-    fn finish_pin_plan(&mut self, node: usize, region: RegionId, cursor: u64) {
-        let now = self.now;
-        if let Some(r) = self.nodes[node].driver.try_region_mut(region) {
-            r.pinning_in_progress = false;
-        }
+    fn finish_pin_pass(&mut self, node: usize, region: RegionId, cursor: u64) {
+        let pass = self.take_pin_pass(node, region);
         // With the pin pass over, an idle pinned region is an eviction
         // candidate: file it with the pressure LRU.
         self.nodes[node].driver.note_region_idle(region);
-        if let Some(plan) = self.nodes[node].pin_plans.get_mut(&region) {
-            let was_running = plan.in_progress;
-            plan.in_progress = false;
-            if let Some(started) = plan.started_at.take() {
-                self.metrics.pin_latency.record(now.duration_since(started));
-                self.metrics.pin_burst_pages.push(cursor as f64);
-            }
-            let proc = plan.proc;
-            if plan.waiters.is_empty() {
-                self.nodes[node].pin_plans.remove(&region);
-            }
-            if was_running {
-                self.emit(
-                    node,
-                    Some(proc),
-                    TraceEvent::PinComplete {
-                        region,
-                        cursor_pages: cursor,
-                    },
-                );
-            }
-        }
+        let Some(pass) = pass else {
+            return; // dropped by a waiter's release
+        };
+        debug_assert!(pass.waiters.is_empty(), "a finished pass fired its waiters");
+        let now = self.now;
+        self.metrics
+            .pin_latency
+            .record(now.duration_since(pass.started_at));
+        self.metrics.pin_burst_pages.push(cursor as f64);
+        let owner = self.nodes[node].driver.region(region).owner;
+        self.emit(
+            node,
+            Some(owner),
+            TraceEvent::PinComplete {
+                region,
+                cursor_pages: cursor,
+            },
+        );
     }
 
-    /// Pin `region` toward `target` pages for `proc`'s transfer `msg` and
-    /// then send its rendezvous (`pull` is `None`) or start its pull, once
-    /// the cursor allows: when overlapping, after the first
-    /// `presync_pages` (at once when that is zero — the action then races
-    /// the pin); otherwise after the whole target.
+    /// Pin `region` toward `target` pages for transfer `msg` and then
+    /// send its rendezvous (`pull` is `None`) or start its pull, once the
+    /// cursor allows: when overlapping, after the first `presync_pages`
+    /// (at once when that is zero — the action then races the pin);
+    /// otherwise after the whole target.
     fn pin_then(
         &mut self,
-        proc: ProcId,
+        node: usize,
         region: RegionId,
         target: u64,
         hint: OverlapHint,
         msg: MsgId,
         pull: Option<PullId>,
     ) {
-        let node = self.procs[proc.0 as usize].node;
         let threshold_pages = if hint.resolve(self.cfg.pinning.overlaps()) {
             self.cfg.presync_pages.min(target)
         } else {
@@ -1872,7 +1801,7 @@ impl Cluster {
             msg,
             pull,
         };
-        if self.ensure_pinned(node, proc, region, target, Some(waiter)) {
+        if self.ensure_pinned(node, region, target, Some(waiter)) {
             self.run_pin_waiter(waiter);
         }
     }
@@ -1888,31 +1817,27 @@ impl Cluster {
     }
 
     /// After an MMU-notifier invalidation, any transfer still using the
-    /// region needs its pin plan restarted (repin on demand). Every user
-    /// of a region belongs to its owner, so the target is the largest any
-    /// of them needs.
-    pub(crate) fn restart_pin_plan_if_needed(&mut self, node: usize, region: RegionId) {
-        let mut need: Option<(ProcId, u64)> = None;
-        for x in self.xfers.values() {
-            if let Some((_, _, len, _)) = x
-                .region_use()
-                .filter(|&(n, r, _, _)| n == node && r == region)
-            {
-                let t = self.pin_target(node, region, len);
-                let cur = need.map_or(0, |(_, t)| t);
-                need = Some((x.proc, t.max(cur)));
-            }
-        }
-        if let Some((proc, target)) = need {
+    /// region needs its pin pass restarted (repin on demand), toward the
+    /// largest target any of them needs.
+    pub(crate) fn restart_pin_pass_if_needed(&mut self, node: usize, region: RegionId) {
+        let target = self
+            .xfers
+            .values()
+            .filter_map(|x| x.region_use())
+            .filter(|&(n, r, _)| n == node && r == region)
+            .map(|(_, _, len)| self.pin_target(node, region, len))
+            .max();
+        if let Some(target) = target {
+            let owner = self.nodes[node].driver.region(region).owner;
             self.emit(
                 node,
-                Some(proc),
+                Some(owner),
                 TraceEvent::Repin {
                     region,
                     target_pages: target,
                 },
             );
-            self.ensure_pinned(node, proc, region, target, None);
+            self.ensure_pinned(node, region, target, None);
         }
     }
 
@@ -1951,7 +1876,7 @@ impl Cluster {
             .iter()
             .filter(|(_, x)| {
                 x.region_use()
-                    .is_some_and(|(n, r, ..)| n == node && r == region)
+                    .is_some_and(|(n, r, _)| n == node && r == region)
             })
             .map(|(&(msg, end), x)| (end, x.pull_id().map_or(msg.0, |p| p.0), msg))
             .collect();
@@ -1969,9 +1894,9 @@ impl Cluster {
             return;
         }
         let x = self.xfers.remove(&key).expect("looked up above");
-        let (node, region, _, owned) = x.region_use().expect("a region user");
+        let (node, region, _) = x.region_use().expect("a region user");
         self.cancel_timer(x.retry.timer);
-        self.release_region(x.proc, node, region, owned);
+        self.release_region(node, region);
         self.nodes[node].counters.bump(Counter::RequestsFailed);
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
     }

@@ -20,7 +20,7 @@ mod xfer;
 
 pub use ctx::Ctx;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use simcore::{
     CpuCore, EventId, EventQueue, Priority, SimDuration, SimRng, SimTime, Work as CpuWork,
@@ -38,7 +38,8 @@ use crate::obs::{
 };
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 use rto::RttEstimator;
-use xfer::{PendingCopy, Phase, PinPlan, Xfer, XferKey};
+pub(crate) use xfer::PinPass;
+use xfer::{PendingCopy, Phase, Xfer, XferKey};
 
 /// Identifies a simulated process (rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -125,38 +126,26 @@ pub(crate) enum Work {
     Syscall { proc: ProcId, action: SyscallAction },
     /// Pin the next chunk of a region (on-demand pinning).
     PinChunk { node: usize, region: RegionId },
-    /// Unpin (and maybe undeclare) a region at transfer end. `owner`
-    /// guards against slot reuse: a crash reap may free the region id
-    /// while this work is queued, and a recycled id must not be unpinned
-    /// under its new owner.
+    /// Unpin and undeclare a region at its last use. `owner` guards
+    /// against slot reuse: a crash reap may free the region id while this
+    /// work is queued, and a recycled id must not be unpinned under its
+    /// new owner.
     UnpinRegion {
         node: usize,
         region: RegionId,
         owner: ProcId,
-        undeclare: bool,
     },
     /// Bottom-half processing of one received frame.
     BhFrame(Frame),
-    /// Application compute phase (one bounded slice; long phases are
-    /// chunked so kernel work can interleave, like timer preemption).
-    Compute {
-        proc: ProcId,
-        token: u64,
-        remaining: SimDuration,
-    },
-    /// A copy charged in one piece.
-    Copy(CopyWork),
-    /// One bounded slice of a longer copy; `then` fires when the whole
-    /// chain has been charged (keeps long copies preemptible at slice
-    /// granularity).
-    Slice {
-        then: CopyWork,
-        remaining: SimDuration,
-    },
+    /// One bounded slice of a process's task; `then` fires once
+    /// `remaining` is charged too. Slicing keeps long copies and compute
+    /// phases preemptible, as the scheduler's timer tick would.
+    Slice { then: Task, remaining: SimDuration },
 }
 
-/// The copies a process's core runs, the only work that is sliced.
-pub(crate) enum CopyWork {
+/// What a process's core runs in slices: the copies, and application
+/// compute phases.
+pub(crate) enum Task {
     /// Sender-side eager copy into the static pinned buffer + tx setup.
     EagerCopyOut {
         owner: ProcId,
@@ -173,16 +162,19 @@ pub(crate) enum CopyWork {
     },
     /// Intra-node receive copy.
     ShmDeliver { owner: ProcId, msg: MsgId },
+    /// An application compute phase; `token` echoes the caller's.
+    ComputeDone { owner: ProcId, token: u64 },
 }
 
-impl CopyWork {
-    /// The process whose core runs the copy.
+impl Task {
+    /// The process whose core runs the task.
     fn owner(&self) -> ProcId {
         match self {
-            CopyWork::EagerCopyOut { owner, .. }
-            | CopyWork::EagerDeliver { owner, .. }
-            | CopyWork::ShmSend { owner, .. }
-            | CopyWork::ShmDeliver { owner, .. } => *owner,
+            Task::EagerCopyOut { owner, .. }
+            | Task::EagerDeliver { owner, .. }
+            | Task::ShmSend { owner, .. }
+            | Task::ShmDeliver { owner, .. }
+            | Task::ComputeDone { owner, .. } => *owner,
         }
     }
 }
@@ -206,7 +198,9 @@ pub(crate) enum SyscallAction {
     },
 }
 
-/// One simulated host.
+/// One simulated host. What the engine knows about a region (its pin
+/// pass, whether its last release undeclares it) lives on the driver's
+/// region, not in a table here.
 pub(crate) struct Node {
     pub mem: Memory,
     pub cores: Vec<CpuCore<Work>>,
@@ -222,13 +216,8 @@ pub(crate) struct Node {
     /// only when an invalidation defers while no epoch is open — never
     /// re-armed from its own firing, so an idle node stays quiescent.
     pub epoch_armed: bool,
-    /// On-demand pin plans of this node's regions.
-    pub pin_plans: BTreeMap<RegionId, PinPlan>,
     /// Parked I/OAT copies, by completion token.
     pub ioat_copies: BTreeMap<u64, PendingCopy>,
-    /// Cache-evicted regions that were still in use at eviction time:
-    /// undeclare them when their last use drains.
-    pub deferred_undeclare: BTreeSet<RegionId>,
 }
 
 /// One simulated process (rank) and its kernel-side identity.
@@ -247,6 +236,9 @@ pub(crate) struct ProcSlot {
     /// The process is dead (crashed, not yet restarted): its endpoint is
     /// fenced and no application events are delivered.
     pub crashed: bool,
+    /// Pages of this process's in-flight pin chunks, reserved against its
+    /// hard cap: the sum of `reserved` over its regions' pin passes.
+    pub pin_reserved: u64,
 }
 
 /// The simulation engine. See the module docs.
@@ -298,9 +290,7 @@ impl Cluster {
                 counters: CounterSet::default(),
                 bh_core: 0,
                 epoch_armed: false,
-                pin_plans: BTreeMap::new(),
                 ioat_copies: BTreeMap::new(),
-                deferred_undeclare: BTreeSet::new(),
             })
             .collect();
         Cluster {
@@ -353,6 +343,7 @@ impl Cluster {
             stopped: false,
             incarnation: 0,
             crashed: false,
+            pin_reserved: 0,
         };
         self.procs.push(slot);
         ProcId(self.procs.len() as u32 - 1)
@@ -570,13 +561,16 @@ impl Cluster {
 
     /// In-flight protocol state: one entry per transfer end (a receive
     /// counts once whether it is pulling or awaiting its notify's ack),
-    /// per parked I/OAT copy and per pin plan — zero means every posted
-    /// operation has fully drained.
+    /// per parked I/OAT copy and per region with a pin pass — zero means
+    /// every posted operation has fully drained.
     pub fn inflight_xfers(&self) -> usize {
         let per_node: usize = self
             .nodes
             .iter()
-            .map(|n| n.ioat_copies.len() + n.pin_plans.len())
+            .map(|n| {
+                let passes = n.driver.iter_regions().filter(|(_, r)| r.pinning());
+                n.ioat_copies.len() + passes.count()
+            })
             .sum();
         self.xfers.len() + per_node
     }
@@ -780,6 +774,8 @@ impl Cluster {
         // below with everything else the dead tenant declared.)
         self.procs[idx].endpoint = Endpoint::new();
         self.procs[idx].cache = RegionCache::new(0);
+        // Its pin passes and their reservations go with its regions.
+        self.procs[idx].pin_reserved = 0;
         // Kernel exit path: reap every region the dead tenant owned (one
         // batched unpin per region, debited against its quota row before
         // the row is dropped), then tear down the address space. The reap
@@ -891,14 +887,6 @@ impl Cluster {
         }
         self.fail_orphans(eager_orphans);
         self.fail_orphans(shm_orphans);
-        // In-flight pin passes charged to the dead process, and
-        // cache-eviction undeclare intents for its regions: the driver
-        // reap right after this sweep undeclares them all.
-        let n = &mut self.nodes[node];
-        n.pin_plans.retain(|_, p| p.proc != proc);
-        let driver = &n.driver;
-        n.deferred_undeclare
-            .retain(|&rid| driver.try_region(rid).is_none_or(|r| r.owner != proc));
         // Fence every live endpoint's unexpected queue: parked messages
         // from the dead incarnation must never match a future receive.
         let mut purged = 0usize;
@@ -986,23 +974,13 @@ impl Cluster {
         self.submit_work(node, core, Priority::Task, duration, work);
     }
 
-    /// Submit a copy at Task priority on its owner's core, sliced into
-    /// bounded chunks so interrupts and kernel work interleave during
-    /// long copies.
-    pub(crate) fn submit_sliced_copy(&mut self, duration: SimDuration, copy: CopyWork) {
-        let proc = copy.owner();
-        if duration <= Self::COMPUTE_SLICE {
-            self.submit_proc_work(proc, duration, Work::Copy(copy));
-        } else {
-            self.submit_proc_work(
-                proc,
-                Self::COMPUTE_SLICE,
-                Work::Slice {
-                    then: copy,
-                    remaining: duration - Self::COMPUTE_SLICE,
-                },
-            );
-        }
+    /// Submit a task of `duration` at Task priority on its owner's core,
+    /// sliced into bounded chunks so interrupts and kernel work
+    /// interleave during long copies and compute phases.
+    pub(crate) fn submit_task(&mut self, duration: SimDuration, then: Task) {
+        let slice = Self::COMPUTE_SLICE.min(duration);
+        let remaining = duration - slice;
+        self.submit_proc_work(then.owner(), slice, Work::Slice { then, remaining });
     }
 
     /// Submit kernel-context work (pinning, unpinning) on a process's
@@ -1135,12 +1113,12 @@ impl Cluster {
                 None,
                 TraceEvent::NotifierInvalidate { region: rid, pages },
             );
-            // In-use regions must repin: restart their pin plan.
-            self.restart_pin_plan_if_needed(node, rid);
+            // In-use regions must repin: restart their pin pass.
+            self.restart_pin_pass_if_needed(node, rid);
         }
         for (rid, pages) in deferred {
             self.emit(node, None, TraceEvent::NotifierDefer { region: rid, pages });
-            self.restart_pin_plan_if_needed(node, rid);
+            self.restart_pin_pass_if_needed(node, rid);
         }
         // Open a flush epoch the first time something defers; the drain
         // at epoch close batches every hit accumulated until then.

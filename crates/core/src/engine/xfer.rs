@@ -17,6 +17,10 @@
 //! is deterministic. Its values are boxed: an insert or removal shifts
 //! the entries after it within a tree node, and moving pointers keeps
 //! the eager path as fast as the per-state tables it replaced.
+//!
+//! A rendezvous or pull names its region by id and keeps nothing else
+//! about it: the region's [`PinPass`] and whether its last release
+//! undeclares it live on the driver's region itself.
 
 use std::collections::BTreeMap;
 
@@ -98,12 +102,12 @@ impl Xfer {
         }
     }
 
-    /// The region this end pins, as `(node, region, transfer length,
-    /// owned)`: rendezvous sends and pulls only.
-    pub fn region_use(&self) -> Option<(usize, RegionId, u64, bool)> {
+    /// The region this end pins, as `(node, region, transfer length)`:
+    /// rendezvous sends and pulls only.
+    pub fn region_use(&self) -> Option<(usize, RegionId, u64)> {
         match &self.phase {
-            Phase::Rndv(x) => Some((x.node, x.region, x.total_len, x.owned)),
-            Phase::Pull(x) => Some((x.node, x.region, x.xfer_len, x.owned)),
+            Phase::Rndv(x) => Some((x.node, x.region, x.total_len)),
+            Phase::Pull(x) => Some((x.node, x.region, x.xfer_len)),
             _ => None,
         }
     }
@@ -161,9 +165,6 @@ pub(crate) struct Rndv {
     pub region: RegionId,
     pub node: usize,
     pub total_len: u64,
-    /// This transfer owns the region (non-cached modes): unpin + undeclare
-    /// at completion.
-    pub owned: bool,
     /// A pull request arrived — the rendezvous got through.
     pub pull_seen: bool,
     /// When the first rendezvous went on the wire (metrics: the overlap
@@ -221,7 +222,6 @@ pub(crate) struct Pull {
     pub id: PullId,
     pub region: RegionId,
     pub node: usize,
-    pub owned: bool,
     /// Bytes actually transferred (min of sent and posted length).
     pub xfer_len: u64,
     pub blocks: Vec<Block>,
@@ -305,18 +305,19 @@ pub(crate) struct PinWaiter {
     pub pull: Option<PullId>,
 }
 
-/// Per-region on-demand pin plan.
-pub(crate) struct PinPlan {
+/// A region's running pin pass, kept on its
+/// [`DriverRegion`](crate::region::DriverRegion) from the first chunk's
+/// submit until the cursor reaches `target` (or the pass fails or is
+/// dropped with the region's last use). Its work runs on the region
+/// owner's core.
+#[derive(Debug)]
+pub(crate) struct PinPass {
     /// Pin cursor goal (pages).
     pub target: u64,
-    /// A PinChunk work item is queued or running.
-    pub in_progress: bool,
-    /// When the current pin burst started driving the cursor (metrics:
-    /// pin latency is measured from here to quiescence).
-    pub started_at: Option<SimTime>,
+    /// When the pass started driving the cursor (metrics: pin latency is
+    /// measured from here to the pass's end).
+    pub started_at: SimTime,
     pub waiters: Vec<PinWaiter>,
-    /// Process whose core is charged for the pin work.
-    pub proc: ProcId,
     /// Region generation this pass was stamped with at pin-start. A
     /// notifier invalidation bumps the region's generation; the pass
     /// detects the mismatch at its next chunk and restarts from the
@@ -330,15 +331,13 @@ pub(crate) struct PinPlan {
     pub reserved: u64,
 }
 
-impl PinPlan {
-    pub fn new(proc: ProcId) -> Self {
-        PinPlan {
-            target: 0,
-            in_progress: false,
-            started_at: None,
+impl PinPass {
+    pub fn new(target: u64, generation: u64, started_at: SimTime) -> Self {
+        PinPass {
+            target,
+            started_at,
             waiters: Vec::new(),
-            proc,
-            generation: 0,
+            generation,
             reserved: 0,
         }
     }
@@ -394,7 +393,6 @@ mod tests {
             id: PullId(0),
             region: RegionId(0),
             node: 0,
-            owned: false,
             xfer_len: 0,
             blocks,
             next_block: 0,

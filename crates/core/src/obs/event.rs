@@ -80,7 +80,7 @@ pub enum TraceEvent {
         /// The released descriptor.
         region: RegionId,
     },
-    /// A pin plan started driving the region's pin cursor toward a target.
+    /// A pin pass started driving the region's pin cursor toward a target.
     PinStart {
         /// Region being pinned.
         region: RegionId,

@@ -6,7 +6,7 @@ use simcore::{FixedHistogram, OnlineStats, SimDuration};
 /// Cluster-wide latency metrics, recorded whether or not tracing is on
 /// (every record is a fixed-cost histogram increment).
 ///
-/// * **Pin latency** — pin-start to pin-complete of one pin plan burst:
+/// * **Pin latency** — pin-start to pin-complete of one pin pass:
 ///   how long the driver took to walk the cursor to its target.
 /// * **Rendezvous round trip** — rendezvous transmission to the matching
 ///   notify: the full large-message transaction as the sender sees it.
@@ -14,7 +14,7 @@ use simcore::{FixedHistogram, OnlineStats, SimDuration};
 ///   request: the round trip the paper hides pinning behind (§3.3).
 #[derive(Clone, Debug)]
 pub struct Metrics {
-    /// Pin-start → pin-complete, per pin plan burst.
+    /// Pin-start → pin-complete, per pin pass.
     pub pin_latency: FixedHistogram,
     /// Rendezvous → notify, per large-message send.
     pub rndv_rtt: FixedHistogram,

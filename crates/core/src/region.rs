@@ -18,7 +18,7 @@ use simmem::{
     AsId, MemError, Memory, NotifierEvent, PageSnapshot, Pfn, VirtAddr, Vpn, VpnRange, PAGE_SIZE,
 };
 
-use crate::engine::ProcId;
+use crate::engine::{PinPass, ProcId};
 
 /// One contiguous piece of a (possibly vectorial) user region.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -259,8 +259,14 @@ pub struct DriverRegion {
     pub use_count: u32,
     /// Last time a communication used this region (pressure LRU).
     pub last_use: SimTime,
-    /// A pin pass is currently queued/running on a core.
-    pub pinning_in_progress: bool,
+    /// The pin pass driving the cursor while one is queued or running on
+    /// a core. The driver asks only whether there is one: a region in
+    /// mid-pass is busy even while its cursor still reads zero.
+    pub(crate) pass: Option<PinPass>,
+    /// Undeclare the region once its last communication releases it: set
+    /// at declaration in the modes without a cache, and when the cache
+    /// evicts a region still in use.
+    pub undeclare_when_idle: bool,
     /// Invalidation generation, bumped by the driver on every notifier hit.
     /// A pin pass stamps the generation it started under and restarts when
     /// a completed chunk observes a newer one — the simulated equivalent of
@@ -291,7 +297,8 @@ impl DriverRegion {
             stale_from: None,
             use_count: 0,
             last_use: SimTime::ZERO,
-            pinning_in_progress: false,
+            pass: None,
+            undeclare_when_idle: false,
             generation: 0,
         })
     }
@@ -322,6 +329,17 @@ impl DriverRegion {
     /// True when no page is pinned.
     pub fn unpinned(&self) -> bool {
         self.pfns.is_empty()
+    }
+
+    /// True while a pin pass is queued or running.
+    pub fn pinning(&self) -> bool {
+        self.pass.is_some()
+    }
+
+    /// True when pressure may unpin the region: pinned, with neither a
+    /// communication nor a pin pass using it.
+    pub(crate) fn evictable(&self) -> bool {
+        self.use_count == 0 && !self.unpinned() && !self.pinning()
     }
 
     /// Pin up to `max_pages` further pages in region order, batching each
@@ -421,13 +439,13 @@ impl DriverRegion {
         &self.pfns
     }
 
-    /// Release all pins. Returns the number of pages released.
+    /// Release all pins. Returns the number of pages released. A running
+    /// pin pass stays: it pins the region back from the empty cursor.
     pub fn unpin_all(&mut self, mem: &mut Memory) -> u64 {
         let n = self.pfns.len() as u64;
         mem.unpin_pages(&self.pfns);
         self.pfns.clear();
         self.stale_from = None;
-        self.pinning_in_progress = false;
         n
     }
 

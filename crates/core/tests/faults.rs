@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, OverlapHint, ProcId, Process};
 
-use openmx_core::{Counter, OpenMxConfig, PinningMode, RequestId, TraceEvent};
+use openmx_core::{Counter, OpenMxConfig, PinningMode, RequestId, Segment, TraceEvent};
 use simcore::{SimDuration, SimTime};
 
 type StartFn = Box<dyn FnMut(&mut Ctx<'_>)>;
@@ -61,7 +61,7 @@ fn run_panics_on_a_pin_leaked_behind_the_drivers_back() {
 /// syscall until then the sender's core is the only thing running: no
 /// frame, no timer. At each of those instants one completion is pending
 /// and due, the audit does not treat the cluster as quiescent although
-/// the transfer and its pin plan are in flight, and `step_until` counts
+/// the transfer and its pin pass are in flight, and `step_until` counts
 /// the completion as one event.
 #[test]
 fn a_running_core_is_pending_work() {
@@ -463,4 +463,55 @@ fn a_failed_pulls_pin_waiter_does_not_start_its_successor() {
     let pull_reqs = rx_times(&cl, |e| matches!(e, TraceEvent::PullReq { .. }));
     let initial = pull_reqs.iter().filter(|&&t| t == waits_ended[0]).count();
     assert_eq!(initial, window, "one initial window of pull requests");
+}
+
+/// A process crashes while one of its pin chunks sits on its core; after
+/// the restart, a region declared for it takes the freed id. The new
+/// region starts with no pin pass and no undeclare mark, and the stale
+/// chunk, when it runs, leaves it alone.
+#[test]
+fn a_stale_pin_chunk_leaves_a_recycled_region_id_alone() {
+    const LEN: u64 = 1 << 20;
+    let mut cl = Cluster::new(OpenMxConfig::with_mode(PinningMode::Cached), 2);
+    let tx = cl.add_process(0, idle());
+    cl.add_process(1, idle());
+    cl.step_until(SimTime::ZERO);
+    cl.drive(tx, |ctx| {
+        let buf = ctx.malloc(LEN);
+        ctx.isend(ProcId(1), 1, buf, LEN);
+    });
+    // The send's syscall declares the region and starts its pass, whose
+    // first chunk goes to the sender's core.
+    let pinning = |cl: &Cluster| cl.driver(0).iter_regions().any(|(_, r)| r.pinning());
+    while !pinning(&cl) {
+        let t = cl.next_event_time().expect("the syscall is pending");
+        cl.step_until(t);
+    }
+    let (old, _) = cl
+        .driver(0)
+        .iter_regions()
+        .next()
+        .expect("the send's region");
+    cl.crash_proc(tx);
+    assert_eq!(cl.driver(0).declared_count(), 0, "the crash reaped it");
+    assert_eq!(cl.pending_events(), 1, "the chunk is still on the core");
+    cl.restart_proc(tx, idle());
+    let addr = cl.vm_mmap(tx, LEN);
+    let space = cl.space_of(tx);
+    let seg = Segment { addr, len: LEN };
+    let new = cl.driver_mut(0).declare_owned(space, tx, &[seg]).unwrap();
+    assert_eq!(new, old, "the freed id is recycled");
+    let r = cl.driver(0).region(new);
+    assert!(!r.pinning() && !r.undeclare_when_idle);
+    assert_eq!(cl.audit().violations, vec![]);
+    let chunks = cl.node_counters(0).get(Counter::PinChunks);
+    cl.step_until(SimTime::from_nanos(u64::MAX));
+    assert_eq!(cl.pending_events(), 0, "the stale chunk ran");
+    let r = cl.driver(0).region(new);
+    assert!(r.unpinned() && !r.pinning(), "the stale chunk was a no-op");
+    assert_eq!(cl.node_counters(0).get(Counter::PinChunks), chunks);
+    // A second crash reaps the hand-declared region, which no cache
+    // names, so the quiescence laws hold too.
+    cl.crash_proc(tx);
+    cl.audit().assert_clean();
 }

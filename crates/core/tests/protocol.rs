@@ -161,6 +161,98 @@ fn concurrent_sends_from_one_buffer_share_the_cached_region() {
 }
 
 #[test]
+fn a_region_the_cache_evicts_in_use_is_undeclared_after_its_last_use() {
+    // With room for one region per process, the second of two concurrent
+    // sends from different buffers evicts the first send's region while
+    // that send still uses it (the receives do the same on their side).
+    // The region stays declared until its send completes, then it is
+    // undeclared; at quiescence each node holds just the region its
+    // cache names.
+    const LEN: u64 = 512 * 1024;
+    let mut cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+    cfg.cache_capacity = 1;
+    let mut cl = Cluster::new(cfg, 2);
+    cl.enable_trace();
+    let mut sent = 0;
+    cl.add_process(
+        0,
+        proc_of(
+            |ctx| {
+                for tag in 0..2 {
+                    let buf = ctx.malloc(LEN);
+                    ctx.write_buf(buf, &vec![tag as u8 + 1; LEN as usize]);
+                    ctx.isend(ProcId(1), tag, buf, LEN);
+                }
+            },
+            move |ctx, ev| {
+                if let AppEvent::SendDone(_) = ev {
+                    sent += 1;
+                    if sent == 2 {
+                        ctx.stop();
+                    }
+                }
+            },
+        ),
+    );
+    let mut received = 0;
+    cl.add_process(
+        1,
+        proc_of(
+            |ctx| {
+                for tag in 0..2 {
+                    let buf = ctx.malloc(LEN);
+                    ctx.irecv(tag, !0, buf, LEN);
+                }
+            },
+            move |ctx, ev| {
+                if let AppEvent::RecvDone(_, n) = ev {
+                    assert_eq!(n, LEN);
+                    received += 1;
+                    if received == 2 {
+                        ctx.stop();
+                    }
+                }
+            },
+        ),
+    );
+    cl.step_until(SimTime::ZERO);
+    while cl.node_counters(0).get(Counter::CacheEvictions) == 0 {
+        let t = cl.next_event_time().expect("the sends are pending");
+        cl.step_until(t);
+    }
+    let evicted = cl
+        .tracer()
+        .iter()
+        .find_map(|r| match r.event {
+            TraceEvent::CacheEvict { region } if r.node == 0 => Some(region),
+            _ => None,
+        })
+        .expect("the eviction is traced");
+    let r = cl.driver(0).region(evicted);
+    assert_eq!(r.use_count, 1, "evicted while its send runs");
+    assert!(r.undeclare_when_idle);
+    cl.run(None);
+    let at = |is: &dyn Fn(&TraceEvent) -> bool| {
+        let mut hits = cl.tracer().iter().filter(|r| r.node == 0 && is(&r.event));
+        hits.next().expect("traced").time
+    };
+    let first_send_done = at(&|e| matches!(e, TraceEvent::SendDone { .. }));
+    let undeclared =
+        at(&|e| matches!(e, TraceEvent::RegionUndeclare { region } if *region == evicted));
+    assert!(
+        undeclared >= first_send_done,
+        "undeclared after its last use"
+    );
+    assert!(cl.driver(0).try_region(evicted).is_none());
+    assert_eq!(cl.counters().get(Counter::RequestsFailed), 0);
+    for node in 0..2 {
+        assert_eq!(cl.node_counters(node).get(Counter::CacheEvictions), 1);
+        assert_eq!(cl.driver(node).declared_count(), 1, "the cached region");
+    }
+    cl.audit().assert_clean();
+}
+
+#[test]
 fn send_first_and_recv_first_orders_both_deliver() {
     // Unexpected-rndv path vs posted-first path must both work; use a
     // compute delay to force each ordering.
