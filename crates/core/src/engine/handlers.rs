@@ -206,7 +206,7 @@ impl Cluster {
     }
 
     fn on_shm_send(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
-        let Some(x) = self.xfers.get(&(msg, End::Tx)) else {
+        let Some(x) = self.xfers.get((msg, End::Tx)) else {
             // The crash sweep dropped the parked copy while this copy-out
             // sat on the sender's core: either side may have died. A live
             // sender gets a clean failure; a dead one gets silence.
@@ -226,7 +226,7 @@ impl Cluster {
             // since the send was posted. Shm has no watchdog to catch
             // this later, so fail the sender cleanly now instead of
             // parking bytes on a dead endpoint.
-            self.xfers.remove(&(msg, End::Tx));
+            self.xfers.remove((msg, End::Tx));
             let node = self.procs[owner.0 as usize].node;
             self.nodes[node].counters.bump(Counter::RequestsFailed);
             self.nodes[node].counters.bump(Counter::PeerDeadAborts);
@@ -239,7 +239,7 @@ impl Cluster {
         match self.procs[pidx].endpoint.match_incoming(match_info) {
             Some(posted) => self.shm_matched(msg, posted, total),
             None => {
-                let x = self.xfers.remove(&(msg, End::Tx)).expect("shm xfer");
+                let x = self.xfers.remove((msg, End::Tx)).expect("shm xfer");
                 let Phase::Shm(parked) = x.phase else {
                     unreachable!("shm xfer")
                 };
@@ -257,7 +257,7 @@ impl Cluster {
     /// Match a parked shm message to the receive `posted` of its peer.
     fn shm_matched(&mut self, msg: MsgId, posted: PostedRecv, total: u64) {
         let copy_len = total.min(posted.len);
-        let x = self.xfers.get_mut(&(msg, End::Tx)).expect("shm xfer");
+        let x = self.xfers.get_mut((msg, End::Tx)).expect("shm xfer");
         let Phase::Shm(parked) = &mut x.phase else {
             unreachable!("shm xfer")
         };
@@ -275,7 +275,7 @@ impl Cluster {
     }
 
     fn on_shm_deliver(&mut self, msg: MsgId) {
-        let Some(x) = self.xfers.remove(&(msg, End::Tx)) else {
+        let Some(x) = self.xfers.remove((msg, End::Tx)) else {
             return; // crash sweep already failed/settled this transfer
         };
         let Phase::Shm(parked) = x.phase else {
@@ -364,7 +364,7 @@ impl Cluster {
         let mtu = self.cfg.net.mtu;
         let now = self.now;
         let key = (msg, End::Tx);
-        let Some(x) = self.xfers.get_mut(&key) else {
+        let Some(x) = self.xfers.get_mut(key) else {
             return; // acked and reclaimed while this work was queued
         };
         let Phase::EagerTx(tx) = &mut x.phase else {
@@ -395,7 +395,7 @@ impl Cluster {
         }
         let x = self
             .xfers
-            .get_mut(&key)
+            .get_mut(key)
             .expect("transmit keeps the transfer");
         let Phase::EagerTx(tx) = &mut x.phase else {
             unreachable!("eager send")
@@ -424,7 +424,7 @@ impl Cluster {
             return;
         }
         // Matched, still reassembling?
-        if let Some(x) = self.xfers.get_mut(&(msg, End::Rx)) {
+        if let Some(x) = self.xfers.get_mut((msg, End::Rx)) {
             let Phase::EagerRx(m) = &mut x.phase else {
                 unreachable!("eager receive")
             };
@@ -492,7 +492,7 @@ impl Cluster {
     }
 
     fn on_eager_deliver(&mut self, msg: MsgId) {
-        let Some(x) = self.xfers.remove(&(msg, End::Rx)) else {
+        let Some(x) = self.xfers.remove((msg, End::Rx)) else {
             return; // crash sweep already failed/settled this transfer
         };
         let Phase::EagerRx(m) = x.phase else {
@@ -575,7 +575,7 @@ impl Cluster {
     /// (Re)send the rendezvous and (re)arm its retransmission timer.
     fn send_rndv(&mut self, msg: MsgId) {
         let (now, key) = (self.now, (msg, End::Tx));
-        let Some((proc, peer, retry, Phase::Rndv(x))) = self.xfers.get_mut(&key).map(|x| x.parts())
+        let Some((proc, peer, retry, Phase::Rndv(x))) = self.xfers.get_mut(key).map(|x| x.parts())
         else {
             return; // transfer aborted while the pin waiter was queued
         };
@@ -613,7 +613,7 @@ impl Cluster {
         xfer_len: u64,
     ) {
         let (now, key) = (self.now, (msg, End::Tx));
-        let Some((proc, peer, retry, Phase::Rndv(x))) = self.xfers.get_mut(&key).map(|x| x.parts())
+        let Some((proc, peer, retry, Phase::Rndv(x))) = self.xfers.get_mut(key).map(|x| x.parts())
         else {
             let node = self.node_of(dst);
             self.nodes[node].counters.bump(Counter::PullReqStale);
@@ -705,7 +705,7 @@ impl Cluster {
         // Always ack so the receiver can quiesce, even for duplicates.
         let ack = self.frame(dst, src, WireMsg::NotifyAck { msg });
         self.transmit(ack);
-        let Some(x) = self.xfers.remove(&(msg, End::Tx)) else {
+        let Some(x) = self.xfers.remove((msg, End::Tx)) else {
             let node = self.node_of(dst);
             self.nodes[node].counters.bump(Counter::NotifyDup);
             return; // duplicate notify
@@ -947,7 +947,7 @@ impl Cluster {
         let idx = dst.0 as usize;
         // Duplicate suppression: already matched, queued, or finished.
         if self.procs[idx].endpoint.is_completed(msg)
-            || self.xfers.contains_key(&(msg, End::Rx))
+            || self.xfers.contains_key((msg, End::Rx))
             || self.procs[idx].endpoint.has_unexpected(msg)
         {
             let node = self.procs[idx].node;
@@ -1139,7 +1139,7 @@ impl Cluster {
     /// Every frame of the pull landed: complete the receive, and turn its
     /// entry into the notify that retransmits until the sender acks.
     fn finish_recv(&mut self, msg: MsgId) {
-        let x = self.xfers.get_mut(&(msg, End::Rx)).expect("pulling");
+        let x = self.xfers.get_mut((msg, End::Rx)).expect("pulling");
         let Phase::Pull(p) = std::mem::replace(&mut x.phase, Phase::Notify) else {
             unreachable!("pulling")
         };
@@ -1167,17 +1167,17 @@ impl Cluster {
         let key = (msg, End::Rx);
         if self
             .xfers
-            .get(&key)
+            .get(key)
             .is_some_and(|x| matches!(x.phase, Phase::Notify))
         {
-            let x = self.xfers.remove(&key).expect("looked up above");
+            let x = self.xfers.remove(key).expect("looked up above");
             self.cancel_timer(x.retry.timer);
         }
     }
 
     /// (Re)send the completion notify of a received transfer.
     fn transmit_notify(&mut self, msg: MsgId) {
-        let x = &self.xfers[&(msg, End::Rx)];
+        let x = &self.xfers[(msg, End::Rx)];
         let f = self.frame(x.proc, x.peer, WireMsg::Notify { msg });
         self.transmit(f);
     }
@@ -1267,7 +1267,7 @@ impl Cluster {
                     retry,
                     phase: Phase::EagerTx(tx),
                     ..
-                }) = self.xfers.remove(&(msg, End::Tx)).map(|x| *x)
+                }) = self.xfers.remove((msg, End::Tx)).map(|x| *x)
                 {
                     self.cancel_timer(retry.timer);
                     // Karn's rule: only a never-retransmitted exchange gives
@@ -1878,7 +1878,7 @@ impl Cluster {
                 x.region_use()
                     .is_some_and(|(n, r, _)| n == node && r == region)
             })
-            .map(|(&(msg, end), x)| (end, x.pull_id().map_or(msg.0, |p| p.0), msg))
+            .map(|((msg, end), x)| (end, x.pull_id().map_or(msg.0, |p| p.0), msg))
             .collect();
         users.sort_unstable();
         for (end, id, msg) in users {
@@ -1890,10 +1890,10 @@ impl Cluster {
     /// Fail a rendezvous send (`pull` is `None`) or the pull `pull`, if
     /// that is still what `key` runs: release its region and report.
     fn fail_xfer(&mut self, key: XferKey, pull: Option<PullId>, reason: &'static str) {
-        if self.xfers.get(&key).is_none_or(|x| x.pull_id() != pull) {
+        if self.xfers.get(key).is_none_or(|x| x.pull_id() != pull) {
             return;
         }
-        let x = self.xfers.remove(&key).expect("looked up above");
+        let x = self.xfers.remove(key).expect("looked up above");
         let (node, region, _) = x.region_use().expect("a region user");
         self.cancel_timer(x.retry.timer);
         self.release_region(node, region);
@@ -1923,7 +1923,7 @@ impl Cluster {
     /// backoff. Only the resend, the terminal action and the counter
     /// names differ per phase.
     fn on_retry_timer(&mut self, key: XferKey) {
-        let Some(x) = self.xfers.get_mut(&key) else {
+        let Some(x) = self.xfers.get_mut(key) else {
             return;
         };
         x.retry.retries += 1;
@@ -1951,7 +1951,7 @@ impl Cluster {
         }
         if let Phase::Rndv(Rndv {
             pull_seen: true, ..
-        }) = self.xfers[&key].phase
+        }) = self.xfers[key].phase
         {
             // Completion watchdog: the transfer is in the receiver's
             // hands (it pulls at its own pace), so there is nothing
@@ -1973,7 +1973,7 @@ impl Cluster {
         };
         self.nodes[node].counters.bump(counter);
         self.emit(node, Some(proc), TraceEvent::Retransmit { kind, id, msg });
-        match &self.xfers[&key].phase {
+        match &self.xfers[key].phase {
             Phase::EagerTx(_) => self.transmit_eager_frames(msg),
             // Re-arms itself before tracing the rendezvous.
             Phase::Rndv(_) => return self.send_rndv(msg),
@@ -1994,11 +1994,11 @@ impl Cluster {
     /// A retried entry's terminal transition: its peer is gone, or
     /// (`exhausted`) its retry budget ran out.
     fn end_retry(&mut self, key: XferKey, exhausted: bool) {
-        let x = &self.xfers[&key];
+        let x = &self.xfers[key];
         let (proc, req, node) = (x.proc, x.req, self.procs[x.proc.0 as usize].node);
         match &x.phase {
             Phase::EagerTx(_) => {
-                self.xfers.remove(&key);
+                self.xfers.remove(key);
                 if exhausted {
                     self.nodes[node].counters.bump(Counter::EagerAbandoned);
                 }
@@ -2037,7 +2037,7 @@ impl Cluster {
                 // will never ack; a silent live one has its completion
                 // watchdog turn the silence into a clean send-side
                 // failure. Either way, drop the state.
-                self.xfers.remove(&key);
+                self.xfers.remove(key);
                 if exhausted {
                     self.nodes[node].counters.bump(Counter::NotifyAbandoned);
                 }
@@ -2049,7 +2049,7 @@ impl Cluster {
     /// A pending timer moves; a fired one is replaced. No-op (and no
     /// timeout drawn) once the entry is gone.
     fn arm_retry(&mut self, key: XferKey, attempt: u32) {
-        let Some(x) = self.xfers.get_mut(&key) else {
+        let Some(x) = self.xfers.get_mut(key) else {
             return;
         };
         let node = self.procs[x.proc.0 as usize].node;

@@ -10,8 +10,8 @@
 //! memory copies, wire time) to the right resource at the right instant.
 //!
 //! The event loop is strictly deterministic: stable event ordering, seeded
-//! RNG, `BTreeMap` state tables. Running the same configuration twice
-//! produces byte-identical traces.
+//! RNG, state tables iterated in key order. Running the same
+//! configuration twice produces byte-identical traces.
 
 mod ctx;
 mod handlers;
@@ -39,7 +39,7 @@ use crate::obs::{
 use crate::wire::{Frame, MsgId, PullId, WireMsg};
 use rto::RttEstimator;
 pub(crate) use xfer::PinPass;
-use xfer::{PendingCopy, Phase, Xfer, XferKey};
+use xfer::{PendingCopy, Phase, Xfer, XferKey, XferTable};
 
 /// Identifies a simulated process (rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -248,8 +248,9 @@ pub struct Cluster {
     pub(crate) net: Network,
     pub(crate) nodes: Vec<Node>,
     pub(crate) procs: Vec<ProcSlot>,
-    /// Every in-flight transfer end (see `xfer` for why it is boxed).
-    pub(crate) xfers: BTreeMap<XferKey, Box<Xfer>>,
+    /// Every in-flight transfer end, found by one index on its message
+    /// id (see `XferTable`).
+    pub(crate) xfers: XferTable,
     pub(crate) next_msg: u64,
     pub(crate) next_pull: u64,
     pub(crate) next_req: u64,
@@ -299,7 +300,7 @@ impl Cluster {
             net,
             nodes,
             procs: Vec::new(),
-            xfers: BTreeMap::new(),
+            xfers: XferTable::default(),
             next_msg: 0,
             next_pull: 0,
             next_req: 0,
@@ -870,7 +871,7 @@ impl Cluster {
             x.proc == proc
                 || (x.peer.proc == proc && matches!(x.phase, Phase::EagerRx(_) | Phase::Shm(_)))
         };
-        for (_, x) in self.xfers.extract_if(.., |_, x| doomed(x)) {
+        for (_, x) in self.xfers.extract_if(doomed) {
             cancel_in(&mut self.queue, x.retry.timer);
             match x.phase {
                 // A live receiver mid-reassembly from the dead sender: the
@@ -1173,5 +1174,105 @@ impl Cluster {
 fn cancel_in(queue: &mut EventQueue<Event>, timer: Option<EventId>) {
     if let Some(id) = timer {
         queue.cancel(id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use simnet::{FaultConfig, FaultProfile};
+
+    use super::*;
+
+    /// Records every `Failed` event, with its process, in arrival order.
+    struct Recorder(ProcId, Rc<RefCell<Vec<(ProcId, RequestId)>>>);
+
+    impl Process for Recorder {
+        fn start(&mut self, _: &mut Ctx<'_>) {}
+        fn on_event(&mut self, _: &mut Ctx<'_>, ev: AppEvent) {
+            if let AppEvent::Failed(req, reason) = ev {
+                assert_eq!(reason, "peer crashed");
+                self.1.borrow_mut().push((self.0, req));
+            }
+        }
+    }
+
+    /// The crash reap is where the transfer table's iteration order shows:
+    /// a sender dies with two eager reassemblies and two matched
+    /// shared-memory receives orphaned at live receivers. Their `Failed`
+    /// events arrive eager first, each group in `MsgId` order, not in
+    /// process or request order.
+    #[test]
+    fn crash_orphans_fail_eager_first_each_in_msg_id_order() {
+        const BIG: u64 = 4 << 20;
+        const EAGER: u64 = 16 * 1024;
+        let mut cfg = OpenMxConfig::paper_default();
+        // Each eager message's first fragment gets through and the rest
+        // never do, so both reassemblies stay open.
+        let mut faults = FaultConfig::clean();
+        for dst in [1, 2] {
+            let first_only = FaultProfile {
+                drop_after: Some(1),
+                ..FaultProfile::default()
+            };
+            faults.set_link(0, dst, first_only);
+        }
+        cfg.net.faults = faults;
+        let failed = Rc::new(RefCell::new(Vec::new()));
+        let mut cl = Cluster::new(cfg, 3);
+        // The sender, its shared-memory peer, then one eager peer per node.
+        for node in [0, 0, 1, 2] {
+            let id = ProcId(cl.procs.len() as u32);
+            cl.add_process(node, Box::new(Recorder(id, failed.clone())));
+        }
+        let (tx, shm, eager_lo, eager_hi) = (ProcId(0), ProcId(1), ProcId(2), ProcId(3));
+        cl.step_until(SimTime::ZERO);
+        // Receives go up in the opposite order to the sends' message ids.
+        let recv = |ctx: &mut Ctx<'_>, tag, len| {
+            let buf = ctx.malloc(len);
+            ctx.irecv(tag, !0, buf, len)
+        };
+        let shm_recvs = cl.drive(shm, |ctx| {
+            let late = recv(ctx, 20, BIG);
+            [recv(ctx, 10, BIG), late]
+        });
+        let eager_recvs = [eager_hi, eager_lo].map(|p| cl.drive(p, |ctx| recv(ctx, 1, EAGER)));
+        // The large copy-out keeps the first shared-memory message matched
+        // while the rest go out; the eager sends take the higher ids.
+        cl.drive(tx, |ctx| {
+            for (dst, tag, len) in [
+                (shm, 10, BIG),
+                (shm, 20, BIG),
+                (eager_hi, 1, EAGER),
+                (eager_lo, 1, EAGER),
+            ] {
+                let buf = ctx.malloc(len);
+                ctx.isend(dst, tag, buf, len);
+            }
+        });
+        let orphans = |cl: &Cluster| {
+            let mut eager = 0;
+            let mut shm = 0;
+            for x in cl.xfers.values() {
+                match &x.phase {
+                    Phase::EagerRx(_) if x.peer.proc == tx => eager += 1,
+                    Phase::Shm(s) if x.proc == tx && s.dst.is_some() => shm += 1,
+                    _ => {}
+                }
+            }
+            (eager, shm)
+        };
+        while orphans(&cl) != (2, 2) {
+            let t = cl.next_event_time().expect("both groups open at once");
+            cl.step_until(t);
+        }
+        cl.crash_proc(tx);
+        let want: Vec<_> = [(eager_hi, eager_recvs[0]), (eager_lo, eager_recvs[1])]
+            .into_iter()
+            .chain(shm_recvs.map(|r| (shm, r)))
+            .collect();
+        assert_eq!(*failed.borrow(), want);
     }
 }

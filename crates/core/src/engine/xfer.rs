@@ -12,17 +12,17 @@
 //! names a pull checks it.
 //!
 //! These are plain data apart from [`Pull`]'s first-hole cursor; all
-//! protocol transitions live in the engine's handlers. The table is a
-//! `BTreeMap`, so iteration order (and therefore the whole simulation)
-//! is deterministic. Its values are boxed: an insert or removal shifts
-//! the entries after it within a tree node, and moving pointers keeps
-//! the eager path as fast as the per-state tables it replaced.
+//! protocol transitions live in the engine's handlers. The table is an
+//! [`XferTable`]: a window over the dense message ids, so every frame
+//! finds its end by one index, and iteration runs in `(MsgId, End)`
+//! order, which keeps the whole simulation deterministic.
 //!
 //! A rendezvous or pull names its region by id and keeps nothing else
 //! about it: the region's [`PinPass`] and whether its last release
 //! undeclares it live on the driver's region itself.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::ops::Index;
 
 use simcore::{EventId, SimTime};
 use simmem::{PageSnapshot, VirtAddr};
@@ -130,13 +130,160 @@ impl Xfer {
 /// the same key and another `PullId`: the dead pull's replies, I/OAT
 /// copies and pin waiter must not touch it.
 pub(crate) fn pull_of(
-    xfers: &mut BTreeMap<XferKey, Box<Xfer>>,
+    xfers: &mut XferTable,
     msg: MsgId,
     pull: PullId,
 ) -> Option<(ProcId, EndpointAddr, &mut Retry, &mut Pull)> {
-    match xfers.get_mut(&(msg, End::Rx))?.parts() {
+    match xfers.get_mut((msg, End::Rx))?.parts() {
         (proc, peer, retry, Phase::Pull(p)) if p.id == pull => Some((proc, peer, retry, p)),
         _ => None,
+    }
+}
+
+/// Every in-flight transfer end, indexed by [`XferKey`].
+///
+/// The table is a window over message ids: slot `i` of `slots` holds
+/// both ends of message `base + i`, indexed by [`End`], and the window
+/// spans the oldest live end to the newest. A lookup is one
+/// subtraction, one bounds check and one index; it never allocates, and
+/// an id below `base` or past the top finds nothing. An insert extends
+/// the window at either end, and a removal trims empty slots off both.
+/// Iteration runs in ascending `(MsgId, End)` order.
+///
+/// This relies on message ids being dense: `Cluster::alloc_msg` hands
+/// them out 1, 2, 3, … cluster-wide, and only ids it made are ever
+/// inserted. (Receivers insert ids read off the wire; the fabric drops,
+/// duplicates and reorders frames but never corrupts them.) The window
+/// is therefore as wide as the ids allocated over the oldest live end's
+/// life, at 16 bytes per id: a few hundred ids while a lost eager ack
+/// keeps its sender alive for a retransmit timeout. Values are boxed so
+/// that an id costs two pointers, live or not. `Endpoint`'s completed
+/// bitmap relies on the same density; if ids ever become per-peer, both
+/// must change.
+#[derive(Default)]
+pub(crate) struct XferTable {
+    /// The message id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<[Option<Box<Xfer>>; 2]>,
+    /// Live ends.
+    len: usize,
+}
+
+impl XferTable {
+    /// The slot of `msg`, if it is inside the window.
+    fn slot(&self, msg: MsgId) -> Option<&[Option<Box<Xfer>>; 2]> {
+        let i = usize::try_from(msg.0.checked_sub(self.base)?).ok()?;
+        self.slots.get(i)
+    }
+
+    fn slot_mut(&mut self, msg: MsgId) -> Option<&mut [Option<Box<Xfer>>; 2]> {
+        let i = usize::try_from(msg.0.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)
+    }
+
+    /// Number of live ends.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn get(&self, (msg, end): XferKey) -> Option<&Xfer> {
+        self.slot(msg)?[end as usize].as_deref()
+    }
+
+    pub fn get_mut(&mut self, (msg, end): XferKey) -> Option<&mut Xfer> {
+        self.slot_mut(msg)?[end as usize].as_deref_mut()
+    }
+
+    pub fn contains_key(&self, key: XferKey) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Put `x` at `key`, returning the end it replaces.
+    pub fn insert(&mut self, (msg, end): XferKey, x: Box<Xfer>) -> Option<Box<Xfer>> {
+        if self.slots.is_empty() {
+            self.base = msg.0;
+        } else if msg.0 < self.base {
+            for _ in msg.0..self.base {
+                self.slots.push_front([None, None]);
+            }
+            self.base = msg.0;
+        }
+        let i = usize::try_from(msg.0 - self.base).expect("window fits in memory");
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || [None, None]);
+        }
+        let old = self.slots[i][end as usize].replace(x);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    pub fn remove(&mut self, (msg, end): XferKey) -> Option<Box<Xfer>> {
+        let x = self.slot_mut(msg)?[end as usize].take()?;
+        self.len -= 1;
+        self.trim();
+        Some(x)
+    }
+
+    /// Drop the empty slots at both ends of the window.
+    fn trim(&mut self) {
+        while self
+            .slots
+            .front()
+            .is_some_and(|s| s[0].is_none() && s[1].is_none())
+        {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while self
+            .slots
+            .back()
+            .is_some_and(|s| s[0].is_none() && s[1].is_none())
+        {
+            self.slots.pop_back();
+        }
+    }
+
+    /// Every live end in `(MsgId, End)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (XferKey, &Xfer)> {
+        let base = self.base;
+        self.slots.iter().zip(base..).flat_map(|(slot, id)| {
+            [End::Tx, End::Rx]
+                .into_iter()
+                .filter_map(move |end| Some(((MsgId(id), end), slot[end as usize].as_deref()?)))
+        })
+    }
+
+    pub fn values(&self) -> impl Iterator<Item = &Xfer> {
+        self.iter().map(|(_, x)| x)
+    }
+
+    /// Remove every end `doomed` picks, returning them in `(MsgId, End)`
+    /// order.
+    pub fn extract_if(
+        &mut self,
+        mut doomed: impl FnMut(&Xfer) -> bool,
+    ) -> Vec<(XferKey, Box<Xfer>)> {
+        let mut out = Vec::new();
+        for (slot, id) in self.slots.iter_mut().zip(self.base..) {
+            for end in [End::Tx, End::Rx] {
+                if let Some(x) = slot[end as usize].take_if(|x| doomed(x)) {
+                    out.push(((MsgId(id), end), x));
+                }
+            }
+        }
+        self.len -= out.len();
+        self.trim();
+        out
+    }
+}
+
+impl Index<XferKey> for XferTable {
+    type Output = Xfer;
+
+    fn index(&self, key: XferKey) -> &Xfer {
+        self.get(key).expect("no transfer end at this key")
     }
 }
 
@@ -346,6 +493,124 @@ impl PinPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An end whose request id carries `tag`, so the model can tell
+    /// values apart.
+    fn tagged(tag: u64) -> Box<Xfer> {
+        Box::new(Xfer {
+            proc: ProcId(0),
+            peer: EndpointAddr {
+                proc: ProcId(1),
+                incarnation: 0,
+            },
+            req: RequestId(tag),
+            retry: Retry::default(),
+            phase: Phase::Notify,
+        })
+    }
+
+    /// The window answers every operation as a `BTreeMap` with the same
+    /// keys would, over random runs: both ends of one id, inserts below
+    /// `base`, removals of the first and last entries (the window trims
+    /// to them), a 10^6 id gap, lookups far outside the window, and the
+    /// crash reap's extract. Iteration order equals the model's.
+    #[test]
+    fn xfer_table_matches_a_btreemap_model() {
+        use std::collections::BTreeMap;
+
+        const GAP: u64 = 1_000_000;
+        for seed in 0..20 {
+            let mut rng = simcore::SimRng::new(seed);
+            let mut t = XferTable::default();
+            let mut model: BTreeMap<XferKey, u64> = BTreeMap::new();
+            let mut tag = 0;
+            for step in 0..2_000 {
+                let first = model.keys().next().map(|k| k.0 .0);
+                let last = model.keys().next_back().map(|k| k.0 .0);
+                let id = match rng.below(10) {
+                    // Below the window.
+                    0 | 1 => first.map_or(1, |f| f.saturating_sub(1 + rng.below(3))),
+                    2 | 3 => first.unwrap_or(1),
+                    4 => last.unwrap_or(1),
+                    _ => 1 + rng.below(40),
+                };
+                let end = if rng.chance(0.5) { End::Tx } else { End::Rx };
+                let key = (MsgId(id), end);
+                let ctx = format!("seed {seed} step {step} key {key:?}");
+                // One end across a 10^6 id gap for twenty steps, which
+                // random ops around the top may also remove.
+                let far = (MsgId(GAP + 40), End::Rx);
+                let op = match step {
+                    1_000 => 7,
+                    1_020 => 8,
+                    _ => rng.below(7),
+                };
+                match op {
+                    7 => {
+                        tag += 1;
+                        let old = t.insert(far, tagged(tag)).map(|x| x.req.0);
+                        assert_eq!(old, model.insert(far, tag), "{ctx}");
+                    }
+                    8 => {
+                        let gone = t.remove(far).map(|x| x.req.0);
+                        assert_eq!(gone, model.remove(&far), "{ctx}");
+                    }
+                    0 | 1 => {
+                        tag += 1;
+                        let old = t.insert(key, tagged(tag)).map(|x| x.req.0);
+                        assert_eq!(old, model.insert(key, tag), "{ctx}");
+                    }
+                    2 | 3 => {
+                        let gone = t.remove(key).map(|x| x.req.0);
+                        assert_eq!(gone, model.remove(&key), "{ctx}");
+                    }
+                    4 => {
+                        tag += 1;
+                        match (t.get_mut(key), model.get_mut(&key)) {
+                            (Some(x), Some(v)) => (x.req.0, *v) = (tag, tag),
+                            (None, None) => {}
+                            (x, v) => panic!("{ctx}: {:?} vs {v:?}", x.map(|x| x.req)),
+                        }
+                    }
+                    5 => assert_eq!(t.contains_key(key), model.contains_key(&key), "{ctx}"),
+                    _ if rng.chance(0.1) => {
+                        let m = rng.below(3);
+                        let got: Vec<_> = t
+                            .extract_if(|x| x.req.0 % 3 == m)
+                            .into_iter()
+                            .map(|(k, x)| (k, x.req.0))
+                            .collect();
+                        let want: Vec<_> = model.extract_if(.., |_, v| *v % 3 == m).collect();
+                        assert_eq!(got, want, "{ctx}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(t.len(), model.len(), "{ctx}");
+                // The window spans exactly the first to the last live id.
+                let span = match (model.keys().next(), model.keys().next_back()) {
+                    (Some(f), Some(l)) => {
+                        assert_eq!(t.base, f.0 .0, "{ctx}");
+                        l.0 .0 - f.0 .0 + 1
+                    }
+                    _ => 0,
+                };
+                assert_eq!(t.slots.len() as u64, span, "{ctx}");
+                if span < 1_000 || (seed, step) == (0, 1_010) {
+                    let got: Vec<_> = t.iter().map(|(k, x)| (k, x.req.0)).collect();
+                    let want: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(got, want, "{ctx}");
+                }
+                let top = t.base + t.slots.len() as u64;
+                for id in [0, t.base.wrapping_sub(1), top, top + GAP, u64::MAX] {
+                    for end in [End::Tx, End::Rx] {
+                        let key = (MsgId(id), end);
+                        let want = model.get(&key).copied();
+                        assert_eq!(t.get(key).map(|x| x.req.0), want, "{ctx} probe {id}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn block_mask_arithmetic() {
