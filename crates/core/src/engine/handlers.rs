@@ -862,19 +862,23 @@ impl Cluster {
                 }),
             }),
         );
-        self.arm_retry((msg, End::Rx), 0);
         self.emit(node, Some(proc), TraceEvent::RndvRx { msg, len: xfer_len });
         self.pin_then(node, region, target, posted.hint, msg, Some(pull));
     }
 
-    /// Send the initial window of pull requests.
+    /// Send the initial window of pull requests, if `pull` is still the
+    /// live pull of `msg`, and arm its stall timer. The timer starts with
+    /// the requests: the pin pass before them is host work, not loss.
     fn recv_start(&mut self, msg: MsgId, pull: PullId) {
-        let window = self.cfg.pull_window;
-        for _ in 0..window {
+        if pull_of(&mut self.xfers, msg, pull).is_none() {
+            return;
+        }
+        for _ in 0..self.cfg.pull_window {
             if !self.request_next_block(msg, pull) {
                 break;
             }
         }
+        self.arm_retry((msg, End::Rx), 0);
     }
 
     /// Request the next unrequested block, if any. Returns false when all
@@ -2093,5 +2097,112 @@ impl Cluster {
         static_guard
             .max(rtt.rto().unwrap_or(SimDuration::ZERO))
             .max(RETRANSMIT_MIN)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simcore::SimTime;
+
+    use super::*;
+    use crate::engine::tests::recorders;
+    use crate::PinningMode;
+
+    /// A receive fails while its pin waiter is still queued behind a slow
+    /// pin pass. A retransmitted rendezvous then starts a second pull for
+    /// the same `MsgId` into a second receive posted on the same buffer,
+    /// which queues behind the same pass. When the pass completes, the
+    /// dead pull's waiter fires first and must not start the second pull
+    /// a second time: one initial window of pull requests goes out, not
+    /// two.
+    ///
+    /// A pull's stall timer starts with its first request, so no timeout
+    /// can fail a pull during its pin wait, and a region failure takes
+    /// the pass and its waiters with it. The test therefore ends the
+    /// first pull's retry budget itself (`end_retry`, the timer's
+    /// terminal step) while its waiter is queued.
+    #[test]
+    fn a_failed_pulls_pin_waiter_does_not_start_its_successor() {
+        const LEN: u64 = 256 * 1024;
+        const TAG: u64 = 5;
+        let mut cfg = OpenMxConfig::with_mode(PinningMode::Cached);
+        // Over a 1 ms link, with a ~50 ms pin pass on each side: the
+        // sender's overlapped rendezvous goes out at once, and its timer,
+        // armed before any RTT sample, fires at the 30 ms ceiling. The
+        // retransmitted rendezvous (~32 ms) starts the second pull before
+        // the receiver's pass ends.
+        cfg.net.latency = SimDuration::from_millis(1);
+        cfg.profile.pin_per_page = SimDuration::from_micros(820);
+        cfg.retransmit_timeout = SimDuration::from_millis(30);
+        cfg.retransmit_jitter = 0.0;
+        let window = cfg.pull_window as usize;
+        let mut cl = Cluster::new(cfg, 2);
+        cl.enable_trace();
+        let seen = recorders(&mut cl, &[0, 1]);
+        let (tx, rx) = (ProcId(0), ProcId(1));
+        cl.step_until(SimTime::ZERO);
+        let first = cl.drive(rx, |ctx| {
+            let buf = ctx.malloc(LEN);
+            let first = ctx.irecv(TAG, !0, buf, LEN);
+            ctx.irecv(TAG, !0, buf, LEN);
+            first
+        });
+        cl.drive(tx, |ctx| {
+            let buf = ctx.malloc(LEN);
+            ctx.write_buf(buf, &vec![0x7e; LEN as usize]);
+            ctx.isend_hinted(rx, TAG, buf, LEN, OverlapHint::Force);
+        });
+        let key = loop {
+            if let Some((key, _)) = cl.xfers.iter().find(|(k, _)| k.1 == End::Rx) {
+                break key;
+            }
+            let t = cl.next_event_time().expect("the rendezvous is in flight");
+            cl.step_until(t);
+        };
+        let (node, region, _) = cl.xfers[key].region_use().expect("a pull");
+        assert!(
+            cl.nodes[node].driver.region(region).pinning(),
+            "the waiter is queued"
+        );
+        cl.end_retry(key, true);
+        cl.run(Some(SimTime::from_nanos(60_000_000_000)));
+        let seen = seen.borrow();
+        let of = |p| seen.iter().filter(move |(q, _)| *q == p).map(|(_, ev)| ev);
+        let tx_seen: Vec<_> = of(tx).collect();
+        assert!(
+            matches!(tx_seen.as_slice(), [AppEvent::SendDone(_)]),
+            "sender saw {tx_seen:?}"
+        );
+        let rx_seen: Vec<_> = of(rx).collect();
+        assert!(
+            matches!(
+                rx_seen.as_slice(),
+                [AppEvent::Failed(r, "pull transfer stalled"), AppEvent::RecvDone(_, LEN)]
+                    if *r == first
+            ),
+            "receiver saw {rx_seen:?}"
+        );
+        // The queue drained, so the run's audit checked for leaked transfers.
+        assert_eq!(cl.pending_events(), 0);
+        let rx_times = |is: fn(&TraceEvent) -> bool| -> Vec<SimTime> {
+            let rx = cl.tracer().iter().filter(|r| r.node == 1 && is(&r.event));
+            rx.map(|r| r.time).collect()
+        };
+        let rndv_rx = rx_times(|e| matches!(e, TraceEvent::RndvRx { .. }));
+        let waits_ended = rx_times(|e| matches!(e, TraceEvent::PinWaitEnd { .. }));
+        assert_eq!(
+            rndv_rx.len(),
+            2,
+            "the retransmitted rendezvous started a second pull"
+        );
+        assert_eq!(waits_ended.len(), 2, "both pulls queued behind the pass");
+        assert_eq!(waits_ended[0], waits_ended[1]);
+        assert!(
+            waits_ended[0] > rndv_rx[1],
+            "the pass outlived the first pull"
+        );
+        let pull_reqs = rx_times(|e| matches!(e, TraceEvent::PullReq { .. }));
+        let initial = pull_reqs.iter().filter(|&&t| t == waits_ended[0]).count();
+        assert_eq!(initial, window, "one initial window of pull requests");
     }
 }

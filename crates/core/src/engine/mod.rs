@@ -1186,17 +1186,27 @@ mod tests {
 
     use super::*;
 
-    /// Records every `Failed` event, with its process, in arrival order.
-    struct Recorder(ProcId, Rc<RefCell<Vec<(ProcId, RequestId)>>>);
+    /// Events seen by the processes of a test cluster, in arrival order.
+    pub(super) type Seen = Rc<RefCell<Vec<(ProcId, AppEvent)>>>;
+
+    /// A process that only records the events it sees.
+    pub(super) struct Recorder(pub ProcId, pub Seen);
 
     impl Process for Recorder {
         fn start(&mut self, _: &mut Ctx<'_>) {}
         fn on_event(&mut self, _: &mut Ctx<'_>, ev: AppEvent) {
-            if let AppEvent::Failed(req, reason) = ev {
-                assert_eq!(reason, "peer crashed");
-                self.1.borrow_mut().push((self.0, req));
-            }
+            self.1.borrow_mut().push((self.0, ev));
         }
+    }
+
+    /// Add one recording process per entry of `nodes`, on that node.
+    pub(super) fn recorders(cl: &mut Cluster, nodes: &[usize]) -> Seen {
+        let seen = Seen::default();
+        for &node in nodes {
+            let id = ProcId(cl.procs.len() as u32);
+            cl.add_process(node, Box::new(Recorder(id, seen.clone())));
+        }
+        seen
     }
 
     /// The crash reap is where the transfer table's iteration order shows:
@@ -1220,13 +1230,9 @@ mod tests {
             faults.set_link(0, dst, first_only);
         }
         cfg.net.faults = faults;
-        let failed = Rc::new(RefCell::new(Vec::new()));
         let mut cl = Cluster::new(cfg, 3);
         // The sender, its shared-memory peer, then one eager peer per node.
-        for node in [0, 0, 1, 2] {
-            let id = ProcId(cl.procs.len() as u32);
-            cl.add_process(node, Box::new(Recorder(id, failed.clone())));
-        }
+        let seen = recorders(&mut cl, &[0, 0, 1, 2]);
         let (tx, shm, eager_lo, eager_hi) = (ProcId(0), ProcId(1), ProcId(2), ProcId(3));
         cl.step_until(SimTime::ZERO);
         // Receives go up in the opposite order to the sends' message ids.
@@ -1268,11 +1274,13 @@ mod tests {
             let t = cl.next_event_time().expect("both groups open at once");
             cl.step_until(t);
         }
+        seen.borrow_mut().clear();
         cl.crash_proc(tx);
         let want: Vec<_> = [(eager_hi, eager_recvs[0]), (eager_lo, eager_recvs[1])]
             .into_iter()
             .chain(shm_recvs.map(|r| (shm, r)))
+            .map(|(p, req)| (p, AppEvent::Failed(req, "peer crashed")))
             .collect();
-        assert_eq!(*failed.borrow(), want);
+        assert_eq!(*seen.borrow(), want);
     }
 }
