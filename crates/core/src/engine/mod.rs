@@ -871,7 +871,7 @@ impl Cluster {
             x.proc == proc
                 || (x.peer.proc == proc && matches!(x.phase, Phase::EagerRx(_) | Phase::Shm(_)))
         };
-        for (_, x) in self.xfers.extract_if(doomed) {
+        for x in self.xfers.extract_if(doomed) {
             cancel_in(&mut self.queue, x.retry.timer);
             match x.phase {
                 // A live receiver mid-reassembly from the dead sender: the

@@ -198,8 +198,8 @@ impl XferTable {
         self.get(key).is_some()
     }
 
-    /// Put `x` at `key`, returning the end it replaces.
-    pub fn insert(&mut self, (msg, end): XferKey, x: Box<Xfer>) -> Option<Box<Xfer>> {
+    /// Put `x` at `key`, dropping any end already there.
+    pub fn insert(&mut self, (msg, end): XferKey, x: Box<Xfer>) {
         if self.slots.is_empty() {
             self.base = msg.0;
         } else if msg.0 < self.base {
@@ -212,11 +212,9 @@ impl XferTable {
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || [None, None]);
         }
-        let old = self.slots[i][end as usize].replace(x);
-        if old.is_none() {
+        if self.slots[i][end as usize].replace(x).is_none() {
             self.len += 1;
         }
-        old
     }
 
     pub fn remove(&mut self, (msg, end): XferKey) -> Option<Box<Xfer>> {
@@ -261,17 +259,11 @@ impl XferTable {
 
     /// Remove every end `doomed` picks, returning them in `(MsgId, End)`
     /// order.
-    pub fn extract_if(
-        &mut self,
-        mut doomed: impl FnMut(&Xfer) -> bool,
-    ) -> Vec<(XferKey, Box<Xfer>)> {
+    pub fn extract_if(&mut self, mut doomed: impl FnMut(&Xfer) -> bool) -> Vec<Xfer> {
         let mut out = Vec::new();
-        for (slot, id) in self.slots.iter_mut().zip(self.base..) {
-            for end in [End::Tx, End::Rx] {
-                if let Some(x) = slot[end as usize].take_if(|x| doomed(x)) {
-                    out.push(((MsgId(id), end), x));
-                }
-            }
+        for slot in &mut self.slots {
+            let taken = slot.iter_mut().filter_map(|x| x.take_if(|x| doomed(x)));
+            out.extend(taken.map(|x| *x));
         }
         self.len -= out.len();
         self.trim();
@@ -548,8 +540,8 @@ mod tests {
                 match op {
                     7 => {
                         tag += 1;
-                        let old = t.insert(far, tagged(tag)).map(|x| x.req.0);
-                        assert_eq!(old, model.insert(far, tag), "{ctx}");
+                        t.insert(far, tagged(tag));
+                        model.insert(far, tag);
                     }
                     8 => {
                         let gone = t.remove(far).map(|x| x.req.0);
@@ -557,8 +549,8 @@ mod tests {
                     }
                     0 | 1 => {
                         tag += 1;
-                        let old = t.insert(key, tagged(tag)).map(|x| x.req.0);
-                        assert_eq!(old, model.insert(key, tag), "{ctx}");
+                        t.insert(key, tagged(tag));
+                        model.insert(key, tag);
                     }
                     2 | 3 => {
                         let gone = t.remove(key).map(|x| x.req.0);
@@ -575,12 +567,17 @@ mod tests {
                     5 => assert_eq!(t.contains_key(key), model.contains_key(&key), "{ctx}"),
                     _ if rng.chance(0.1) => {
                         let m = rng.below(3);
+                        // Tags are unique, so equal tag sequences are
+                        // equal entries in equal order.
                         let got: Vec<_> = t
                             .extract_if(|x| x.req.0 % 3 == m)
                             .into_iter()
-                            .map(|(k, x)| (k, x.req.0))
+                            .map(|x| x.req.0)
                             .collect();
-                        let want: Vec<_> = model.extract_if(.., |_, v| *v % 3 == m).collect();
+                        let want: Vec<_> = model
+                            .extract_if(.., |_, v| *v % 3 == m)
+                            .map(|(_, v)| v)
+                            .collect();
                         assert_eq!(got, want, "{ctx}");
                     }
                     _ => {}
