@@ -514,7 +514,7 @@ mod tests {
         for seed in 0..20 {
             let mut rng = simcore::SimRng::new(seed);
             let mut t = XferTable::default();
-            let mut model: BTreeMap<XferKey, u64> = BTreeMap::new();
+            let mut model = BTreeMap::<(MsgId, End), u64>::new();
             let mut tag = 0;
             for step in 0..2_000 {
                 let first = model.keys().next().map(|k| k.0 .0);
