@@ -81,7 +81,8 @@ pub(crate) enum Phase {
     Shm(Shm),
     /// Receiver: a matched eager message still reassembling.
     EagerRx(EagerRxMatched),
-    /// Receiver: one pull transaction, stall timer armed.
+    /// Receiver: one pull transaction; its stall timer runs from its
+    /// first pull requests, not during its pin wait.
     Pull(Pull),
     /// Receiver: the data landed and the notify is retransmitted until
     /// its ack.
